@@ -9,6 +9,7 @@ duplicates are rejected. Known optima live in an editable sidecar file of
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -50,15 +51,18 @@ class _Tokens:
         return self.pos >= len(self.items)
 
 
-def parse_orlib(source) -> list[UbqpInstance]:
-    """Parse benchmark text (string, path, or open file) into instances."""
+def _source_text(source) -> str:
+    """Read a path (os.PathLike) or an open stream; a str is the text itself."""
+    if isinstance(source, os.PathLike):
+        return Path(source).read_text()
     if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if "\n" not in text and Path(text).exists():
-            text = Path(text).read_text()
-    toks = _Tokens(text)
+        return source.read()
+    return source
+
+
+def parse_orlib(source) -> list[UbqpInstance]:
+    """Parse benchmark text (str, path, or open file) into instances."""
+    toks = _Tokens(_source_text(source))
     count = toks.next_int("instance count")
     if count < 1:
         raise ParseError("line 1: instance count must be >= 1")
@@ -144,14 +148,9 @@ def gen_random_instance(n: int, density: float, value_range, seed: int) -> UbqpI
 
 
 def load_optima(source) -> dict[str, int]:
-    """Sidecar of `name value` lines; `#` starts a comment."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        path = Path(source)
-        text = path.read_text() if path.exists() else str(source)
+    """Sidecar of `name value` lines (str, path, or open file); `#` starts a comment."""
     table: dict[str, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_source_text(source).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

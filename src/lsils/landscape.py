@@ -38,11 +38,10 @@ def solution_from_index(s: int, n: int) -> np.ndarray:
     return np.array([(s >> i) & 1 for i in range(n)], dtype=np.int8)
 
 
-def _component_forms(objective) -> tuple[list, np.ndarray | None]:
+def _component_forms(objective) -> tuple[list, tuple[float, float] | None]:
     """(integer quadratic forms, combination weights or None)."""
     if isinstance(objective, SmoothedObjective):
-        weights = np.array([1.0 - objective.lam, objective.lam * objective.alpha])
-        return [objective.instance, objective.toy], weights
+        return [objective.instance, objective.toy], objective.weights
     return [objective], None
 
 

@@ -180,15 +180,3 @@ class GainCache:
         self.solution[k] ^= 1
         self.sigma[k] = -sk
         return self
-
-    def rebuild_check(self) -> bool:
-        """True when the cached gains equal a freshly built cache (debug aid)."""
-        fresh = GainCache.build(self.form, self.solution)
-        return bool(np.array_equal(fresh.gains, self.gains))
-
-
-def apply_flip(cache: GainCache, inst, k: int) -> GainCache:
-    """Flip bit k through a cache built on `inst`; returns the mutated cache."""
-    if cache.form is not inst:
-        raise ValueError("cache was built for a different quadratic form")
-    return cache.apply_flip(k)

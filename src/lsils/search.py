@@ -19,7 +19,7 @@ reproducible; evaluation-count budgets are the deterministic default.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .qubo import (
     GainCache,
     UbqpInstance,
     evaluate,
-    mean_abs,
     random_solution,
     seeded_rng,
 )
@@ -190,13 +189,6 @@ class _Meter:
             self._emit(final)
 
 
-class _NullMeter:
-    """Unbudgeted accounting for the standalone local-search entry point."""
-
-    def charge(self, units: int) -> None:
-        pass
-
-
 def _pick_flip(gains, pivot_rule: str, n: int):
     """(flip index or None, candidates examined) under the given pivot rule."""
     if pivot_rule == "best":
@@ -245,44 +237,22 @@ def _descend(caches, weights, value, tracker, meter, pivot_rule: str):
             tracker.offer(primary.solution, value)
 
 
-def local_search(x, objective, tracker: BestTracker | None = None,
-                 pivot_rule: str = "best") -> np.ndarray:
+def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     """Descend from x to a one-bit-flip local optimum of the objective.
 
     The objective may be a UbqpInstance, a ToyMatrix, or a SmoothedObjective.
-    When a tracker is given, every accepted flip is scored under the
-    tracker's original objective.
     """
     if pivot_rule not in PIVOT_RULES:
         raise ValueError(f"pivot rule must be one of {PIVOT_RULES}")
-    meter = _NullMeter()
     if isinstance(objective, SmoothedObjective):
-        co = GainCache.build(objective.instance, x)
-        ct = GainCache.build(objective.toy, x)
-        value = evaluate(objective.instance, x)
-        weights = (1.0 - objective.lam, objective.lam * objective.alpha)
-        _descend([co, ct], weights, value, tracker, meter, pivot_rule)
-        return co.solution.copy()
-    cache = GainCache.build(objective, x)
-    value = evaluate(objective, x)
-    if tracker is not None and isinstance(objective, UbqpInstance):
-        _descend([cache], None, value, tracker, meter, pivot_rule)
-        return cache.solution.copy()
-    if tracker is not None:
-        # Toy objective with tracking: maintain a parallel original cache.
-        aux = GainCache.build(tracker.instance, x)
-        original_value = evaluate(tracker.instance, x)
-        n = cache.solution.size
-        while True:
-            k, _ = _pick_flip(cache.gains, pivot_rule, n)
-            if k is None:
-                return cache.solution.copy()
-            original_value += int(aux.gains[k])
-            cache.apply_flip(k)
-            aux.apply_flip(k)
-            tracker.offer(cache.solution, original_value)
-    _descend([cache], None, value, None, meter, pivot_rule)
-    return cache.solution.copy()
+        forms, weights = (objective.instance, objective.toy), objective.weights
+    else:
+        forms, weights = (objective,), None
+    caches = [GainCache.build(form, x) for form in forms]
+    # Unbudgeted and untracked: the running value _descend keeps is unused.
+    meter = _Meter(Budget("evals", float("inf")), None, None)
+    _descend(caches, weights, 0, None, meter, pivot_rule)
+    return caches[0].solution.copy()
 
 
 def _perturb_in_place(caches, positions, value, meter) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .qubo import (
     UbqpInstance,
     as_solution,
     evaluate,
-    flip_delta,
     mean_abs,
     seeded_rng,
 )
@@ -171,16 +169,6 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     return ToyMatrix(kind=kind, anchor=anchor, n=n, rng_seed=int(seed), _q=q)
 
 
-def toy_evaluate(toy: ToyMatrix, x) -> int:
-    """Exact toy objective x^T Qhat x."""
-    return evaluate(toy, x)
-
-
-def toy_flip_delta(toy: ToyMatrix, x, k: int) -> int:
-    """Exact one-flip change of the toy objective."""
-    return flip_delta(toy, x, k)
-
-
 def auto_alpha(inst: UbqpInstance, toy: ToyMatrix, target_bound=None) -> float:
     """Scaling factor bringing toy entries to the original matrix's scale.
 
@@ -218,17 +206,16 @@ class SmoothedObjective:
             raise ValueError("instance and toy dimensions differ")
         self.n = self.instance.n
 
+    @property
+    def weights(self) -> tuple[float, float]:
+        """(original, toy) coefficients: (1 - lam, lam * alpha)."""
+        return 1.0 - self.lam, self.lam * self.alpha
+
 
 def smoothed_evaluate(g: SmoothedObjective, x) -> float:
     """Blend of the two exact integer objectives in double precision."""
-    return ((1.0 - g.lam) * evaluate(g.instance, x)
-            + g.lam * g.alpha * toy_evaluate(g.toy, x))
-
-
-def smoothed_flip_delta(g: SmoothedObjective, x, k: int) -> float:
-    """One-flip change of g, combined from the two exact integer deltas."""
-    return ((1.0 - g.lam) * flip_delta(g.instance, x, k)
-            + g.lam * g.alpha * toy_flip_delta(g.toy, x, k))
+    wo, wt = g.weights
+    return wo * evaluate(g.instance, x) + wt * evaluate(g.toy, x)
 
 
 @dataclass(frozen=True)
@@ -276,7 +263,3 @@ class LambdaSchedule:
         i = bisect_right(thresholds, consumed)
         return 0.0 if i == 0 else float(self.steps[i - 1][1])
 
-
-def lambda_at(schedule: LambdaSchedule, consumed) -> float:
-    """Schedule lookup: value of the last threshold not exceeding `consumed`."""
-    return schedule.value_at(consumed)

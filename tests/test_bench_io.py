@@ -70,6 +70,13 @@ class TestParseOrlib:
         from_path = parse_orlib(path)
         assert np.array_equal(from_stream[0].q, from_path[0].q)
 
+    def test_long_one_line_text_is_parsed_not_opened(self):
+        n = 40
+        text = f"1 {n} {n} " + " ".join(f"{i} {i} {i}" for i in range(1, n + 1))
+        assert "\n" not in text and len(text) > 255
+        inst = parse_orlib(text)[0]
+        assert inst.q.diagonal().tolist() == list(range(1, n + 1))
+
 
 class TestSerializeRoundTrip:
     @given(st.integers(1, 10), st.integers(0, 10**6))
@@ -155,6 +162,12 @@ class TestOptimaTable:
     def test_blank_lines_and_inline_comments(self):
         table = load_optima("\na 5  # known\n\n")
         assert table == {"a": 5}
+
+    def test_long_one_line_text_is_parsed_not_opened(self):
+        name = "bqp." + "x" * 290
+        text = f"{name} 1515944"
+        assert len(text) > 255
+        assert load_optima(text) == {name: 1515944}
 
 
 class TestExcess:

@@ -22,7 +22,6 @@ from lsils import (
     seeded_rng,
     smoothed_evaluate,
     solution_from_index,
-    toy_evaluate,
     value_histogram,
 )
 from lsils.landscape import (
@@ -76,7 +75,7 @@ class TestGrayWalk:
         rng = seeded_rng(100)
         for s in rng.integers(0, 2**n, size=300):
             x = solution_from_index(int(s), n)
-            assert values[int(s)] == toy_evaluate(toy, x)
+            assert values[int(s)] == evaluate(toy, x)
 
     def test_smoothed_components_match_direct_evaluate(self):
         n = 10
@@ -175,7 +174,7 @@ class TestHistogramAndFlatness:
         anchor = random_solution(10, seeded_rng(15))
         toy = construct_toy(ToyKind.PLUS_MINUS_ONE, anchor)
         hist = value_histogram(toy)
-        assert hist == oracles.brute_histogram(lambda x: toy_evaluate(toy, x), 10)
+        assert hist == oracles.brute_histogram(lambda x: evaluate(toy, x), 10)
 
     def test_matches_brute_force_smoothed(self):
         n = 8

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lsils import (
@@ -28,6 +28,7 @@ from lsils import (
 from lsils.qubo import INIT_STREAM
 
 from test_qubo import make_instance
+from test_smoothing import blended_gains
 
 
 class TestConfigValidation:
@@ -181,6 +182,20 @@ class TestLocalSearch:
             x = perturb(anchor, int(rng.integers(1, n + 1)), rng)
             out = local_search(x, obj)
             assert np.array_equal(out, anchor)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.7])
+    @pytest.mark.parametrize("pivot", ["best", "first"])
+    def test_smoothed_partial_weight_has_no_positive_blended_gain(self, lam, pivot):
+        n = 20
+        inst = make_instance(n, seed=31)
+        rng = seeded_rng(32)
+        for kind in (ToyKind.PLUS_MINUS_I, ToyKind.RANDOM):
+            toy = construct_toy(kind, random_solution(n, rng), seed=5)
+            obj = SmoothedObjective(
+                instance=inst, toy=toy, lam=lam, alpha=auto_alpha(inst, toy))
+            for _ in range(10):
+                out = local_search(random_solution(n, rng), obj, pivot_rule=pivot)
+                assert blended_gains(obj, out).max() <= 0
 
     def test_invalid_pivot_rejected(self):
         inst = make_instance(6, seed=0)
