@@ -31,6 +31,7 @@ from .qubo import (
     GainCache,
     UbqpInstance,
     evaluate,
+    mean_abs,
     random_solution,
     seeded_rng,
 )
@@ -122,14 +123,22 @@ class RunResult:
 
 
 def sample_distinct_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """`count` distinct indices from range(n) via a partial Fisher-Yates pass."""
+    """`count` distinct indices from range(n) via a partial Fisher-Yates pass.
+
+    The swap targets j_i in [i, n) come from one vectorised draw, which
+    yields the same values and leaves the generator in the same state as
+    drawing them one at a time. Only swapped slots are stored, so the pass
+    is O(count) whatever n is.
+    """
     if not 1 <= count <= n:
         raise ValueError(f"need 1 <= count <= {n}, got {count}")
-    idx = np.arange(n)
-    for i in range(count):
-        j = int(rng.integers(i, n))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:count]
+    targets = rng.integers(np.arange(count), n).tolist()
+    moved: dict[int, int] = {}
+    picked = []
+    for i, j in enumerate(targets):
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(picked, dtype=np.intp)
 
 
 def perturb(x, bits: int, rng: np.random.Generator) -> np.ndarray:
@@ -256,21 +265,19 @@ def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
 
 
 def _perturb_in_place(caches, positions, value, meter) -> int:
-    """Flip `positions` through all caches, returning the updated value."""
-    primary = caches[0]
-    n = primary.solution.size
-    for p in positions:
-        value += int(primary.gains[p])
-        for cache in caches:
-            cache.apply_flip(p)
+    """Flip `positions` through all caches, returning the updated value.
+
+    Each cache takes one block update, but the budget is still charged n
+    per flip so interval records land on the same counts as flipping one
+    bit at a time.
+    """
+    value += caches[0].apply_flips(positions)
+    for cache in caches[1:]:
+        cache.apply_flips(positions)
+    n = caches[0].solution.size
+    for _ in range(len(positions)):
         meter.charge(n)
     return value
-
-
-def _resolve_alpha(config: SearchConfig, inst: UbqpInstance, toy: ToyMatrix) -> float:
-    if config.alpha == "auto":
-        return auto_alpha(inst, toy, target_bound=config.target_bound)
-    return float(config.alpha)
 
 
 def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool, algo: str) -> RunResult:
@@ -293,6 +300,10 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool, algo: str) -
     # Initialization: one plain descent on the original objective.
     value = _descend([primary], None, value, tracker, meter, config.pivot_rule)
 
+    target_bound = config.target_bound
+    if smoothing and config.alpha == "auto" and target_bound is None:
+        # auto_alpha's default bound is an n^2 pass over Q: take it once per run.
+        target_bound = round(mean_abs(inst))
     toy: ToyMatrix | None = None
     toy_cache: GainCache | None = None
     weights = None
@@ -308,7 +319,8 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool, algo: str) -
                             if config.toy_kind is ToyKind.RANDOM else 0)
                 toy = construct_toy(config.toy_kind, tracker.best_solution, seed=toy_seed)
                 anchor_snapshot = tracker.best_solution.copy()
-                alpha = _resolve_alpha(config, inst, toy)
+                alpha = (auto_alpha(inst, toy, target_bound=target_bound)
+                         if config.alpha == "auto" else float(config.alpha))
                 toy_cache = GainCache.build(toy, primary.solution)
             weights = (1.0 - lam, lam * alpha)
             caches = [primary, toy_cache]

@@ -79,6 +79,7 @@ class ToyMatrix:
     _q: np.ndarray | None = None
     _anchor64: np.ndarray = None
     _idx1: np.ndarray = None
+    _signs: np.ndarray = None
 
     def __post_init__(self) -> None:
         self.anchor = as_solution(self.anchor).copy()
@@ -87,16 +88,17 @@ class ToyMatrix:
             raise ValueError("anchor length must equal n")
         self._anchor64 = self.anchor.astype(np.int64)
         self._idx1 = np.arange(1, self.n + 1, dtype=np.int64)
+        # Row k's signs when anchor_k = 1; every other row is all -1.
+        self._signs = 2 * self._anchor64 - 1
         if self._q is not None:
             self._q.setflags(write=False)
 
     # -- quadratic-form protocol ------------------------------------------
     def diag(self) -> np.ndarray:
-        a = self._anchor64
         if self.kind is ToyKind.PLUS_MINUS_ONE:
-            return 2 * a - 1
+            return self._signs.copy()
         if self.kind is ToyKind.PLUS_MINUS_I:
-            return (2 * a - 1) * self._idx1
+            return self._signs * self._idx1
         return self._q.diagonal()
 
     def col(self, k: int) -> np.ndarray:
@@ -104,7 +106,12 @@ class ToyMatrix:
         if self.kind is ToyKind.PLUS_MINUS_ONE:
             return 2 * a * int(a[k]) - 1
         if self.kind is ToyKind.PLUS_MINUS_I:
-            return (2 * a * int(a[k]) - 1) * np.maximum(self._idx1, k + 1)
+            col = np.maximum(self._idx1, k + 1)
+            if a[k]:
+                col *= self._signs
+            else:
+                np.negative(col, out=col)
+            return col
         return self._q[k]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -115,6 +122,15 @@ class ToyMatrix:
         if self.kind is ToyKind.PLUS_MINUS_I:
             return 2 * a * _index_matvec(a * v) - _index_matvec(v)
         return self._q @ v
+
+    def flip_matvec(self, on: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """Fresh Q (x' - x) when bits `on` go 0 -> 1 and bits `off` go 1 -> 0."""
+        if self.kind is ToyKind.RANDOM:
+            return self._q[on].sum(axis=0) - self._q[off].sum(axis=0)
+        v = np.zeros(self.n, dtype=np.int64)
+        v[on] = 1
+        v[off] = -1
+        return self.matvec(v)
 
     def value(self, x: np.ndarray) -> int:
         x64 = np.asarray(x, dtype=np.int64)
@@ -160,12 +176,14 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     if kind is not ToyKind.RANDOM:
         return ToyMatrix(kind=kind, anchor=anchor, n=n)
     rng = seeded_rng(seed, TOY_MAGNITUDE_STREAM)
-    w = np.zeros((n, n), dtype=np.int64)
-    rows, cols = np.tril_indices(n)
-    w[rows, cols] = rng.integers(1, 101, size=rows.size)
-    w = w + np.tril(w, -1).T
-    a = anchor.astype(np.int64)
-    q = (2 * np.outer(a, a) - 1) * w
+    lower = np.tri(n, dtype=bool)
+    draws = rng.integers(1, 101, size=n * (n + 1) // 2)
+    q = np.empty((n, n), dtype=np.int64)
+    # Boolean masks fill row-major, the order np.tril_indices lists cells in.
+    q[lower] = draws
+    q.T[lower] = draws
+    both = anchor.astype(bool)
+    np.negative(q, out=q, where=~np.outer(both, both))
     return ToyMatrix(kind=kind, anchor=anchor, n=n, rng_seed=int(seed), _q=q)
 
 

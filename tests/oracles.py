@@ -74,6 +74,33 @@ def oracle_toy_matrix(kind: str, anchor, magnitudes=None) -> np.ndarray:
     return q
 
 
+def fisher_yates_positions(rng, n: int, count: int) -> np.ndarray:
+    """`count` distinct indices by a partial Fisher-Yates pass over range(n),
+    one generator draw per swap."""
+    idx = np.arange(n)
+    for i in range(count):
+        j = int(rng.integers(i, n))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:count]
+
+
+def random_toy_by_indices(anchor, seed: int) -> np.ndarray:
+    """Random-magnitude toy with its lower triangle filled through
+    np.tril_indices and mirrored.
+
+    Magnitudes come from the generator PCG64(SeedSequence([seed, 0])), the
+    toy-magnitude stream of the package.
+    """
+    a = np.asarray(anchor, dtype=np.int64)
+    n = a.size
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
+    w = np.zeros((n, n), dtype=np.int64)
+    rows, cols = np.tril_indices(n)
+    w[rows, cols] = rng.integers(1, 101, size=rows.size)
+    w = w + np.tril(w, -1).T
+    return (2 * np.outer(a, a) - 1) * w
+
+
 def brute_histogram(value_fn, n) -> dict:
     counts: dict = {}
     for s in range(2 ** n):

@@ -40,6 +40,7 @@ def record(num: int, ok: bool, detail: str) -> None:
     conftest.ACCEPTANCE_RESULTS[num] = (ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_1_toy_unimodality_is_exact():
     started = time.monotonic()
     checked = 0
@@ -114,6 +115,7 @@ def test_criterion_2_flatness_values_and_ordering():
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_3_sweep_endpoints():
     started = time.monotonic()
     zero_ok = one_ok = 0
@@ -232,6 +234,7 @@ def read_summary_means(out_dir: Path) -> dict[str, float]:
     return means
 
 
+@pytest.mark.slow
 def test_criterion_6_comparison_ordering(comparison_batch):
     (first, _), elapsed = comparison_batch
     means = read_summary_means(first)
@@ -246,6 +249,7 @@ def test_criterion_6_comparison_ordering(comparison_batch):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_7_batch_rerun_is_byte_identical(comparison_batch):
     (first, second), _ = comparison_batch
     names_first = sorted(p.name for p in first.iterdir())

@@ -27,6 +27,7 @@ from lsils import (
 )
 from lsils.qubo import INIT_STREAM
 
+import oracles
 from test_qubo import make_instance
 from test_smoothing import blended_gains
 
@@ -80,6 +81,22 @@ class TestSampling:
     def test_full_count_is_permutation(self):
         pos = sample_distinct_positions(seeded_rng(7), 12, 12)
         assert sorted(pos.tolist()) == list(range(12))
+
+    @given(st.integers(1, 600), st.integers(0, 2**32), st.data())
+    def test_matches_sequential_fisher_yates(self, n, seed, data):
+        count = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+        ours, reference = seeded_rng(seed, 2), seeded_rng(seed, 2)
+        pos = sample_distinct_positions(ours, n, count)
+        assert np.array_equal(pos, oracles.fisher_yates_positions(reference, n, count))
+        assert ours.integers(0, 2**62) == reference.integers(0, 2**62)
+
+    @pytest.mark.parametrize("n, count", [(500, 125), (7, 7), (1, 1), (100000, 300)])
+    def test_matches_sequential_fisher_yates_at_search_sizes(self, n, count):
+        for seed in range(20):
+            ours, reference = seeded_rng(seed, 2), seeded_rng(seed, 2)
+            pos = sample_distinct_positions(ours, n, count)
+            assert np.array_equal(pos, oracles.fisher_yates_positions(reference, n, count))
+            assert ours.random() == reference.random()
 
     def test_count_out_of_range(self):
         rng = seeded_rng(0)

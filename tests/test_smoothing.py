@@ -103,6 +103,14 @@ class TestConstruction:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 500])
+    def test_random_matches_tril_indices_reference(self, n):
+        for seed in (0, 5, 2**40 + 3):
+            anchor = random_anchor(n, seed % 97)
+            toy = construct_toy(ToyKind.RANDOM, anchor, seed=seed)
+            assert np.array_equal(toy.materialize(),
+                                  oracles.random_toy_by_indices(anchor, seed))
+
     def test_deterministic_kinds_idempotent(self):
         anchor = random_anchor(10, 7)
         for kind in (ToyKind.PLUS_MINUS_ONE, ToyKind.PLUS_MINUS_I):
@@ -161,6 +169,18 @@ class TestToyEvaluation:
             assert np.array_equal(toy.diag(), dense.diagonal())
             for k in range(n):
                 assert np.array_equal(toy.col(k), dense[k])
+            on = np.flatnonzero(rng.integers(0, 2, size=n))
+            off = np.setdiff1d(np.flatnonzero(rng.integers(0, 2, size=n)), on)
+            assert np.array_equal(toy.flip_matvec(on, off),
+                                  dense[on].sum(axis=0) - dense[off].sum(axis=0))
+
+    def test_index_column_is_a_fresh_array(self):
+        toy = construct_toy(ToyKind.PLUS_MINUS_I, (1, 0, 1, 1, 0))
+        dense = toy.materialize()
+        for k in range(5):
+            toy.col(k)[:] = 0
+            assert np.array_equal(toy.col(k), dense[k])
+        assert np.array_equal(toy.materialize(), dense)
 
     def test_gain_cache_on_toys(self):
         rng = seeded_rng(11)
