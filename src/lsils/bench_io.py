@@ -175,9 +175,12 @@ def excess(best_f: int, opt_f: int) -> float:
     return (best_f - opt_f) / opt_f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunLogRecord:
-    """One logged point of a run's best-so-far trace."""
+    """One logged point of a run's best-so-far trace.
+
+    Slotted: batch runs and benchmarks hold every record of every run.
+    """
 
     elapsed: float
     evaluations: int

@@ -14,18 +14,25 @@ baseline and follows a bit-identical trajectory.
 
 Seconds-mode budgets measure wall-clock time instead and are therefore not
 reproducible; evaluation-count budgets are the deterministic default.
+
+Descents run in the compiled kernel of `_kernel.c` when it builds; the numpy
+loop `_descend` is the reference it matches flip for flip, and the path
+taken without a C compiler.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .bench_io import RunLogRecord
 from .qubo import (
     INIT_STREAM,
+    INT64_MAX,
     PERTURB_STREAM,
     TOY_STREAM,
     GainCache,
@@ -171,31 +178,64 @@ class _Meter:
     def exhausted(self) -> bool:
         return self.progress() >= self.budget.amount
 
-    def charge(self, units: int) -> None:
-        self.consumed += units
+    def charge(self, units: int, steps: int = 1) -> None:
+        """Charge `steps` successive charges of `units` evaluations each.
+
+        Under an evals budget this emits exactly the records `steps`
+        separate calls would: each mark reached is stamped with the first
+        running total that reaches it. Under a seconds budget the clock is
+        read once, after the last step.
+        """
+        start = self.consumed
+        self.consumed += units * steps
         if self.next_mark is None:
             return
+        if self.budget.kind == "seconds":
+            self.poll()
+            return
+        while self.next_mark is not None and self.consumed >= self.next_mark:
+            taken = max(1, -((start - math.ceil(self.next_mark)) // units))
+            self._emit_mark(start + taken * units, self.tracker.best_value)
+
+    def poll(self) -> None:
+        """Emit the marks the clock (or the evaluation count) has passed."""
         progress = self.progress()
         while self.next_mark is not None and progress >= self.next_mark:
-            self._emit(self.next_mark)
-            self.next_mark += self.interval
-            if self.next_mark > self.budget.amount:
-                self.next_mark = None
+            self._emit_mark(self.consumed, self.tracker.best_value)
 
-    def _emit(self, elapsed) -> None:
+    def reach(self, evaluations: int, best: int) -> None:
+        """Emit the evals marks at or below `evaluations`, stamped with it and `best`."""
+        while self.next_mark is not None and evaluations >= self.next_mark:
+            self._emit_mark(evaluations, best)
+
+    def threshold(self) -> int:
+        """The evaluation count at which the next evals mark is due; INT64_MAX if none."""
+        if self.next_mark is None or self.budget.kind != "evals":
+            return INT64_MAX
+        return min(math.ceil(self.next_mark), INT64_MAX)
+
+    def _emit_mark(self, evaluations: int, best: int) -> None:
+        self._emit(self.next_mark, evaluations, best)
+        self.next_mark += self.interval
+        if self.next_mark > self.budget.amount:
+            self.next_mark = None
+
+    def _emit(self, elapsed, evaluations: int, best: int) -> None:
         if self.budget.kind == "evals":
             elapsed = int(elapsed)
+        if self.records and self.records[-1].best_f == best:
+            best = self.records[-1].best_f  # one object per value: runs keep every record
         self.records.append(RunLogRecord(
             elapsed=elapsed,
-            evaluations=self.consumed,
-            best_f=self.tracker.best_value,
+            evaluations=evaluations,
+            best_f=best,
             lam=self.current_lam,
         ))
 
     def finish(self) -> None:
         final = self.consumed if self.budget.kind == "evals" else round(self.progress(), 3)
         if not self.records or self.records[-1].evaluations < self.consumed:
-            self._emit(final)
+            self._emit(final, self.consumed, self.tracker.best_value)
 
 
 def _pick_flip(gains, pivot_rule: str, n: int):
@@ -246,6 +286,65 @@ def _descend(caches, weights, value, tracker, meter, pivot_rule: str):
             tracker.offer(primary.solution, value)
 
 
+class _Descent:
+    """Descents to a local optimum over one fixed list of gain caches.
+
+    A call runs `_descend` in the compiled kernel when the kernel loads and
+    knows every form, and the numpy `_descend` otherwise; the kernel's view
+    of the caches is built once, here. The kernel returns at every flip
+    whose charge reached the meter's next evals mark, with the
+    (evaluations, best) of each such charge, and the marks are emitted
+    here, so evals-budget records are the ones `_descend` writes. Under a
+    seconds budget the clock is read when the descent ends, so such a
+    record may land up to one descent late.
+    """
+
+    def __init__(self, caches, pivot_rule: str):
+        self.caches = caches
+        self.pivot_rule = pivot_rule
+        self.kernel = _kernel.library()
+        self.entries = None if self.kernel is None else _kernel.layout(caches)
+        if self.entries is not None:
+            n = caches[0].solution.size
+            self.state = np.zeros(_kernel.ST_SIZE, dtype=np.int64)
+            self.best_x = np.empty(n, dtype=np.int8)
+            self.args = (self.entries.ctypes.data, len(caches), n, pivot_rule == "first")
+            self.buffers = (self.state.ctypes.data, self.best_x.ctypes.data)
+
+    @property
+    def compiled(self) -> bool:
+        return self.entries is not None
+
+    def __call__(self, weights, value, tracker, meter) -> int:
+        """Descend from the caches' solution; returns the updated value."""
+        blend = weights is not None
+        wo, wt = weights if blend else (1.0, 0.0)
+        if not self.compiled or (wt != 0.0 and len(self.caches) < 2):
+            return _descend(self.caches, weights, value, tracker, meter, self.pivot_rule)
+        state = self.state
+        state[:] = 0
+        state[_kernel.ST_VALUE] = value
+        state[_kernel.ST_CONSUMED] = meter.consumed
+        if tracker is not None:
+            state[_kernel.ST_TRACK] = 1
+            state[_kernel.ST_BEST] = tracker.best_value
+        while True:
+            state[_kernel.ST_THRESHOLD] = meter.threshold()
+            paused = self.kernel(*self.args, blend, wo, wt, *self.buffers)
+            st = state.tolist()
+            if st[_kernel.ST_IMPROVED]:
+                tracker.best_value = st[_kernel.ST_BEST]
+                tracker.best_solution = self.best_x.copy()
+            for i in range(_kernel.ST_EVENT0, _kernel.ST_EVENT0 + 2 * st[_kernel.ST_EVENTS], 2):
+                meter.reach(st[i], st[i + 1])
+            if not paused:
+                break
+        meter.consumed = st[_kernel.ST_CONSUMED]
+        if meter.budget.kind == "seconds":
+            meter.poll()
+        return st[_kernel.ST_VALUE]
+
+
 def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     """Descend from x to a one-bit-flip local optimum of the objective.
 
@@ -258,25 +357,23 @@ def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     else:
         forms, weights = (objective,), None
     caches = [GainCache.build(form, x) for form in forms]
-    # Unbudgeted and untracked: the running value _descend keeps is unused.
+    # Unbudgeted and untracked: the running value the descent keeps is unused.
     meter = _Meter(Budget("evals", float("inf")), None, None)
-    _descend(caches, weights, 0, None, meter, pivot_rule)
+    _Descent(caches, pivot_rule)(weights, 0, None, meter)
     return caches[0].solution.copy()
 
 
 def _perturb_in_place(caches, positions, value, meter) -> int:
     """Flip `positions` through all caches, returning the updated value.
 
-    Each cache takes one block update, but the budget is still charged n
-    per flip so interval records land on the same counts as flipping one
-    bit at a time.
+    Each cache takes one block update, and the meter one charge of n per
+    flip, so interval records land on the same counts as flipping one bit
+    at a time.
     """
     value += caches[0].apply_flips(positions)
     for cache in caches[1:]:
         cache.apply_flips(positions)
-    n = caches[0].solution.size
-    for _ in range(len(positions)):
-        meter.charge(n)
+    meter.charge(caches[0].solution.size, steps=len(positions))
     return value
 
 
@@ -298,19 +395,18 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool, algo: str) -
     meter.charge(n)
 
     # Initialization: one plain descent on the original objective.
-    value = _descend([primary], None, value, tracker, meter, config.pivot_rule)
+    descent = _Descent([primary], config.pivot_rule)
+    value = descent(None, value, tracker, meter)
 
     target_bound = config.target_bound
     if smoothing and config.alpha == "auto" and target_bound is None:
         # auto_alpha's default bound is an n^2 pass over Q: take it once per run.
         target_bound = round(mean_abs(inst))
     toy: ToyMatrix | None = None
-    toy_cache: GainCache | None = None
     weights = None
     anchor_snapshot: np.ndarray | None = None
 
     while not meter.exhausted():
-        caches = [primary]
         if smoothing:
             lam = schedule.value_at(meter.progress())
             meter.current_lam = lam
@@ -322,12 +418,11 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool, algo: str) -
                 alpha = (auto_alpha(inst, toy, target_bound=target_bound)
                          if config.alpha == "auto" else float(config.alpha))
                 toy_cache = GainCache.build(toy, primary.solution)
+                descent = _Descent([primary, toy_cache], config.pivot_rule)
             weights = (1.0 - lam, lam * alpha)
-            caches = [primary, toy_cache]
         positions = sample_distinct_positions(rng_perturb, n, bits)
-        value = _perturb_in_place(caches, positions, value, meter)
-        value = _descend(caches, weights if smoothing else None, value,
-                         tracker, meter, config.pivot_rule)
+        value = _perturb_in_place(descent.caches, positions, value, meter)
+        value = descent(weights, value, tracker, meter)
 
     meter.finish()
     return RunResult(

@@ -1,6 +1,8 @@
 """Instance and result I/O: parsing, generation, optima tables, run logs."""
 
+import dataclasses
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -238,6 +240,17 @@ class TestRunLogs:
         records = sample_records()
         attach_excess(records, opt_f=100)
         assert records[0].excess is None
+
+    def test_records_are_slotted_and_still_replaceable(self):
+        record = sample_records()[0]
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.best_f = 1
+        moved = dataclasses.replace(record, lam=0.25)
+        assert (moved.lam, moved.best_f) == (0.25, record.best_f)
+        scored = attach_excess([record], opt_f=40)[0]
+        assert scored.excess == excess(record.best_f, 40)
+        assert pickle.loads(pickle.dumps(scored)) == scored
 
 
 class TestNaming:

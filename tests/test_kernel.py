@@ -1,0 +1,240 @@
+"""The compiled descent against its numpy reference, and the fallback to it.
+
+A C compiler is part of the test environment, so a kernel that does not
+build or load fails these tests instead of skipping them.
+"""
+
+import io
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from lsils import (
+    Budget,
+    GainCache,
+    LambdaSchedule,
+    SearchConfig,
+    ToyKind,
+    UbqpInstance,
+    construct_toy,
+    evaluate,
+    ils,
+    local_search,
+    lsils,
+    random_solution,
+    seeded_rng,
+    write_runlog_csv,
+)
+from lsils import _kernel, search
+from lsils.search import PIVOT_RULES, BestTracker, _Meter
+
+from test_qubo import make_instance
+
+ROOT = Path(__file__).resolve().parent.parent
+FORMS = ("instance",) + tuple(kind.value for kind in ToyKind)
+# (1 - lam, lam * alpha) blends, (1.0, 0.0) among them.
+LAMS = (0.0, 0.001, 0.3, 0.5, 1.0)
+ALPHAS = (0.25, 1.0, 3.7)
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """The kernel's build fails, as on a host without a C compiler."""
+    def fail():
+        raise OSError("no C compiler found")
+    monkeypatch.setattr(_kernel, "_build", fail)
+    _kernel.library.cache_clear()
+    yield
+    _kernel.library.cache_clear()
+
+
+def make_form(name: str, n: int, seed: int):
+    if name == "instance":
+        return make_instance(n, seed=seed)
+    anchor = random_solution(n, seeded_rng(seed, 9))
+    return construct_toy(ToyKind(name), anchor, seed=seed)
+
+
+def test_kernel_loads():
+    assert _kernel.library() is not None
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    subprocess.run([_kernel._compiler(), "-std=c99", "-Wall", "-Wextra", "-Werror",
+                    *_kernel.FLAGS, "-o", str(tmp_path / "kernel.so"), str(_kernel.SOURCE)],
+                   check=True, capture_output=True)
+
+
+def test_build_caches_one_file_by_hash(tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+    assert _kernel._build().lsils_descend
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [_kernel._library_name()]
+    assert _kernel._build().lsils_descend
+
+
+def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setattr(_kernel, "CACHE_DIR", blocker / "cache")
+    assert _kernel._build().lsils_descend
+
+
+class TestDescentEquivalence:
+    @given(st.integers(1, 40), st.integers(0, 2**32),
+           st.lists(st.sampled_from(FORMS), min_size=1, max_size=2),
+           st.sampled_from(PIVOT_RULES), st.booleans(), st.sampled_from(LAMS),
+           st.sampled_from(ALPHAS),
+           st.one_of(st.none(), st.integers(1, 120), st.floats(0.5, 120)),
+           st.integers(0, 400), st.integers(1, 20000))
+    def test_kernel_matches_numpy_descent(self, n, seed, slots, pivot, blend, lam, alpha,
+                                          interval, start, budget):
+        forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
+        x = random_solution(n, seeded_rng(seed, 1))
+        if not blend:
+            weights = None
+        elif len(forms) == 2:
+            weights = (1.0 - lam, lam * alpha)
+        else:
+            weights = (1.0, 0.0)
+        value = evaluate(forms[0], x)
+
+        def state():
+            caches = [GainCache.build(form, x) for form in forms]
+            tracker = BestTracker.start(forms[0], x, value - 1)
+            meter = _Meter(Budget("evals", budget), interval, tracker)
+            meter.current_lam = lam
+            if start:
+                meter.charge(start)
+            return caches, tracker, meter
+
+        ref_caches, ref_tracker, ref_meter = state()
+        caches, tracker, meter = state()
+        expected = search._descend(ref_caches, weights, value, ref_tracker, ref_meter, pivot)
+        descent = search._Descent(caches, pivot)
+        assert descent.compiled
+        assert descent(weights, value, tracker, meter) == expected
+        for ours, ref in zip(caches, ref_caches):
+            assert np.array_equal(ours.gains, ref.gains)
+            assert np.array_equal(ours.sigma, ref.sigma)
+            assert np.array_equal(ours.solution, ref.solution)
+        assert tracker.best_value == ref_tracker.best_value
+        assert np.array_equal(tracker.best_solution, ref_tracker.best_solution)
+        assert meter.records == ref_meter.records
+        assert (meter.consumed, meter.next_mark) == (ref_meter.consumed, ref_meter.next_mark)
+
+    @pytest.mark.parametrize("weights", [None, (1.0, 0.0), (0.5, 0.5)])
+    def test_ties_go_to_the_lowest_index(self, weights):
+        # From 00 both flips gain 1, and each one makes the other lose.
+        inst = UbqpInstance.from_matrix(np.array([[1, -1], [-1, 1]]))
+        for compiled in (False, True):
+            caches = [GainCache.build(inst, [0, 0]) for _ in range(2)]
+            meter = _Meter(Budget("evals", float("inf")), None, None)
+            if compiled:
+                value = search._Descent(caches, "best")(weights, 0, None, meter)
+            else:
+                value = search._descend(caches, weights, 0, None, meter, "best")
+            assert value == 1
+            assert caches[0].solution.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("pivot", PIVOT_RULES)
+    def test_local_search_runs_the_kernel(self, pivot, monkeypatch):
+        inst = make_instance(30, seed=3)
+        x = random_solution(30, seeded_rng(3))
+        expected = local_search(x, inst, pivot)
+
+        def numpy_descent(*args):
+            raise AssertionError("the numpy descent ran")
+
+        monkeypatch.setattr(search, "_descend", numpy_descent)
+        assert np.array_equal(local_search(x, inst, pivot), expected)
+
+    def test_unknown_form_takes_the_numpy_path(self):
+        inst = make_instance(12, seed=4)
+
+        class Wrapped:
+            """A duck-typed quadratic form the kernel does not know."""
+            n = inst.n
+            diag, col, matvec, value = inst.diag, inst.col, inst.matvec, inst.value
+
+        x = random_solution(12, seeded_rng(4))
+        assert not search._Descent([GainCache.build(Wrapped(), x)], "best").compiled
+        assert search._Descent([GainCache.build(inst, x)], "best").compiled
+        assert np.array_equal(local_search(x, Wrapped()), local_search(x, inst))
+
+
+def test_seconds_budget_marks_are_checked_between_descents():
+    inst = make_instance(40, seed=8)
+    result = lsils(inst, SearchConfig(
+        budget=Budget("seconds", 0.3), log_interval=0.05, toy_kind=ToyKind.PLUS_MINUS_I,
+        lambda_schedule=LambdaSchedule.constant(0.3, unit="seconds")))
+    assert _kernel.library() is not None
+    marks = [r.elapsed for r in result.records[:-1]]
+    assert len(marks) >= 4
+    assert marks == pytest.approx([0.05 * k for k in range(1, len(marks) + 1)])
+    assert [r.evaluations for r in result.records] == sorted(r.evaluations for r in result.records)
+    assert result.records[-1].best_f == result.best_value == evaluate(inst, result.best_solution)
+
+
+def _run_logs(inst, pivot):
+    """Every run log of a small ils/lsils batch, as written to disk."""
+    logs = {}
+    for kind in (None, *ToyKind):
+        for seed in (0, 1):
+            config = SearchConfig(budget=Budget("evals", 30000), pivot_rule=pivot,
+                                  lambda_schedule=LambdaSchedule.staged_ramp(30000),
+                                  toy_kind=kind, seed=seed, log_interval=1700)
+            result = lsils(inst, config) if kind else ils(inst, config)
+            text = io.StringIO()
+            write_runlog_csv(result.records, text)
+            logs[result.algo, seed] = (text.getvalue(), result.best_value,
+                                       result.best_solution.tobytes(), result.evaluations)
+    return logs
+
+
+@pytest.mark.parametrize("pivot", PIVOT_RULES)
+def test_runs_are_byte_identical_on_both_paths(pivot, request):
+    inst = make_instance(45, seed=21)
+    compiled = _run_logs(inst, pivot)
+    request.getfixturevalue("no_kernel")
+    assert _kernel.library() is None
+    assert _run_logs(inst, pivot) == compiled
+
+
+def test_search_tests_pass_on_the_numpy_path(tmp_path):
+    plugin = tmp_path / "numpy_descent.py"
+    plugin.write_text(textwrap.dedent("""
+        from lsils import _kernel, search
+
+        def _fail():
+            raise OSError("no C compiler found")
+
+        _kernel._build = _fail
+        _kernel.library.cache_clear()
+        _descents = []
+        _reference = search._descend
+
+        def _counted(*args):
+            _descents.append(1)
+            return _reference(*args)
+
+        search._descend = _counted
+
+        def pytest_sessionfinish(session):
+            print(f"kernel={_kernel.library()} numpy descents={len(_descents)}")
+    """))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(tmp_path)])}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "numpy_descent",
+         str(ROOT / "tests" / "test_search.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=900)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    found = re.search(r"kernel=None numpy descents=(\d+)", done.stdout)
+    assert found and int(found.group(1)) > 0, done.stdout[-2000:]

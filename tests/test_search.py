@@ -26,6 +26,7 @@ from lsils import (
     seeded_rng,
 )
 from lsils.qubo import INIT_STREAM
+from lsils.search import BestTracker, _Meter
 
 import oracles
 from test_qubo import make_instance
@@ -135,6 +136,30 @@ class TestPerturb:
 def assert_no_improving_flip(objective, x):
     for k in range(x.size):
         assert flip_delta(objective, x, k) <= 0
+
+
+class TestMeter:
+    @staticmethod
+    def meter(budget, interval, consumed):
+        inst = make_instance(3, seed=0)
+        x = np.zeros(3, dtype=np.int8)
+        meter = _Meter(Budget("evals", budget), interval, BestTracker.start(inst, x, 0))
+        if consumed:
+            meter.charge(consumed)
+        meter.tracker.best_value = 7
+        return meter
+
+    @given(st.integers(0, 3000), st.one_of(st.integers(1, 400), st.floats(0.5, 400)),
+           st.integers(1, 5000), st.integers(1, 60), st.integers(1, 60))
+    def test_batched_charge_emits_the_per_step_records(self, consumed, interval, budget,
+                                                      n, bits):
+        batched = self.meter(budget, interval, consumed)
+        stepped = self.meter(budget, interval, consumed)
+        batched.charge(n, steps=bits)
+        for _ in range(bits):
+            stepped.charge(n)
+        assert batched.records == stepped.records
+        assert (batched.consumed, batched.next_mark) == (stepped.consumed, stepped.next_mark)
 
 
 class TestLocalSearch:
