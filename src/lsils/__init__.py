@@ -11,7 +11,6 @@ from .qubo import (
     as_solution,
     evaluate,
     flip_delta,
-    max_abs,
     mean_abs,
     random_solution,
     seeded_rng,
@@ -39,22 +38,18 @@ from .bench_io import (
     write_runlog_csv,
 )
 from .search import (
-    BestTracker,
     Budget,
     RunResult,
     SearchConfig,
     ils,
     local_search,
     lsils,
-    perturb,
-    sample_distinct_positions,
 )
 from .landscape import (
     LandscapeReport,
     analyze,
     collision_probability,
     enumerate_local_optima,
-    enumerate_values,
     lambda_sweep,
     solution_from_index,
     value_histogram,
@@ -68,7 +63,6 @@ __all__ = [
     "as_solution",
     "evaluate",
     "flip_delta",
-    "max_abs",
     "mean_abs",
     "random_solution",
     "seeded_rng",
@@ -90,20 +84,16 @@ __all__ = [
     "runlog_filename",
     "serialize_orlib",
     "write_runlog_csv",
-    "BestTracker",
     "Budget",
     "RunResult",
     "SearchConfig",
     "ils",
     "local_search",
     "lsils",
-    "perturb",
-    "sample_distinct_positions",
     "LandscapeReport",
     "analyze",
     "collision_probability",
     "enumerate_local_optima",
-    "enumerate_values",
     "lambda_sweep",
     "solution_from_index",
     "value_histogram",

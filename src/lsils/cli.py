@@ -9,7 +9,6 @@ evaluation-count budgets, identical argv produces byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -30,12 +29,11 @@ from .bench_io import (
 )
 from .landscape import analyze, describe_objective, histogram_csv, lambda_sweep, report_text, sweep_csv
 from .qubo import UbqpInstance, as_solution, mean_abs, random_solution, seeded_rng
-from .search import Budget, SearchConfig, ils, lsils
+from .search import Budget, SearchConfig, algo_label, ils, lsils
 from .smoothing import LambdaSchedule, SmoothedObjective, ToyKind, auto_alpha, construct_toy
 
 # Stream label for anchors drawn by the landscape/sweep subcommands.
 ANCHOR_STREAM = 5
-JOBS_ENV_VAR = "LSILS_JOBS"
 TOY_CHOICES = tuple(kind.value for kind in ToyKind)
 
 
@@ -100,20 +98,22 @@ def parse_log_interval(text: str, budget: Budget):
         value = float(text)
     except ValueError:
         raise ValueError(f"log interval {text!r} is not a number") from None
-    if value <= 0:
-        raise ValueError("log interval must be positive")
-    return int(round(value)) if budget.kind == "evals" else value
+    if budget.kind == "evals":
+        value = int(round(value))
+    if not value > 0:
+        raise ValueError(f"log interval {text!r} must be positive in {budget.kind}")
+    return value
 
 
 def parse_lambda_spec(text: str, budget: Budget) -> LambdaSchedule:
-    """Schedule grammar: off | paper | staged | const:<v> | steps:<t=v,...>.
+    """Schedule grammar: off | paper | const:<v> | steps:<t=v,...>.
 
-    Thresholds are in the budget's unit; `paper`/`staged` step to
+    Thresholds are in the budget's unit; `paper` steps to
     0.001/0.002/0.003/0.004 at 20/40/60/80% of the budget amount.
     """
     if text == "off":
         return LambdaSchedule.zero(budget.kind)
-    if text in ("paper", "staged"):
+    if text == "paper":
         return LambdaSchedule.staged_ramp(budget.amount, unit=budget.kind)
     if text.startswith("const:"):
         return LambdaSchedule.constant(float(text[len("const:"):]), unit=budget.kind)
@@ -126,31 +126,30 @@ def parse_lambda_spec(text: str, budget: Budget) -> LambdaSchedule:
             steps.append((float(threshold), float(value)))
         return LambdaSchedule(steps=tuple(steps), unit=budget.kind)
     raise ValueError(
-        f"lambda spec {text!r} must be off, paper, staged, const:<v>, or steps:<t=v,...>")
+        f"lambda spec {text!r} must be off, paper, const:<v>, or steps:<t=v,...>")
 
 
-def parse_algos(text: str) -> list[tuple[str, ToyKind | None]]:
-    """'ils,lsils:plusminusi' -> [('ils', None), ('lsils', PLUS_MINUS_I)]."""
+def parse_algos(text: str) -> list[ToyKind | None]:
+    """Toy kind per algorithm, None for ILS: 'ils,lsils:plusminusi' -> [None, PLUS_MINUS_I]."""
     out = []
     for item in text.split(","):
         name, sep, kind = item.partition(":")
         if name == "ils":
             if sep:
                 raise ValueError("ils takes no toy kind")
-            out.append(("ils", None))
+            out.append(None)
         elif name == "lsils":
             if not sep:
                 raise ValueError("lsils needs a toy kind, e.g. lsils:plusminusi")
-            out.append(("lsils", ToyKind(kind)))
+            out.append(ToyKind(kind))
         else:
             raise ValueError(f"unknown algorithm {name!r}; use ils or lsils:<toy>")
-    if not out:
-        raise ValueError("at least one algorithm is required")
     return out
 
 
-def algo_label(algo: str, kind: ToyKind | None) -> str:
-    return "ils" if algo == "ils" else f"lsils-{kind.value}"
+def parse_alpha(text: str) -> float | str:
+    """'auto' or a number; the objects it is passed to check its sign."""
+    return text if text == "auto" else float(text)
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -179,12 +178,15 @@ def resolve_anchor(text: str, n: int, seed: int):
     return as_solution([int(b) for b in text])
 
 
-def resolve_jobs(flag_value: int | None) -> int:
-    if flag_value is None:
-        flag_value = int(os.environ.get(JOBS_ENV_VAR, "1"))
-    if flag_value < 1:
-        raise ValueError("jobs must be >= 1")
-    return flag_value
+def resolve_toy(args, inst: UbqpInstance, kind: ToyKind, blend: bool = True):
+    """(anchor, toy, alpha) from the toy flags; alpha is None unless `blend`."""
+    anchor = resolve_anchor(args.anchor, inst.n, args.seed)
+    toy = construct_toy(kind, anchor, seed=args.toy_seed)
+    alpha = None
+    if blend:
+        alpha = (auto_alpha(inst, toy, target_bound=args.target_bound)
+                 if args.alpha == "auto" else args.alpha)
+    return anchor, toy, alpha
 
 
 def load_instances(args) -> list[tuple[str, UbqpInstance]]:
@@ -230,7 +232,7 @@ def describe_schedule(schedule: LambdaSchedule | None) -> str:
 def describe_alpha(alpha, target_bound, inst: UbqpInstance, kind: ToyKind | None) -> str:
     """Resolved blend scale; for auto, spell out target_bound / toy peak."""
     if alpha != "auto":
-        return f"{float(alpha):g}"
+        return f"{alpha:g}"
     bound = float(target_bound) if target_bound is not None else float(round(mean_abs(inst)))
     if kind is None:
         return "auto (no toy)"
@@ -249,7 +251,7 @@ def make_config(args, budget: Budget, schedule: LambdaSchedule | None,
         perturbation_bits=args.perturbation_bits,
         lambda_schedule=schedule if kind is not None else None,
         toy_kind=kind,
-        alpha="auto" if args.alpha == "auto" else float(args.alpha),
+        alpha=args.alpha,
         target_bound=args.target_bound,
         seed=seed,
         log_interval=log_interval,
@@ -257,8 +259,8 @@ def make_config(args, budget: Budget, schedule: LambdaSchedule | None,
 
 
 def _run_task(payload):
-    inst, config, algo = payload
-    return ils(inst, config) if algo == "ils" else lsils(inst, config)
+    inst, config = payload
+    return ils(inst, config) if config.toy_kind is None else lsils(inst, config)
 
 
 def cmd_solve(args) -> int:
@@ -266,27 +268,26 @@ def cmd_solve(args) -> int:
     algos = parse_algos(args.algo)
     if len(algos) != 1:
         raise ValueError("solve runs one algorithm; use batch for several")
-    algo, kind = algos[0]
+    kind = algos[0]
     budget = parse_budget(args.budget)
-    schedule = parse_lambda_spec(args.lam, budget) if algo == "lsils" else None
+    schedule = parse_lambda_spec(args.lam, budget) if kind is not None else None
     log_interval = parse_log_interval(args.log_interval, budget) if args.log_interval else None
     config = make_config(args, budget, schedule, kind, args.seed, log_interval)
-    label = algo_label(algo, kind)
-    bits = config.perturbation_bits or max(1, inst.n // 4)
+    label = algo_label(kind)
     print_config([
         ("subcommand", "solve"),
         ("instance", f"{name} (n={inst.n}, density={inst.density:g})"),
         ("algorithm", label),
         ("budget", f"{budget.kind}:{budget.amount:g}"),
         ("pivot_rule", args.pivot),
-        ("perturbation_bits", bits),
+        ("perturbation_bits", config.bits_for(inst.n)),
         ("lambda_schedule", describe_schedule(schedule)),
         ("alpha", describe_alpha(config.alpha, args.target_bound, inst, kind)),
         ("seed", args.seed),
         ("log_interval", args.log_interval or "none"),
         ("out_dir", args.out_dir),
     ])
-    result = _run_task((inst, config, algo))
+    result = _run_task((inst, config))
     records = result.records
     reference = None
     if args.optima:
@@ -312,40 +313,39 @@ def cmd_batch(args) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     seeds = list(range(args.seed, args.seed + args.seeds))
-    jobs = resolve_jobs(args.jobs)
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     optima = load_optima(Path(args.optima)) if args.optima else {}
 
     pairs = [
         ("subcommand", "batch"),
         ("instances", ", ".join(f"{n} (n={i.n})" for n, i in instances)),
-        ("algorithms", ", ".join(algo_label(a, k) for a, k in algos)),
+        ("algorithms", ", ".join(algo_label(kind) for kind in algos)),
         ("seeds", f"{seeds[0]}..{seeds[-1]} ({len(seeds)} runs each)"),
         ("budget", f"{budget.kind}:{budget.amount:g}"),
         ("pivot_rule", args.pivot),
         ("lambda_schedule", describe_schedule(schedule)),
         ("log_interval", args.log_interval or "none"),
-        ("jobs", jobs),
+        ("jobs", args.jobs),
         ("out_dir", args.out_dir),
     ]
     for name, inst in instances:
-        for algo, kind in algos:
+        for kind in algos:
             if kind is not None:
-                pairs.append((f"alpha[{name}, {algo_label(algo, kind)}]",
-                              describe_alpha(
-                                  "auto" if args.alpha == "auto" else float(args.alpha),
-                                  args.target_bound, inst, kind)))
+                pairs.append((f"alpha[{name}, {algo_label(kind)}]",
+                              describe_alpha(args.alpha, args.target_bound, inst, kind)))
     print_config(pairs)
 
     tasks = []
     for name, inst in instances:
-        for algo, kind in algos:
+        for kind in algos:
             for seed in seeds:
                 config = make_config(args, budget, schedule, kind, seed, log_interval)
-                tasks.append((name, algo_label(algo, kind), seed, (inst, config, algo)))
-    if jobs == 1:
+                tasks.append((name, algo_label(kind), seed, (inst, config)))
+    if args.jobs == 1:
         outcomes = [_run_task(payload) for _, _, _, payload in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_run_task, [payload for _, _, _, payload in tasks]))
     results = {(name, label, seed): result
                for (name, label, seed, _), result in zip(tasks, outcomes)}
@@ -377,8 +377,8 @@ def cmd_batch(args) -> int:
              f"{'sd':>10} {'min':>12} {'max':>12} {'mean_excess':>12}"]
     for name, _ in instances:
         ref_value, _ = reference_of[name]
-        for algo, kind in algos:
-            label = algo_label(algo, kind)
+        for kind in algos:
+            label = algo_label(kind)
             finals = [results[(name, label, seed)].best_value for seed in seeds]
             stats = summarize(finals)
             if ref_value is not None:
@@ -403,16 +403,9 @@ def cmd_landscape(args) -> int:
     name, inst = single_instance(args)
     objective = inst
     if args.toy != "none":
-        kind = ToyKind(args.toy)
-        anchor = resolve_anchor(args.anchor, inst.n, args.seed)
-        toy = construct_toy(kind, anchor, seed=args.toy_seed)
-        if args.lam is None:
-            objective = toy
-        else:
-            alpha = (auto_alpha(inst, toy, target_bound=args.target_bound)
-                     if args.alpha == "auto" else float(args.alpha))
-            objective = SmoothedObjective(instance=inst, toy=toy,
-                                          lam=float(args.lam), alpha=alpha)
+        _, toy, alpha = resolve_toy(args, inst, ToyKind(args.toy), blend=args.lam is not None)
+        objective = toy if args.lam is None else SmoothedObjective(
+            instance=inst, toy=toy, lam=args.lam, alpha=alpha)
     print_config([
         ("subcommand", "landscape"),
         ("instance", f"{name} (n={inst.n}, density={inst.density:g})"),
@@ -437,10 +430,7 @@ def cmd_sweep(args) -> int:
     name, inst = single_instance(args)
     kind = ToyKind(args.toy)
     grid = parse_grid(args.grid)
-    anchor = resolve_anchor(args.anchor, inst.n, args.seed)
-    toy = construct_toy(kind, anchor, seed=args.toy_seed)
-    alpha = (auto_alpha(inst, toy, target_bound=args.target_bound)
-             if args.alpha == "auto" else float(args.alpha))
+    anchor, _, alpha = resolve_toy(args, inst, kind)
     print_config([
         ("subcommand", "sweep"),
         ("instance", f"{name} (n={inst.n}, density={inst.density:g})"),
@@ -515,10 +505,8 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--budget", required=True,
                      help="evals:<amount> or seconds:<amount>")
     sub.add_argument("--lambda", dest="lam", default="paper",
-                     help="off | paper | staged | const:<v> | steps:<t=v,...>")
-    sub.add_argument("--alpha", default="auto", help="blend scale or 'auto'")
-    sub.add_argument("--target-bound", type=float, default=None,
-                     help="auto-alpha numerator; defaults to round(mean |Q| entry)")
+                     help="off | paper | const:<v> | steps:<t=v,...>")
+    _add_alpha_flags(sub)
     sub.add_argument("--pivot", choices=("best", "first"), default="best")
     sub.add_argument("--perturbation-bits", type=int, default=None,
                      help="bits flipped per perturbation, default n/4")
@@ -527,6 +515,23 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--optima", default=None,
                      help="sidecar of '<name> <value>' known optima")
     sub.add_argument("--out-dir", default=".")
+
+
+def _add_alpha_flags(sub) -> None:
+    sub.add_argument("--alpha", type=parse_alpha, default="auto",
+                     help="blend scale or 'auto'")
+    sub.add_argument("--target-bound", type=float, default=None,
+                     help="auto-alpha numerator; defaults to round(mean |Q| entry)")
+
+
+def _add_toy_flags(sub) -> None:
+    """The anchor, toy and output flags `landscape` and `sweep` share."""
+    sub.add_argument("--anchor", default="random",
+                     help="'random' or an explicit 0/1 string")
+    sub.add_argument("--toy-seed", type=int, default=0)
+    _add_alpha_flags(sub)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--out-dir", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,8 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of runs per algorithm")
     batch.add_argument("--seed", type=int, default=0,
                        help="master seed; run i uses seed master+i")
-    batch.add_argument("--jobs", type=int, default=None,
-                       help=f"parallel runs (default ${JOBS_ENV_VAR} or 1)")
+    batch.add_argument("--jobs", type=int, default=1, help="parallel runs")
     _add_solver_flags(batch)
     batch.set_defaults(func=cmd_batch)
 
@@ -559,29 +563,18 @@ def build_parser() -> argparse.ArgumentParser:
                                help="exhaustive census of a small landscape")
     _add_instance_flags(landscape)
     landscape.add_argument("--toy", choices=("none",) + TOY_CHOICES, default="none")
-    landscape.add_argument("--anchor", default="random",
-                           help="'random' or an explicit 0/1 string")
-    landscape.add_argument("--toy-seed", type=int, default=0)
     landscape.add_argument("--lam", type=float, default=None,
                            help="blend weight; with --toy builds the smoothed objective")
-    landscape.add_argument("--alpha", default="auto")
-    landscape.add_argument("--target-bound", type=float, default=None)
-    landscape.add_argument("--seed", type=int, default=0)
     landscape.add_argument("--cap", type=int, default=1000,
                            help="retain optima list only up to this count")
-    landscape.add_argument("--out-dir", default=None)
+    _add_toy_flags(landscape)
     landscape.set_defaults(func=cmd_landscape)
 
     sweep = sub.add_parser("sweep", help="local-optima count per lambda value")
     _add_instance_flags(sweep)
     sweep.add_argument("--toy", choices=TOY_CHOICES, required=True)
     sweep.add_argument("--grid", default="0:1:0.1", help="start:stop:step")
-    sweep.add_argument("--anchor", default="random")
-    sweep.add_argument("--toy-seed", type=int, default=0)
-    sweep.add_argument("--alpha", default="auto")
-    sweep.add_argument("--target-bound", type=float, default=None)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--out-dir", default=None)
+    _add_toy_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     gen = sub.add_parser("gen", help="write a random instance file")

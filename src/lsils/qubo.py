@@ -6,9 +6,9 @@ signed 64-bit integer math; no floating point enters until objectives are
 blended in the smoothing layer.
 
 The quadratic-form protocol shared by instances and toy matrices is duck
-typed: an object with `n`, `diag()`, `col(k)`, `matvec(v)`,
-`flip_matvec(on, off)` and `value(x)` can be evaluated and gain-cached by
-the helpers below.
+typed: an object with `n`, `diag()`, `col(k)`, `matvec(v)` and
+`flip_matvec(on, off)` can be evaluated and gain-cached by the helpers
+below.
 """
 
 from __future__ import annotations
@@ -100,17 +100,14 @@ class UbqpInstance:
         """Fresh Q (x' - x) when bits `on` go 0 -> 1 and bits `off` go 1 -> 0."""
         return self.q[on].sum(axis=0) - self.q[off].sum(axis=0)
 
-    def value(self, x: np.ndarray) -> int:
-        x64 = np.asarray(x, dtype=np.int64)
-        return int(x64 @ self.q @ x64)
 
-
-def evaluate(inst, x) -> int:
+def evaluate(form, x) -> int:
     """Exact objective value x^T Q x of any quadratic form in the protocol."""
     x = np.asarray(x)
-    if x.ndim != 1 or x.size != inst.n:
-        raise ValueError(f"solution length {x.size} does not match n={inst.n}")
-    return inst.value(x)
+    if x.ndim != 1 or x.size != form.n:
+        raise ValueError(f"solution length {x.size} does not match n={form.n}")
+    x64 = x.astype(np.int64)
+    return int(x64 @ form.matvec(x64))
 
 
 def flip_delta(inst, x, k: int) -> int:
@@ -132,11 +129,6 @@ def mean_abs(inst: UbqpInstance) -> Fraction:
     """Mean of |Q_ij| over all n^2 entries, zeros included, as an exact rational."""
     total = int(np.abs(inst.q, dtype=np.int64).sum())
     return Fraction(total, inst.n * inst.n)
-
-
-def max_abs(inst: UbqpInstance) -> int:
-    """Largest |Q_ij|."""
-    return int(np.abs(inst.q).max())
 
 
 @dataclass

@@ -93,19 +93,35 @@ class SearchConfig:
                 raise ValueError("alpha must be a positive number or 'auto'")
         elif self.alpha <= 0:
             raise ValueError("alpha must be a positive number or 'auto'")
+        if self.log_interval is not None and not self.log_interval > 0:
+            raise ValueError("log interval must be positive, or None for no interval")
+        if self.lambda_schedule is not None and self.lambda_schedule.unit != self.budget.kind:
+            raise ValueError(f"lambda schedule unit {self.lambda_schedule.unit!r} does not "
+                             f"match budget kind {self.budget.kind!r}")
+
+    def bits_for(self, n: int) -> int:
+        """Bits flipped per perturbation on n bits: the setting, by default n/4."""
+        bits = self.perturbation_bits if self.perturbation_bits is not None else max(1, n // 4)
+        if not 1 <= bits <= n:
+            raise ValueError(f"perturbation bits must lie in [1, {n}], got {bits}")
+        return bits
+
+
+def algo_label(toy_kind: ToyKind | None) -> str:
+    """Run label: 'ils', or 'lsils-<kind>' for the smoothed variant."""
+    return "ils" if toy_kind is None else f"lsils-{ToyKind(toy_kind).value}"
 
 
 @dataclass
 class BestTracker:
     """Best solution seen so far, scored under the original objective."""
 
-    instance: UbqpInstance
     best_solution: np.ndarray
     best_value: int
 
     @classmethod
-    def start(cls, instance: UbqpInstance, x: np.ndarray, value: int) -> "BestTracker":
-        return cls(instance=instance, best_solution=x.copy(), best_value=value)
+    def start(cls, x: np.ndarray, value: int) -> "BestTracker":
+        return cls(best_solution=x.copy(), best_value=value)
 
     def offer(self, x: np.ndarray, value: int) -> bool:
         """Record x when it strictly improves the best original value."""
@@ -148,15 +164,6 @@ def sample_distinct_positions(rng: np.random.Generator, n: int, count: int) -> n
     return np.array(picked, dtype=np.intp)
 
 
-def perturb(x, bits: int, rng: np.random.Generator) -> np.ndarray:
-    """Copy of x with exactly `bits` distinct uniformly chosen positions flipped."""
-    x = np.asarray(x, dtype=np.int8)
-    positions = sample_distinct_positions(rng, x.size, bits)
-    y = x.copy()
-    y[positions] ^= 1
-    return y
-
-
 class _Meter:
     """Budget accounting, schedule progress, and interval logging for a run."""
 
@@ -168,7 +175,7 @@ class _Meter:
         self.records: list[RunLogRecord] = []
         self.current_lam = 0.0
         self.interval = log_interval
-        self.next_mark = log_interval if log_interval else None
+        self.next_mark = log_interval
 
     def progress(self) -> float:
         if self.budget.kind == "evals":
@@ -377,11 +384,9 @@ def _perturb_in_place(caches, positions, value, meter) -> int:
     return value
 
 
-def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool, algo: str) -> RunResult:
+def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult:
     n = inst.n
-    bits = config.perturbation_bits if config.perturbation_bits is not None else max(1, n // 4)
-    if not 1 <= bits <= n:
-        raise ValueError(f"perturbation bits must lie in [1, {n}], got {bits}")
+    bits = config.bits_for(n)
     schedule = config.lambda_schedule or LambdaSchedule.zero(config.budget.kind)
     rng_init = seeded_rng(config.seed, INIT_STREAM)
     rng_perturb = seeded_rng(config.seed, PERTURB_STREAM)
@@ -389,7 +394,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool, algo: str) -
 
     x = random_solution(n, rng_init)
     value = evaluate(inst, x)
-    tracker = BestTracker.start(inst, x, value)
+    tracker = BestTracker.start(x, value)
     meter = _Meter(config.budget, config.log_interval, tracker)
     primary = GainCache.build(inst, x)
     meter.charge(n)
@@ -426,7 +431,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool, algo: str) -
 
     meter.finish()
     return RunResult(
-        algo=algo,
+        algo=algo_label(config.toy_kind if smoothing else None),
         seed=config.seed,
         best_solution=tracker.best_solution.copy(),
         best_value=tracker.best_value,
@@ -438,7 +443,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool, algo: str) -
 
 def ils(inst: UbqpInstance, config: SearchConfig) -> RunResult:
     """Iterated local search on the original objective; toy fields ignored."""
-    return _run(inst, config, smoothing=False, algo="ils")
+    return _run(inst, config, smoothing=False)
 
 
 def lsils(inst: UbqpInstance, config: SearchConfig) -> RunResult:
@@ -450,5 +455,4 @@ def lsils(inst: UbqpInstance, config: SearchConfig) -> RunResult:
     """
     if config.toy_kind is None:
         raise ValueError("smoothed search needs a toy kind")
-    label = f"lsils-{config.toy_kind.value}"
-    return _run(inst, config, smoothing=True, algo=label)
+    return _run(inst, config, smoothing=True)

@@ -40,18 +40,6 @@ class ToyKind(str, Enum):
 TOY_MAGNITUDE_STREAM = 0
 
 
-def _index_quadratic(v: np.ndarray) -> int:
-    """x^T M x for binary x and M_ij = max(i, j), one-based, in O(n).
-
-    Over the sorted one-based support p_1 < ... < p_t each p_b contributes
-    (2b - 1) * p_b: once on the diagonal plus twice per smaller partner.
-    """
-    positions = np.flatnonzero(v).astype(np.int64) + 1
-    t = positions.size
-    weights = 2 * np.arange(1, t + 1, dtype=np.int64) - 1
-    return int(weights @ positions)
-
-
 def _index_matvec(v: np.ndarray) -> np.ndarray:
     """(M v)_k for M_ij = max(i, j) one-based, exact int64, in O(n)."""
     v = np.asarray(v, dtype=np.int64)
@@ -131,17 +119,6 @@ class ToyMatrix:
         v[on] = 1
         v[off] = -1
         return self.matvec(v)
-
-    def value(self, x: np.ndarray) -> int:
-        x64 = np.asarray(x, dtype=np.int64)
-        a = self._anchor64
-        if self.kind is ToyKind.PLUS_MINUS_ONE:
-            both = int(a @ x64)
-            total = int(x64.sum())
-            return 2 * both * both - total * total
-        if self.kind is ToyKind.PLUS_MINUS_I:
-            return 2 * _index_quadratic(a * x64) - _index_quadratic(x64)
-        return int(x64 @ self._q @ x64)
 
     # -- helpers ------------------------------------------------------------
     def max_abs(self) -> int:

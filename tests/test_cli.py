@@ -23,7 +23,6 @@ from lsils.cli import (
     parse_grid,
     parse_lambda_spec,
     parse_log_interval,
-    resolve_jobs,
 )
 
 
@@ -55,7 +54,6 @@ class TestFlagGrammar:
         assert parse_lambda_spec("off", budget).steps == ()
         staged = parse_lambda_spec("paper", budget)
         assert staged.steps == ((200, 0.001), (400, 0.002), (600, 0.003), (800, 0.004))
-        assert parse_lambda_spec("staged", budget).steps == staged.steps
         assert parse_lambda_spec("const:0.5", budget).value_at(0) == 0.5
         explicit = parse_lambda_spec("steps:200=0.001,400=0.002", budget)
         assert explicit.value_at(250) == 0.001
@@ -63,14 +61,13 @@ class TestFlagGrammar:
 
     def test_lambda_spec_rejected(self):
         budget = parse_budget("evals:1000")
-        for bad in ("ramp", "steps:200", "const:nan=1"):
+        for bad in ("ramp", "staged", "steps:200", "const:nan=1"):
             with pytest.raises(ValueError):
                 parse_lambda_spec(bad, budget)
 
     def test_algos_list(self):
         algos = parse_algos("ils,lsils:plusminusi,lsils:random")
-        assert algos == [("ils", None), ("lsils", ToyKind.PLUS_MINUS_I),
-                         ("lsils", ToyKind.RANDOM)]
+        assert algos == [None, ToyKind.PLUS_MINUS_I, ToyKind.RANDOM]
 
     def test_algos_rejected(self):
         for bad in ("tabu", "lsils", "ils:plusminus1", "lsils:cubic"):
@@ -93,14 +90,22 @@ class TestFlagGrammar:
         with pytest.raises(ValueError, match="unit"):
             parse_log_interval("seconds:10", budget)
 
-    def test_jobs_resolution(self, monkeypatch):
-        monkeypatch.delenv("LSILS_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
-        monkeypatch.setenv("LSILS_JOBS", "4")
-        assert resolve_jobs(None) == 4
-        assert resolve_jobs(2) == 2
-        with pytest.raises(ValueError):
-            resolve_jobs(0)
+    def test_log_interval_rounding_to_zero_rejected(self):
+        for bad in ("evals:0.4", "0.49", "evals:0", "-3"):
+            with pytest.raises(ValueError, match="positive"):
+                parse_log_interval(bad, parse_budget("evals:1000"))
+        assert parse_log_interval("evals:0.6", parse_budget("evals:1000")) == 1
+        assert parse_log_interval("0.4", parse_budget("seconds:10")) == 0.4
+
+    def test_jobs_resolution(self, tmp_path, capsys):
+        argv = ["batch", "--gen", "n=8,seed=1", "--algos", "ils", "--seeds", "1",
+                "--budget", "evals:100", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "  jobs = 1\n" in capsys.readouterr().out
+        assert main([*argv, "--jobs", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "jobs" in captured.err
+        assert "resolved configuration" not in captured.out
 
 
 class TestExitCodes:
@@ -197,6 +202,19 @@ class TestGenAndSolve:
                                         log_interval=5000))
         assert records[-1].best_f == direct.best_value
         assert records == direct.records
+
+    def test_perturbation_bits_resolved_by_the_search(self, tmp_path, capsys):
+        argv = ["solve", "--gen", "n=20,seed=5", "--algo", "ils", "--budget", "evals:500",
+                "--out-dir", str(tmp_path)]
+        assert main([*argv, "--perturbation-bits", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "perturbation bits" in captured.err
+        assert "resolved configuration" not in captured.out
+        for flag, bits, expected in (([], None, 5), (["--perturbation-bits", "3"], 3, 3)):
+            assert main([*argv, *flag]) == 0
+            config = SearchConfig(budget=Budget("evals", 500), perturbation_bits=bits)
+            assert config.bits_for(20) == expected
+            assert f"  perturbation_bits = {expected}\n" in capsys.readouterr().out
 
     def test_solve_with_optima_sidecar(self, tmp_path, capsys):
         main(["gen", "--gen", "n=12,seed=6", "--out-dir", str(tmp_path)])

@@ -108,7 +108,7 @@ class TestDescentEquivalence:
 
         def state():
             caches = [GainCache.build(form, x) for form in forms]
-            tracker = BestTracker.start(forms[0], x, value - 1)
+            tracker = BestTracker.start(x, value - 1)
             meter = _Meter(Budget("evals", budget), interval, tracker)
             meter.current_lam = lam
             if start:
@@ -162,7 +162,7 @@ class TestDescentEquivalence:
         class Wrapped:
             """A duck-typed quadratic form the kernel does not know."""
             n = inst.n
-            diag, col, matvec, value = inst.diag, inst.col, inst.matvec, inst.value
+            diag, col, matvec = inst.diag, inst.col, inst.matvec
 
         x = random_solution(12, seeded_rng(4))
         assert not search._Descent([GainCache.build(Wrapped(), x)], "best").compiled

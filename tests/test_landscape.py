@@ -14,7 +14,6 @@ from lsils import (
     collision_probability,
     construct_toy,
     enumerate_local_optima,
-    enumerate_values,
     evaluate,
     gen_random_instance,
     lambda_sweep,
@@ -28,6 +27,7 @@ from lsils.landscape import (
     ENUMERATION_GUARD,
     all_values_blocked,
     describe_objective,
+    enumerate_values,
     gray_flip_sequence,
     histogram_csv,
     report_text,

@@ -2,7 +2,27 @@
 
 import lsils
 
+PUBLIC_API = {
+    "GainCache", "UbqpInstance", "as_solution", "evaluate", "flip_delta", "mean_abs",
+    "random_solution", "seeded_rng",
+    "LambdaSchedule", "SmoothedObjective", "ToyKind", "ToyMatrix", "auto_alpha",
+    "construct_toy", "smoothed_evaluate",
+    "ParseError", "RunLogRecord", "attach_excess", "excess", "gen_random_instance",
+    "load_optima", "parse_orlib", "read_runlog_csv", "runlog_filename", "serialize_orlib",
+    "write_runlog_csv",
+    "Budget", "RunResult", "SearchConfig", "ils", "local_search", "lsils",
+    "LandscapeReport", "analyze", "collision_probability", "enumerate_local_optima",
+    "lambda_sweep", "solution_from_index", "value_histogram",
+    "__version__",
+}
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in lsils.__all__ if not hasattr(lsils, name)]
     assert missing == []
+
+
+def test_exports_are_pinned():
+    # A new export is a deliberate edit of this set.
+    assert len(lsils.__all__) == len(PUBLIC_API) == 40
+    assert set(lsils.__all__) == PUBLIC_API

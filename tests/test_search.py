@@ -20,13 +20,11 @@ from lsils import (
     ils,
     local_search,
     lsils,
-    perturb,
     random_solution,
-    sample_distinct_positions,
     seeded_rng,
 )
 from lsils.qubo import INIT_STREAM
-from lsils.search import BestTracker, _Meter
+from lsils.search import BestTracker, _Meter, sample_distinct_positions
 
 import oracles
 from test_qubo import make_instance
@@ -56,6 +54,20 @@ class TestConfigValidation:
     def test_toy_kind_coerced(self):
         cfg = SearchConfig(budget=Budget("evals", 10), toy_kind="plusminusi")
         assert cfg.toy_kind is ToyKind.PLUS_MINUS_I
+
+    def test_log_interval_checked(self):
+        for bad in (0, -5, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="log interval"):
+                SearchConfig(budget=Budget("evals", 100), log_interval=bad)
+        assert SearchConfig(budget=Budget("evals", 100), log_interval=None).log_interval is None
+
+    @pytest.mark.parametrize("budget, unit", [(Budget("seconds", 0.3), "evals"),
+                                              (Budget("evals", 1000), "seconds")])
+    def test_schedule_unit_must_match_budget(self, budget, unit):
+        schedule = LambdaSchedule.staged_ramp(1000, unit=unit)
+        with pytest.raises(ValueError, match="unit"):
+            SearchConfig(budget=budget, lambda_schedule=schedule,
+                         toy_kind=ToyKind.PLUS_MINUS_I)
 
     def test_lsils_requires_toy_kind(self):
         inst = make_instance(8, seed=0)
@@ -107,32 +119,6 @@ class TestSampling:
             sample_distinct_positions(rng, 5, 6)
 
 
-class TestPerturb:
-    def test_all_bits_gives_complement(self):
-        x = np.array([0, 1, 1, 0, 1], dtype=np.int8)
-        y = perturb(x, 5, seeded_rng(3))
-        assert np.array_equal(y, 1 - x)
-
-    @given(st.integers(1, 30), st.integers(0, 2**32), st.data())
-    def test_hamming_distance_equals_bits(self, n, seed, data):
-        bits = data.draw(st.integers(1, n))
-        x = random_solution(n, seeded_rng(seed))
-        y = perturb(x, bits, seeded_rng(seed + 1))
-        assert int((x != y).sum()) == bits
-
-    def test_same_seed_same_output(self):
-        x = random_solution(20, seeded_rng(11))
-        a = perturb(x, 5, seeded_rng(42))
-        b = perturb(x, 5, seeded_rng(42))
-        assert np.array_equal(a, b)
-
-    def test_input_not_mutated(self):
-        x = random_solution(10, seeded_rng(1))
-        before = x.copy()
-        perturb(x, 4, seeded_rng(2))
-        assert np.array_equal(x, before)
-
-
 def assert_no_improving_flip(objective, x):
     for k in range(x.size):
         assert flip_delta(objective, x, k) <= 0
@@ -141,9 +127,8 @@ def assert_no_improving_flip(objective, x):
 class TestMeter:
     @staticmethod
     def meter(budget, interval, consumed):
-        inst = make_instance(3, seed=0)
         x = np.zeros(3, dtype=np.int8)
-        meter = _Meter(Budget("evals", budget), interval, BestTracker.start(inst, x, 0))
+        meter = _Meter(Budget("evals", budget), interval, BestTracker.start(x, 0))
         if consumed:
             meter.charge(consumed)
         meter.tracker.best_value = 7
@@ -221,7 +206,8 @@ class TestLocalSearch:
             instance=inst, toy=toy, lam=1.0, alpha=auto_alpha(inst, toy))
         rng = seeded_rng(123)
         for _ in range(200):
-            x = perturb(anchor, int(rng.integers(1, n + 1)), rng)
+            x = anchor.copy()
+            x[sample_distinct_positions(rng, n, int(rng.integers(1, n + 1)))] ^= 1
             out = local_search(x, obj)
             assert np.array_equal(out, anchor)
 
