@@ -1,14 +1,26 @@
-/* One-flip descent on exact int64 gain caches: the compiled form of
- * lsils.search._descend, which stays the reference it must match.
+/* One outer iteration of the search on exact int64 gain caches, and the
+ * random toy's matrix fill.
  *
- * A descent scans the gains of the first cache (or the float blend
- * wo * g_0 + wt * g_1), flips the chosen bit through every cache with the
- * rank-1 update g_j += 2 sigma_k sigma_j Q_jk, g_k = -g_k, and charges the
- * budget exactly as the Python loop does: the candidates examined, then n
- * per applied flip. Log marks stay in Python: a charge that reaches
+ * lsils_iterate is the compiled form of the numpy reference
+ * lsils.search.sample_distinct_positions + _perturb_in_place + _descend,
+ * which it must match flip for flip. It first perturbs: the caller's
+ * Fisher-Yates swap targets pick `bits` distinct positions P through an
+ * n-slot scratch permutation (restored before the call returns), and every
+ * cache takes one block update for flipping P. With v = sigma on P and 0
+ * elsewhere (sigma = 1 - 2x before the flip) and t = Q v, each gain shifts
+ * by 2 sigma_j t_j, each p in P becomes -(g_p + 2 sigma_p t_p - 2 Q_pp), and
+ * the value changes by sum g_P + sigma_P . t_P - sum Q_pp. The caller
+ * charges the perturbation before the call.
+ *
+ * It then descends: it scans the gains of the first cache (or the float
+ * blend wo * g_0 + wt * g_1), flips the chosen bit through every cache with
+ * the rank-1 update g_j += 2 sigma_k sigma_j Q_jk, g_k = -g_k, and charges
+ * the budget exactly as the Python loop does: the candidates examined, then
+ * n per applied flip. Log marks stay in Python: a charge that reaches
  * `threshold` is recorded as an event (evaluations, best value at that
  * charge), and the call returns once the flip that raised it is complete,
- * so the caller can emit its records and call again.
+ * so the caller can emit its records and call again with bits = 0, which
+ * only descends.
  *
  * Build: cc -O2 -ffp-contract=off -shared -fPIC. Contraction to FMA would
  * round the blend differently from numpy's separate multiply and add.
@@ -53,18 +65,123 @@ static void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
         for (j = 0; j < n; j++)
             g[j] += step * s[j] * row[j];
     } else {
-        /* m = 1 for the +-1 toy, max(j, k) + 1 (one-based) for the +-i toy */
+        /* Q_jk = (2 a_j a_k - 1) m with m = 1 for the +-1 toy and
+         * max(j, k) + 1 (one-based) for the +-i toy */
         const int8_t *restrict a = c->anchor;
-        int8_t ak = a[k];
-        int index = c->kind == FORM_PLUS_MINUS_I;
-        for (j = 0; j < n; j++) {
-            int64_t m = index ? (j > k ? j : k) + 1 : 1;
-            g[j] += step * s[j] * ((ak & a[j]) ? m : -m);
+        int64_t ak = a[k];
+        if (c->kind == FORM_PLUS_MINUS_I) {
+            for (j = 0; j < k; j++)
+                g[j] += step * s[j] * (2 * (ak & a[j]) - 1) * (k + 1);
+            for (j = k; j < n; j++)
+                g[j] += step * s[j] * (2 * (ak & a[j]) - 1) * (j + 1);
+        } else {
+            for (j = 0; j < n; j++)
+                g[j] += step * s[j] * (2 * (ak & a[j]) - 1);
         }
     }
     g[k] = -old;
     s[k] = -sk;
     c->x[k] ^= 1;
+}
+
+/* Q_pp of one cache's form. */
+static int64_t diagonal(const lsils_cache *c, int64_t n, int64_t p)
+{
+    if (c->kind == FORM_DENSE)
+        return c->q[p * n + p];
+    return (c->anchor[p] ? 1 : -1) * (c->kind == FORM_PLUS_MINUS_I ? p + 1 : 1);
+}
+
+/* t = Q v for v = sigma on the positions P (before the flip), 0 elsewhere.
+ * `v` is an all-zero n-slot scratch vector, left all zero again. */
+static void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
+                        int64_t bits, int64_t *restrict v, int64_t *restrict t)
+{
+    const int64_t *s = c->sigma;
+    const int8_t *a = c->anchor;
+    int64_t i, j;
+
+    if (c->kind == FORM_DENSE) {
+        /* add the rows switched on, subtract the rows switched off */
+        memset(t, 0, (size_t)n * sizeof *t);
+        for (i = 0; i < bits; i++) {
+            const int64_t *restrict row = c->q + pos[i] * n;
+            if (s[pos[i]] > 0)
+                for (j = 0; j < n; j++)
+                    t[j] += row[j];
+            else
+                for (j = 0; j < n; j++)
+                    t[j] -= row[j];
+        }
+    } else if (c->kind == FORM_PLUS_MINUS_ONE) {
+        /* Q_jk = 2 a_j a_k - 1, so t_j = 2 a_j (a . v) - sum(v) */
+        int64_t total = 0, on_anchor = 0;
+        for (i = 0; i < bits; i++) {
+            total += s[pos[i]];
+            on_anchor += a[pos[i]] ? s[pos[i]] : 0;
+        }
+        for (j = 0; j < n; j++)
+            t[j] = (a[j] ? 2 * on_anchor : 0) - total;
+    } else {
+        /* Q_jk = (2 a_j a_k - 1) M_jk with M_jk = max(j, k) + 1, so
+         * t = 2 a (M (a v)) - M v, and (M u)_j = (j + 1) sum_{k <= j} u_k
+         * + sum_{k > j} (k + 1) u_k takes one pass over prefix sums. */
+        int64_t tail = 0, tail_a = 0, prefix = 0, prefix_a = 0;
+        for (i = 0; i < bits; i++) {
+            v[pos[i]] = s[pos[i]];
+            tail += (pos[i] + 1) * s[pos[i]];
+            tail_a += a[pos[i]] ? (pos[i] + 1) * s[pos[i]] : 0;
+        }
+        for (j = 0; j < n; j++) {
+            int64_t u = v[j], ua = a[j] ? u : 0;
+            prefix += u;
+            prefix_a += ua;
+            tail -= (j + 1) * u;
+            tail_a -= (j + 1) * ua;
+            t[j] = (a[j] ? 2 * ((j + 1) * prefix_a + tail_a) : 0) - ((j + 1) * prefix + tail);
+        }
+        for (i = 0; i < bits; i++)
+            v[pos[i]] = 0;
+    }
+}
+
+/* Flip the distinct positions P of one cache in one block update; returns
+ * the exact change of its objective. */
+static int64_t apply_flips(const lsils_cache *c, int64_t n, const int64_t *pos,
+                           int64_t bits, int64_t *v, int64_t *t)
+{
+    int64_t *restrict g = c->gains;
+    int64_t *restrict s = c->sigma;
+    int64_t delta = 0, i, j;
+
+    flip_matvec(c, n, pos, bits, v, t);
+    for (i = 0; i < bits; i++) {
+        int64_t p = pos[i];
+        delta += g[p] + s[p] * t[p] - diagonal(c, n, p);
+    }
+    for (j = 0; j < n; j++)
+        g[j] += 2 * s[j] * t[j];
+    for (i = 0; i < bits; i++) {
+        int64_t p = pos[i];
+        g[p] = 2 * diagonal(c, n, p) - g[p];
+        s[p] = -s[p];
+        c->x[p] ^= 1;
+    }
+    return delta;
+}
+
+/* The Fisher-Yates picks of `targets` (targets[i] in [i, n)) into pos,
+ * through `perm`, an identity permutation of n slots that is left as one. */
+static void fisher_yates(const int64_t *targets, int64_t bits, int64_t *perm, int64_t *pos)
+{
+    int64_t i;
+
+    for (i = 0; i < bits; i++) {
+        pos[i] = perm[targets[i]];
+        perm[targets[i]] = perm[i];
+    }
+    for (i = 0; i < bits; i++)
+        perm[targets[i]] = targets[i];  /* the only slots the pass wrote */
 }
 
 /* The bit to flip, or -1 at a local optimum; *examined gets the scan's charge. */
@@ -93,25 +210,41 @@ static int64_t pick_int(const int64_t *g, int64_t n, int first, int64_t *examine
 static int64_t pick_blend(const int64_t *go, const int64_t *gt, double wo, double wt,
                           int64_t n, int first, int64_t *examined)
 {
-    int64_t j, k = 0;
+    int64_t j, k = -1;
     double best = 0.0;
 
     *examined = n;
-    for (j = 0; j < n; j++) {
-        double v = (double)go[j] * wo;
-        if (wt != 0.0)
-            v += (double)gt[j] * wt;
-        if (first) {
+    if (first) {
+        for (j = 0; j < n; j++) {
+            double v = (double)go[j] * wo;
+            if (wt != 0.0)
+                v += (double)gt[j] * wt;
             if (v > 0.0) {
                 *examined = j + 1;
                 return j;
             }
-        } else if (j == 0 || v > best) {
-            best = v;
-            k = j;
+        }
+        return -1;
+    }
+    /* the first maximum, taken only when it is positive */
+    if (wt != 0.0) {
+        for (j = 0; j < n; j++) {
+            double v = (double)go[j] * wo + (double)gt[j] * wt;
+            if (v > best) {
+                best = v;
+                k = j;
+            }
+        }
+    } else {
+        for (j = 0; j < n; j++) {
+            double v = (double)go[j] * wo;
+            if (v > best) {
+                best = v;
+                k = j;
+            }
         }
     }
-    return (!first && best > 0.0) ? k : -1;
+    return k;
 }
 
 static void charge(int64_t *st, int64_t units)
@@ -125,11 +258,15 @@ static void charge(int64_t *st, int64_t units)
     }
 }
 
-/* Descend until a local optimum (returns 0) or until a flip raised an
- * event (returns 1; call again to continue). `blend` selects the float
+/* Perturb the `bits` positions the swap targets pick (none when bits is 0),
+ * then descend until a local optimum (returns 0) or until a flip raised an
+ * event (returns 1; call again with bits = 0 to continue). `scratch` holds
+ * 4n slots: an identity permutation, then three scratch vectors of which the
+ * second is all zero; both are left as found. `blend` selects the float
  * pivot; caches[1] is read only when it is on and wt != 0. */
-int64_t lsils_descend(const lsils_cache *caches, int64_t n_caches, int64_t n,
+int64_t lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
                       int64_t first, int64_t blend, double wo, double wt,
+                      const int64_t *targets, int64_t bits, int64_t *scratch,
                       int64_t *st, int8_t *best_x)
 {
     const int64_t *g0 = caches[0].gains;
@@ -137,6 +274,13 @@ int64_t lsils_descend(const lsils_cache *caches, int64_t n_caches, int64_t n,
 
     st[ST_EVENTS] = 0;
     st[ST_IMPROVED] = 0;
+    if (bits > 0) {
+        int64_t *pos = scratch + n, *v = scratch + 2 * n, *t = scratch + 3 * n;
+        fisher_yates(targets, bits, scratch, pos);
+        st[ST_VALUE] += apply_flips(&caches[0], n, pos, bits, v, t);
+        for (i = 1; i < n_caches; i++)
+            apply_flips(&caches[i], n, pos, bits, v, t);
+    }
     for (;;) {
         if (blend)
             k = pick_blend(g0, n_caches > 1 ? caches[1].gains : g0, wo, wt, n,
@@ -158,4 +302,31 @@ int64_t lsils_descend(const lsils_cache *caches, int64_t n_caches, int64_t n,
         if (st[ST_EVENTS])
             return 1;
     }
+}
+
+/* The random toy's n x n matrix; returns the largest draw. `draws` lists
+ * its lower triangle, diagonal included, row by row; each draw w lands at
+ * (i, j) and (j, i) as +w when anchor_i = anchor_j = 1 and as -w
+ * otherwise. The lower triangle is written row by row, then mirrored tile
+ * by tile, so that no pass writes with a stride of n. */
+int64_t lsils_random_toy(const int64_t *draws, const int8_t *anchor, int64_t n, int64_t *q)
+{
+    enum { TILE = 32 };
+    int64_t i, j, i0, j0, peak = 0;
+
+    for (i = 0; i < n; i++) {
+        int64_t *restrict row = q + i * n;
+        for (j = 0; j <= i; j++) {
+            int64_t w = draws[j];
+            peak = w > peak ? w : peak;
+            row[j] = (anchor[i] & anchor[j]) ? w : -w;
+        }
+        draws += i + 1;
+    }
+    for (i0 = 0; i0 < n; i0 += TILE)
+        for (j0 = i0; j0 < n; j0 += TILE)
+            for (i = i0; i < i0 + TILE && i < n; i++)
+                for (j = j0 > i ? j0 : i + 1; j < j0 + TILE && j < n; j++)
+                    q[i * n + j] = q[j * n + i];
+    return peak;
 }

@@ -1,4 +1,4 @@
-"""Loader for the compiled one-flip descent in `_kernel.c`.
+"""Loader for the compiled search iteration and random-toy fill in `_kernel.c`.
 
 The library is built on first use, never at import, with the system C
 compiler, and cached under this package's `__pycache__` in a file named by
@@ -10,7 +10,8 @@ in a private temporary directory, loaded, and the directory removed.
 
 `library()` returns None when no compiler is found or the build fails;
 `layout(caches)` returns None for a form the kernel does not know. Either
-way the search runs its numpy descent, which gives the same results.
+way the search runs its numpy perturbation and descent, and the random toy
+its numpy fill, which give the same results.
 
 ctypes, subprocess and hashlib are imported on first use, so that
 `import lsils` costs no more than it did without the kernel.
@@ -102,7 +103,11 @@ def _build():
 
 @functools.cache
 def library():
-    """The kernel's `lsils_descend`, or None when it cannot be built; tried once per process."""
+    """The loaded kernel, or None when it cannot be built; tried once per process.
+
+    Its functions are `lsils_iterate` and `lsils_random_toy`, with their
+    argument and result types declared.
+    """
     import ctypes
     import subprocess
     if ctypes.sizeof(ctypes.c_void_p) != 8:
@@ -111,12 +116,13 @@ def library():
         lib = _build()
     except (OSError, subprocess.SubprocessError):
         return None
-    fn = lib.lsils_descend
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                   ctypes.c_int64, ctypes.c_double, ctypes.c_double,
-                   ctypes.c_void_p, ctypes.c_void_p]
-    fn.restype = ctypes.c_int64
-    return fn
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.lsils_iterate.argtypes = [ptr, i64, i64, i64, i64, ctypes.c_double, ctypes.c_double,
+                                  ptr, i64, ptr, ptr, ptr]
+    lib.lsils_iterate.restype = i64
+    lib.lsils_random_toy.argtypes = [ptr, ptr, i64, ptr]
+    lib.lsils_random_toy.restype = i64
+    return lib
 
 
 def _fits(array: np.ndarray, dtype, shape) -> bool:

@@ -9,6 +9,7 @@ evaluation-count budgets, identical argv produces byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -82,6 +83,8 @@ def parse_budget(text: str) -> Budget:
         value = float(amount)
     except ValueError:
         raise ValueError(f"budget amount {amount!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"budget amount {amount!r} must be finite")
     if kind == "evals":
         value = int(round(value))
     return Budget(kind, value)
@@ -98,6 +101,8 @@ def parse_log_interval(text: str, budget: Budget):
         value = float(text)
     except ValueError:
         raise ValueError(f"log interval {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"log interval {text!r} must be finite")
     if budget.kind == "evals":
         value = int(round(value))
     if not value > 0:

@@ -15,8 +15,11 @@ baseline and follows a bit-identical trajectory.
 Seconds-mode budgets measure wall-clock time instead and are therefore not
 reproducible; evaluation-count budgets are the deterministic default.
 
-Descents run in the compiled kernel of `_kernel.c` when it builds; the numpy
-loop `_descend` is the reference it matches flip for flip, and the path
+Each outer iteration is one call into the compiled kernel of `_kernel.c`
+when it builds: the perturbation's swap targets are drawn in numpy and
+charged here, and the kernel picks the positions, block-updates every gain
+cache and descends. `sample_distinct_positions`, `_perturb_in_place` and
+`_descend` are the numpy reference it matches flip for flip, and the path
 taken without a C compiler.
 """
 
@@ -65,7 +68,7 @@ class Budget:
     def __post_init__(self) -> None:
         if self.kind not in BUDGET_KINDS:
             raise ValueError(f"budget kind must be one of {BUDGET_KINDS}")
-        if self.amount <= 0:
+        if not self.amount > 0:  # NaN too
             raise ValueError("budget amount must be positive")
 
 
@@ -93,8 +96,8 @@ class SearchConfig:
                 raise ValueError("alpha must be a positive number or 'auto'")
         elif self.alpha <= 0:
             raise ValueError("alpha must be a positive number or 'auto'")
-        if self.log_interval is not None and not self.log_interval > 0:
-            raise ValueError("log interval must be positive, or None for no interval")
+        if self.log_interval is not None and not 0 < self.log_interval < math.inf:
+            raise ValueError("log interval must be positive and finite, or None for no interval")
         if self.lambda_schedule is not None and self.lambda_schedule.unit != self.budget.kind:
             raise ValueError(f"lambda schedule unit {self.lambda_schedule.unit!r} does not "
                              f"match budget kind {self.budget.kind!r}")
@@ -230,6 +233,8 @@ class _Meter:
     def _emit(self, elapsed, evaluations: int, best: int) -> None:
         if self.budget.kind == "evals":
             elapsed = int(elapsed)
+            if elapsed == evaluations:
+                elapsed = evaluations  # one object per value, as for best below
         if self.records and self.records[-1].best_f == best:
             best = self.records[-1].best_f  # one object per value: runs keep every record
         self.records.append(RunLogRecord(
@@ -294,40 +299,60 @@ def _descend(caches, weights, value, tracker, meter, pivot_rule: str):
 
 
 class _Descent:
-    """Descents to a local optimum over one fixed list of gain caches.
+    """Outer iterations over one fixed list of gain caches.
 
-    A call runs `_descend` in the compiled kernel when the kernel loads and
-    knows every form, and the numpy `_descend` otherwise; the kernel's view
-    of the caches is built once, here. The kernel returns at every flip
-    whose charge reached the meter's next evals mark, with the
-    (evaluations, best) of each such charge, and the marks are emitted
-    here, so evals-budget records are the ones `_descend` writes. Under a
-    seconds budget the clock is read when the descent ends, so such a
-    record may land up to one descent late.
+    A call optionally perturbs `bits` distinct bits, then descends to a local
+    optimum. It runs as one `lsils_iterate` call of the compiled kernel when
+    the kernel loads and knows every form, and as `sample_distinct_positions`,
+    `_perturb_in_place` and `_descend` otherwise; the kernel's view of the
+    caches is built once, here. The swap targets come from the same numpy
+    draw either way, so the generator ends in the same state, and the
+    perturbation is charged before the kernel applies it: it never changes
+    the tracked best, so the records are the same. The kernel returns at
+    every flip whose charge reached the meter's next evals mark, with the
+    (evaluations, best) of each such charge, and the marks are emitted here,
+    so evals-budget records are the ones `_descend` writes. Under a seconds
+    budget the clock is read when the descent ends, so such a record may land
+    up to one descent late.
     """
 
     def __init__(self, caches, pivot_rule: str):
         self.caches = caches
         self.pivot_rule = pivot_rule
-        self.kernel = _kernel.library()
-        self.entries = None if self.kernel is None else _kernel.layout(caches)
+        lib = _kernel.library()
+        self.entries = None if lib is None else _kernel.layout(caches)
         if self.entries is not None:
             n = caches[0].solution.size
+            self.kernel = lib.lsils_iterate
             self.state = np.zeros(_kernel.ST_SIZE, dtype=np.int64)
             self.best_x = np.empty(n, dtype=np.int8)
+            # An identity permutation, then three n-slot vectors; the kernel
+            # leaves the permutation and the second vector (zeros) as found.
+            self.scratch = np.zeros(4 * n, dtype=np.int64)
+            self.scratch[:n] = np.arange(n)
             self.args = (self.entries.ctypes.data, len(caches), n, pivot_rule == "first")
-            self.buffers = (self.state.ctypes.data, self.best_x.ctypes.data)
+            self.buffers = (self.scratch.ctypes.data, self.state.ctypes.data,
+                            self.best_x.ctypes.data)
 
     @property
     def compiled(self) -> bool:
         return self.entries is not None
 
-    def __call__(self, weights, value, tracker, meter) -> int:
-        """Descend from the caches' solution; returns the updated value."""
+    def __call__(self, weights, value, tracker, meter, rng=None, bits: int = 0) -> int:
+        """Flip `bits` bits picked with `rng` (none when 0), then descend; returns the value."""
         blend = weights is not None
         wo, wt = weights if blend else (1.0, 0.0)
+        n = self.caches[0].solution.size
         if not self.compiled or (wt != 0.0 and len(self.caches) < 2):
+            if bits:
+                positions = sample_distinct_positions(rng, n, bits)
+                value = _perturb_in_place(self.caches, positions, value, meter)
             return _descend(self.caches, weights, value, tracker, meter, self.pivot_rule)
+        targets = None
+        if bits:
+            # The draw sample_distinct_positions makes; the kernel does its pass.
+            targets = rng.integers(np.arange(bits), n)
+            meter.charge(n, steps=bits)
         state = self.state
         state[:] = 0
         state[_kernel.ST_VALUE] = value
@@ -335,9 +360,11 @@ class _Descent:
         if tracker is not None:
             state[_kernel.ST_TRACK] = 1
             state[_kernel.ST_BEST] = tracker.best_value
+        pending = (None, 0) if targets is None else (targets.ctypes.data, bits)
         while True:
             state[_kernel.ST_THRESHOLD] = meter.threshold()
-            paused = self.kernel(*self.args, blend, wo, wt, *self.buffers)
+            paused = self.kernel(*self.args, blend, wo, wt, *pending, *self.buffers)
+            pending = (None, 0)  # a resumed call only descends
             st = state.tolist()
             if st[_kernel.ST_IMPROVED]:
                 tracker.best_value = st[_kernel.ST_BEST]
@@ -416,18 +443,18 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
             lam = schedule.value_at(meter.progress())
             meter.current_lam = lam
             if toy is None or not np.array_equal(tracker.best_solution, anchor_snapshot):
+                # Drop the old toy and its cache before the next one is built.
+                descent = toy = None
                 toy_seed = (int(rng_toy.integers(0, 2**63 - 1))
                             if config.toy_kind is ToyKind.RANDOM else 0)
                 toy = construct_toy(config.toy_kind, tracker.best_solution, seed=toy_seed)
                 anchor_snapshot = tracker.best_solution.copy()
                 alpha = (auto_alpha(inst, toy, target_bound=target_bound)
                          if config.alpha == "auto" else float(config.alpha))
-                toy_cache = GainCache.build(toy, primary.solution)
-                descent = _Descent([primary, toy_cache], config.pivot_rule)
+                descent = _Descent([primary, GainCache.build(toy, primary.solution)],
+                                   config.pivot_rule)
             weights = (1.0 - lam, lam * alpha)
-        positions = sample_distinct_positions(rng_perturb, n, bits)
-        value = _perturb_in_place(descent.caches, positions, value, meter)
-        value = descent(weights, value, tracker, meter)
+        value = descent(weights, value, tracker, meter, rng_perturb, bits)
 
     meter.finish()
     return RunResult(

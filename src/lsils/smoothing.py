@@ -57,7 +57,7 @@ class ToyMatrix:
 
     Magnitudes are implicit for kinds plusminus1 and plusminusi (O(1)
     storage); only kind random stores its realized n x n matrix, drawn from
-    the recorded `rng_seed`.
+    the recorded `rng_seed`, and the largest draw as `_peak`.
     """
 
     kind: ToyKind
@@ -65,6 +65,7 @@ class ToyMatrix:
     n: int
     rng_seed: int | None = None
     _q: np.ndarray | None = None
+    _peak: int | None = None
     _anchor64: np.ndarray = None
     _idx1: np.ndarray = None
     _signs: np.ndarray = None
@@ -127,7 +128,7 @@ class ToyMatrix:
             return 1
         if self.kind is ToyKind.PLUS_MINUS_I:
             return self.n
-        return int(np.abs(self._q).max())
+        return self._peak
 
     def materialize(self) -> np.ndarray:
         """Dense realized matrix; intended for small n (tests, landscape)."""
@@ -144,24 +145,34 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     """Build a toy UBQP anchored at `anchor`; `seed` matters only for kind random.
 
     Deterministic given (kind, anchor, seed). Random magnitudes are drawn
-    for the lower triangle (diagonal included) and mirrored, so the realized
-    matrix is symmetric with |entries| in [1, 100].
+    for the lower triangle (diagonal included), row by row, and mirrored, so
+    the realized matrix is symmetric with |entries| in [1, 100]. The kernel
+    of `_kernel.c` fills it from the draws and returns the largest one,
+    which is `max_abs()`; without a C compiler a row loop does the same.
     """
     kind = ToyKind(kind)
     anchor = as_solution(anchor)
     n = anchor.size
     if kind is not ToyKind.RANDOM:
         return ToyMatrix(kind=kind, anchor=anchor, n=n)
+    from . import _kernel  # here, not at the top: _kernel imports this module
     rng = seeded_rng(seed, TOY_MAGNITUDE_STREAM)
-    lower = np.tri(n, dtype=bool)
     draws = rng.integers(1, 101, size=n * (n + 1) // 2)
     q = np.empty((n, n), dtype=np.int64)
-    # Boolean masks fill row-major, the order np.tril_indices lists cells in.
-    q[lower] = draws
-    q.T[lower] = draws
-    both = anchor.astype(bool)
-    np.negative(q, out=q, where=~np.outer(both, both))
-    return ToyMatrix(kind=kind, anchor=anchor, n=n, rng_seed=int(seed), _q=q)
+    lib = _kernel.library()
+    if lib is not None:
+        anchor = np.ascontiguousarray(anchor)
+        peak = lib.lsils_random_toy(draws.ctypes.data, anchor.ctypes.data, n, q.ctypes.data)
+    else:
+        signs = 2 * anchor.astype(np.int64) - 1
+        start = 0
+        for i in range(n):
+            row = draws[start:start + i + 1] * (signs[:i + 1] if anchor[i] else -1)
+            q[i, :i + 1] = row
+            q[:i + 1, i] = row
+            start += i + 1
+        peak = int(draws.max())
+    return ToyMatrix(kind=kind, anchor=anchor, n=n, rng_seed=int(seed), _q=q, _peak=peak)
 
 
 def auto_alpha(inst: UbqpInstance, toy: ToyMatrix, target_bound=None) -> float:

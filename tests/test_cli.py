@@ -126,6 +126,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--budget", "evals:inf"), ("--budget", "seconds:nan"), ("--budget", "evals:-inf"),
+        ("--budget", "evals:1000", "--log-interval", "evals:inf"),
+        ("--budget", "seconds:1", "--log-interval", "nan"),
+    ])
+    def test_non_finite_amounts_return_one(self, flags, tmp_path, capsys):
+        assert main(["solve", "--algo", "ils", "--gen", "n=8,seed=1", *flags,
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_guard_violation_reported(self, tmp_path, capsys):
         rc = main(["landscape", "--gen", "n=26,seed=1", "--toy", "none",
                    "--out-dir", str(tmp_path)])

@@ -1,4 +1,7 @@
-"""The compiled descent against its numpy reference, and the fallback to it.
+"""The compiled kernel against its numpy reference, and the fallback to it.
+
+The kernel runs the perturbation and the descent of an outer iteration,
+and fills the random toy's matrix.
 
 A C compiler is part of the test environment, so a kernel that does not
 build or load fails these tests instead of skipping them.
@@ -75,16 +78,16 @@ def test_source_compiles_without_warnings(tmp_path):
 
 def test_build_caches_one_file_by_hash(tmp_path, monkeypatch):
     monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
-    assert _kernel._build().lsils_descend
+    assert _kernel._build().lsils_iterate
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [_kernel._library_name()]
-    assert _kernel._build().lsils_descend
+    assert _kernel._build().lsils_iterate
 
 
 def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     monkeypatch.setattr(_kernel, "CACHE_DIR", blocker / "cache")
-    assert _kernel._build().lsils_descend
+    assert _kernel._build().lsils_iterate
 
 
 class TestDescentEquivalence:
@@ -168,6 +171,69 @@ class TestDescentEquivalence:
         assert not search._Descent([GainCache.build(Wrapped(), x)], "best").compiled
         assert search._Descent([GainCache.build(inst, x)], "best").compiled
         assert np.array_equal(local_search(x, Wrapped()), local_search(x, inst))
+
+
+class TestIterationEquivalence:
+    @given(st.integers(1, 40), st.integers(0, 2**32), st.sampled_from(FORMS),
+           st.one_of(st.none(), st.sampled_from(FORMS)), st.sampled_from(PIVOT_RULES),
+           st.booleans(), st.sampled_from(LAMS), st.sampled_from(ALPHAS),
+           st.integers(0, 400), st.integers(1, 20000), st.data())
+    def test_kernel_matches_numpy_iteration(self, n, seed, first, second, pivot, blend, lam,
+                                            alpha, start, budget, data):
+        bits = data.draw(st.integers(1, n), label="bits")
+        # Intervals below n * bits put several marks inside one perturbation.
+        interval = data.draw(st.one_of(st.none(), st.integers(1, n * bits),
+                                       st.floats(0.5, n * bits)), label="interval")
+        slots = (first,) if second is None else (first, second)
+        forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
+        x = random_solution(n, seeded_rng(seed, 1))
+        if not blend:
+            weights = None
+        elif len(forms) == 2:
+            weights = (1.0 - lam, lam * alpha)
+        else:
+            weights = (1.0, 0.0)
+        value = evaluate(forms[0], x)
+
+        def state():
+            caches = [GainCache.build(form, x) for form in forms]
+            tracker = BestTracker.start(x, value - 1)
+            meter = _Meter(Budget("evals", budget), interval, tracker)
+            meter.current_lam = lam
+            if start:
+                meter.charge(start)
+            return caches, tracker, meter, seeded_rng(seed, 2)
+
+        ref_caches, ref_tracker, ref_meter, ref_rng = state()
+        caches, tracker, meter, rng = state()
+        positions = search.sample_distinct_positions(ref_rng, n, bits)
+        expected = search._perturb_in_place(ref_caches, positions, value, ref_meter)
+        expected = search._descend(ref_caches, weights, expected, ref_tracker, ref_meter, pivot)
+        descent = search._Descent(caches, pivot)
+        assert descent.compiled
+        assert descent(weights, value, tracker, meter, rng, bits) == expected
+        for ours, ref in zip(caches, ref_caches):
+            assert np.array_equal(ours.gains, ref.gains)
+            assert np.array_equal(ours.sigma, ref.sigma)
+            assert np.array_equal(ours.solution, ref.solution)
+        assert tracker.best_value == ref_tracker.best_value
+        assert np.array_equal(tracker.best_solution, ref_tracker.best_solution)
+        assert meter.records == ref_meter.records
+        assert (meter.consumed, meter.next_mark) == (ref_meter.consumed, ref_meter.next_mark)
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+        assert np.array_equal(descent.scratch[:n], np.arange(n))
+        assert not descent.scratch[2 * n:3 * n].any()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 500])
+    def test_random_toy_fill_matches_numpy_fill(self, n, request):
+        anchors = [random_solution(n, seeded_rng(n, k)) for k in range(3)]
+        compiled = [construct_toy(ToyKind.RANDOM, a, seed=k) for k, a in enumerate(anchors)]
+        request.getfixturevalue("no_kernel")
+        assert _kernel.library() is None
+        for k, (anchor, ours) in enumerate(zip(anchors, compiled)):
+            ref = construct_toy(ToyKind.RANDOM, anchor, seed=k)
+            assert np.array_equal(ours.materialize(), ref.materialize())
+            assert ours.max_abs() == ref.max_abs()
 
 
 def test_seconds_budget_marks_are_checked_between_descents():

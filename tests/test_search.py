@@ -37,9 +37,11 @@ class TestConfigValidation:
             Budget("flips", 100)
 
     def test_budget_amount_positive(self):
-        for amount in (0, -5):
+        for amount in (0, -5, float("nan")):
             with pytest.raises(ValueError, match="positive"):
                 Budget("evals", amount)
+        # local_search meters an unbounded descent this way.
+        assert Budget("evals", float("inf")).amount == float("inf")
 
     def test_pivot_rule_checked(self):
         with pytest.raises(ValueError, match="pivot"):
@@ -56,7 +58,7 @@ class TestConfigValidation:
         assert cfg.toy_kind is ToyKind.PLUS_MINUS_I
 
     def test_log_interval_checked(self):
-        for bad in (0, -5, -0.5, float("nan")):
+        for bad in (0, -5, -0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="log interval"):
                 SearchConfig(budget=Budget("evals", 100), log_interval=bad)
         assert SearchConfig(budget=Budget("evals", 100), log_interval=None).log_interval is None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,29 @@ class TestAutoAlpha:
         inst = make_instance(4, 2)
         assert toy.max_abs() == 100
         assert auto_alpha(inst, toy, target_bound=5) == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 500])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_max_abs_is_the_realized_peak(self, kind, n):
+        for seed in (0, 3):
+            toy = construct_toy(kind, random_anchor(n, seed), seed=seed)
+            assert toy.max_abs() == np.abs(toy.materialize()).max()
+
+    def test_random_rebuild_holds_one_matrix_and_its_draws(self):
+        # What a search does per rebuild: its alpha bound is computed once per run.
+        n = 500
+        anchor, inst = random_anchor(n, 5), make_instance(4, 2)
+        construct_toy(ToyKind.RANDOM, anchor, seed=0)  # builds the kernel outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            toy = construct_toy(ToyKind.RANDOM, anchor, seed=1)
+            auto_alpha(inst, toy, target_bound=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        matrix, draws = n * n * 8, n * (n + 1) // 2 * 8
+        assert peak <= 1.1 * (matrix + draws)
 
     def test_default_bound_rounds_mean_abs(self):
         inst = UbqpInstance.from_matrix(np.array([[1, -2], [-2, 3]]))
