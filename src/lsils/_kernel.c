@@ -22,11 +22,32 @@
  * so the caller can emit its records and call again with bits = 0, which
  * only descends.
  *
- * Build: cc -O2 -ffp-contract=off -shared -fPIC. Contraction to FMA would
+ * Build: cc -O3 -ffp-contract=off -shared -fPIC. Contraction to FMA would
  * round the blend differently from numpy's separate multiply and add.
+ * On x86-64 with glibc, lsils_iterate is built three times, for
+ * x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline x86-64, and the
+ * dynamic loader picks the clone the CPU runs (an ifunc); its helpers are
+ * always inlined, so each clone gets its own vector code. The library file
+ * stays the same on every x86-64 CPU, which is why -march=native is not
+ * used. Elsewhere the plain function is built.
  */
 #include <stdint.h>
 #include <string.h>
+
+#ifdef __has_attribute
+#if __has_attribute(always_inline)
+#define HOT static inline __attribute__((always_inline))
+#endif
+#if defined(__x86_64__) && defined(__GLIBC__) && __has_attribute(target_clones)
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#endif
+#endif
+#ifndef HOT
+#define HOT static inline
+#endif
+#ifndef CLONES
+#define CLONES
+#endif
 
 enum { FORM_DENSE = 0, FORM_PLUS_MINUS_ONE = 1, FORM_PLUS_MINUS_I = 2 };
 
@@ -53,7 +74,7 @@ typedef struct {
 } lsils_cache;
 
 /* Flip bit k of one cache: gains, sigma and solution in O(n). */
-static void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
+HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
 {
     int64_t *restrict g = c->gains;
     int64_t *restrict s = c->sigma;
@@ -85,7 +106,7 @@ static void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
 }
 
 /* Q_pp of one cache's form. */
-static int64_t diagonal(const lsils_cache *c, int64_t n, int64_t p)
+HOT int64_t diagonal(const lsils_cache *c, int64_t n, int64_t p)
 {
     if (c->kind == FORM_DENSE)
         return c->q[p * n + p];
@@ -94,8 +115,8 @@ static int64_t diagonal(const lsils_cache *c, int64_t n, int64_t p)
 
 /* t = Q v for v = sigma on the positions P (before the flip), 0 elsewhere.
  * `v` is an all-zero n-slot scratch vector, left all zero again. */
-static void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
-                        int64_t bits, int64_t *restrict v, int64_t *restrict t)
+HOT void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
+                     int64_t bits, int64_t *restrict v, int64_t *restrict t)
 {
     const int64_t *s = c->sigma;
     const int8_t *a = c->anchor;
@@ -147,8 +168,8 @@ static void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
 
 /* Flip the distinct positions P of one cache in one block update; returns
  * the exact change of its objective. */
-static int64_t apply_flips(const lsils_cache *c, int64_t n, const int64_t *pos,
-                           int64_t bits, int64_t *v, int64_t *t)
+HOT int64_t apply_flips(const lsils_cache *c, int64_t n, const int64_t *pos,
+                        int64_t bits, int64_t *v, int64_t *t)
 {
     int64_t *restrict g = c->gains;
     int64_t *restrict s = c->sigma;
@@ -172,7 +193,7 @@ static int64_t apply_flips(const lsils_cache *c, int64_t n, const int64_t *pos,
 
 /* The Fisher-Yates picks of `targets` (targets[i] in [i, n)) into pos,
  * through `perm`, an identity permutation of n slots that is left as one. */
-static void fisher_yates(const int64_t *targets, int64_t bits, int64_t *perm, int64_t *pos)
+HOT void fisher_yates(const int64_t *targets, int64_t bits, int64_t *perm, int64_t *pos)
 {
     int64_t i;
 
@@ -184,10 +205,50 @@ static void fisher_yates(const int64_t *targets, int64_t bits, int64_t *perm, in
         perm[targets[i]] = targets[i];  /* the only slots the pass wrote */
 }
 
-/* The bit to flip, or -1 at a local optimum; *examined gets the scan's charge. */
-static int64_t pick_int(const int64_t *g, int64_t n, int first, int64_t *examined)
+/* The lowest index of the largest of v[0..n), n >= 1, and the largest in
+ * *top. The max pass runs over 64-entry blocks, which vectorises (whole
+ * blocks with a constant trip count, then the tail), and remembers the
+ * first block whose maximum beats all blocks before it; the search for the
+ * first entry equal to the maximum then reads only that block. */
+enum { BLOCK = 64 };
+
+HOT int64_t block_max(const int64_t *v, int64_t len)
 {
-    int64_t j, k = 0, best = g[0];
+    int64_t j, m = v[0];
+
+    for (j = 0; j < len; j++)
+        m = v[j] > m ? v[j] : m;
+    return m;
+}
+
+HOT int64_t first_max(const int64_t *v, int64_t n, int64_t *top)
+{
+    int64_t j0, j, best = v[0], start = 0;
+
+    for (j0 = 0; j0 + BLOCK <= n; j0 += BLOCK) {
+        int64_t m = block_max(v + j0, BLOCK);
+        if (m > best) {
+            best = m;
+            start = j0;
+        }
+    }
+    if (j0 < n) {
+        int64_t m = block_max(v + j0, n - j0);
+        if (m > best) {
+            best = m;
+            start = j0;
+        }
+    }
+    for (j = start; v[j] != best; j++)
+        ;
+    *top = best;
+    return j;
+}
+
+/* The bit to flip, or -1 at a local optimum; *examined gets the scan's charge. */
+HOT int64_t pick_int(const int64_t *g, int64_t n, int first, int64_t *examined)
+{
+    int64_t j, k, best;
 
     *examined = n;
     if (first) {
@@ -198,20 +259,22 @@ static int64_t pick_int(const int64_t *g, int64_t n, int first, int64_t *examine
             }
         return -1;
     }
-    for (j = 1; j < n; j++)
-        if (g[j] > best) {
-            best = g[j];
-            k = j;
-        }
+    k = first_max(g, n, &best);
     return best > 0 ? k : -1;
 }
 
-/* As pick_int on the blend; the add is skipped when wt == 0, as in numpy. */
-static int64_t pick_blend(const int64_t *go, const int64_t *gt, double wo, double wt,
-                          int64_t n, int first, int64_t *examined)
+/* As pick_int on the blend; the add is skipped when wt == 0, as in numpy.
+ * The best-improvement scan writes the blend's bit patterns to `bits` and
+ * runs the integer scan on them. A positive double orders like its bit
+ * pattern read as int64, and a negative one or -0.0 reads as a negative
+ * int64, +0.0 as 0; so the first maximum, taken only when positive, is the
+ * same bit as in a scan of the doubles. The weights are finite (the Python
+ * side rejects a NaN or infinite alpha), so the blend holds no NaN, whose
+ * bit pattern would read above +inf. */
+HOT int64_t pick_blend(const int64_t *go, const int64_t *gt, double wo, double wt,
+                       int64_t n, int first, int64_t *restrict bits, int64_t *examined)
 {
-    int64_t j, k = -1;
-    double best = 0.0;
+    int64_t j, k, best;
 
     *examined = n;
     if (first) {
@@ -226,28 +289,22 @@ static int64_t pick_blend(const int64_t *go, const int64_t *gt, double wo, doubl
         }
         return -1;
     }
-    /* the first maximum, taken only when it is positive */
     if (wt != 0.0) {
         for (j = 0; j < n; j++) {
             double v = (double)go[j] * wo + (double)gt[j] * wt;
-            if (v > best) {
-                best = v;
-                k = j;
-            }
+            memcpy(&bits[j], &v, sizeof v);
         }
     } else {
         for (j = 0; j < n; j++) {
             double v = (double)go[j] * wo;
-            if (v > best) {
-                best = v;
-                k = j;
-            }
+            memcpy(&bits[j], &v, sizeof v);
         }
     }
-    return k;
+    k = first_max(bits, n, &best);
+    return best > 0 ? k : -1;
 }
 
-static void charge(int64_t *st, int64_t units)
+HOT void charge(int64_t *st, int64_t units)
 {
     st[ST_CONSUMED] += units;
     if (st[ST_CONSUMED] >= st[ST_THRESHOLD]) {
@@ -262,14 +319,17 @@ static void charge(int64_t *st, int64_t units)
  * then descend until a local optimum (returns 0) or until a flip raised an
  * event (returns 1; call again with bits = 0 to continue). `scratch` holds
  * 4n slots: an identity permutation, then three scratch vectors of which the
- * second is all zero; both are left as found. `blend` selects the float
- * pivot; caches[1] is read only when it is on and wt != 0. */
-int64_t lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
-                      int64_t first, int64_t blend, double wo, double wt,
-                      const int64_t *targets, int64_t bits, int64_t *scratch,
-                      int64_t *st, int8_t *best_x)
+ * second is all zero; both are left as found. The perturbation writes the
+ * first and third vectors, and the blended scan writes the third. `blend`
+ * selects the float pivot; caches[1] is read only when it is on and
+ * wt != 0. */
+CLONES int64_t lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
+                             int64_t first, int64_t blend, double wo, double wt,
+                             const int64_t *targets, int64_t bits, int64_t *scratch,
+                             int64_t *st, int8_t *best_x)
 {
     const int64_t *g0 = caches[0].gains;
+    int64_t *blended = scratch + 3 * n;
     int64_t i, k, examined;
 
     st[ST_EVENTS] = 0;
@@ -284,7 +344,7 @@ int64_t lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
     for (;;) {
         if (blend)
             k = pick_blend(g0, n_caches > 1 ? caches[1].gains : g0, wo, wt, n,
-                           (int)first, &examined);
+                           (int)first, blended, &examined);
         else
             k = pick_int(g0, n, (int)first, &examined);
         charge(st, examined);

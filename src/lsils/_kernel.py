@@ -8,6 +8,11 @@ build it at the same moment (parallel `lsils batch` workers) each install
 a complete file. When that directory is not writable the library is built
 in a private temporary directory, loaded, and the directory removed.
 
+The flags name no CPU. On x86-64 with glibc the source builds
+`lsils_iterate` once per x86-64 level (v4, v3, baseline) and the loader
+picks the one the CPU runs, so a cached library is safe to share between
+machines with different CPUs.
+
 `library()` returns None when no compiler is found or the build fails;
 `layout(caches)` returns None for a form the kernel does not know. Either
 way the search runs its numpy perturbation and descent, and the random toy
@@ -31,7 +36,7 @@ from .smoothing import ToyKind, ToyMatrix
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 COMPILERS = ("cc", "gcc", "clang")
 COMPILE_TIMEOUT_S = 120
 

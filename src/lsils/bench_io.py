@@ -179,7 +179,10 @@ def excess(best_f: int, opt_f: int) -> float:
 class RunLogRecord:
     """One logged point of a run's best-so-far trace.
 
-    Slotted: batch runs and benchmarks hold every record of every run.
+    A run stores its points packed (`search.RunLog`) and builds these
+    records when `RunResult.records` is read; `elapsed` is an int under an
+    evals budget and a float under a seconds budget. Slotted, so that a
+    list of them stays small too.
     """
 
     elapsed: float

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +95,8 @@ class SearchConfig:
         if isinstance(self.alpha, str):
             if self.alpha != "auto":
                 raise ValueError("alpha must be a positive number or 'auto'")
-        elif self.alpha <= 0:
-            raise ValueError("alpha must be a positive number or 'auto'")
+        elif not 0 < self.alpha < math.inf:  # NaN too
+            raise ValueError("alpha must be a positive finite number or 'auto'")
         if self.log_interval is not None and not 0 < self.log_interval < math.inf:
             raise ValueError("log interval must be positive and finite, or None for no interval")
         if self.lambda_schedule is not None and self.lambda_schedule.unit != self.budget.kind:
@@ -135,6 +136,40 @@ class BestTracker:
         return False
 
 
+class RunLog:
+    """The points a run logs, packed in four typed columns.
+
+    A run keeps every point, and batch runs and benchmarks keep every run,
+    so a point is stored as four machine words (`elapsed` as an integer
+    under an evals budget, as a float under a seconds budget) and becomes a
+    `RunLogRecord` only when `records` is read.
+    """
+
+    __slots__ = ("elapsed", "evaluations", "best_f", "lam")
+
+    def __init__(self, budget_kind: str = "evals"):
+        self.elapsed = array("q" if budget_kind == "evals" else "d")
+        self.evaluations = array("q")
+        self.best_f = array("q")
+        self.lam = array("d")
+
+    def __len__(self) -> int:
+        return len(self.evaluations)
+
+    def append(self, elapsed, evaluations: int, best_f: int, lam: float) -> None:
+        self.elapsed.append(elapsed)
+        self.evaluations.append(evaluations)
+        self.best_f.append(best_f)
+        self.lam.append(lam)
+
+    @property
+    def records(self) -> list[RunLogRecord]:
+        """A fresh list of the logged points, in order."""
+        columns = zip(self.elapsed, self.evaluations, self.best_f, self.lam)
+        return [RunLogRecord(elapsed=e, evaluations=v, best_f=b, lam=lam)
+                for e, v, b, lam in columns]
+
+
 @dataclass
 class RunResult:
     """Outcome of one solver run."""
@@ -145,7 +180,12 @@ class RunResult:
     best_value: int
     evaluations: int
     elapsed_seconds: float
-    records: list[RunLogRecord] = field(default_factory=list)
+    log: RunLog = field(default_factory=RunLog)
+
+    @property
+    def records(self) -> list[RunLogRecord]:
+        """The run log, built from the packed columns on each access."""
+        return self.log.records
 
 
 def sample_distinct_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -175,10 +215,14 @@ class _Meter:
         self.consumed = 0
         self.started = time.monotonic()
         self.tracker = tracker
-        self.records: list[RunLogRecord] = []
+        self.log = RunLog(budget.kind)
         self.current_lam = 0.0
         self.interval = log_interval
         self.next_mark = log_interval
+
+    @property
+    def records(self) -> list[RunLogRecord]:
+        return self.log.records
 
     def progress(self) -> float:
         if self.budget.kind == "evals":
@@ -233,20 +277,11 @@ class _Meter:
     def _emit(self, elapsed, evaluations: int, best: int) -> None:
         if self.budget.kind == "evals":
             elapsed = int(elapsed)
-            if elapsed == evaluations:
-                elapsed = evaluations  # one object per value, as for best below
-        if self.records and self.records[-1].best_f == best:
-            best = self.records[-1].best_f  # one object per value: runs keep every record
-        self.records.append(RunLogRecord(
-            elapsed=elapsed,
-            evaluations=evaluations,
-            best_f=best,
-            lam=self.current_lam,
-        ))
+        self.log.append(elapsed, evaluations, best, self.current_lam)
 
     def finish(self) -> None:
         final = self.consumed if self.budget.kind == "evals" else round(self.progress(), 3)
-        if not self.records or self.records[-1].evaluations < self.consumed:
+        if not self.log or self.log.evaluations[-1] < self.consumed:
             self._emit(final, self.consumed, self.tracker.best_value)
 
 
@@ -464,7 +499,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
         best_value=tracker.best_value,
         evaluations=meter.consumed,
         elapsed_seconds=time.monotonic() - meter.started,
-        records=meter.records,
+        log=meter.log,
     )
 
 

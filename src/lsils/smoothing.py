@@ -15,6 +15,7 @@ g(x) = (1 - lam) * f_o(x) + lam * alpha * f_toy(x).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -184,8 +185,8 @@ def auto_alpha(inst: UbqpInstance, toy: ToyMatrix, target_bound=None) -> float:
     if target_bound is None:
         target_bound = round(mean_abs(inst))
     target_bound = float(target_bound)
-    if target_bound <= 0:
-        raise ValueError("target bound must be positive; pass one explicitly "
+    if not 0 < target_bound < math.inf:  # NaN too
+        raise ValueError("target bound must be positive and finite; pass one explicitly "
                          "when the instance mean |Q| rounds to zero")
     peak = toy.max_abs()
     if peak == 0:
@@ -206,8 +207,8 @@ class SmoothedObjective:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:  # NaN too
+            raise ValueError("alpha must be positive and finite")
         if self.instance.n != self.toy.n:
             raise ValueError("instance and toy dimensions differ")
         self.n = self.instance.n

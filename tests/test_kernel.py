@@ -7,6 +7,7 @@ A C compiler is part of the test environment, so a kernel that does not
 build or load fails these tests instead of skipping them.
 """
 
+import ctypes
 import io
 import os
 import re
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lsils import (
@@ -39,9 +40,12 @@ from lsils import (
 from lsils import _kernel, search
 from lsils.search import PIVOT_RULES, BestTracker, _Meter
 
-from test_qubo import make_instance
+from test_qubo import make_instance, random_symmetric
 
 ROOT = Path(__file__).resolve().parent.parent
+# Sizes up to 130 put the kernel's best-improvement scan across two whole
+# 64-entry blocks and a tail, and its vector loops across their remainders.
+MAX_N = 130
 FORMS = ("instance",) + tuple(kind.value for kind in ToyKind)
 # (1 - lam, lam * alpha) blends, (1.0, 0.0) among them.
 LAMS = (0.0, 0.001, 0.3, 0.5, 1.0)
@@ -90,8 +94,30 @@ def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
     assert _kernel._build().lsils_iterate
 
 
+def assert_descents_agree(forms, x, weights, pivot):
+    """One compiled and one numpy descent from x give identical results; returns the caches."""
+    runs = []
+    for compiled in (False, True):
+        caches = [GainCache.build(form, x) for form in forms]
+        meter = _Meter(Budget("evals", float("inf")), None, None)
+        if compiled:
+            descent = search._Descent(caches, pivot)
+            assert descent.compiled
+            value = descent(weights, 0, None, meter)
+        else:
+            value = search._descend(caches, weights, 0, None, meter, pivot)
+        runs.append((value, meter.consumed, caches))
+    (ref_value, ref_consumed, ref_caches), (value, consumed, caches) = runs
+    assert (value, consumed) == (ref_value, ref_consumed)
+    for ours, ref in zip(caches, ref_caches):
+        assert np.array_equal(ours.gains, ref.gains)
+        assert np.array_equal(ours.sigma, ref.sigma)
+        assert np.array_equal(ours.solution, ref.solution)
+    return caches
+
+
 class TestDescentEquivalence:
-    @given(st.integers(1, 40), st.integers(0, 2**32),
+    @given(st.integers(1, MAX_N), st.integers(0, 2**32),
            st.lists(st.sampled_from(FORMS), min_size=1, max_size=2),
            st.sampled_from(PIVOT_RULES), st.booleans(), st.sampled_from(LAMS),
            st.sampled_from(ALPHAS),
@@ -147,6 +173,67 @@ class TestDescentEquivalence:
             assert value == 1
             assert caches[0].solution.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("weights", [None, (1.0, 0.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("tie", [(3, 70), (63, 64), (0, 129), (70, 100), (128, 129)])
+    def test_ties_between_blocks_go_to_the_lowest_index(self, weights, tie):
+        # From 0 both bits gain 1, the largest gain, and each one makes the
+        # other lose; the other bits gain 0 or lose.
+        n, (i, j) = MAX_N, tie
+        q = np.diag(-seeded_rng(5).integers(0, 3, size=n))
+        q[i, i] = q[j, j] = 1
+        q[i, j] = q[j, i] = -1
+        inst = UbqpInstance.from_matrix(q)
+        caches = assert_descents_agree((inst, inst), np.zeros(n, dtype=np.int8), weights, "best")
+        assert caches[0].solution.nonzero()[0].tolist() == [i]
+
+    @pytest.mark.parametrize("pivot", PIVOT_RULES)
+    @pytest.mark.parametrize("weights, sign", [((0.0, 0.0), -1), ((-1.0, 0.0), 1)])
+    def test_non_positive_blend_with_negative_zero_is_a_local_optimum(self, pivot, weights,
+                                                                       sign):
+        # Every blended gain is -0.0 or negative (a bit pattern below zero)
+        # or +0.0, so no flip is taken.
+        n = MAX_N
+        diagonal = sign * seeded_rng(6).integers(0, 4, size=n)
+        diagonal[::3] = 0
+        inst = UbqpInstance.from_matrix(np.diag(diagonal))
+        x = np.zeros(n, dtype=np.int8)
+        blend = np.multiply(GainCache.build(inst, x).gains, weights[0])
+        assert np.signbit(blend).any() and not (blend > 0).any()
+        caches = assert_descents_agree((inst, inst), x, weights, pivot)
+        assert not caches[0].solution.any()
+
+    @given(st.integers(2, MAX_N), st.integers(0, 2**32), st.sampled_from(PIVOT_RULES),
+           st.sampled_from(LAMS), st.sampled_from(ALPHAS))
+    def test_gains_beyond_2_53_round_as_in_numpy(self, n, seed, pivot, lam, alpha):
+        # Entries as large as UbqpInstance allows (n^2 max|Q| within int64)
+        # give gains past 2^53, where int64 -> float64 rounds.
+        bound = np.iinfo(np.int64).max // (n * n)
+        rng = seeded_rng(seed, 3)
+        forms = [UbqpInstance.from_matrix(random_symmetric(n, rng, -bound, bound))
+                 for _ in range(2)]
+        x = random_solution(n, rng)
+        assume(np.abs(GainCache.build(forms[0], x).gains).max() > 2**53)
+        assert_descents_agree(forms, x, (1.0 - lam, lam * alpha), pivot)
+
+    @pytest.mark.parametrize("weights, picked", [(None, 17), ((1.0, 0.0), 13), ((1.0, 0.5), 13)])
+    def test_blend_rounds_gains_past_2_53_to_nearest_even(self, weights, picked):
+        # From 0 the gains of bits 5, 9, 13, 17 are 2^53 + (1, 2, 3, 5), and
+        # the first flip of them makes the other three lose. As doubles,
+        # rounded to nearest even, they are 2^53 + (0, 2, 4, 4): the blend's
+        # first maximum is bit 13, the integer maximum bit 17. The second
+        # form's gains are all 0.
+        n, big = 24, 2**53
+        q = np.diag(np.full(n, -1, dtype=np.int64))
+        bits = [5, 9, 13, 17]
+        for i, extra in zip(bits, (1, 2, 3, 5)):
+            q[i, i] = big + extra
+            for j in bits:
+                if j != i:
+                    q[i, j] = -big
+        forms = (UbqpInstance.from_matrix(q), UbqpInstance.from_matrix(np.zeros((n, n), dtype=int)))
+        caches = assert_descents_agree(forms, np.zeros(n, dtype=np.int8), weights, "best")
+        assert caches[0].solution.nonzero()[0].tolist() == [picked]
+
     @pytest.mark.parametrize("pivot", PIVOT_RULES)
     def test_local_search_runs_the_kernel(self, pivot, monkeypatch):
         inst = make_instance(30, seed=3)
@@ -174,7 +261,7 @@ class TestDescentEquivalence:
 
 
 class TestIterationEquivalence:
-    @given(st.integers(1, 40), st.integers(0, 2**32), st.sampled_from(FORMS),
+    @given(st.integers(1, MAX_N), st.integers(0, 2**32), st.sampled_from(FORMS),
            st.one_of(st.none(), st.sampled_from(FORMS)), st.sampled_from(PIVOT_RULES),
            st.booleans(), st.sampled_from(LAMS), st.sampled_from(ALPHAS),
            st.integers(0, 400), st.integers(1, 20000), st.data())
@@ -272,6 +359,24 @@ def test_runs_are_byte_identical_on_both_paths(pivot, request):
     request.getfixturevalue("no_kernel")
     assert _kernel.library() is None
     assert _run_logs(inst, pivot) == compiled
+
+
+@pytest.mark.parametrize("pivot", PIVOT_RULES)
+def test_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch):
+    # A compiler without __has_attribute builds lsils_iterate once, with no
+    # per-CPU clones and no forced inlining, as on a platform without ifunc.
+    inst = make_instance(MAX_N, seed=22)
+    dispatched = _run_logs(inst, pivot)
+    plain = tmp_path / "plain.so"
+    subprocess.run([_kernel._compiler(), "-D__has_attribute(x)=0", *_kernel.FLAGS,
+                    "-o", str(plain), str(_kernel.SOURCE)], check=True, capture_output=True)
+    assert b"lsils_iterate.resolver" not in plain.read_bytes()
+    monkeypatch.setattr(_kernel, "_build", lambda: ctypes.CDLL(str(plain)))
+    _kernel.library.cache_clear()
+    try:
+        assert _run_logs(inst, pivot) == dispatched
+    finally:
+        _kernel.library.cache_clear()
 
 
 def test_search_tests_pass_on_the_numpy_path(tmp_path):

@@ -1,5 +1,10 @@
 """Solver tests: perturbation, local search, ILS, and the smoothed variant."""
 
+import gc
+import io
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from lsils import (
     Budget,
     LambdaSchedule,
+    RunLogRecord,
     SearchConfig,
     SmoothedObjective,
     ToyKind,
@@ -21,10 +27,12 @@ from lsils import (
     local_search,
     lsils,
     random_solution,
+    read_runlog_csv,
     seeded_rng,
+    write_runlog_csv,
 )
 from lsils.qubo import INIT_STREAM
-from lsils.search import BestTracker, _Meter, sample_distinct_positions
+from lsils.search import BUDGET_KINDS, BestTracker, RunLog, _Meter, sample_distinct_positions
 
 import oracles
 from test_qubo import make_instance
@@ -50,8 +58,9 @@ class TestConfigValidation:
     def test_alpha_checked(self):
         with pytest.raises(ValueError, match="alpha"):
             SearchConfig(budget=Budget("evals", 10), alpha="big")
-        with pytest.raises(ValueError, match="alpha"):
-            SearchConfig(budget=Budget("evals", 10), alpha=-1.0)
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                SearchConfig(budget=Budget("evals", 10), alpha=alpha)
 
     def test_toy_kind_coerced(self):
         cfg = SearchConfig(budget=Budget("evals", 10), toy_kind="plusminusi")
@@ -147,6 +156,78 @@ class TestMeter:
             stepped.charge(n)
         assert batched.records == stepped.records
         assert (batched.consumed, batched.next_mark) == (stepped.consumed, stepped.next_mark)
+
+
+class TestRunLog:
+    @given(st.sampled_from(BUDGET_KINDS),
+           st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62),
+                              st.integers(-2**62, 2**62), st.floats(0, 1)), max_size=30))
+    def test_records_return_the_appended_points(self, kind, points):
+        log = RunLog(kind)
+        expected = []
+        for elapsed, evaluations, best, lam in points:
+            if kind == "seconds":
+                elapsed /= 1000
+            log.append(elapsed, evaluations, best, lam)
+            expected.append(RunLogRecord(elapsed=elapsed, evaluations=evaluations,
+                                         best_f=best, lam=lam))
+        assert len(log) == len(points)
+        assert log.records == expected
+        assert {type(r.elapsed) for r in log.records} <= {int if kind == "evals" else float}
+
+    @pytest.mark.parametrize("budget, interval", [(Budget("evals", 20000), 900),
+                                                  (Budget("seconds", 0.05), 0.01)])
+    def test_run_logs_round_trip_through_csv(self, budget, interval):
+        result = ils(make_instance(30, seed=2), SearchConfig(budget=budget, log_interval=interval))
+        records = result.records
+        assert len(records) >= 2
+        assert {type(r.elapsed) for r in records} == {int if budget.kind == "evals" else float}
+        text = io.StringIO()
+        write_runlog_csv(records, text)
+        back, _ = read_runlog_csv(io.StringIO(text.getvalue()))
+        if budget.kind == "evals":
+            assert back == records
+        else:  # the CSV keeps seconds to three decimals
+            assert [r.elapsed for r in back] == [round(r.elapsed, 3) for r in records]
+            assert [r.best_f for r in back] == [r.best_f for r in records]
+
+    def test_run_result_pickles(self):
+        # `lsils batch --jobs` sends results back from worker processes.
+        result = lsils(make_instance(30, seed=3), SearchConfig(
+            budget=Budget("evals", 20000), log_interval=700, toy_kind=ToyKind.RANDOM,
+            lambda_schedule=LambdaSchedule.staged_ramp(20000)))
+        back = pickle.loads(pickle.dumps(result))
+        assert back.records == result.records
+        assert back.log.elapsed.typecode == "q"
+        assert (back.algo, back.seed, back.best_value, back.evaluations) == \
+            (result.algo, result.seed, result.best_value, result.evaluations)
+        assert np.array_equal(back.best_solution, result.best_solution)
+
+    def test_a_block_of_runs_retains_few_bytes_per_record(self):
+        # A 40-run block of about 101 records a run, kept whole as the
+        # benchmark and `lsils batch` keep it: about 44 bytes a record, where
+        # one RunLogRecord object per record took about 122.
+        inst = make_instance(100, seed=7)
+        budget = 200_000
+
+        def run(seed):
+            return ils(inst, SearchConfig(budget=Budget("evals", budget), seed=seed,
+                                          log_interval=budget // 100))
+
+        run(0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            kept = [run(seed) for seed in range(40)]
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        records = sum(len(result.records) for result in kept)
+        assert records >= 40 * 100
+        assert retained / records <= 56, f"{retained / records:.1f} bytes per record"
 
 
 class TestLocalSearch:

@@ -262,6 +262,9 @@ class TestAutoAlpha:
         toy = construct_toy(ToyKind.PLUS_MINUS_ONE, (1, 0))
         with pytest.raises(ValueError, match="target bound"):
             auto_alpha(inst, toy)
+        for bound in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="target bound"):
+                auto_alpha(inst, toy, target_bound=bound)
 
 
 class TestSmoothedObjective:
@@ -274,8 +277,9 @@ class TestSmoothedObjective:
         inst, toy, _ = self.make()
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             SmoothedObjective(instance=inst, toy=toy, lam=1.5, alpha=1.0)
-        with pytest.raises(ValueError, match="alpha"):
-            SmoothedObjective(instance=inst, toy=toy, lam=0.5, alpha=0.0)
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                SmoothedObjective(instance=inst, toy=toy, lam=0.5, alpha=alpha)
         other = construct_toy(ToyKind.PLUS_MINUS_ONE, (1, 0))
         with pytest.raises(ValueError, match="dimensions"):
             SmoothedObjective(instance=inst, toy=other, lam=0.5, alpha=1.0)
