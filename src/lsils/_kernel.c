@@ -263,7 +263,7 @@ HOT int64_t pick_int(const int64_t *g, int64_t n, int first, int64_t *examined)
     return best > 0 ? k : -1;
 }
 
-/* As pick_int on the blend; the add is skipped when wt == 0, as in numpy.
+/* As pick_int on the blend wo * go + wt * gt, rounded as in numpy.
  * The best-improvement scan writes the blend's bit patterns to `bits` and
  * runs the integer scan on them. A positive double orders like its bit
  * pattern read as int64, and a negative one or -0.0 reads as a negative
@@ -279,9 +279,7 @@ HOT int64_t pick_blend(const int64_t *go, const int64_t *gt, double wo, double w
     *examined = n;
     if (first) {
         for (j = 0; j < n; j++) {
-            double v = (double)go[j] * wo;
-            if (wt != 0.0)
-                v += (double)gt[j] * wt;
+            double v = (double)go[j] * wo + (double)gt[j] * wt;
             if (v > 0.0) {
                 *examined = j + 1;
                 return j;
@@ -289,16 +287,9 @@ HOT int64_t pick_blend(const int64_t *go, const int64_t *gt, double wo, double w
         }
         return -1;
     }
-    if (wt != 0.0) {
-        for (j = 0; j < n; j++) {
-            double v = (double)go[j] * wo + (double)gt[j] * wt;
-            memcpy(&bits[j], &v, sizeof v);
-        }
-    } else {
-        for (j = 0; j < n; j++) {
-            double v = (double)go[j] * wo;
-            memcpy(&bits[j], &v, sizeof v);
-        }
+    for (j = 0; j < n; j++) {
+        double v = (double)go[j] * wo + (double)gt[j] * wt;
+        memcpy(&bits[j], &v, sizeof v);
     }
     k = first_max(bits, n, &best);
     return best > 0 ? k : -1;
@@ -321,8 +312,7 @@ HOT void charge(int64_t *st, int64_t units)
  * 4n slots: an identity permutation, then three scratch vectors of which the
  * second is all zero; both are left as found. The perturbation writes the
  * first and third vectors, and the blended scan writes the third. `blend`
- * selects the float pivot; caches[1] is read only when it is on and
- * wt != 0. */
+ * selects the float pivot; caches[1] is read only when it is on. */
 CLONES int64_t lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
                              int64_t first, int64_t blend, double wo, double wt,
                              const int64_t *targets, int64_t bits, int64_t *scratch,

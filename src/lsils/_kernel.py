@@ -5,8 +5,9 @@ compiler, and cached under this package's `__pycache__` in a file named by
 a hash of the source, the flags and the platform. It is written under a
 temporary name and moved into place with `os.replace`, so processes that
 build it at the same moment (parallel `lsils batch` workers) each install
-a complete file. When that directory is not writable the library is built
-in a private temporary directory, loaded, and the directory removed.
+a complete file, and the libraries of other sources or flags found there
+are removed. When that directory is not writable the library is built in a
+private temporary directory, loaded, and the directory removed.
 
 The flags name no CPU. On x86-64 with glibc the source builds
 `lsils_iterate` once per x86-64 level (v4, v3, baseline) and the loader
@@ -87,6 +88,16 @@ def _library_name() -> str:
     return f"_kernel-{key.hexdigest()[:16]}.so"
 
 
+def _prune(keep: Path) -> None:
+    """Remove the other cached libraries from `keep`'s directory, as far as allowed."""
+    for stale in keep.parent.glob("_kernel-*.so"):
+        if stale != keep:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+
+
 def _build():
     """Load the cached library, compiling it first when it is missing."""
     import ctypes
@@ -97,6 +108,7 @@ def _build():
         if not cached.is_file():
             CACHE_DIR.mkdir(exist_ok=True)
             _compile(_compiler(), cached)
+            _prune(cached)
         return ctypes.CDLL(str(cached))
     except OSError:
         pass  # no usable cache directory: build privately below

@@ -6,9 +6,8 @@ signed 64-bit integer math; no floating point enters until objectives are
 blended in the smoothing layer.
 
 The quadratic-form protocol shared by instances and toy matrices is duck
-typed: an object with `n`, `diag()`, `col(k)`, `matvec(v)` and
-`flip_matvec(on, off)` can be evaluated and gain-cached by the helpers
-below.
+typed: an object with `n`, `diag()`, `col(k)` and `matvec(v)` can be
+evaluated and gain-cached by the helpers below.
 """
 
 from __future__ import annotations
@@ -96,10 +95,6 @@ class UbqpInstance:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.q @ np.asarray(v, dtype=np.int64)
 
-    def flip_matvec(self, on: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """Fresh Q (x' - x) when bits `on` go 0 -> 1 and bits `off` go 1 -> 0."""
-        return self.q[on].sum(axis=0) - self.q[off].sum(axis=0)
-
 
 def evaluate(form, x) -> int:
     """Exact objective value x^T Q x of any quadratic form in the protocol."""
@@ -144,14 +139,10 @@ class GainCache:
     solution: np.ndarray
     gains: np.ndarray
     sigma: np.ndarray
-    _buf: np.ndarray = field(repr=False, default=None)
-    _diag: np.ndarray = field(repr=False, default=None)
+    _buf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self._buf is None:
-            self._buf = np.empty(self.solution.size, dtype=np.int64)
-        if self._diag is None:
-            self._diag = np.asarray(self.form.diag(), dtype=np.int64)
+        self._buf = np.empty(self.solution.size, dtype=np.int64)
 
     @classmethod
     def build(cls, form, x) -> "GainCache":
@@ -162,8 +153,7 @@ class GainCache:
         sigma = 1 - 2 * x64
         d = np.asarray(form.diag(), dtype=np.int64)
         gains = sigma * (2 * form.matvec(x64) - 2 * d * x64 + d)
-        return cls(form=form, solution=x.copy(), gains=gains, sigma=sigma,
-                   _buf=np.empty(form.n, dtype=np.int64), _diag=d)
+        return cls(form=form, solution=x.copy(), gains=gains, sigma=sigma)
 
     def apply_flip(self, k: int) -> "GainCache":
         """Flip bit k of the cached solution and update all gains in O(n)."""
@@ -180,36 +170,3 @@ class GainCache:
         self.solution[k] ^= 1
         self.sigma[k] = -sk
         return self
-
-    def apply_flips(self, positions) -> int:
-        """Flip the distinct bits `positions` in one block update.
-
-        Returns the exact objective change. With v = sigma on the flipped
-        set P and 0 elsewhere (sigma taken before the flip) and t = Q v,
-        every gain shifts by 2 sigma t, each p in P then becomes
-        -(g_p + 2 sigma_p t_p - 2 Q_pp), and the objective changes by
-        sum g_P + sigma_P . t_P - sum Q_pp. None of this depends on flip
-        order, so the result equals flipping P one bit at a time.
-        """
-        positions = np.asarray(positions, dtype=np.intp)
-        n = self.solution.size
-        if positions.ndim != 1 or positions.size == 0:
-            raise ValueError("positions must be a non-empty index vector")
-        if positions.min() < 0 or positions.max() >= n:
-            raise IndexError("flip index out of range")
-        if np.bincount(positions).max() > 1:
-            raise ValueError("flip positions must be distinct")
-        sp = self.sigma[positions]
-        # v = x' - x, so t = Q v adds the rows switched on, minus those switched off.
-        t = self.form.flip_matvec(positions[sp > 0], positions[sp < 0])
-        gp = self.gains[positions]
-        tp = t[positions]
-        dp = self._diag[positions]
-        delta = int(gp.sum()) + int(sp @ tp) - int(dp.sum())
-        t *= self.sigma
-        t *= 2
-        self.gains += t
-        self.gains[positions] = -(gp + 2 * sp * tp - 2 * dp)
-        self.solution[positions] ^= 1
-        self.sigma[positions] = -sp
-        return delta

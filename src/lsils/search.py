@@ -15,12 +15,16 @@ baseline and follows a bit-identical trajectory.
 Seconds-mode budgets measure wall-clock time instead and are therefore not
 reproducible; evaluation-count budgets are the deterministic default.
 
+At lam = 0 the smoothed objective is the original one, and the descent
+takes the original objective's exact integer gains, not a float blend.
+
 Each outer iteration is one call into the compiled kernel of `_kernel.c`
 when it builds: the perturbation's swap targets are drawn in numpy and
 charged here, and the kernel picks the positions, block-updates every gain
-cache and descends. `sample_distinct_positions`, `_perturb_in_place` and
-`_descend` are the numpy reference it matches flip for flip, and the path
-taken without a C compiler.
+cache and descends. `sample_distinct_positions`, `_perturb_in_place` (which
+flips the positions one bit at a time) and `_descend` are the numpy
+reference it matches flip for flip, and the path taken without a C
+compiler.
 """
 
 from __future__ import annotations
@@ -301,11 +305,12 @@ def _descend(caches, weights, value, tracker, meter, pivot_rule: str):
     """Run local search all the way to a local optimum.
 
     `caches` holds the gain cache of the original objective first, then
-    optionally the toy's; `weights` (wo, wt) switches the combined float
-    objective on, otherwise descent follows the primary cache's integer
-    gains. `value` tracks the primary cache's exact objective and is
-    returned updated. Budget exhaustion is checked between descents, not
-    inside one, so the consumed total may overshoot by one descent.
+    the toy's when blended; `weights` (wo, wt) switches the combined float
+    objective wo * g_0 + wt * g_1 on, otherwise descent follows the primary
+    cache's integer gains. `value` tracks the primary cache's exact
+    objective and is returned updated. Budget exhaustion is checked between
+    descents, not inside one, so the consumed total may overshoot by one
+    descent.
     """
     primary = caches[0]
     n = primary.solution.size
@@ -317,9 +322,8 @@ def _descend(caches, weights, value, tracker, meter, pivot_rule: str):
         else:
             wo, wt = weights
             np.multiply(caches[0].gains, wo, out=combined)
-            if wt != 0.0:
-                np.multiply(caches[1].gains, wt, out=scratch)
-                combined += scratch
+            np.multiply(caches[1].gains, wt, out=scratch)
+            combined += scratch
             gains = combined
         k, examined = _pick_flip(gains, pivot_rule, n)
         meter.charge(examined)
@@ -378,7 +382,7 @@ class _Descent:
         blend = weights is not None
         wo, wt = weights if blend else (1.0, 0.0)
         n = self.caches[0].solution.size
-        if not self.compiled or (wt != 0.0 and len(self.caches) < 2):
+        if not self.compiled:
             if bits:
                 positions = sample_distinct_positions(rng, n, bits)
                 value = _perturb_in_place(self.caches, positions, value, meter)
@@ -417,14 +421,17 @@ class _Descent:
 def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     """Descend from x to a one-bit-flip local optimum of the objective.
 
-    The objective may be a UbqpInstance, a ToyMatrix, or a SmoothedObjective.
+    The objective may be a UbqpInstance, a ToyMatrix, or a SmoothedObjective;
+    one at lam = 0 is its instance, descended on exact integer gains.
     """
     if pivot_rule not in PIVOT_RULES:
         raise ValueError(f"pivot rule must be one of {PIVOT_RULES}")
+    forms, weights = (objective,), None
     if isinstance(objective, SmoothedObjective):
-        forms, weights = (objective.instance, objective.toy), objective.weights
-    else:
-        forms, weights = (objective,), None
+        if objective.lam == 0:
+            forms = (objective.instance,)
+        else:
+            forms, weights = (objective.instance, objective.toy), objective.weights
     caches = [GainCache.build(form, x) for form in forms]
     # Unbudgeted and untracked: the running value the descent keeps is unused.
     meter = _Meter(Budget("evals", float("inf")), None, None)
@@ -433,16 +440,17 @@ def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
 
 
 def _perturb_in_place(caches, positions, value, meter) -> int:
-    """Flip `positions` through all caches, returning the updated value.
+    """Flip `positions` one bit at a time through all caches; returns the updated value.
 
-    Each cache takes one block update, and the meter one charge of n per
-    flip, so interval records land on the same counts as flipping one bit
-    at a time.
+    The meter takes n per flipped bit, in one call that stamps interval
+    records as separate charges would.
     """
-    value += caches[0].apply_flips(positions)
-    for cache in caches[1:]:
-        cache.apply_flips(positions)
-    meter.charge(caches[0].solution.size, steps=len(positions))
+    primary = caches[0]
+    for p in positions.tolist():
+        value += int(primary.gains[p])
+        for cache in caches:
+            cache.apply_flip(p)
+    meter.charge(primary.solution.size, steps=len(positions))
     return value
 
 
@@ -488,7 +496,8 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
                          if config.alpha == "auto" else float(config.alpha))
                 descent = _Descent([primary, GainCache.build(toy, primary.solution)],
                                    config.pivot_rule)
-            weights = (1.0 - lam, lam * alpha)
+            # At lam = 0, g is f: descend on its exact integer gains.
+            weights = (1.0 - lam, lam * alpha) if lam else None
         value = descent(weights, value, tracker, meter, rng_perturb, bits)
 
     meter.finish()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -57,25 +57,23 @@ class ToyMatrix:
     """A unimodal toy UBQP anchored at `anchor`.
 
     Magnitudes are implicit for kinds plusminus1 and plusminusi (O(1)
-    storage); only kind random stores its realized n x n matrix, drawn from
-    the recorded `rng_seed`, and the largest draw as `_peak`.
+    storage); only kind random stores its realized n x n matrix, and the
+    largest draw as `_peak`. `n` is the anchor's length.
     """
 
     kind: ToyKind
     anchor: np.ndarray
-    n: int
-    rng_seed: int | None = None
+    n: int = field(init=False)
     _q: np.ndarray | None = None
     _peak: int | None = None
-    _anchor64: np.ndarray = None
-    _idx1: np.ndarray = None
-    _signs: np.ndarray = None
+    _anchor64: np.ndarray = field(init=False)
+    _idx1: np.ndarray = field(init=False)
+    _signs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.anchor = as_solution(self.anchor).copy()
         self.anchor.setflags(write=False)
-        if self.n != self.anchor.size:
-            raise ValueError("anchor length must equal n")
+        self.n = self.anchor.size
         self._anchor64 = self.anchor.astype(np.int64)
         self._idx1 = np.arange(1, self.n + 1, dtype=np.int64)
         # Row k's signs when anchor_k = 1; every other row is all -1.
@@ -113,15 +111,6 @@ class ToyMatrix:
             return 2 * a * _index_matvec(a * v) - _index_matvec(v)
         return self._q @ v
 
-    def flip_matvec(self, on: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """Fresh Q (x' - x) when bits `on` go 0 -> 1 and bits `off` go 1 -> 0."""
-        if self.kind is ToyKind.RANDOM:
-            return self._q[on].sum(axis=0) - self._q[off].sum(axis=0)
-        v = np.zeros(self.n, dtype=np.int64)
-        v[on] = 1
-        v[off] = -1
-        return self.matvec(v)
-
     # -- helpers ------------------------------------------------------------
     def max_abs(self) -> int:
         """Largest |entry| of the realized matrix."""
@@ -153,10 +142,10 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     """
     kind = ToyKind(kind)
     anchor = as_solution(anchor)
-    n = anchor.size
     if kind is not ToyKind.RANDOM:
-        return ToyMatrix(kind=kind, anchor=anchor, n=n)
+        return ToyMatrix(kind=kind, anchor=anchor)
     from . import _kernel  # here, not at the top: _kernel imports this module
+    n = anchor.size
     rng = seeded_rng(seed, TOY_MAGNITUDE_STREAM)
     draws = rng.integers(1, 101, size=n * (n + 1) // 2)
     q = np.empty((n, n), dtype=np.int64)
@@ -173,7 +162,7 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
             q[:i + 1, i] = row
             start += i + 1
         peak = int(draws.max())
-    return ToyMatrix(kind=kind, anchor=anchor, n=n, rng_seed=int(seed), _q=q, _peak=peak)
+    return ToyMatrix(kind=kind, anchor=anchor, _q=q, _peak=peak)
 
 
 def auto_alpha(inst: UbqpInstance, toy: ToyMatrix, target_bound=None) -> float:
@@ -202,7 +191,7 @@ class SmoothedObjective:
     toy: ToyMatrix
     lam: float
     alpha: float
-    n: int = None
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
@@ -236,7 +225,6 @@ class LambdaSchedule:
 
     steps: tuple = ()
     unit: str = "evals"
-    lambda_max: float = 1.0
 
     def __post_init__(self) -> None:
         if self.unit not in ("evals", "seconds"):
@@ -247,8 +235,6 @@ class LambdaSchedule:
         for _, v in self.steps:
             if not 0.0 <= v <= 1.0:
                 raise ValueError("schedule values must lie in [0, 1]")
-        if self.steps and self.steps[-1][1] > self.lambda_max + 1e-15:
-            raise ValueError("final schedule value exceeds lambda_max")
 
     @classmethod
     def zero(cls, unit: str = "evals") -> "LambdaSchedule":
@@ -263,7 +249,7 @@ class LambdaSchedule:
         """Default ramp: step to 0.001..0.004 at 20/40/60/80% of the budget."""
         steps = tuple((frac * budget_amount, val) for frac, val in
                       ((0.2, 0.001), (0.4, 0.002), (0.6, 0.003), (0.8, 0.004)))
-        return cls(steps=steps, unit=unit, lambda_max=0.004)
+        return cls(steps=steps, unit=unit)
 
     def value_at(self, consumed) -> float:
         thresholds = [t for t, _ in self.steps]

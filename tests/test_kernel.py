@@ -41,13 +41,14 @@ from lsils import _kernel, search
 from lsils.search import PIVOT_RULES, BestTracker, _Meter
 
 from test_qubo import make_instance, random_symmetric
+from test_search import gains_past_2_53
 
 ROOT = Path(__file__).resolve().parent.parent
 # Sizes up to 130 put the kernel's best-improvement scan across two whole
 # 64-entry blocks and a tail, and its vector loops across their remainders.
 MAX_N = 130
 FORMS = ("instance",) + tuple(kind.value for kind in ToyKind)
-# (1 - lam, lam * alpha) blends, (1.0, 0.0) among them.
+# (1 - lam, lam * alpha) blends of two forms, (1.0, 0.0) among them.
 LAMS = (0.0, 0.001, 0.3, 0.5, 1.0)
 ALPHAS = (0.25, 1.0, 3.7)
 
@@ -85,6 +86,18 @@ def test_build_caches_one_file_by_hash(tmp_path, monkeypatch):
     assert _kernel._build().lsils_iterate
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [_kernel._library_name()]
     assert _kernel._build().lsils_iterate
+
+
+def test_build_prunes_stale_libraries(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "_kernel-0123456789abcdef.so").write_bytes(b"an older kernel")
+    (cache / "_kernel-fedcba9876543210.so").mkdir()  # cannot be unlinked
+    (cache / "other.so").write_bytes(b"")
+    monkeypatch.setattr(_kernel, "CACHE_DIR", cache)
+    assert _kernel._build().lsils_iterate
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [_kernel._library_name(), "_kernel-fedcba9876543210.so", "other.so"])
 
 
 def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
@@ -127,12 +140,7 @@ class TestDescentEquivalence:
                                           interval, start, budget):
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
-        if not blend:
-            weights = None
-        elif len(forms) == 2:
-            weights = (1.0 - lam, lam * alpha)
-        else:
-            weights = (1.0, 0.0)
+        weights = (1.0 - lam, lam * alpha) if blend and len(forms) == 2 else None
         value = evaluate(forms[0], x)
 
         def state():
@@ -222,15 +230,9 @@ class TestDescentEquivalence:
         # rounded to nearest even, they are 2^53 + (0, 2, 4, 4): the blend's
         # first maximum is bit 13, the integer maximum bit 17. The second
         # form's gains are all 0.
-        n, big = 24, 2**53
-        q = np.diag(np.full(n, -1, dtype=np.int64))
-        bits = [5, 9, 13, 17]
-        for i, extra in zip(bits, (1, 2, 3, 5)):
-            q[i, i] = big + extra
-            for j in bits:
-                if j != i:
-                    q[i, j] = -big
-        forms = (UbqpInstance.from_matrix(q), UbqpInstance.from_matrix(np.zeros((n, n), dtype=int)))
+        inst = gains_past_2_53()
+        n = inst.n
+        forms = (inst, UbqpInstance.from_matrix(np.zeros((n, n), dtype=int)))
         caches = assert_descents_agree(forms, np.zeros(n, dtype=np.int8), weights, "best")
         assert caches[0].solution.nonzero()[0].tolist() == [picked]
 
@@ -274,12 +276,7 @@ class TestIterationEquivalence:
         slots = (first,) if second is None else (first, second)
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
-        if not blend:
-            weights = None
-        elif len(forms) == 2:
-            weights = (1.0 - lam, lam * alpha)
-        else:
-            weights = (1.0, 0.0)
+        weights = (1.0 - lam, lam * alpha) if blend and len(forms) == 2 else None
         value = evaluate(forms[0], x)
 
         def state():
@@ -310,6 +307,25 @@ class TestIterationEquivalence:
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
         assert np.array_equal(descent.scratch[:n], np.arange(n))
         assert not descent.scratch[2 * n:3 * n].any()
+
+    def test_repeated_blocks_stay_exact(self):
+        # Each form kind as the only cache: 50 compiled perturbations of up
+        # to n bits, each followed by a descent.
+        n = 60
+        rng = seeded_rng(21)
+        for name in FORMS:
+            form = make_form(name, n, int(rng.integers(0, 2**32)))
+            cache = GainCache.build(form, random_solution(n, rng))
+            descent = search._Descent([cache], "best")
+            assert descent.compiled
+            meter = _Meter(Budget("evals", float("inf")), None, None)
+            value = evaluate(form, cache.solution)
+            for _ in range(50):
+                value = descent(None, value, None, meter, rng, int(rng.integers(1, n + 1)))
+                assert value == evaluate(form, cache.solution)
+                fresh = GainCache.build(form, cache.solution)
+                assert np.array_equal(cache.gains, fresh.gains)
+                assert np.array_equal(cache.sigma, fresh.sigma)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 33, 500])
     def test_random_toy_fill_matches_numpy_fill(self, n, request):
@@ -379,6 +395,7 @@ def test_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch):
         _kernel.library.cache_clear()
 
 
+@pytest.mark.slow
 def test_search_tests_pass_on_the_numpy_path(tmp_path):
     plugin = tmp_path / "numpy_descent.py"
     plugin.write_text(textwrap.dedent("""

@@ -13,7 +13,6 @@ from lsils import (
     GainCache,
     UbqpInstance,
     as_solution,
-    construct_toy,
     evaluate,
     flip_delta,
     mean_abs,
@@ -178,59 +177,6 @@ class TestGainCache:
             value += int(cache.gains[k])
             cache.apply_flip(k)
         assert value == int(inst.q.sum())
-
-
-FORM_KINDS = ("instance", "plusminus1", "plusminusi", "random")
-
-
-def make_form(kind: str, n: int, rng: np.random.Generator):
-    if kind == "instance":
-        return UbqpInstance.from_matrix(random_symmetric(n, rng))
-    return construct_toy(kind, random_solution(n, rng), seed=int(rng.integers(0, 2**32)))
-
-
-class TestApplyFlips:
-    @settings(max_examples=200)
-    @given(st.sampled_from(FORM_KINDS), st.integers(1, 30), st.integers(0, 2**32), st.data())
-    def test_block_update_equals_sequential_flips(self, kind, n, seed, data):
-        rng = seeded_rng(seed)
-        form = make_form(kind, n, rng)
-        x = random_solution(n, rng)
-        count = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
-        positions = data.draw(st.permutations(range(n)))[:count]
-        sequential = GainCache.build(form, x)
-        for p in positions:
-            sequential.apply_flip(p)
-        block = GainCache.build(form, x)
-        delta = block.apply_flips(np.array(positions))
-        assert np.array_equal(block.gains, sequential.gains)
-        assert np.array_equal(block.sigma, sequential.sigma)
-        assert np.array_equal(block.solution, sequential.solution)
-        assert delta == evaluate(form, block.solution) - evaluate(form, x)
-
-    def test_repeated_blocks_stay_exact(self):
-        rng = seeded_rng(21)
-        for kind in FORM_KINDS:
-            form = make_form(kind, 60, rng)
-            cache = GainCache.build(form, random_solution(60, rng))
-            value = evaluate(form, cache.solution)
-            for _ in range(50):
-                count = int(rng.integers(1, 61))
-                value += cache.apply_flips(rng.permutation(60)[:count])
-            assert value == evaluate(form, cache.solution)
-            assert np.array_equal(GainCache.build(form, cache.solution).gains, cache.gains)
-
-    def test_rejects_bad_positions(self):
-        cache = GainCache.build(make_instance(6, 22), np.zeros(6, dtype=np.int8))
-        with pytest.raises(ValueError, match="distinct"):
-            cache.apply_flips([1, 3, 1])
-        with pytest.raises(IndexError):
-            cache.apply_flips([0, 6])
-        with pytest.raises(IndexError):
-            cache.apply_flips([-1])
-        with pytest.raises(ValueError, match="non-empty"):
-            cache.apply_flips([])
-        assert not cache.solution.any()
 
 
 class TestMeanMaxAbs:

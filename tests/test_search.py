@@ -17,6 +17,7 @@ from lsils import (
     SearchConfig,
     SmoothedObjective,
     ToyKind,
+    UbqpInstance,
     auto_alpha,
     construct_toy,
     enumerate_local_optima,
@@ -314,6 +315,24 @@ class TestLocalSearch:
             local_search(random_solution(6, seeded_rng(0)), inst, pivot_rule="x")
 
 
+def gains_past_2_53() -> UbqpInstance:
+    """n = 24, where from 0 bits 5, 9, 13, 17 gain 2^53 + (1, 2, 3, 5).
+
+    Flipping any one of them makes the other three lose, and every other
+    bit loses. As doubles the four gains round to 2^53 + (0, 2, 4, 4), so a
+    float pivot takes bit 13 where the exact integer pivot takes bit 17.
+    """
+    n, big = 24, 2**53
+    q = np.diag(np.full(n, -1, dtype=np.int64))
+    bits = [5, 9, 13, 17]
+    for i, extra in zip(bits, (1, 2, 3, 5)):
+        q[i, i] = big + extra
+        for j in bits:
+            if j != i:
+                q[i, j] = -big
+    return UbqpInstance.from_matrix(q)
+
+
 def small_run(n=40, amount=20000, seed=0, **kw):
     inst = make_instance(n, seed=seed + 500)
     cfg = SearchConfig(budget=Budget("evals", amount), seed=seed, **kw)
@@ -414,6 +433,25 @@ class TestLsils:
                 assert a.best_value == b.best_value
                 assert a.evaluations == b.evaluations
                 assert a.records == b.records
+
+    @pytest.mark.parametrize("kind", list(ToyKind))
+    def test_zero_lambda_is_the_original_objective(self, kind):
+        # At lam = 0, g is f, so the descent must take f's exact integer
+        # gains: a float blend (1.0, 0.0) would round them and pick bit 13.
+        inst = gains_past_2_53()
+        x = np.zeros(inst.n, dtype=np.int8)
+        g = SmoothedObjective(instance=inst, toy=construct_toy(kind, x, seed=3), lam=0.0,
+                              alpha=1.0)
+        assert local_search(x, g).nonzero()[0].tolist() == [17]
+        assert np.array_equal(local_search(x, g), local_search(x, inst))
+        for seed in range(10):
+            config = SearchConfig(budget=Budget("evals", 20000), seed=seed, alpha=1.0,
+                                  lambda_schedule=LambdaSchedule.zero(), toy_kind=kind,
+                                  log_interval=1000)
+            a, b = ils(inst, config), lsils(inst, config)
+            assert np.array_equal(a.best_solution, b.best_solution)
+            assert (a.best_value, a.evaluations) == (b.best_value, b.evaluations)
+            assert a.records == b.records
 
     def test_full_weight_schedule_freezes_the_best(self):
         # At blend weight 1 every descent returns to the current best, so
