@@ -3,12 +3,14 @@
 Solutions are indexed little-endian: bit i of index s is x_i. Local-optima
 enumeration walks all 2^n solutions in reflected-binary Gray-code order
 (one flip per step, O(n) incremental gain update), stores every objective
-value, then compares each solution against its n neighbors. Histograms use
-a bilinear block split of the matrix instead, which computes the same 2^n
-values in a handful of dense operations.
+value, then compares each solution against its n neighbors. Every other
+2^n enumeration streams the values from `_value_blocks`, a bilinear block
+split of the matrix that yields them in cache-sized blocks made by exact
+int64 additions. Histograms count block by block, so their memory does not
+grow with 2^n; `all_values_blocked` fills one array from the same blocks.
 
-Everything here is guarded to n <= ENUMERATION_GUARD since work and memory
-grow as 2^n.
+Everything here is guarded to n <= ENUMERATION_GUARD since the work (and
+the census's memory) grows as 2^n.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ from .smoothing import SmoothedObjective, ToyKind, ToyMatrix, construct_toy
 
 ENUMERATION_GUARD = 25
 HISTOGRAM_QUANTUM_DECIMALS = 9
+# A block of `_value_blocks` is 2^_BLOCK_BITS rows of 2^(n // 2) values:
+# 2 MiB at n = 24.
+_BLOCK_BITS = 6
+# Values a histogram holds besides its blocks (8 MiB): `_tally`'s sort
+# batch, or the widest span an integer histogram counts in one array.
+_COUNT_SLOTS = 1 << 20
 
 
 def _check_guard(n: int) -> None:
@@ -122,12 +130,16 @@ def _bit_table(bits: int) -> np.ndarray:
     return ((rows[:, None] >> np.arange(bits)) & 1).astype(np.int64)
 
 
-def all_values_blocked(dense: np.ndarray) -> np.ndarray:
-    """Exact values of x^T Q x for all solutions via a bilinear block split.
+def _value_blocks(dense: np.ndarray):
+    """Exact values of x^T Q x for all 2^n solutions, in index order, block by block.
 
-    With x = (u, w) split at h = n // 2, f(x) = u^T A u + w^T B w + 2 u^T C w;
-    the three terms come from small dense products instead of 2^n walks.
-    Output index s has low bits u, high bits w (same order as enumerate_values).
+    With x = (u, w) split at h = n // 2, f(x) = fa(u) + fb(w) + 2 u^T C w.
+    A table holds fa plus the cross term for the lowest bits of w (up to
+    2^_BLOCK_BITS rows of 2^h values), built by doubling; each block then
+    adds the cross term of its fixed high bits and fb, two int64 passes
+    over a cache-sized buffer. Yields one (rows, 2^h) array per block, row r
+    of block b holding indices (b * rows + r) * 2^h + u. The buffer is
+    reused for the next block, and the caller may overwrite it.
     """
     n = dense.shape[0]
     _check_guard(n)
@@ -137,30 +149,137 @@ def all_values_blocked(dense: np.ndarray) -> np.ndarray:
     a, b, c = dense[:h, :h], dense[h:, h:], dense[:h, h:]
     fa = ((lows @ a) * lows).sum(axis=1)
     fb = ((highs @ b) * highs).sum(axis=1)
-    cross = (lows @ c) @ highs.T
-    return (fb[None, :] + fa[:, None] + 2 * cross).T.reshape(-1)
+    cross = 2 * (c.T @ lows.T)  # row j: the cross term of bit j of w, over u
+    table_bits = min(_BLOCK_BITS, n - h)
+    rows = 1 << table_bits
+    table = np.empty((rows, 1 << h), dtype=np.int64)
+    table[0] = fa
+    for j in range(table_bits):
+        np.add(table[:1 << j], cross[j], out=table[1 << j:2 << j])
+    block = np.empty_like(table)
+    for hb, bits in enumerate(_bit_table(n - h - table_bits)):
+        np.add(table, bits @ cross[table_bits:], out=block)
+        block += fb[hb * rows:(hb + 1) * rows, None]
+        yield block
+
+
+def all_values_blocked(dense: np.ndarray) -> np.ndarray:
+    """Exact values of x^T Q x for all solutions, from `_value_blocks`.
+
+    Output index s has low bits u, high bits w (same order as enumerate_values).
+    """
+    _check_guard(dense.shape[0])
+    out = np.empty(1 << dense.shape[0], dtype=np.int64)
+    start = 0
+    for block in _value_blocks(dense):
+        out[start:start + block.size] = block.ravel()
+        start += block.size
+    return out
 
 
 def _dense_of(form) -> np.ndarray:
     return form.q if isinstance(form, UbqpInstance) else form.materialize()
 
 
+def _run_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct values and their counts; sorts `values` in place."""
+    values.sort()
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], np.diff(starts, append=values.size)
+
+
+def _merge_counts(keys, counts, new_keys, new_counts):
+    """Add sorted distinct (new_keys, new_counts) into sorted distinct (keys, counts)."""
+    if keys is None:
+        return new_keys, new_counts
+    pos = np.searchsorted(keys, new_keys)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == new_keys[found]
+    counts[pos[found]] += new_counts[found]
+    fresh = ~found
+    if fresh.any():
+        keys = np.insert(keys, pos[fresh], new_keys[fresh])
+        counts = np.insert(counts, pos[fresh], new_counts[fresh])
+    return keys, counts
+
+
+def _tally(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct values and their counts over all blocks.
+
+    Blocks are copied into a batch of about _COUNT_SLOTS values, which is
+    sorted in place and counted run by run; each batch's counts are merged
+    into the running ones by binary search.
+    """
+    keys = counts = batch = None
+    filled = 0
+    for block in blocks:
+        if batch is None:
+            batch = np.empty((max(1, _COUNT_SLOTS // block.size), *block.shape), block.dtype)
+        batch[filled] = block
+        filled += 1
+        if filled == len(batch):
+            keys, counts = _merge_counts(keys, counts, *_run_counts(batch.ravel()))
+            filled = 0
+    if filled:
+        keys, counts = _merge_counts(keys, counts, *_run_counts(batch[:filled].ravel()))
+    return keys, counts
+
+
+def _tally_integers(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct values and counts of x^T Q x over all solutions.
+
+    Every value lies between the sums of Q's negative and positive entries.
+    When that span is no wider than 2^n and _COUNT_SLOTS, the blocks are
+    counted by bincount into one array over the span; otherwise by `_tally`.
+    """
+    n = dense.shape[0]
+    lo, hi = int(dense[dense < 0].sum()), int(dense[dense > 0].sum())
+    span = hi - lo + 1
+    if span > min(1 << n, _COUNT_SLOTS):
+        return _tally(_value_blocks(dense))
+    counts = np.zeros(span, dtype=np.int64)
+    for block in _value_blocks(dense):
+        block -= lo
+        binned = np.bincount(block.ravel())
+        counts[:binned.size] += binned
+    keys = np.flatnonzero(counts)
+    return keys + lo, counts[keys]
+
+
+def _smoothed_blocks(objective: SmoothedObjective):
+    """Blended values (1 - lam) f + lam alpha t, block by block, quantized for counting.
+
+    The same float64 products, sum and rounding as on whole arrays, so the
+    values are bit-identical to theirs.
+    """
+    wo, wt = objective.weights
+    pairs = zip(_value_blocks(objective.instance.q), _value_blocks(objective.toy.materialize()))
+    blend = scratch = None
+    for f, t in pairs:
+        if blend is None:
+            blend, scratch = np.empty(f.shape), np.empty(f.shape)
+        np.multiply(f, wo, out=blend)
+        np.multiply(t, wt, out=scratch)
+        blend += scratch
+        np.round(blend, HISTOGRAM_QUANTUM_DECIMALS, out=blend)
+        yield blend
+
+
 def value_histogram(objective) -> dict:
-    """Exact count of every objective value over all 2^n solutions.
+    """Exact count of every objective value over all 2^n solutions, keys ascending.
 
     Integer keys for plain objectives; smoothed values are quantized to
-    1e-9 absolute before counting.
+    1e-9 absolute before counting. Values are counted block by block, so
+    memory does not grow with 2^n.
     """
-    forms, weights = _component_forms(objective)
-    n = forms[0].n
-    _check_guard(n)
-    values = _combine([all_values_blocked(_dense_of(f)) for f in forms], weights)
-    if weights is not None:
-        values = np.round(values, HISTOGRAM_QUANTUM_DECIMALS)
-        keys, counts = np.unique(values, return_counts=True)
-        return {float(k): int(c) for k, c in zip(keys, counts)}
-    keys, counts = np.unique(values, return_counts=True)
-    return {int(k): int(c) for k, c in zip(keys, counts)}
+    _check_guard(objective.n)
+    if isinstance(objective, SmoothedObjective):
+        keys, counts = _tally(_smoothed_blocks(objective))
+        # -0.0 and 0.0 count as one value; the key is 0.0 whichever the sort met first.
+        keys = keys + 0.0
+    else:
+        keys, counts = _tally_integers(_dense_of(objective))
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def collision_probability(histogram: dict) -> float:

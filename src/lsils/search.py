@@ -9,8 +9,9 @@ local search runs to a true local optimum and the consumed total may
 overshoot the budget by the tail descent.
 Work the smoothed variant does on top of that (toy construction, the toy
 gain cache, scoring accepted moves under the original objective) is not
-charged, so with an all-zero schedule it consumes budget exactly like the
-baseline and follows a bit-identical trajectory.
+charged. It builds the toy and its gain cache only while lam > 0, so with
+an all-zero schedule it is the baseline: same budget, bit-identical
+trajectory, no toy.
 
 Seconds-mode budgets measure wall-clock time instead and are therefore not
 reproducible; evaluation-count budgets are the deterministic default.
@@ -470,35 +471,42 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
     meter.charge(n)
 
     # Initialization: one plain descent on the original objective.
-    descent = _Descent([primary], config.pivot_rule)
-    value = descent(None, value, tracker, meter)
+    plain = _Descent([primary], config.pivot_rule)
+    value = plain(None, value, tracker, meter)
 
     target_bound = config.target_bound
     if smoothing and config.alpha == "auto" and target_bound is None:
         # auto_alpha's default bound is an n^2 pass over Q: take it once per run.
         target_bound = round(mean_abs(inst))
+    anchor: np.ndarray | None = None
     toy: ToyMatrix | None = None
-    weights = None
-    anchor_snapshot: np.ndarray | None = None
+    blended: _Descent | None = None
 
     while not meter.exhausted():
+        weights = None
         if smoothing:
-            lam = schedule.value_at(meter.progress())
-            meter.current_lam = lam
-            if toy is None or not np.array_equal(tracker.best_solution, anchor_snapshot):
-                # Drop the old toy and its cache before the next one is built.
-                descent = toy = None
+            lam = meter.current_lam = schedule.value_at(meter.progress())
+            if anchor is None or not np.array_equal(tracker.best_solution, anchor):
+                # The random toy's seed is drawn at every anchor change, built
+                # or not, so the stream does not depend on the schedule.
                 toy_seed = (int(rng_toy.integers(0, 2**63 - 1))
                             if config.toy_kind is ToyKind.RANDOM else 0)
-                toy = construct_toy(config.toy_kind, tracker.best_solution, seed=toy_seed)
-                anchor_snapshot = tracker.best_solution.copy()
-                alpha = (auto_alpha(inst, toy, target_bound=target_bound)
-                         if config.alpha == "auto" else float(config.alpha))
-                descent = _Descent([primary, GainCache.build(toy, primary.solution)],
-                                   config.pivot_rule)
-            # At lam = 0, g is f: descend on its exact integer gains.
-            weights = (1.0 - lam, lam * alpha) if lam else None
-        value = descent(weights, value, tracker, meter, rng_perturb, bits)
+                anchor = tracker.best_solution.copy()
+                toy = blended = None
+            if not lam:
+                # At lam = 0, g is f: descend on its exact integer gains alone.
+                # The toy cache would go stale, so it is dropped and rebuilt.
+                blended = None
+            else:
+                if toy is None:
+                    toy = construct_toy(config.toy_kind, anchor, seed=toy_seed)
+                    alpha = (auto_alpha(inst, toy, target_bound=target_bound)
+                             if config.alpha == "auto" else float(config.alpha))
+                if blended is None:
+                    blended = _Descent([primary, GainCache.build(toy, primary.solution)],
+                                       config.pivot_rule)
+                weights = (1.0 - lam, lam * alpha)
+        value = (blended or plain)(weights, value, tracker, meter, rng_perturb, bits)
 
     meter.finish()
     return RunResult(
@@ -520,9 +528,10 @@ def ils(inst: UbqpInstance, config: SearchConfig) -> RunResult:
 def lsils(inst: UbqpInstance, config: SearchConfig) -> RunResult:
     """Iterated local search on the smoothed objective with best tracking.
 
-    Each outer iteration rebuilds the toy at the best-known solution when it
-    changed, blends gains as (1 - lam) * original + lam * alpha * toy, and
-    scores every accepted flip under the original objective.
+    While lam > 0, each outer iteration rebuilds the toy at the best-known
+    solution when it changed, blends gains as (1 - lam) * original +
+    lam * alpha * toy, and scores every accepted flip under the original
+    objective. While lam = 0 it is an ILS iteration, and no toy is built.
     """
     if config.toy_kind is None:
         raise ValueError("smoothed search needs a toy kind")

@@ -23,6 +23,18 @@ def brute_value(q, x) -> int:
     return total
 
 
+def all_values(q) -> np.ndarray:
+    """x^T Q x of every solution, indexed little-endian, from the full bit table.
+
+    The same definition as brute_value in whole-array int64 products, for
+    cubes where a python double loop per solution is too slow.
+    """
+    q = np.asarray(q, dtype=np.int64)
+    n = q.shape[0]
+    x = (np.arange(2 ** n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    return ((x @ q) * x).sum(axis=1)
+
+
 def brute_flip_delta(q, x, k) -> int:
     y = list(int(b) for b in x)
     y[k] ^= 1

@@ -1,5 +1,10 @@
 """Exhaustive landscape laboratory: census, histograms, flatness, sweeps."""
 
+import functools
+import math
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,6 +28,7 @@ from lsils import (
     solution_from_index,
     value_histogram,
 )
+from lsils import landscape
 from lsils.landscape import (
     ENUMERATION_GUARD,
     all_values_blocked,
@@ -156,6 +162,8 @@ class TestLocalOptimaCensus:
             enumerate_local_optima(inst)
         with pytest.raises(ValueError, match=str(ENUMERATION_GUARD)):
             value_histogram(inst)
+        with pytest.raises(ValueError, match=str(ENUMERATION_GUARD)):
+            all_values_blocked(inst.q)
 
 
 class TestHistogramAndFlatness:
@@ -243,6 +251,111 @@ class TestHistogramAndFlatness:
                     < cols[ToyKind.PLUS_MINUS_ONE]):
                 hits += 1
         assert hits >= 18
+
+
+@functools.cache
+def cube_forms(n: int) -> dict:
+    """An instance and one toy of each kind at n, with every value of each.
+
+    Values come from oracles.brute_value up to n = 13, and from the
+    whole-array oracles.all_values above (a python loop takes seconds a form).
+    """
+    inst = make_instance(n, seed=40 + n)
+    anchor = random_solution(n, seeded_rng(60 + n))
+    forms = {"original": inst}
+    for kind in ToyKind:
+        forms[kind.value] = construct_toy(kind, anchor, seed=n)
+    out = {}
+    for label, form in forms.items():
+        q = inst.q if label == "original" else form.materialize()
+        if n <= 13:
+            rows = q.tolist()
+            values = np.array([oracles.brute_value(rows, oracles.bits_from_index(s, n).tolist())
+                               for s in range(2 ** n)], dtype=np.int64)
+        else:
+            values = oracles.all_values(q)
+        out[label] = (form, values)
+    return out
+
+
+class TestStreamedHistogram:
+    # n = 1 has no low half; at n = 7 the high half has fewer bits than a
+    # block has rows, at n = 13 and 16 more, so the values span several blocks.
+    SIZES = (1, 2, 3, 7, 13, 16)
+
+    @pytest.fixture(params=[None, 512], ids=["default-slots", "small-slots"])
+    def slots(self, request, monkeypatch):
+        # Small slots force the sorted path on integers and one merge per block.
+        if request.param is not None:
+            monkeypatch.setattr(landscape, "_COUNT_SLOTS", request.param)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_plain_histograms_match_the_oracle(self, n, slots):
+        for label, (form, values) in cube_forms(n).items():
+            hist = value_histogram(form)
+            assert hist == Counter(values.tolist()), label
+            keys = list(hist)
+            assert all(a < b for a, b in zip(keys, keys[1:])), label
+            assert all(type(k) is int for k in keys), label
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_smoothed_histograms_match_the_oracle(self, n, lam, slots):
+        forms = cube_forms(n)
+        inst, f = forms["original"]
+        for kind in ToyKind:
+            toy, t = forms[kind.value]
+            obj = SmoothedObjective(instance=inst, toy=toy, lam=lam, alpha=2.3)
+            wo, wt = obj.weights
+            expected = Counter(np.round(wo * f + wt * t, 9).tolist())
+            hist = value_histogram(obj)
+            assert hist == expected, kind
+            keys = list(hist)
+            assert all(a < b for a, b in zip(keys, keys[1:])), kind
+
+    def test_blocked_values_equal_the_gray_walk_over_several_blocks(self):
+        forms = cube_forms(16)
+        inst, values = forms["original"]
+        assert np.array_equal(all_values_blocked(inst.q), enumerate_values(inst)[0])
+        assert np.array_equal(all_values_blocked(inst.q), values)
+        toy, _ = forms["random"]
+        assert np.array_equal(all_values_blocked(toy.materialize()),
+                              enumerate_values(toy)[0])
+
+    def test_negative_zero_key_reads_zero(self):
+        # f(x) = |x|^2 and t(x) = -|x|^2, blended at weights (0.5, 0.5 + 1e-12):
+        # every x but 0 blends to about -1e-12 |x|^2, which rounds to -0.0.
+        n = 4
+        inst = UbqpInstance.from_matrix(np.ones((n, n), dtype=np.int64))
+        toy = construct_toy(ToyKind.PLUS_MINUS_ONE, np.zeros(n, dtype=np.int8))
+        obj = SmoothedObjective(instance=inst, toy=toy, lam=0.5, alpha=1 + 2e-12)
+        assert smoothed_evaluate(obj, np.ones(n, dtype=np.int8)) < 0
+        hist = value_histogram(obj)
+        assert hist == {0.0: 2**n}
+        assert math.copysign(1.0, next(iter(hist))) == 1.0
+        assert histogram_csv(hist).splitlines()[1] == f"0,{2**n}"
+
+    def test_memory_does_not_grow_with_the_cube(self):
+        # n = 22: a value array is 32 MiB. Holding one per form, as whole-array
+        # evaluation does, costs 3-4 of them.
+        n = 22
+        inst = gen_random_instance(n, 1.0, (-100, 100), 7)
+        anchor = random_solution(n, seeded_rng(8))
+        toys = [construct_toy(kind, anchor, seed=1) for kind in ToyKind]
+        smoothed = SmoothedObjective(instance=inst, toy=toys[1], lam=0.5,
+                                     alpha=auto_alpha(inst, toys[1]))
+        array_bytes = 8 << n
+        for objective, bound in [(inst, 0.25), *[(toy, 0.25) for toy in toys],
+                                 (smoothed, 2.0)]:
+            tracemalloc.start()
+            try:
+                hist = value_histogram(objective)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(hist.values()) == 2**n
+            assert peak < bound * array_bytes, \
+                f"{describe_objective(objective)}: peak {peak / array_bytes:.2f} arrays"
 
 
 class TestLambdaSweep:

@@ -1,6 +1,7 @@
 """Solver tests: perturbation, local search, ILS, and the smoothed variant."""
 
 import gc
+import hashlib
 import io
 import pickle
 import tracemalloc
@@ -32,6 +33,7 @@ from lsils import (
     seeded_rng,
     write_runlog_csv,
 )
+from lsils import search
 from lsils.qubo import INIT_STREAM
 from lsils.search import BUDGET_KINDS, BestTracker, RunLog, _Meter, sample_distinct_positions
 
@@ -452,6 +454,63 @@ class TestLsils:
             assert np.array_equal(a.best_solution, b.best_solution)
             assert (a.best_value, a.evaluations) == (b.best_value, b.evaluations)
             assert a.records == b.records
+
+    def test_zero_schedule_builds_no_toy(self, monkeypatch):
+        # At lam = 0 the descent reads neither the toy nor its gains.
+        calls = []
+
+        def counted(kind, anchor, seed=0):
+            calls.append(kind)
+            return construct_toy(kind, anchor, seed=seed)
+
+        monkeypatch.setattr(search, "construct_toy", counted)
+        inst = make_instance(60, seed=15)
+        for kind in list(ToyKind):
+            lsils(inst, SearchConfig(budget=Budget("evals", 50000), seed=1, toy_kind=kind,
+                                     lambda_schedule=LambdaSchedule.zero()))
+        assert calls == []
+        lsils(inst, SearchConfig(budget=Budget("evals", 50000), seed=1, toy_kind=ToyKind.RANDOM,
+                                 lambda_schedule=LambdaSchedule.constant(0.5)))
+        assert calls
+
+    # sha256 (first 16 hex digits) of each run log's CSV followed by the best
+    # solution's bits, recorded when every anchor change still built its toy
+    # and its gain cache whatever lam was: building them only while lam > 0
+    # must leave every trajectory as it was.
+    GOLDEN_BUDGET = 1_000_000
+    GOLDEN_RUNS = {
+        ("ramp", "plusminus1", "best"): "a7080e88d836c63c",
+        ("ramp", "plusminus1", "first"): "184b297f77674790",
+        ("ramp", "plusminusi", "best"): "99493552b8dc78ff",
+        ("ramp", "plusminusi", "first"): "1fdd0348df5b3f80",
+        ("ramp", "random", "best"): "0daa61451470f307",
+        ("ramp", "random", "first"): "f98942cce8501e60",
+        ("return", "plusminus1", "best"): "a3841af1992df459",
+        ("return", "plusminus1", "first"): "319adbec162168e4",
+        ("return", "plusminusi", "best"): "c6fcdc6b56f31476",
+        ("return", "plusminusi", "first"): "1735218d093d0876",
+        ("return", "random", "best"): "a3841af1992df459",
+        ("return", "random", "first"): "f9153202de4dd956",
+    }
+
+    @pytest.mark.parametrize("schedule, kind, pivot", sorted(GOLDEN_RUNS))
+    def test_run_logs_match_golden_hashes(self, schedule, kind, pivot):
+        budget = self.GOLDEN_BUDGET
+        schedules = {
+            "ramp": LambdaSchedule.staged_ramp(budget),
+            # Up, back to 0 while the best moves, and up again.
+            "return": LambdaSchedule(steps=((0.2 * budget, 0.3), (0.45 * budget, 0.0),
+                                            (0.7 * budget, 0.6))),
+        }
+        inst = gen_random_instance(150, 0.3, (-100, 100), seed=11)
+        result = lsils(inst, SearchConfig(
+            budget=Budget("evals", budget), pivot_rule=pivot, seed=4, toy_kind=kind,
+            log_interval=budget // 50, lambda_schedule=schedules[schedule]))
+        text = io.StringIO()
+        write_runlog_csv(result.records, text)
+        text.write("".join(map(str, result.best_solution.tolist())))
+        digest = hashlib.sha256(text.getvalue().encode()).hexdigest()[:16]
+        assert digest == self.GOLDEN_RUNS[schedule, kind, pivot]
 
     def test_full_weight_schedule_freezes_the_best(self):
         # At blend weight 1 every descent returns to the current best, so
