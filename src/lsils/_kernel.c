@@ -13,7 +13,7 @@
  * charges the perturbation before the call.
  *
  * It then descends: it scans the gains of the first cache (or the float
- * blend wo * g_0 + wt * g_1), flips the chosen bit through every cache with
+ * blend wo * g_0 + wt * g_1), flips the chosen bit k through every cache with
  * the rank-1 update g_j += 2 sigma_k sigma_j Q_jk, g_k = -g_k, and charges
  * the budget exactly as the Python loop does: the candidates examined, then
  * n per applied flip. Log marks stay in Python: a charge that reaches
@@ -21,6 +21,13 @@
  * charge), and the call returns once the flip that raised it is complete,
  * so the caller can emit its records and call again with bits = 0, which
  * only descends.
+ *
+ * The signs sigma are +-1, so no gain update multiplies by them: each one
+ * adds 2 Q_jk (or 2 t_j) negated under the mask differ(sigma_j, sigma_k)
+ * (differ(sigma_j, 1) in the block shift), which is -1 when the two signs
+ * differ and 0 when they agree. The sums are the same exact int64 values;
+ * the masks spare a 64-bit vector multiply per entry, which AVX-512 does
+ * slowly (vpmullq) and AVX2 and SSE2 emulate with 32-bit multiplies.
  *
  * Build: cc -O3 -ffp-contract=off -shared -fPIC. Contraction to FMA would
  * round the blend differently from numpy's separate multiply and add.
@@ -73,32 +80,56 @@ typedef struct {
     int8_t *x;
 } lsils_cache;
 
+/* -1 when the +-1 values a and b differ, 0 when they are equal. The shift
+ * is unsigned, so reading the sign bit is defined in C99. */
+HOT int64_t differ(int64_t a, int64_t b)
+{
+    return -(int64_t)((uint64_t)(a ^ b) >> 63);
+}
+
+/* v when the mask m is 0, -v when it is -1. */
+HOT int64_t negate_if(int64_t v, int64_t m)
+{
+    return (v ^ m) - m;
+}
+
+/* g_j += 2 sigma_j sigma_k Q_jk for j in [lo, hi) on a toy with
+ * Q_jk = (2 a_j a_k - 1) m_j, where m_j is m, or j + 1 when `grows`.
+ * Q_jk is positive only when a_j = a_k = 1, so for a_k = 1 its sign
+ * follows a_j, and for a_k = 0 it is always negative. */
+HOT void toy_update(int64_t *restrict g, const int64_t *restrict s, const int8_t *restrict a,
+                    int64_t sk, int64_t ak, int64_t lo, int64_t hi, int64_t m, int grows)
+{
+    int64_t j;
+
+    if (ak) {
+        for (j = lo; j < hi; j++)
+            g[j] += negate_if(2 * (grows ? j + 1 : m), differ(s[j], sk) ^ (a[j] - 1));
+    } else {
+        for (j = lo; j < hi; j++)
+            g[j] += negate_if(2 * (grows ? j + 1 : m), ~differ(s[j], sk));
+    }
+}
+
 /* Flip bit k of one cache: gains, sigma and solution in O(n). */
 HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
 {
     int64_t *restrict g = c->gains;
     int64_t *restrict s = c->sigma;
-    int64_t old = g[k], sk = s[k], step = 2 * sk;
+    const int8_t *a = c->anchor;
+    int64_t old = g[k], sk = s[k];
     int64_t j;
 
     if (c->kind == FORM_DENSE) {
         const int64_t *restrict row = c->q + k * n;
         for (j = 0; j < n; j++)
-            g[j] += step * s[j] * row[j];
+            g[j] += negate_if(2 * row[j], differ(s[j], sk));
+    } else if (c->kind == FORM_PLUS_MINUS_I) {
+        /* m_j = max(j, k) + 1 (one-based) */
+        toy_update(g, s, a, sk, a[k], 0, k, k + 1, 0);
+        toy_update(g, s, a, sk, a[k], k, n, 0, 1);
     } else {
-        /* Q_jk = (2 a_j a_k - 1) m with m = 1 for the +-1 toy and
-         * max(j, k) + 1 (one-based) for the +-i toy */
-        const int8_t *restrict a = c->anchor;
-        int64_t ak = a[k];
-        if (c->kind == FORM_PLUS_MINUS_I) {
-            for (j = 0; j < k; j++)
-                g[j] += step * s[j] * (2 * (ak & a[j]) - 1) * (k + 1);
-            for (j = k; j < n; j++)
-                g[j] += step * s[j] * (2 * (ak & a[j]) - 1) * (j + 1);
-        } else {
-            for (j = 0; j < n; j++)
-                g[j] += step * s[j] * (2 * (ak & a[j]) - 1);
-        }
+        toy_update(g, s, a, sk, a[k], 0, n, 1, 0);
     }
     g[k] = -old;
     s[k] = -sk;
@@ -181,7 +212,7 @@ HOT int64_t apply_flips(const lsils_cache *c, int64_t n, const int64_t *pos,
         delta += g[p] + s[p] * t[p] - diagonal(c, n, p);
     }
     for (j = 0; j < n; j++)
-        g[j] += 2 * s[j] * t[j];
+        g[j] += negate_if(2 * t[j], differ(s[j], 1));
     for (i = 0; i < bits; i++) {
         int64_t p = pos[i];
         g[p] = 2 * diagonal(c, n, p) - g[p];
@@ -311,10 +342,11 @@ HOT void charge(int64_t *st, int64_t units)
  * event (returns 1; call again with bits = 0 to continue). `scratch` holds
  * 4n slots: an identity permutation, then three scratch vectors of which the
  * second is all zero; both are left as found. The perturbation writes the
- * first and third vectors, and the blended scan writes the third. `blend`
- * selects the float pivot; caches[1] is read only when it is on. */
+ * first and third vectors, and the blended scan writes the third. With
+ * `weights` (wo, wt) the pivot is picked on the float blend of caches[0]
+ * and caches[1], and without (NULL) on the integer gains of caches[0]. */
 CLONES int64_t lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
-                             int64_t first, int64_t blend, double wo, double wt,
+                             int64_t first, const double *weights,
                              const int64_t *targets, int64_t bits, int64_t *scratch,
                              int64_t *st, int8_t *best_x)
 {
@@ -332,9 +364,9 @@ CLONES int64_t lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_
             apply_flips(&caches[i], n, pos, bits, v, t);
     }
     for (;;) {
-        if (blend)
-            k = pick_blend(g0, n_caches > 1 ? caches[1].gains : g0, wo, wt, n,
-                           (int)first, blended, &examined);
+        if (weights)
+            k = pick_blend(g0, caches[1].gains, weights[0], weights[1], n, (int)first,
+                           blended, &examined);
         else
             k = pick_int(g0, n, (int)first, &examined);
         charge(st, examined);

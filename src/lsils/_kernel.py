@@ -134,8 +134,7 @@ def library():
     except (OSError, subprocess.SubprocessError):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.lsils_iterate.argtypes = [ptr, i64, i64, i64, i64, ctypes.c_double, ctypes.c_double,
-                                  ptr, i64, ptr, ptr, ptr]
+    lib.lsils_iterate.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr]
     lib.lsils_iterate.restype = i64
     lib.lsils_random_toy.argtypes = [ptr, ptr, i64, ptr]
     lib.lsils_random_toy.restype = i64

@@ -370,6 +370,8 @@ class _Descent:
             # leaves the permutation and the second vector (zeros) as found.
             self.scratch = np.zeros(4 * n, dtype=np.int64)
             self.scratch[:n] = np.arange(n)
+            self.weights = np.zeros(2)
+            self.weights_at = self.weights.ctypes.data
             self.args = (self.entries.ctypes.data, len(caches), n, pivot_rule == "first")
             self.buffers = (self.scratch.ctypes.data, self.state.ctypes.data,
                             self.best_x.ctypes.data)
@@ -380,8 +382,6 @@ class _Descent:
 
     def __call__(self, weights, value, tracker, meter, rng=None, bits: int = 0) -> int:
         """Flip `bits` bits picked with `rng` (none when 0), then descend; returns the value."""
-        blend = weights is not None
-        wo, wt = weights if blend else (1.0, 0.0)
         n = self.caches[0].solution.size
         if not self.compiled:
             if bits:
@@ -393,6 +393,10 @@ class _Descent:
             # The draw sample_distinct_positions makes; the kernel does its pass.
             targets = rng.integers(np.arange(bits), n)
             meter.charge(n, steps=bits)
+        blend = None
+        if weights is not None:
+            self.weights[:] = weights
+            blend = self.weights_at
         state = self.state
         state[:] = 0
         state[_kernel.ST_VALUE] = value
@@ -403,7 +407,7 @@ class _Descent:
         pending = (None, 0) if targets is None else (targets.ctypes.data, bits)
         while True:
             state[_kernel.ST_THRESHOLD] = meter.threshold()
-            paused = self.kernel(*self.args, blend, wo, wt, *pending, *self.buffers)
+            paused = self.kernel(*self.args, blend, *pending, *self.buffers)
             pending = (None, 0)  # a resumed call only descends
             st = state.tolist()
             if st[_kernel.ST_IMPROVED]:

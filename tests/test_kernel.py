@@ -10,6 +10,7 @@ build or load fails these tests instead of skipping them.
 import ctypes
 import io
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -377,14 +378,13 @@ def test_runs_are_byte_identical_on_both_paths(pivot, request):
     assert _run_logs(inst, pivot) == compiled
 
 
-@pytest.mark.parametrize("pivot", PIVOT_RULES)
-def test_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch):
+def assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, *flags):
     # A compiler without __has_attribute builds lsils_iterate once, with no
     # per-CPU clones and no forced inlining, as on a platform without ifunc.
     inst = make_instance(MAX_N, seed=22)
     dispatched = _run_logs(inst, pivot)
     plain = tmp_path / "plain.so"
-    subprocess.run([_kernel._compiler(), "-D__has_attribute(x)=0", *_kernel.FLAGS,
+    subprocess.run([_kernel._compiler(), "-D__has_attribute(x)=0", *flags, *_kernel.FLAGS,
                     "-o", str(plain), str(_kernel.SOURCE)], check=True, capture_output=True)
     assert b"lsils_iterate.resolver" not in plain.read_bytes()
     monkeypatch.setattr(_kernel, "_build", lambda: ctypes.CDLL(str(plain)))
@@ -393,6 +393,41 @@ def test_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch):
         assert _run_logs(inst, pivot) == dispatched
     finally:
         _kernel.library.cache_clear()
+
+
+@pytest.mark.parametrize("pivot", PIVOT_RULES)
+def test_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch):
+    assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch)
+
+
+# The /proc/cpuinfo flags an x86-64 level needs, each level including the last.
+_V2_FLAGS = ("cx16", "lahf_lm", "popcnt", "pni", "sse4_1", "sse4_2", "ssse3")
+_V3_FLAGS = _V2_FLAGS + ("abm", "avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "movbe", "xsave")
+LEVEL_FLAGS = {
+    "x86-64-v3": _V3_FLAGS,
+    "x86-64-v4": _V3_FLAGS + ("avx512bw", "avx512cd", "avx512dq", "avx512f", "avx512vl"),
+}
+
+
+def cpu_flags() -> set[str]:
+    try:
+        found = re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(), re.MULTILINE)
+    except OSError:
+        return set()
+    return set(found.group(1).split()) if found else set()
+
+
+@pytest.mark.parametrize("pivot", PIVOT_RULES)
+@pytest.mark.parametrize("level", sorted(LEVEL_FLAGS))
+def test_level_build_runs_as_the_dispatched_one(level, pivot, tmp_path, monkeypatch):
+    # The code of one per-CPU clone as the only function, so that each
+    # level's vector code runs, not only the one the loader picks here.
+    if platform.machine() != "x86_64":
+        pytest.skip("the per-CPU clones are x86-64 levels")
+    missing = set(LEVEL_FLAGS[level]) - cpu_flags()
+    if missing:
+        pytest.skip(f"the CPU lacks {' '.join(sorted(missing))}")
+    assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, f"-march={level}")
 
 
 @pytest.mark.slow

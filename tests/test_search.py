@@ -335,6 +335,22 @@ def gains_past_2_53() -> UbqpInstance:
     return UbqpInstance.from_matrix(q)
 
 
+GOLDEN_BUDGET = 1_000_000
+
+
+def golden_digest(inst, kind=None, pivot="best", schedule=None) -> str:
+    """sha256 (first 16 hex digits) of a run log's CSV followed by the best
+    solution's bits, for a seed-4 run of ILS (`kind` None) or LS-ILS."""
+    config = SearchConfig(budget=Budget("evals", GOLDEN_BUDGET), pivot_rule=pivot, seed=4,
+                          toy_kind=kind, log_interval=GOLDEN_BUDGET // 50,
+                          lambda_schedule=schedule)
+    result = lsils(inst, config) if kind else ils(inst, config)
+    text = io.StringIO()
+    write_runlog_csv(result.records, text)
+    text.write("".join(map(str, result.best_solution.tolist())))
+    return hashlib.sha256(text.getvalue().encode()).hexdigest()[:16]
+
+
 def small_run(n=40, amount=20000, seed=0, **kw):
     inst = make_instance(n, seed=seed + 500)
     cfg = SearchConfig(budget=Budget("evals", amount), seed=seed, **kw)
@@ -473,11 +489,9 @@ class TestLsils:
                                  lambda_schedule=LambdaSchedule.constant(0.5)))
         assert calls
 
-    # sha256 (first 16 hex digits) of each run log's CSV followed by the best
-    # solution's bits, recorded when every anchor change still built its toy
-    # and its gain cache whatever lam was: building them only while lam > 0
-    # must leave every trajectory as it was.
-    GOLDEN_BUDGET = 1_000_000
+    # Recorded when every anchor change still built its toy and its gain
+    # cache whatever lam was: building them only while lam > 0 must leave
+    # every trajectory as it was.
     GOLDEN_RUNS = {
         ("ramp", "plusminus1", "best"): "a7080e88d836c63c",
         ("ramp", "plusminus1", "first"): "184b297f77674790",
@@ -495,7 +509,7 @@ class TestLsils:
 
     @pytest.mark.parametrize("schedule, kind, pivot", sorted(GOLDEN_RUNS))
     def test_run_logs_match_golden_hashes(self, schedule, kind, pivot):
-        budget = self.GOLDEN_BUDGET
+        budget = GOLDEN_BUDGET
         schedules = {
             "ramp": LambdaSchedule.staged_ramp(budget),
             # Up, back to 0 while the best moves, and up again.
@@ -503,14 +517,31 @@ class TestLsils:
                                             (0.7 * budget, 0.6))),
         }
         inst = gen_random_instance(150, 0.3, (-100, 100), seed=11)
-        result = lsils(inst, SearchConfig(
-            budget=Budget("evals", budget), pivot_rule=pivot, seed=4, toy_kind=kind,
-            log_interval=budget // 50, lambda_schedule=schedules[schedule]))
-        text = io.StringIO()
-        write_runlog_csv(result.records, text)
-        text.write("".join(map(str, result.best_solution.tolist())))
-        digest = hashlib.sha256(text.getvalue().encode()).hexdigest()[:16]
+        digest = golden_digest(inst, ToyKind(kind), pivot, schedules[schedule])
         assert digest == self.GOLDEN_RUNS[schedule, kind, pivot]
+
+    # The benchmark's n=500 acceptance instance, whose rows give every kernel
+    # clone whole vector bodies and tails, and ILS on the instance above;
+    # recorded while the kernel's gain updates still multiplied by the +-1
+    # signs, which their masked negation must leave byte-identical.
+    ACCEPTANCE_GOLDEN_RUNS = {
+        "ils": "0e6ee43755feec6d",
+        "plusminusi": "c64b2d2ba53d7256",
+        "random": "b0c19b95fdd09d93",
+    }
+    ILS_GOLDEN_RUNS = {"best": "6ae663a136590281", "first": "aa67c31aedcbee24"}
+
+    @pytest.mark.parametrize("algo", sorted(ACCEPTANCE_GOLDEN_RUNS))
+    def test_acceptance_run_logs_match_golden_hashes(self, algo):
+        inst = gen_random_instance(500, 0.1, (-100, 100), seed=7)
+        kind = None if algo == "ils" else ToyKind(algo)
+        schedule = LambdaSchedule.staged_ramp(GOLDEN_BUDGET) if kind else None
+        assert golden_digest(inst, kind, "best", schedule) == self.ACCEPTANCE_GOLDEN_RUNS[algo]
+
+    @pytest.mark.parametrize("pivot", sorted(ILS_GOLDEN_RUNS))
+    def test_ils_run_logs_match_golden_hashes(self, pivot):
+        inst = gen_random_instance(150, 0.3, (-100, 100), seed=11)
+        assert golden_digest(inst, None, pivot) == self.ILS_GOLDEN_RUNS[pivot]
 
     def test_full_weight_schedule_freezes_the_best(self):
         # At blend weight 1 every descent returns to the current best, so
