@@ -1,33 +1,49 @@
-/* One outer iteration of the search on exact int64 gain caches, and the
- * random toy's matrix fill.
+/* The search's perturb-and-descend iterations on exact int64 gain caches,
+ * and the random toy's matrix fill.
  *
  * lsils_iterate is the compiled form of the numpy reference
- * lsils.search.sample_distinct_positions + _perturb_in_place + _descend,
- * which it must match flip for flip. It first perturbs: the caller's
- * Fisher-Yates swap targets pick `bits` distinct positions P through an
- * n-slot scratch permutation (restored before the call returns), and every
- * cache takes one block update for flipping P. With v = sigma on P and 0
- * elsewhere (sigma = 1 - 2x before the flip) and t = Q v, each gain shifts
- * by 2 sigma_j t_j, each p in P becomes -(g_p + 2 sigma_p t_p - 2 Q_pp), and
- * the value changes by sum g_P + sigma_P . t_P - sum Q_pp. The caller
- * charges the perturbation before the call.
+ * lsils.search._fisher_yates + _perturb_in_place + _descend, which it must
+ * match flip for flip. One call runs iterations until the caller's next
+ * decision point, so control returns to Python only when
+ *   - an iteration would start at or past the count `stop` (the end of an
+ *     evals budget, or the next lambda step of the schedule),
+ *   - the swap targets of the `rounds` iterations given are used up,
+ *   - an iteration improved the best and `halt` is set (the smoothed search
+ *     rebuilds its toy at the new best), or
+ *   - a charge passed the last log mark of the caller's buffer; the call
+ *     then pauses where it is, mid-descent included, and a call with
+ *     `descend` set resumes it.
+ *
+ * An iteration first perturbs: `bits` swap targets pick distinct positions
+ * P through an n-slot scratch permutation (restored before the call
+ * returns), and every cache takes one block update for flipping P. With
+ * v = sigma on P and 0 elsewhere (sigma = 1 - 2x before the flip) and
+ * t = Q v, each gain shifts by 2 sigma_j t_j, each p in P becomes
+ * -(g_p + 2 sigma_p t_p - 2 Q_pp), and the value changes by
+ * sum g_P + sigma_P . t_P - sum Q_pp. The perturbation is charged n per bit.
  *
  * It then descends: it scans the gains of the first cache (or the float
  * blend wo * g_0 + wt * g_1), flips the chosen bit k through every cache with
  * the rank-1 update g_j += 2 sigma_k sigma_j Q_jk, g_k = -g_k, and charges
  * the budget exactly as the Python loop does: the candidates examined, then
- * n per applied flip. Log marks stay in Python: a charge that reaches
- * `threshold` is recorded as an event (evaluations, best value at that
- * charge), and the call returns once the flip that raised it is complete,
- * so the caller can emit its records and call again with bits = 0, which
- * only descends.
+ * n per applied flip.
  *
- * The signs sigma are +-1, so no gain update multiplies by them: each one
+ * The caller keeps the log marks' arithmetic and passes the evaluation
+ * counts of the next few marks. For each one a charge reaches, the kernel
+ * writes (evaluations, best value) as Python's meter stamps it: the first
+ * running total that reaches the mark, one step of n at a time for the
+ * perturbation. When a charge passes the last mark given, the kernel records
+ * that charge, so the caller can stamp the marks past the buffer, and
+ * pauses.
+ *
+ * The signs sigma are +-1, so nothing is multiplied by them: a gain update
  * adds 2 Q_jk (or 2 t_j) negated under the mask differ(sigma_j, sigma_k)
  * (differ(sigma_j, 1) in the block shift), which is -1 when the two signs
- * differ and 0 when they agree. The sums are the same exact int64 values;
- * the masks spare a 64-bit vector multiply per entry, which AVX-512 does
- * slowly (vpmullq) and AVX2 and SSE2 emulate with 32-bit multiplies.
+ * differ and 0 when they agree, and the perturbation's value change and
+ * diagonal entries take their signs the same way. The sums are the same
+ * exact int64 values; the masks spare a 64-bit vector multiply per entry,
+ * which AVX-512 does slowly (vpmullq) and AVX2 and SSE2 emulate with 32-bit
+ * multiplies.
  *
  * Build: cc -O3 -ffp-contract=off -shared -fPIC. Contraction to FMA would
  * round the blend differently from numpy's separate multiply and add.
@@ -60,15 +76,23 @@ enum { FORM_DENSE = 0, FORM_PLUS_MINUS_ONE = 1, FORM_PLUS_MINUS_I = 2 };
 
 /* Layout of the int64 state vector shared with the caller. */
 enum {
-    ST_VALUE,      /* in/out: exact objective of the first cache's form */
-    ST_CONSUMED,   /* in/out: evaluations charged so far */
-    ST_THRESHOLD,  /* in: a charge reaching this count records an event */
-    ST_TRACK,      /* in: 1 when the best value and solution are tracked */
-    ST_BEST,       /* in/out: best value seen */
-    ST_IMPROVED,   /* out: 1 when best_x holds a new best solution */
-    ST_EVENTS,     /* out: number of events recorded, at most two */
-    ST_EVENT0,     /* out: (evaluations, best) of each event */
-    ST_SIZE = ST_EVENT0 + 4
+    ST_VALUE,       /* in/out: exact objective of the first cache's form */
+    ST_CONSUMED,    /* in/out: evaluations charged so far */
+    ST_STOP,        /* in: no iteration starts once ST_CONSUMED reaches this */
+    ST_ROUNDS,      /* in: iterations whose swap targets are given */
+    ST_STARTED,     /* out: iterations started, whose targets are used */
+    ST_DESCEND,     /* in: 1 to descend before the first perturbation */
+    ST_PENDING,     /* in/out: k + 1 while flip k is picked and charged, not applied */
+    ST_TRACK,       /* in: 1 when the best value and solution are tracked */
+    ST_HALT,        /* in: 1 to start no iteration after one that improved the best */
+    ST_BEST,        /* in/out: best value seen */
+    ST_IMPROVED,    /* out: 1 when best_x holds a new best solution */
+    ST_MARKS,       /* in: log marks in the buffer */
+    ST_MARKED,      /* out: marks passed, each stamped (evaluations, best) */
+    ST_OVER_START,  /* out, when all marks passed: the running total before */
+    ST_OVER_UNITS,  /* the charge that passed the last one, its units per */
+    ST_OVER_BEST,   /* step, and the best value it was stamped with */
+    ST_SIZE
 };
 
 typedef struct {
@@ -136,12 +160,12 @@ HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
     c->x[k] ^= 1;
 }
 
-/* Q_pp of one cache's form. */
+/* Q_pp of one cache's form: a toy's is +m_p on the anchor, else -m_p. */
 HOT int64_t diagonal(const lsils_cache *c, int64_t n, int64_t p)
 {
     if (c->kind == FORM_DENSE)
         return c->q[p * n + p];
-    return (c->anchor[p] ? 1 : -1) * (c->kind == FORM_PLUS_MINUS_I ? p + 1 : 1);
+    return negate_if(c->kind == FORM_PLUS_MINUS_I ? p + 1 : 1, c->anchor[p] - 1);
 }
 
 /* t = Q v for v = sigma on the positions P (before the flip), 0 elsewhere.
@@ -180,9 +204,10 @@ HOT void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
          * + sum_{k > j} (k + 1) u_k takes one pass over prefix sums. */
         int64_t tail = 0, tail_a = 0, prefix = 0, prefix_a = 0;
         for (i = 0; i < bits; i++) {
+            int64_t m = negate_if(pos[i] + 1, differ(s[pos[i]], 1));
             v[pos[i]] = s[pos[i]];
-            tail += (pos[i] + 1) * s[pos[i]];
-            tail_a += a[pos[i]] ? (pos[i] + 1) * s[pos[i]] : 0;
+            tail += m;
+            tail_a += a[pos[i]] ? m : 0;
         }
         for (j = 0; j < n; j++) {
             int64_t u = v[j], ua = a[j] ? u : 0;
@@ -198,7 +223,9 @@ HOT void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
 }
 
 /* Flip the distinct positions P of one cache in one block update; returns
- * the exact change of its objective. */
+ * the exact change of its objective. Each p in P is set to its final gain
+ * less the shift, 2 Q_pp - g_p, and its sign flipped first, so the shift
+ * pass then adds 2 sigma_p t_p with sigma_p as it was before the flip. */
 HOT int64_t apply_flips(const lsils_cache *c, int64_t n, const int64_t *pos,
                         int64_t bits, int64_t *v, int64_t *t)
 {
@@ -208,17 +235,14 @@ HOT int64_t apply_flips(const lsils_cache *c, int64_t n, const int64_t *pos,
 
     flip_matvec(c, n, pos, bits, v, t);
     for (i = 0; i < bits; i++) {
-        int64_t p = pos[i];
-        delta += g[p] + s[p] * t[p] - diagonal(c, n, p);
-    }
-    for (j = 0; j < n; j++)
-        g[j] += negate_if(2 * t[j], differ(s[j], 1));
-    for (i = 0; i < bits; i++) {
-        int64_t p = pos[i];
-        g[p] = 2 * diagonal(c, n, p) - g[p];
+        int64_t p = pos[i], d = diagonal(c, n, p);
+        delta += g[p] + negate_if(t[p], differ(s[p], 1)) - d;
+        g[p] = 2 * d - g[p];
         s[p] = -s[p];
         c->x[p] ^= 1;
     }
+    for (j = 0; j < n; j++)
+        g[j] += negate_if(2 * t[j], differ(s[j], 1));
     return delta;
 }
 
@@ -326,20 +350,79 @@ HOT int64_t pick_blend(const int64_t *go, const int64_t *gt, double wo, double w
     return best > 0 ? k : -1;
 }
 
-HOT void charge(int64_t *st, int64_t units)
+/* Charge `steps` successive charges of `units` evaluations each. Every
+ * mark from marks[ST_MARKED] on that the running total reaches is stamped
+ * with the first total that reaches it and the best value. Returns 1 when
+ * the buffer's last mark is passed, with the charge recorded for the
+ * caller, who stamps the marks past the buffer. */
+HOT int charge(int64_t *st, int64_t units, int64_t steps, const int64_t *marks,
+               int64_t *stamps)
 {
-    st[ST_CONSUMED] += units;
-    if (st[ST_CONSUMED] >= st[ST_THRESHOLD]) {
-        int64_t *event = st + ST_EVENT0 + 2 * st[ST_EVENTS];
-        event[0] = st[ST_CONSUMED];
-        event[1] = st[ST_BEST];
-        st[ST_EVENTS] += 1;
+    int64_t start = st[ST_CONSUMED], at = st[ST_MARKED];
+
+    st[ST_CONSUMED] = start + units * steps;
+    while (at < st[ST_MARKS] && st[ST_CONSUMED] >= marks[at]) {
+        int64_t taken = (marks[at] - start + units - 1) / units;
+        stamps[2 * at] = start + (taken > 1 ? taken : 1) * units;
+        stamps[2 * at + 1] = st[ST_BEST];
+        at++;
+    }
+    st[ST_MARKED] = at;
+    if (at < st[ST_MARKS])
+        return 0;
+    st[ST_OVER_START] = start;
+    st[ST_OVER_UNITS] = units;
+    st[ST_OVER_BEST] = st[ST_BEST];
+    return 1;
+}
+
+/* Descend until a local optimum (returns 0) or until a charge passed the
+ * last mark (returns 1, mid-descent; a flip picked but not applied waits in
+ * ST_PENDING). A pending flip is applied first. */
+HOT int descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int first,
+                const double *weights, int64_t *blended, int64_t *st, int8_t *best_x,
+                const int64_t *marks, int64_t *stamps)
+{
+    const int64_t *g0 = caches[0].gains;
+    int64_t i, k = st[ST_PENDING] - 1, examined;
+    int full;
+
+    st[ST_PENDING] = 0;
+    for (;;) {
+        if (k < 0) {
+            if (weights)
+                k = pick_blend(g0, caches[1].gains, weights[0], weights[1], n, first,
+                               blended, &examined);
+            else
+                k = pick_int(g0, n, first, &examined);
+            full = charge(st, examined, 1, marks, stamps);
+            if (k < 0)
+                return 0;
+            if (full) {
+                st[ST_PENDING] = k + 1;
+                return 1;
+            }
+        }
+        st[ST_VALUE] += g0[k];
+        for (i = 0; i < n_caches; i++)
+            apply_flip(&caches[i], n, k);
+        full = charge(st, n, 1, marks, stamps);
+        if (st[ST_TRACK] && st[ST_VALUE] > st[ST_BEST]) {
+            st[ST_BEST] = st[ST_VALUE];
+            memcpy(best_x, caches[0].x, (size_t)n);
+            st[ST_IMPROVED] = 1;
+        }
+        if (full)
+            return 1;
+        k = -1;
     }
 }
 
-/* Perturb the `bits` positions the swap targets pick (none when bits is 0),
- * then descend until a local optimum (returns 0) or until a flip raised an
- * event (returns 1; call again with bits = 0 to continue). `scratch` holds
+/* Run iterations: perturb the `bits` positions the next swap targets pick,
+ * then descend, until a stop named at the top of this file; returns 1 when
+ * paused mid-iteration, 0 between iterations. `targets` holds
+ * ST_ROUNDS * bits swap targets; `marks` holds ST_MARKS mark counts, in
+ * increasing order, and `stamps` room for two slots per mark. `scratch` holds
  * 4n slots: an identity permutation, then three scratch vectors of which the
  * second is all zero; both are left as found. The perturbation writes the
  * first and third vectors, and the blended scan writes the third. With
@@ -348,42 +431,30 @@ HOT void charge(int64_t *st, int64_t units)
 CLONES int64_t lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
                              int64_t first, const double *weights,
                              const int64_t *targets, int64_t bits, int64_t *scratch,
-                             int64_t *st, int8_t *best_x)
+                             int64_t *st, int8_t *best_x, const int64_t *marks,
+                             int64_t *stamps)
 {
-    const int64_t *g0 = caches[0].gains;
-    int64_t *blended = scratch + 3 * n;
-    int64_t i, k, examined;
+    int64_t *pos = scratch + n, *v = scratch + 2 * n, *t = scratch + 3 * n;
+    int64_t i;
 
-    st[ST_EVENTS] = 0;
+    st[ST_STARTED] = 0;
     st[ST_IMPROVED] = 0;
-    if (bits > 0) {
-        int64_t *pos = scratch + n, *v = scratch + 2 * n, *t = scratch + 3 * n;
-        fisher_yates(targets, bits, scratch, pos);
+    st[ST_MARKED] = 0;
+    if (st[ST_DESCEND] && descend(caches, n_caches, n, (int)first, weights, t, st, best_x,
+                                  marks, stamps))
+        return 1;
+    while (st[ST_STARTED] < st[ST_ROUNDS] && st[ST_CONSUMED] < st[ST_STOP]
+           && st[ST_MARKED] < st[ST_MARKS] && !(st[ST_HALT] && st[ST_IMPROVED])) {
+        fisher_yates(targets + st[ST_STARTED] * bits, bits, scratch, pos);
+        st[ST_STARTED] += 1;
         st[ST_VALUE] += apply_flips(&caches[0], n, pos, bits, v, t);
         for (i = 1; i < n_caches; i++)
             apply_flips(&caches[i], n, pos, bits, v, t);
-    }
-    for (;;) {
-        if (weights)
-            k = pick_blend(g0, caches[1].gains, weights[0], weights[1], n, (int)first,
-                           blended, &examined);
-        else
-            k = pick_int(g0, n, (int)first, &examined);
-        charge(st, examined);
-        if (k < 0)
-            return 0;
-        st[ST_VALUE] += g0[k];
-        for (i = 0; i < n_caches; i++)
-            apply_flip(&caches[i], n, k);
-        charge(st, n);
-        if (st[ST_TRACK] && st[ST_VALUE] > st[ST_BEST]) {
-            st[ST_BEST] = st[ST_VALUE];
-            memcpy(best_x, caches[0].x, (size_t)n);
-            st[ST_IMPROVED] = 1;
-        }
-        if (st[ST_EVENTS])
+        if (charge(st, n, bits, marks, stamps)
+            || descend(caches, n_caches, n, (int)first, weights, t, st, best_x, marks, stamps))
             return 1;
     }
+    return 0;
 }
 
 /* The random toy's n x n matrix; returns the largest draw. `draws` lists

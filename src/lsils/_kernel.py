@@ -1,4 +1,4 @@
-"""Loader for the compiled search iteration and random-toy fill in `_kernel.c`.
+"""Loader for the compiled search iterations and random-toy fill in `_kernel.c`.
 
 The library is built on first use, never at import, with the system C
 compiler, and cached under this package's `__pycache__` in a file named by
@@ -45,9 +45,9 @@ COMPILE_TIMEOUT_S = 120
 FORM_DENSE, FORM_PLUS_MINUS_ONE, FORM_PLUS_MINUS_I = 0, 1, 2
 _TOY_FORMS = {ToyKind.PLUS_MINUS_ONE: FORM_PLUS_MINUS_ONE,
               ToyKind.PLUS_MINUS_I: FORM_PLUS_MINUS_I}
-(ST_VALUE, ST_CONSUMED, ST_THRESHOLD, ST_TRACK, ST_BEST, ST_IMPROVED,
- ST_EVENTS, ST_EVENT0) = range(8)
-ST_SIZE = ST_EVENT0 + 4
+(ST_VALUE, ST_CONSUMED, ST_STOP, ST_ROUNDS, ST_STARTED, ST_DESCEND, ST_PENDING, ST_TRACK,
+ ST_HALT, ST_BEST, ST_IMPROVED, ST_MARKS, ST_MARKED, ST_OVER_START, ST_OVER_UNITS,
+ ST_OVER_BEST, ST_SIZE) = range(17)
 # One lsils_cache per row: the kind, then the addresses of q, anchor,
 # gains, sigma and x. Eight-byte fields, so 64-bit platforms only.
 CACHE_FIELDS = 6
@@ -134,7 +134,8 @@ def library():
     except (OSError, subprocess.SubprocessError):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.lsils_iterate.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr]
+    lib.lsils_iterate.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr,
+                                  ptr]
     lib.lsils_iterate.restype = i64
     lib.lsils_random_toy.argtypes = [ptr, ptr, i64, ptr]
     lib.lsils_random_toy.restype = i64

@@ -155,6 +155,17 @@ class GainCache:
         gains = sigma * (2 * form.matvec(x64) - 2 * d * x64 + d)
         return cls(form=form, solution=x.copy(), gains=gains, sigma=sigma)
 
+    def value(self) -> int:
+        """The exact objective at the cached solution, from the gains in O(n).
+
+        For a set bit k, g_k = Q_kk - 2 (Qx)_k, so f(x) = sum over set bits
+        of (Qx)_k = Q_kk - (Q_kk + g_k) / 2. Every term, and every partial
+        sum, lies within n^2 max|Q|, so nothing overflows int64.
+        """
+        on = self.solution.astype(bool)
+        d = np.asarray(self.form.diag(), dtype=np.int64)[on]
+        return int((d - (d + self.gains[on]) // 2).sum())
+
     def apply_flip(self, k: int) -> "GainCache":
         """Flip bit k of the cached solution and update all gains in O(n)."""
         if not 0 <= k < self.solution.size:

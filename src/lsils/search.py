@@ -19,13 +19,20 @@ reproducible; evaluation-count budgets are the deterministic default.
 At lam = 0 the smoothed objective is the original one, and the descent
 takes the original objective's exact integer gains, not a float blend.
 
-Each outer iteration is one call into the compiled kernel of `_kernel.c`
-when it builds: the perturbation's swap targets are drawn in numpy and
-charged here, and the kernel picks the positions, block-updates every gain
-cache and descends. `sample_distinct_positions`, `_perturb_in_place` (which
-flips the positions one bit at a time) and `_descend` are the numpy
-reference it matches flip for flip, and the path taken without a C
-compiler.
+Outer iterations run in the compiled kernel of `_kernel.c` when it builds.
+One kernel call perturbs and descends, iteration after iteration, and
+returns to Python only at a decision point: the end of an evals budget, the
+schedule's next lambda step, an iteration that improved the best (the
+smoothed search then rebuilds its toy there), the end of the swap targets
+drawn so far, or a full buffer of log marks, where it pauses mid-descent
+and a descent-only call resumes it. Under a seconds budget a call runs one
+iteration, because the kernel does not read the clock.
+The swap targets come from one source per run, `_SwapTargets`, which draws
+`TARGET_CHUNK` iterations' worth at a time and which both paths read in
+order. `_fisher_yates` (picking the positions), `_perturb_in_place` (which
+flips them one bit at a time) and `_descend` are the numpy reference the
+kernel matches flip for flip, and the path taken without a C compiler; on
+it a call runs one iteration.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from .qubo import (
     TOY_STREAM,
     GainCache,
     UbqpInstance,
-    evaluate,
     mean_abs,
     random_solution,
     seeded_rng,
@@ -142,19 +148,23 @@ class BestTracker:
 
 
 class RunLog:
-    """The points a run logs, packed in four typed columns.
+    """The points a run logs, packed in typed columns.
 
     A run keeps every point, and batch runs and benchmarks keep every run,
-    so a point is stored as four machine words (`elapsed` as an integer
-    under an evals budget, as a float under a seconds budget) and becomes a
-    `RunLogRecord` only when `records` is read.
+    so a point is stored as two machine words, `elapsed` (an integer under
+    an evals budget, a float under a seconds budget) and `evaluations`. The
+    best value and lambda change only at a new best or a schedule step, so
+    they are stored once per step: from point `starts[i]` on, the point has
+    `best_f[i]` and `lam[i]`. A point becomes a `RunLogRecord` only when
+    `records` is read.
     """
 
-    __slots__ = ("elapsed", "evaluations", "best_f", "lam")
+    __slots__ = ("elapsed", "evaluations", "starts", "best_f", "lam")
 
     def __init__(self, budget_kind: str = "evals"):
         self.elapsed = array("q" if budget_kind == "evals" else "d")
         self.evaluations = array("q")
+        self.starts = array("q")
         self.best_f = array("q")
         self.lam = array("d")
 
@@ -162,22 +172,28 @@ class RunLog:
         return len(self.evaluations)
 
     def append(self, elapsed, evaluations: int, best_f: int, lam: float) -> None:
+        # -0.0 equals 0.0 but prints differently, so a sign change is a step too.
+        if not (self.starts and best_f == self.best_f[-1] and lam == self.lam[-1]
+                and math.copysign(1.0, lam) == math.copysign(1.0, self.lam[-1])):
+            self.starts.append(len(self.evaluations))
+            self.best_f.append(best_f)
+            self.lam.append(lam)
         self.elapsed.append(elapsed)
         self.evaluations.append(evaluations)
-        self.best_f.append(best_f)
-        self.lam.append(lam)
 
     @property
     def records(self) -> list[RunLogRecord]:
         """A fresh list of the logged points, in order."""
-        columns = zip(self.elapsed, self.evaluations, self.best_f, self.lam)
-        return [RunLogRecord(elapsed=e, evaluations=v, best_f=b, lam=lam)
-                for e, v, b, lam in columns]
+        ends = [*self.starts[1:], len(self)]
+        return [RunLogRecord(elapsed=self.elapsed[i], evaluations=self.evaluations[i],
+                             best_f=best, lam=lam)
+                for start, end, best, lam in zip(self.starts, ends, self.best_f, self.lam)
+                for i in range(start, end)]
 
 
-@dataclass
+@dataclass(slots=True)
 class RunResult:
-    """Outcome of one solver run."""
+    """Outcome of one solver run; slotted, since batch runs keep every one."""
 
     algo: str
     seed: int
@@ -198,22 +214,72 @@ def sample_distinct_positions(rng: np.random.Generator, n: int, count: int) -> n
 
     The swap targets j_i in [i, n) come from one vectorised draw, which
     yields the same values and leaves the generator in the same state as
-    drawing them one at a time. Only swapped slots are stored, so the pass
-    is O(count) whatever n is.
+    drawing them one at a time.
     """
     if not 1 <= count <= n:
         raise ValueError(f"need 1 <= count <= {n}, got {count}")
-    targets = rng.integers(np.arange(count), n).tolist()
+    return _fisher_yates(rng.integers(np.arange(count), n))
+
+
+def _fisher_yates(targets: np.ndarray) -> np.ndarray:
+    """The positions a partial Fisher-Yates pass with swap targets j_i in [i, n) picks.
+
+    Only swapped slots are stored, so the pass is O(len(targets)) whatever n is.
+    """
     moved: dict[int, int] = {}
     picked = []
-    for i, j in enumerate(targets):
+    for i, j in enumerate(targets.tolist()):
         picked.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
     return np.array(picked, dtype=np.intp)
 
 
+# Iterations' worth of swap targets drawn at once, and log marks the kernel
+# stamps before it pauses for more.
+TARGET_CHUNK = 64
+MARK_BUFFER = 64
+
+
+class _SwapTargets:
+    """One run's perturbation swap targets, drawn TARGET_CHUNK iterations at a time.
+
+    `rng.integers(np.tile(np.arange(bits), TARGET_CHUNK), n)` gives the
+    values, in order, of TARGET_CHUNK separate draws
+    `rng.integers(np.arange(bits), n)`, as `sample_distinct_positions`
+    makes. The numpy path takes one iteration's targets at a time and the
+    kernel reads them where `at` points, so mixing the two keeps the stream.
+    Draws left at the end of a run are never used.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int, bits: int):
+        self.rng, self.n, self.bits = rng, n, bits
+        self.lows = np.tile(np.arange(bits), TARGET_CHUNK)
+        self.chunk = self.lows[:0]
+        self.at = 0
+        self.address = 0
+
+    def ready(self) -> int:
+        """Iterations' worth left in the chunk, after drawing the next one if none is."""
+        if self.at == self.chunk.size:
+            self.chunk = self.rng.integers(self.lows, self.n)
+            self.at = 0
+            self.address = self.chunk.ctypes.data
+        return (self.chunk.size - self.at) // self.bits
+
+    def take(self) -> np.ndarray:
+        """The next iteration's targets."""
+        self.ready()
+        self.at += self.bits
+        return self.chunk[self.at - self.bits:self.at]
+
+
 class _Meter:
-    """Budget accounting, schedule progress, and interval logging for a run."""
+    """Budget accounting, schedule progress, and interval logging for a run.
+
+    The meter keeps the log marks' arithmetic. The kernel sees the next
+    MARK_BUFFER marks as evaluation counts (`kernel_marks`) and hands back
+    the stamps of those it passed (`kernel_stamped`).
+    """
 
     def __init__(self, budget: Budget, log_interval, tracker: BestTracker | None):
         self.budget = budget
@@ -224,6 +290,12 @@ class _Meter:
         self.current_lam = 0.0
         self.interval = log_interval
         self.next_mark = log_interval
+        self.emitted = 0
+        # The kernel's buffer holds the marks from number `marks_from` on.
+        self.marks = np.full(MARK_BUFFER, INT64_MAX, dtype=np.int64)
+        self.marks_from = -MARK_BUFFER
+        self.stamps = np.zeros(2 * MARK_BUFFER, dtype=np.int64)
+        self.stamps_at = self.stamps.ctypes.data
 
     @property
     def records(self) -> list[RunLogRecord]:
@@ -236,6 +308,17 @@ class _Meter:
 
     def exhausted(self) -> bool:
         return self.progress() >= self.budget.amount
+
+    def decision(self, schedule: LambdaSchedule | None = None) -> int:
+        """The evaluation count at which the run next decides: the end of an
+        evals budget, or the schedule's next step; INT64_MAX under seconds."""
+        if self.budget.kind != "evals":
+            return INT64_MAX
+        stop = self.budget.amount
+        step = schedule.next_step(self.consumed) if schedule is not None else None
+        if step is not None:
+            stop = min(stop, step)
+        return INT64_MAX if stop >= INT64_MAX else math.ceil(stop)
 
     def charge(self, units: int, steps: int = 1) -> None:
         """Charge `steps` successive charges of `units` evaluations each.
@@ -252,9 +335,16 @@ class _Meter:
         if self.budget.kind == "seconds":
             self.poll()
             return
+        self.stamp(start, units, self.tracker.best_value)
+
+    def stamp(self, start: int, units: int, best: int) -> None:
+        """Emit the evals marks that charges of `units` each from `start` reached.
+
+        Each is stamped with the first running total at or past it and `best`.
+        """
         while self.next_mark is not None and self.consumed >= self.next_mark:
             taken = max(1, -((start - math.ceil(self.next_mark)) // units))
-            self._emit_mark(start + taken * units, self.tracker.best_value)
+            self._emit_mark(start + taken * units, best)
 
     def poll(self) -> None:
         """Emit the marks the clock (or the evaluation count) has passed."""
@@ -262,22 +352,45 @@ class _Meter:
         while self.next_mark is not None and progress >= self.next_mark:
             self._emit_mark(self.consumed, self.tracker.best_value)
 
-    def reach(self, evaluations: int, best: int) -> None:
-        """Emit the evals marks at or below `evaluations`, stamped with it and `best`."""
-        while self.next_mark is not None and evaluations >= self.next_mark:
-            self._emit_mark(evaluations, best)
+    def kernel_marks(self) -> tuple[int, int]:
+        """(address, count) of the evaluation counts of the next evals marks.
 
-    def threshold(self) -> int:
-        """The evaluation count at which the next evals mark is due; INT64_MAX if none."""
-        if self.next_mark is None or self.budget.kind != "evals":
-            return INT64_MAX
-        return min(math.ceil(self.next_mark), INT64_MAX)
+        The buffer is filled with the next MARK_BUFFER marks once the kernel
+        has passed all it held; past the last mark, and under a seconds
+        budget, it holds INT64_MAX.
+        """
+        offset = self.emitted - self.marks_from
+        if offset >= MARK_BUFFER:
+            counts = []
+            mark = self.next_mark if self.budget.kind == "evals" else None
+            while mark is not None and len(counts) < MARK_BUFFER:
+                counts.append(min(math.ceil(mark), INT64_MAX))
+                mark = self._following(mark)
+            self.marks[:len(counts)] = counts
+            self.marks[len(counts):] = INT64_MAX
+            self.marks_from, offset = self.emitted, 0
+        return self.marks.ctypes.data + offset * self.marks.itemsize, MARK_BUFFER - offset
+
+    def kernel_stamped(self, count: int, consumed: int, over=None) -> None:
+        """Emit the first `count` buffered marks with the kernel's stamps, then
+        take its count; `over`, the (start, units, best) of the charge that
+        passed the last buffered mark, stamps the marks it passed beyond it."""
+        stamps = self.stamps[:2 * count].tolist()
+        for i in range(0, 2 * count, 2):
+            self._emit_mark(stamps[i], stamps[i + 1])
+        self.consumed = consumed
+        if over is not None:
+            self.stamp(*over)
+
+    def _following(self, mark):
+        """The mark after `mark`, or None past the budget."""
+        mark += self.interval
+        return None if mark > self.budget.amount else mark
 
     def _emit_mark(self, evaluations: int, best: int) -> None:
         self._emit(self.next_mark, evaluations, best)
-        self.next_mark += self.interval
-        if self.next_mark > self.budget.amount:
-            self.next_mark = None
+        self.next_mark = self._following(self.next_mark)
+        self.emitted += 1
 
     def _emit(self, elapsed, evaluations: int, best: int) -> None:
         if self.budget.kind == "evals":
@@ -341,19 +454,22 @@ def _descend(caches, weights, value, tracker, meter, pivot_rule: str):
 class _Descent:
     """Outer iterations over one fixed list of gain caches.
 
-    A call optionally perturbs `bits` distinct bits, then descends to a local
-    optimum. It runs as one `lsils_iterate` call of the compiled kernel when
-    the kernel loads and knows every form, and as `sample_distinct_positions`,
-    `_perturb_in_place` and `_descend` otherwise; the kernel's view of the
-    caches is built once, here. The swap targets come from the same numpy
-    draw either way, so the generator ends in the same state, and the
-    perturbation is charged before the kernel applies it: it never changes
-    the tracked best, so the records are the same. The kernel returns at
-    every flip whose charge reached the meter's next evals mark, with the
-    (evaluations, best) of each such charge, and the marks are emitted here,
-    so evals-budget records are the ones `_descend` writes. Under a seconds
-    budget the clock is read when the descent ends, so such a record may land
-    up to one descent late.
+    A call without swap targets descends to a local optimum. With them it
+    perturbs `bits` distinct bits and descends: once on the numpy path
+    (`_fisher_yates`, `_perturb_in_place`, `_descend`), and on the compiled
+    path, when the kernel loads and knows every form, as many times as one
+    `lsils_iterate` call runs before a decision point. That is before the
+    count `stop` (the budget's end or the next lambda step), at the end of
+    the drawn targets, or, with `halt`, after an iteration that improved the
+    best. Under a seconds budget it runs one iteration. The kernel's view of
+    the caches is built once, here.
+
+    The kernel stamps the log marks it passes from the meter's buffer, with
+    the meter's own rule, so evals-budget records are the ones `_descend`
+    writes. When it passes the last mark the buffer holds, it pauses; the
+    marks are emitted here, the buffer refilled, and a descent-only call
+    resumes where it stopped. Under a seconds budget the clock is read when
+    the call returns, so such a record may land up to one iteration late.
     """
 
     def __init__(self, caches, pivot_rule: str):
@@ -380,44 +496,54 @@ class _Descent:
     def compiled(self) -> bool:
         return self.entries is not None
 
-    def __call__(self, weights, value, tracker, meter, rng=None, bits: int = 0) -> int:
-        """Flip `bits` bits picked with `rng` (none when 0), then descend; returns the value."""
-        n = self.caches[0].solution.size
+    def __call__(self, weights, value, tracker, meter, targets: _SwapTargets | None = None,
+                 stop: int = INT64_MAX, halt: bool = False) -> int:
+        """Descend, or perturb and descend with `targets`; returns the value."""
         if not self.compiled:
-            if bits:
-                positions = sample_distinct_positions(rng, n, bits)
+            if targets is not None:
+                positions = _fisher_yates(targets.take())
                 value = _perturb_in_place(self.caches, positions, value, meter)
             return _descend(self.caches, weights, value, tracker, meter, self.pivot_rule)
-        targets = None
-        if bits:
-            # The draw sample_distinct_positions makes; the kernel does its pass.
-            targets = rng.integers(np.arange(bits), n)
-            meter.charge(n, steps=bits)
         blend = None
         if weights is not None:
             self.weights[:] = weights
             blend = self.weights_at
         state = self.state
-        state[:] = 0
         state[_kernel.ST_VALUE] = value
         state[_kernel.ST_CONSUMED] = meter.consumed
+        state[_kernel.ST_STOP] = stop
+        state[_kernel.ST_DESCEND] = targets is None
+        state[_kernel.ST_TRACK] = tracker is not None
+        state[_kernel.ST_HALT] = halt
         if tracker is not None:
-            state[_kernel.ST_TRACK] = 1
             state[_kernel.ST_BEST] = tracker.best_value
-        pending = (None, 0) if targets is None else (targets.ctypes.data, bits)
+        rounds = bits = 0
+        if targets is not None:
+            rounds, bits = targets.ready(), targets.bits
+            if meter.budget.kind == "seconds":
+                rounds = 1  # the kernel does not read the clock
         while True:
-            state[_kernel.ST_THRESHOLD] = meter.threshold()
-            paused = self.kernel(*self.args, blend, *pending, *self.buffers)
-            pending = (None, 0)  # a resumed call only descends
+            marks, state[_kernel.ST_MARKS] = meter.kernel_marks()
+            state[_kernel.ST_ROUNDS] = rounds
+            at = targets.address + 8 * targets.at if targets is not None else None
+            paused = self.kernel(*self.args, blend, at, bits, *self.buffers, marks,
+                                 meter.stamps_at)
             st = state.tolist()
             if st[_kernel.ST_IMPROVED]:
                 tracker.best_value = st[_kernel.ST_BEST]
                 tracker.best_solution = self.best_x.copy()
-            for i in range(_kernel.ST_EVENT0, _kernel.ST_EVENT0 + 2 * st[_kernel.ST_EVENTS], 2):
-                meter.reach(st[i], st[i + 1])
+            marked = st[_kernel.ST_MARKED]
+            over = (st[_kernel.ST_OVER_START:_kernel.ST_OVER_BEST + 1]
+                    if marked == st[_kernel.ST_MARKS] else None)
+            meter.kernel_stamped(marked, st[_kernel.ST_CONSUMED], over)
+            if targets is not None:
+                targets.at += st[_kernel.ST_STARTED] * bits
+                rounds -= st[_kernel.ST_STARTED]
             if not paused:
                 break
-        meter.consumed = st[_kernel.ST_CONSUMED]
+            state[_kernel.ST_DESCEND] = 1  # finish the paused iteration
+            if halt and st[_kernel.ST_IMPROVED]:
+                rounds = 0
         if meter.budget.kind == "seconds":
             meter.poll()
         return st[_kernel.ST_VALUE]
@@ -468,10 +594,10 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
     rng_toy = seeded_rng(config.seed, TOY_STREAM)
 
     x = random_solution(n, rng_init)
-    value = evaluate(inst, x)
+    primary = GainCache.build(inst, x)
+    value = primary.value()
     tracker = BestTracker.start(x, value)
     meter = _Meter(config.budget, config.log_interval, tracker)
-    primary = GainCache.build(inst, x)
     meter.charge(n)
 
     # Initialization: one plain descent on the original objective.
@@ -485,6 +611,8 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
     anchor: np.ndarray | None = None
     toy: ToyMatrix | None = None
     blended: _Descent | None = None
+    targets = _SwapTargets(rng_perturb, n, bits)
+    steps = schedule if smoothing else None
 
     while not meter.exhausted():
         weights = None
@@ -510,7 +638,10 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
                     blended = _Descent([primary, GainCache.build(toy, primary.solution)],
                                        config.pivot_rule)
                 weights = (1.0 - lam, lam * alpha)
-        value = (blended or plain)(weights, value, tracker, meter, rng_perturb, bits)
+        # One iteration, or on the compiled path every one up to the next
+        # decision: a lambda step, or a new best, which moves the anchor.
+        value = (blended or plain)(weights, value, tracker, meter, targets,
+                                   meter.decision(steps), halt=smoothing)
 
     meter.finish()
     return RunResult(

@@ -256,3 +256,9 @@ class LambdaSchedule:
         i = bisect_right(thresholds, consumed)
         return 0.0 if i == 0 else float(self.steps[i - 1][1])
 
+    def next_step(self, consumed):
+        """The first threshold past `consumed`, where the value may change; None after the last."""
+        thresholds = [t for t, _ in self.steps]
+        i = bisect_right(thresholds, consumed)
+        return thresholds[i] if i < len(thresholds) else None
+

@@ -1,7 +1,7 @@
 """The compiled kernel against its numpy reference, and the fallback to it.
 
-The kernel runs the perturbation and the descent of an outer iteration,
-and fills the random toy's matrix.
+The kernel runs the search's outer iterations, each a perturbation and a
+descent, up to the next decision point, and fills the random toy's matrix.
 
 A C compiler is part of the test environment, so a kernel that does not
 build or load fails these tests instead of skipping them.
@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,6 +81,32 @@ def test_source_compiles_without_warnings(tmp_path):
     subprocess.run([_kernel._compiler(), "-std=c99", "-Wall", "-Wextra", "-Werror",
                     *_kernel.FLAGS, "-o", str(tmp_path / "kernel.so"), str(_kernel.SOURCE)],
                    check=True, capture_output=True)
+
+
+def c_enums(source: str) -> dict[str, int]:
+    """Every enumerator of the source's enum blocks with its value."""
+    source = re.sub(r"/\*.*?\*/", "", source, flags=re.DOTALL)
+    values = {}
+    for block in re.findall(r"\benum\s*\{(.*?)\}", source, flags=re.DOTALL):
+        value = -1
+        for item in filter(None, (part.strip() for part in block.split(","))):
+            name, _, expr = (part.strip() for part in item.partition("="))
+            value = int(expr) if expr else value + 1
+            values[name] = value
+    return values
+
+
+def test_layout_matches_the_source():
+    # _kernel.py mirrors _kernel.c's form codes, state layout and cache row.
+    source = _kernel.SOURCE.read_text()
+    ours = {name: value for name, value in vars(_kernel).items()
+            if name.startswith(("ST_", "FORM_")) and isinstance(value, int)}
+    theirs = {name: value for name, value in c_enums(source).items()
+              if name.startswith(("ST_", "FORM_"))}
+    assert ours == theirs
+    struct = re.search(r"typedef struct \{(.*?)\} lsils_cache;", source, flags=re.DOTALL)
+    members = re.sub(r"/\*.*?\*/", "", struct.group(1), flags=re.DOTALL).count(";")
+    assert members == _kernel.CACHE_FIELDS
 
 
 def test_build_caches_one_file_by_hash(tmp_path, monkeypatch):
@@ -267,13 +294,18 @@ class TestIterationEquivalence:
     @given(st.integers(1, MAX_N), st.integers(0, 2**32), st.sampled_from(FORMS),
            st.one_of(st.none(), st.sampled_from(FORMS)), st.sampled_from(PIVOT_RULES),
            st.booleans(), st.sampled_from(LAMS), st.sampled_from(ALPHAS),
-           st.integers(0, 400), st.integers(1, 20000), st.data())
-    def test_kernel_matches_numpy_iteration(self, n, seed, first, second, pivot, blend, lam,
-                                            alpha, start, budget, data):
+           st.integers(0, 400), st.integers(1, 20000), st.booleans(), st.data())
+    def test_kernel_matches_numpy_iterations(self, n, seed, first, second, pivot, blend, lam,
+                                             alpha, start, budget, halt, data):
+        # One compiled call runs iterations until a stop; the numpy reference
+        # runs as many, one at a time, and must end in the same state.
         bits = data.draw(st.integers(1, n), label="bits")
         # Intervals below n * bits put several marks inside one perturbation.
         interval = data.draw(st.one_of(st.none(), st.integers(1, n * bits),
                                        st.floats(0.5, n * bits)), label="interval")
+        stop = start + data.draw(st.integers(1, 20000), label="stop - start")
+        chunk = data.draw(st.sampled_from((1, 2, 3, search.TARGET_CHUNK)), label="chunk")
+        buffer = data.draw(st.sampled_from((1, 2, search.MARK_BUFFER)), label="buffer")
         slots = (first,) if second is None else (first, second)
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
@@ -287,16 +319,32 @@ class TestIterationEquivalence:
             meter.current_lam = lam
             if start:
                 meter.charge(start)
-            return caches, tracker, meter, seeded_rng(seed, 2)
+            return caches, tracker, meter, search._SwapTargets(seeded_rng(seed, 2), n, bits)
 
-        ref_caches, ref_tracker, ref_meter, ref_rng = state()
-        caches, tracker, meter, rng = state()
-        positions = search.sample_distinct_positions(ref_rng, n, bits)
-        expected = search._perturb_in_place(ref_caches, positions, value, ref_meter)
-        expected = search._descend(ref_caches, weights, expected, ref_tracker, ref_meter, pivot)
-        descent = search._Descent(caches, pivot)
-        assert descent.compiled
-        assert descent(weights, value, tracker, meter, rng, bits) == expected
+        with mock.patch.object(search, "TARGET_CHUNK", chunk), \
+                mock.patch.object(search, "MARK_BUFFER", buffer):
+            ref_caches, ref_tracker, ref_meter, ref_targets = state()
+            caches, tracker, meter, targets = state()
+            descent = search._Descent(caches, pivot)
+            assert descent.compiled
+            rounds, at = targets.ready(), targets.at
+            got = descent(weights, value, tracker, meter, targets, stop, halt)
+            ran = (targets.at - at) // bits
+            assert 1 <= ran <= rounds
+            expected, improved = value, False
+            for _ in range(ran):
+                assert ref_meter.consumed < stop and not (halt and improved)
+                best = ref_tracker.best_value
+                positions = search._fisher_yates(ref_targets.take())
+                expected = search._perturb_in_place(ref_caches, positions, expected, ref_meter)
+                expected = search._descend(ref_caches, weights, expected, ref_tracker, ref_meter,
+                                           pivot)
+                improved = ref_tracker.best_value > best
+        # It stopped for a reason: targets used up, the stop count, a new
+        # best under `halt`, or a full mark buffer.
+        assert (ran == rounds or ref_meter.consumed >= stop or (halt and improved)
+                or meter.emitted - meter.marks_from >= buffer)
+        assert got == expected
         for ours, ref in zip(caches, ref_caches):
             assert np.array_equal(ours.gains, ref.gains)
             assert np.array_equal(ours.sigma, ref.sigma)
@@ -305,7 +353,7 @@ class TestIterationEquivalence:
         assert np.array_equal(tracker.best_solution, ref_tracker.best_solution)
         assert meter.records == ref_meter.records
         assert (meter.consumed, meter.next_mark) == (ref_meter.consumed, ref_meter.next_mark)
-        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+        assert np.array_equal(ref_targets.take(), targets.take())
         assert np.array_equal(descent.scratch[:n], np.arange(n))
         assert not descent.scratch[2 * n:3 * n].any()
 
@@ -322,7 +370,10 @@ class TestIterationEquivalence:
             meter = _Meter(Budget("evals", float("inf")), None, None)
             value = evaluate(form, cache.solution)
             for _ in range(50):
-                value = descent(None, value, None, meter, rng, int(rng.integers(1, n + 1)))
+                targets = search._SwapTargets(rng, n, int(rng.integers(1, n + 1)))
+                # Stopping one evaluation on runs a single iteration.
+                value = descent(None, value, None, meter, targets, meter.consumed + 1)
+                assert targets.at == targets.bits
                 assert value == evaluate(form, cache.solution)
                 fresh = GainCache.build(form, cache.solution)
                 assert np.array_equal(cache.gains, fresh.gains)
@@ -353,14 +404,14 @@ def test_seconds_budget_marks_are_checked_between_descents():
     assert result.records[-1].best_f == result.best_value == evaluate(inst, result.best_solution)
 
 
-def _run_logs(inst, pivot):
+def _run_logs(inst, pivot, interval=1700, budget=30000):
     """Every run log of a small ils/lsils batch, as written to disk."""
     logs = {}
     for kind in (None, *ToyKind):
         for seed in (0, 1):
-            config = SearchConfig(budget=Budget("evals", 30000), pivot_rule=pivot,
-                                  lambda_schedule=LambdaSchedule.staged_ramp(30000),
-                                  toy_kind=kind, seed=seed, log_interval=1700)
+            config = SearchConfig(budget=Budget("evals", budget), pivot_rule=pivot,
+                                  lambda_schedule=LambdaSchedule.staged_ramp(budget),
+                                  toy_kind=kind, seed=seed, log_interval=interval)
             result = lsils(inst, config) if kind else ils(inst, config)
             text = io.StringIO()
             write_runlog_csv(result.records, text)
@@ -376,6 +427,77 @@ def test_runs_are_byte_identical_on_both_paths(pivot, request):
     request.getfixturevalue("no_kernel")
     assert _kernel.library() is None
     assert _run_logs(inst, pivot) == compiled
+
+
+class KernelCalls:
+    """The loaded kernel, with the state vector of every `lsils_iterate` call kept as it returned."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.calls = []  # (paused, state)
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def lsils_iterate(self, *args):
+        paused = self.lib.lsils_iterate(*args)
+        state = (ctypes.c_int64 * _kernel.ST_SIZE).from_address(args[8])
+        self.calls.append((paused, dict(zip(ST_NAMES, state))))
+        return paused
+
+
+ST_NAMES = sorted((name for name in vars(_kernel) if name.startswith("ST_") and name != "ST_SIZE"),
+                  key=lambda name: getattr(_kernel, name))
+
+
+def _stopped_with_targets_left(st, at_budget: bool) -> bool:
+    """A call that ended between iterations at its stop count, with targets left."""
+    return (st["ST_STARTED"] < st["ST_ROUNDS"] and st["ST_CONSUMED"] >= st["ST_STOP"]
+            and (st["ST_STOP"] == 30000) == at_budget)
+
+
+# Settings under which the compiled loop must stop or pause at an awkward
+# point of the n = 45 runs, each with a check, on the kernel calls (paused,
+# state) and the runs' evaluation columns, that the runs reached it:
+# log interval, target chunk, mark buffer, check.
+LOOP_EDGES = {
+    # A scan charge of up to 45 passes two marks, a perturbation many.
+    "interval-below-n": (20, None, None,
+                         lambda calls, logs: any(len(set(e)) < len(e) for e in logs)),
+    "fractional-interval": (333.7, None, None, lambda calls, logs: True),
+    # Far more marks than the buffer holds: the kernel pauses mid-descent,
+    # with a flip picked and charged but not applied among the pauses.
+    "marks-past-buffer": (6, None, None, lambda calls, logs: any(
+        paused and st["ST_PENDING"] for paused, st in calls)),
+    "one-mark-buffer": (300, None, 1, lambda calls, logs: any(p for p, _ in calls)),
+    # A lambda step, or the budget's end, with targets left in the chunk.
+    "step-inside-chunk": (1700, None, None, lambda calls, logs: any(
+        not paused and _stopped_with_targets_left(st, False) for paused, st in calls)),
+    "budget-inside-chunk": (1700, None, None, lambda calls, logs: any(
+        not paused and _stopped_with_targets_left(st, True) for paused, st in calls)),
+    # Targets running out at every second iteration.
+    "small-chunks": (1700, 2, None, lambda calls, logs: any(
+        not paused and st["ST_STARTED"] == st["ST_ROUNDS"] == 2 for paused, st in calls)),
+}
+
+
+@pytest.mark.parametrize("pivot", PIVOT_RULES)
+@pytest.mark.parametrize("edge", sorted(LOOP_EDGES))
+def test_loop_edges_are_byte_identical_on_both_paths(edge, pivot, monkeypatch):
+    interval, chunk, buffer, reached = LOOP_EDGES[edge]
+    if chunk:
+        monkeypatch.setattr(search, "TARGET_CHUNK", chunk)
+    if buffer:
+        monkeypatch.setattr(search, "MARK_BUFFER", buffer)
+    inst = make_instance(45, seed=21)
+    kernel = KernelCalls(_kernel.library())
+    monkeypatch.setattr(_kernel, "library", lambda: kernel)
+    compiled = _run_logs(inst, pivot, interval, 30000)
+    monkeypatch.setattr(_kernel, "library", lambda: None)
+    assert _run_logs(inst, pivot, interval, 30000) == compiled
+    logs = [[row.split(",")[1] for row in text.splitlines()[1:]]
+            for text, *_ in compiled.values()]
+    assert reached(kernel.calls, logs)
 
 
 def assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, *flags):

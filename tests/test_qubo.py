@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 
 from lsils import (
     GainCache,
+    ToyKind,
     UbqpInstance,
     as_solution,
+    construct_toy,
     evaluate,
     flip_delta,
     mean_abs,
     random_solution,
     seeded_rng,
 )
+from lsils.qubo import INT64_MAX
 
 import oracles
 
@@ -177,6 +180,36 @@ class TestGainCache:
             value += int(cache.gains[k])
             cache.apply_flip(k)
         assert value == int(inst.q.sum())
+
+
+    @given(st.integers(1, 40), st.integers(0, 2**32),
+           st.sampled_from(["instance", "extreme"] + [kind.value for kind in ToyKind]))
+    def test_value_from_gains_matches_evaluate(self, n, seed, name):
+        # "extreme" takes entries as large as UbqpInstance allows, where
+        # the sum of (Q_kk - g_k) over set bits would pass int64.
+        rng = seeded_rng(seed, 4)
+        if name == "instance":
+            form = UbqpInstance.from_matrix(random_symmetric(n, rng))
+        elif name == "extreme":
+            bound = INT64_MAX // (n * n) - 1
+            form = UbqpInstance.from_matrix(random_symmetric(n, rng, -bound, bound))
+        else:
+            form = construct_toy(ToyKind(name), random_solution(n, rng), seed=seed)
+        cache = GainCache.build(form, random_solution(n, rng))
+        for k in rng.integers(0, n, size=4).tolist():
+            assert cache.value() == evaluate(form, cache.solution)
+            cache.apply_flip(k)
+        assert cache.value() == evaluate(form, cache.solution)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_value_from_gains_at_the_int64_limit(self, n):
+        # Every entry at the largest magnitude UbqpInstance allows, of either
+        # sign: with all bits set, Q_kk - g_k = 2 (Qx)_k passes int64.
+        bound = INT64_MAX // (n * n)
+        for sign in (1, -1):
+            form = UbqpInstance.from_matrix(np.full((n, n), sign * bound))
+            for x in (np.ones(n), np.eye(n)[0], np.zeros(n)):
+                assert GainCache.build(form, x).value() == evaluate(form, x)
 
 
 class TestMeanMaxAbs:
