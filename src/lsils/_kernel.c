@@ -22,8 +22,8 @@
  * -(g_p + 2 sigma_p t_p - 2 Q_pp), and the value changes by
  * sum g_P + sigma_P . t_P - sum Q_pp. The perturbation is charged n per bit.
  *
- * It then descends: it scans the gains of the first cache (or the float
- * blend wo * g_0 + wt * g_1), flips the chosen bit k through every cache with
+ * It then descends: it scans the gains of the first cache (or the integer
+ * blend a * g_0 + b * g_1), flips the chosen bit k through every cache with
  * the rank-1 update g_j += 2 sigma_k sigma_j Q_jk, g_k = -g_k, and charges
  * the budget exactly as the Python loop does: the candidates examined, then
  * n per applied flip.
@@ -45,14 +45,12 @@
  * which AVX-512 does slowly (vpmullq) and AVX2 and SSE2 emulate with 32-bit
  * multiplies.
  *
- * Build: cc -O3 -ffp-contract=off -shared -fPIC. Contraction to FMA would
- * round the blend differently from numpy's separate multiply and add.
- * On x86-64 with glibc, lsils_iterate is built three times, for
- * x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline x86-64, and the
- * dynamic loader picks the clone the CPU runs (an ifunc); its helpers are
- * always inlined, so each clone gets its own vector code. The library file
- * stays the same on every x86-64 CPU, which is why -march=native is not
- * used. Elsewhere the plain function is built.
+ * Build: cc -O3 -shared -fPIC. On x86-64 with glibc, lsils_iterate is
+ * built three times, for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and
+ * baseline x86-64, and the dynamic loader picks the clone the CPU runs (an
+ * ifunc); its helpers are always inlined, so each clone gets its own vector
+ * code. The library file stays the same on every x86-64 CPU, which is why
+ * -march=native is not used. Elsewhere the plain function is built.
  */
 #include <stdint.h>
 #include <string.h>
@@ -318,36 +316,21 @@ HOT int64_t pick_int(const int64_t *g, int64_t n, int first, int64_t *examined)
     return best > 0 ? k : -1;
 }
 
-/* As pick_int on the blend wo * go + wt * gt, rounded as in numpy.
- * The best-improvement scan writes the blend's bit patterns to `bits` and
- * runs the integer scan on them. A positive double orders like its bit
- * pattern read as int64, and a negative one or -0.0 reads as a negative
- * int64, +0.0 as 0; so the first maximum, taken only when positive, is the
- * same bit as in a scan of the doubles. The weights are finite (the Python
- * side rejects a NaN or infinite alpha), so the blend holds no NaN, whose
- * bit pattern would read above +inf. */
-HOT int64_t pick_blend(const int64_t *go, const int64_t *gt, double wo, double wt,
-                       int64_t n, int first, int64_t *restrict bits, int64_t *examined)
+/* The blend a * go + b * gt into `out` as double bit patterns, for
+ * pick_int. The caller keeps b > 0 and a |go| + b |gt| below 2^53, so each
+ * value is an exact integer (FMA or not), and a zero is +0.0. Positive
+ * doubles order like their bit patterns read as int64, and negative ones
+ * read as negative. Doubles spare AVX-512's slow int64 multiply. */
+HOT void blend(const int64_t *go, const int64_t *gt, const int64_t *w, int64_t n,
+               int64_t *restrict out)
 {
-    int64_t j, k, best;
+    double a = (double)w[0], b = (double)w[1];
+    int64_t j;
 
-    *examined = n;
-    if (first) {
-        for (j = 0; j < n; j++) {
-            double v = (double)go[j] * wo + (double)gt[j] * wt;
-            if (v > 0.0) {
-                *examined = j + 1;
-                return j;
-            }
-        }
-        return -1;
-    }
     for (j = 0; j < n; j++) {
-        double v = (double)go[j] * wo + (double)gt[j] * wt;
-        memcpy(&bits[j], &v, sizeof v);
+        double v = (double)go[j] * a + (double)gt[j] * b;
+        memcpy(&out[j], &v, sizeof v);
     }
-    k = first_max(bits, n, &best);
-    return best > 0 ? k : -1;
 }
 
 /* Charge `steps` successive charges of `units` evaluations each. Every
@@ -380,7 +363,7 @@ HOT int charge(int64_t *st, int64_t units, int64_t steps, const int64_t *marks,
  * last mark (returns 1, mid-descent; a flip picked but not applied waits in
  * ST_PENDING). A pending flip is applied first. */
 HOT int descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int first,
-                const double *weights, int64_t *blended, int64_t *st, int8_t *best_x,
+                const int64_t *weights, int64_t *blended, int64_t *st, int8_t *best_x,
                 const int64_t *marks, int64_t *stamps)
 {
     const int64_t *g0 = caches[0].gains;
@@ -391,10 +374,8 @@ HOT int descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int firs
     for (;;) {
         if (k < 0) {
             if (weights)
-                k = pick_blend(g0, caches[1].gains, weights[0], weights[1], n, first,
-                               blended, &examined);
-            else
-                k = pick_int(g0, n, first, &examined);
+                blend(g0, caches[1].gains, weights, n, blended);
+            k = pick_int(weights ? blended : g0, n, first, &examined);
             full = charge(st, examined, 1, marks, stamps);
             if (k < 0)
                 return 0;
@@ -425,11 +406,11 @@ HOT int descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int firs
  * increasing order, and `stamps` room for two slots per mark. `scratch` holds
  * 4n slots: an identity permutation, then three scratch vectors of which the
  * second is all zero; both are left as found. The perturbation writes the
- * first and third vectors, and the blended scan writes the third. With
- * `weights` (wo, wt) the pivot is picked on the float blend of caches[0]
- * and caches[1], and without (NULL) on the integer gains of caches[0]. */
+ * first and third vectors, and the blend writes the third. With integer
+ * `weights` (a, b) the pivot is picked on the blend a * g_0 + b * g_1 of
+ * caches[0] and caches[1], and without (NULL) on the gains of caches[0]. */
 CLONES int64_t lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
-                             int64_t first, const double *weights,
+                             int64_t first, const int64_t *weights,
                              const int64_t *targets, int64_t bits, int64_t *scratch,
                              int64_t *st, int8_t *best_x, const int64_t *marks,
                              int64_t *stamps)

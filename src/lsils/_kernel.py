@@ -37,7 +37,7 @@ from .smoothing import ToyKind, ToyMatrix
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
-FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-shared", "-fPIC")
 COMPILERS = ("cc", "gcc", "clang")
 COMPILE_TIMEOUT_S = 120
 

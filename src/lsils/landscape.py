@@ -3,11 +3,13 @@
 Solutions are indexed little-endian: bit i of index s is x_i. Local-optima
 enumeration walks all 2^n solutions in reflected-binary Gray-code order
 (one flip per step, O(n) incremental gain update), stores every objective
-value, then compares each solution against its n neighbors. Every other
+value (a smoothed objective's exact integer blend), then compares each
+solution against its n neighbors. Every other
 2^n enumeration streams the values from `_value_blocks`, a bilinear block
 split of the matrix that yields them in cache-sized blocks made by exact
 int64 additions. Histograms count block by block, so their memory does not
 grow with 2^n; `all_values_blocked` fills one array from the same blocks.
+Smoothed histogram keys are g's float values, quantized to 1e-9.
 
 Everything here is guarded to n <= ENUMERATION_GUARD since the work (and
 the census's memory) grows as 2^n.
@@ -46,13 +48,6 @@ def solution_from_index(s: int, n: int) -> np.ndarray:
     return np.array([(s >> i) & 1 for i in range(n)], dtype=np.int8)
 
 
-def _component_forms(objective) -> tuple[list, tuple[float, float] | None]:
-    """(integer quadratic forms, combination weights or None)."""
-    if isinstance(objective, SmoothedObjective):
-        return [objective.instance, objective.toy], objective.weights
-    return [objective], None
-
-
 def gray_flip_sequence(n: int) -> np.ndarray:
     """Flipped-bit index per Gray-code step: trailing zeros of t for t=1..2^n-1."""
     total = (1 << n) - 1
@@ -71,7 +66,8 @@ def enumerate_values(objective) -> list[np.ndarray]:
     original plus toy for a smoothed one), each filled by a Gray-code walk
     with O(n) incremental evaluation per step.
     """
-    forms, _ = _component_forms(objective)
+    smoothed = isinstance(objective, SmoothedObjective)
+    forms = [objective.instance, objective.toy] if smoothed else [objective]
     n = forms[0].n
     _check_guard(n)
     flips = gray_flip_sequence(n)
@@ -90,10 +86,14 @@ def enumerate_values(objective) -> list[np.ndarray]:
     return outs
 
 
-def _combine(component_values: list[np.ndarray], weights) -> np.ndarray:
-    if weights is None:
-        return component_values[0]
-    return weights[0] * component_values[0] + weights[1] * component_values[1]
+def _combine(objective) -> np.ndarray:
+    """The values the census compares: a smoothed objective's exact integer
+    blend a * f + b * t, its weights checked before the walk."""
+    if not isinstance(objective, SmoothedObjective):
+        return enumerate_values(objective)[0]
+    a, b = objective.integer_weights(objective.n ** 2)
+    f, t = enumerate_values(objective)
+    return a * f + b * t
 
 
 def _local_optima_mask(values: np.ndarray, n: int) -> np.ndarray:
@@ -112,10 +112,9 @@ def enumerate_local_optima(objective, cap: int = 1000):
     The solution list is retained only when count <= cap. Works for plain
     instances, toys, and smoothed objectives (n <= ENUMERATION_GUARD).
     """
-    forms, weights = _component_forms(objective)
-    n = forms[0].n
+    n = objective.n
     _check_guard(n)
-    values = _combine(enumerate_values(objective), weights)
+    values = _combine(objective)
     mask = _local_optima_mask(values, n)
     count = int(mask.sum())
     if count > cap:
@@ -252,7 +251,7 @@ def _smoothed_blocks(objective: SmoothedObjective):
     The same float64 products, sum and rounding as on whole arrays, so the
     values are bit-identical to theirs.
     """
-    wo, wt = objective.weights
+    wo, wt = 1.0 - objective.lam, objective.lam * objective.alpha
     pairs = zip(_value_blocks(objective.instance.q), _value_blocks(objective.toy.materialize()))
     blend = scratch = None
     for f, t in pairs:

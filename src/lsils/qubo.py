@@ -2,8 +2,8 @@
 
 Everything in this package maximizes f(x) = x^T Q x over binary vectors x,
 with Q a symmetric integer matrix. Arithmetic on this objective is exact
-signed 64-bit integer math; no floating point enters until objectives are
-blended in the smoothing layer.
+signed 64-bit integer math; the smoothing layer blends objectives with
+integer weights, so only its reported values are floats.
 
 The quadratic-form protocol shared by instances and toy matrices is duck
 typed: an object with `n`, `diag()`, `col(k)` and `matvec(v)` can be
@@ -58,6 +58,7 @@ class UbqpInstance:
     n: int
     q: np.ndarray
     density: float
+    _max_abs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q)
@@ -76,6 +77,7 @@ class UbqpInstance:
             raise ValueError("entries too large: n^2 * max|Q| exceeds int64")
         q.setflags(write=False)
         self.q = q
+        self._max_abs = max_abs
 
     @classmethod
     def from_matrix(cls, q) -> "UbqpInstance":
@@ -94,6 +96,9 @@ class UbqpInstance:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.q @ np.asarray(v, dtype=np.int64)
+
+    def max_abs(self) -> int:
+        return self._max_abs
 
 
 def evaluate(form, x) -> int:

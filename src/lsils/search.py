@@ -16,8 +16,8 @@ trajectory, no toy.
 Seconds-mode budgets measure wall-clock time instead and are therefore not
 reproducible; evaluation-count budgets are the deterministic default.
 
-At lam = 0 the smoothed objective is the original one, and the descent
-takes the original objective's exact integer gains, not a float blend.
+The smoothed descent picks on the exact integer blend a * g_0 + b * g_1 of
+the caches' gains, with the weights of `blend_weights`.
 
 Outer iterations run in the compiled kernel of `_kernel.c` when it builds.
 One kernel call perturbs and descends, iteration after iteration, and
@@ -63,6 +63,7 @@ from .smoothing import (
     ToyKind,
     ToyMatrix,
     auto_alpha,
+    blend_weights,
     construct_toy,
 )
 
@@ -209,18 +210,6 @@ class RunResult:
         return self.log.records
 
 
-def sample_distinct_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """`count` distinct indices from range(n) via a partial Fisher-Yates pass.
-
-    The swap targets j_i in [i, n) come from one vectorised draw, which
-    yields the same values and leaves the generator in the same state as
-    drawing them one at a time.
-    """
-    if not 1 <= count <= n:
-        raise ValueError(f"need 1 <= count <= {n}, got {count}")
-    return _fisher_yates(rng.integers(np.arange(count), n))
-
-
 def _fisher_yates(targets: np.ndarray) -> np.ndarray:
     """The positions a partial Fisher-Yates pass with swap targets j_i in [i, n) picks.
 
@@ -245,9 +234,10 @@ class _SwapTargets:
 
     `rng.integers(np.tile(np.arange(bits), TARGET_CHUNK), n)` gives the
     values, in order, of TARGET_CHUNK separate draws
-    `rng.integers(np.arange(bits), n)`, as `sample_distinct_positions`
-    makes. The numpy path takes one iteration's targets at a time and the
-    kernel reads them where `at` points, so mixing the two keeps the stream.
+    `rng.integers(np.arange(bits), n)` of swap targets j_i in [i, n) for
+    `_fisher_yates`. The numpy path takes one iteration's targets at a time
+    and the kernel reads them where `at` points, so mixing the two keeps the
+    stream.
     Draws left at the end of a run are never used.
     """
 
@@ -419,26 +409,19 @@ def _descend(caches, weights, value, tracker, meter, pivot_rule: str):
     """Run local search all the way to a local optimum.
 
     `caches` holds the gain cache of the original objective first, then
-    the toy's when blended; `weights` (wo, wt) switches the combined float
-    objective wo * g_0 + wt * g_1 on, otherwise descent follows the primary
-    cache's integer gains. `value` tracks the primary cache's exact
+    the toy's when blended; integer `weights` (a, b) switch the blend
+    a * g_0 + b * g_1 on, exact in int64, otherwise descent follows the
+    primary cache's gains. `value` tracks the primary cache's exact
     objective and is returned updated. Budget exhaustion is checked between
     descents, not inside one, so the consumed total may overshoot by one
     descent.
     """
     primary = caches[0]
     n = primary.solution.size
-    combined = np.empty(n, dtype=np.float64) if weights is not None else None
-    scratch = np.empty(n, dtype=np.float64) if weights is not None else None
     while True:
-        if weights is None:
-            gains = primary.gains
-        else:
-            wo, wt = weights
-            np.multiply(caches[0].gains, wo, out=combined)
-            np.multiply(caches[1].gains, wt, out=scratch)
-            combined += scratch
-            gains = combined
+        gains = primary.gains
+        if weights is not None:
+            gains = weights[0] * gains + weights[1] * caches[1].gains
         k, examined = _pick_flip(gains, pivot_rule, n)
         meter.charge(examined)
         if k is None:
@@ -462,7 +445,8 @@ class _Descent:
     count `stop` (the budget's end or the next lambda step), at the end of
     the drawn targets, or, with `halt`, after an iteration that improved the
     best. Under a seconds budget it runs one iteration. The kernel's view of
-    the caches is built once, here.
+    the caches is built once, here. `weights` are `blend_weights` or None;
+    at b = 0 the kernel scans the first cache's gains.
 
     The kernel stamps the log marks it passes from the meter's buffer, with
     the meter's own rule, so evals-budget records are the ones `_descend`
@@ -486,7 +470,7 @@ class _Descent:
             # leaves the permutation and the second vector (zeros) as found.
             self.scratch = np.zeros(4 * n, dtype=np.int64)
             self.scratch[:n] = np.arange(n)
-            self.weights = np.zeros(2)
+            self.weights = np.zeros(2, dtype=np.int64)
             self.weights_at = self.weights.ctypes.data
             self.args = (self.entries.ctypes.data, len(caches), n, pivot_rule == "first")
             self.buffers = (self.scratch.ctypes.data, self.state.ctypes.data,
@@ -505,7 +489,7 @@ class _Descent:
                 value = _perturb_in_place(self.caches, positions, value, meter)
             return _descend(self.caches, weights, value, tracker, meter, self.pivot_rule)
         blend = None
-        if weights is not None:
+        if weights is not None and weights[1]:  # b = 0 scans g_0 itself
             self.weights[:] = weights
             blend = self.weights_at
         state = self.state
@@ -552,17 +536,15 @@ class _Descent:
 def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     """Descend from x to a one-bit-flip local optimum of the objective.
 
-    The objective may be a UbqpInstance, a ToyMatrix, or a SmoothedObjective;
-    one at lam = 0 is its instance, descended on exact integer gains.
+    The objective may be a UbqpInstance, a ToyMatrix, or a SmoothedObjective,
+    descended on its integer blend of gains (ValueError past the bound).
     """
     if pivot_rule not in PIVOT_RULES:
         raise ValueError(f"pivot rule must be one of {PIVOT_RULES}")
     forms, weights = (objective,), None
     if isinstance(objective, SmoothedObjective):
-        if objective.lam == 0:
-            forms = (objective.instance,)
-        else:
-            forms, weights = (objective.instance, objective.toy), objective.weights
+        forms = (objective.instance, objective.toy)
+        weights = objective.integer_weights(2 * objective.n)
     caches = [GainCache.build(form, x) for form in forms]
     # Unbudgeted and untracked: the running value the descent keeps is unused.
     meter = _Meter(Budget("evals", float("inf")), None, None)
@@ -637,7 +619,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
                 if blended is None:
                     blended = _Descent([primary, GainCache.build(toy, primary.solution)],
                                        config.pivot_rule)
-                weights = (1.0 - lam, lam * alpha)
+                weights = blend_weights(lam, alpha, 2 * n * inst.max_abs(), 2 * n * toy.max_abs())
         # One iteration, or on the compiled path every one up to the next
         # decision: a lambda step, or a new best, which moves the anchor.
         value = (blended or plain)(weights, value, tracker, meter, targets,
@@ -664,8 +646,9 @@ def lsils(inst: UbqpInstance, config: SearchConfig) -> RunResult:
     """Iterated local search on the smoothed objective with best tracking.
 
     While lam > 0, each outer iteration rebuilds the toy at the best-known
-    solution when it changed, blends gains as (1 - lam) * original +
-    lam * alpha * toy, and scores every accepted flip under the original
+    solution when it changed, descends on the exact integer blend of gains
+    a * original + b * toy (`blend_weights`, which raises ValueError past
+    its bound), and scores every accepted flip under the original
     objective. While lam = 0 it is an ILS iteration, and no toy is built.
     """
     if config.toy_kind is None:

@@ -11,14 +11,18 @@ in the positive magnitudes w:
 Each kind has the anchor as its unique one-bit-flip local optimum. The
 smoothed objective blends the original problem with a toy:
 g(x) = (1 - lam) * f_o(x) + lam * alpha * f_toy(x).
+Decisions on g are made on the exact integer blend a * f_o + b * f_toy,
+which is g times a positive constant (`blend_weights`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,6 +43,10 @@ class ToyKind(str, Enum):
 
 # Label separating magnitude draws from other streams derived off one seed.
 TOY_MAGNITUDE_STREAM = 0
+# blend_weights' denominators, and its bound on blended magnitudes, below
+# which the kernel's double arithmetic is exact.
+DENOMINATOR_LIMIT = 10**6
+EXACT_BOUND = 2**53
 
 
 def _index_matvec(v: np.ndarray) -> np.ndarray:
@@ -183,9 +191,32 @@ def auto_alpha(inst: UbqpInstance, toy: ToyMatrix, target_bound=None) -> float:
     return target_bound / peak
 
 
+@functools.lru_cache(maxsize=256)
+def blend_weights(lam: float, alpha: float, f_bound: int, t_bound: int) -> tuple[int, int]:
+    """Coprime integers (a, b) with a : b = (1 - lam) : lam * alpha exactly.
+
+    lam and alpha are read as `Fraction(x).limit_denominator(DENOMINATOR_LIMIT)`,
+    which recovers every decimal with up to six places and every auto alpha
+    B/P. A blend (b > 0) whose magnitudes, up to `f_bound` on the original
+    form and `t_bound` on the toy, reach a * f_bound + b * t_bound >=
+    EXACT_BOUND is rejected. At lam = 0 the weights are (1, 0). Cached, as
+    a search asks at every return from the kernel.
+    """
+    exact_lam, exact_alpha = (Fraction(v).limit_denominator(DENOMINATOR_LIMIT)
+                              for v in (lam, alpha))
+    if lam and not (exact_lam and exact_alpha):
+        raise ValueError(f"lam={lam:g}, alpha={alpha:g}: positive values must be at least "
+                         f"1/{2 * DENOMINATOR_LIMIT}, the resolution of exact blending")
+    a, b = ((1 - exact_lam) / (exact_lam * exact_alpha)).as_integer_ratio() if lam else (1, 0)
+    if b and a * f_bound + b * t_bound >= EXACT_BOUND:
+        raise ValueError(f"lam={lam:g}, alpha={alpha:g}: blend weights {a}:{b} take "
+                         f"magnitudes to {a * f_bound + b * t_bound}, past the bound 2^53")
+    return a, b
+
+
 @dataclass
 class SmoothedObjective:
-    """g(x) = (1 - lam) * f_o(x) + lam * alpha * f_toy(x)."""
+    """g(x) = (1 - lam) * f_o(x) + lam * alpha * f_toy(x); decisions use `integer_weights`."""
 
     instance: UbqpInstance
     toy: ToyMatrix
@@ -202,16 +233,16 @@ class SmoothedObjective:
             raise ValueError("instance and toy dimensions differ")
         self.n = self.instance.n
 
-    @property
-    def weights(self) -> tuple[float, float]:
-        """(original, toy) coefficients: (1 - lam, lam * alpha)."""
-        return 1.0 - self.lam, self.lam * self.alpha
+    def integer_weights(self, scale: int) -> tuple[int, int]:
+        """`blend_weights` for magnitudes up to `scale` times each form's largest
+        |entry|: 2n for one-flip gains, n^2 for values."""
+        return blend_weights(self.lam, self.alpha, scale * self.instance.max_abs(),
+                             scale * self.toy.max_abs())
 
 
 def smoothed_evaluate(g: SmoothedObjective, x) -> float:
     """Blend of the two exact integer objectives in double precision."""
-    wo, wt = g.weights
-    return wo * evaluate(g.instance, x) + wt * evaluate(g.toy, x)
+    return (1.0 - g.lam) * evaluate(g.instance, x) + g.lam * g.alpha * evaluate(g.toy, x)
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", [
+        ("solve", "--algo", "lsils:plusminusi", "--budget", "evals:5000", "--lambda", "const:0.5"),
+        ("landscape", "--toy", "plusminusi", "--lam", "0.5"),
+    ])
+    def test_blends_past_the_exact_bound_return_one(self, command, tmp_path, capsys):
+        # Entries up to 2^50 at n = 8 take the blended gains and values past 2^53.
+        assert main([*command, "--gen", f"n=8,range={-2**50}:{2**50},seed=1",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "2^53" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ("--budget", "evals:inf"), ("--budget", "seconds:nan"), ("--budget", "evals:-inf"),
         ("--budget", "evals:1000", "--log-interval", "evals:inf"),

@@ -41,8 +41,9 @@ from lsils import (
 )
 from lsils import _kernel, search
 from lsils.search import PIVOT_RULES, BestTracker, _Meter
+from lsils.smoothing import blend_weights
 
-from test_qubo import make_instance, random_symmetric
+from test_qubo import make_instance
 from test_search import gains_past_2_53
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,7 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # 64-entry blocks and a tail, and its vector loops across their remainders.
 MAX_N = 130
 FORMS = ("instance",) + tuple(kind.value for kind in ToyKind)
-# (1 - lam, lam * alpha) blends of two forms, (1.0, 0.0) among them.
+# Blends of two forms with the integer weights of these lam and alpha,
+# (1, 0) and (0, 1) among them.
 LAMS = (0.0, 0.001, 0.3, 0.5, 1.0)
 ALPHAS = (0.25, 1.0, 3.7)
 
@@ -168,7 +170,7 @@ class TestDescentEquivalence:
                                           interval, start, budget):
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
-        weights = (1.0 - lam, lam * alpha) if blend and len(forms) == 2 else None
+        weights = blend_weights(lam, alpha, 0, 0) if blend and len(forms) == 2 else None
         value = evaluate(forms[0], x)
 
         def state():
@@ -195,7 +197,7 @@ class TestDescentEquivalence:
         assert meter.records == ref_meter.records
         assert (meter.consumed, meter.next_mark) == (ref_meter.consumed, ref_meter.next_mark)
 
-    @pytest.mark.parametrize("weights", [None, (1.0, 0.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("weights", [None, (1, 0), (1, 1)])
     def test_ties_go_to_the_lowest_index(self, weights):
         # From 00 both flips gain 1, and each one makes the other lose.
         inst = UbqpInstance.from_matrix(np.array([[1, -1], [-1, 1]]))
@@ -209,7 +211,7 @@ class TestDescentEquivalence:
             assert value == 1
             assert caches[0].solution.tolist() == [1, 0]
 
-    @pytest.mark.parametrize("weights", [None, (1.0, 0.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("weights", [None, (1, 0), (1, 1)])
     @pytest.mark.parametrize("tie", [(3, 70), (63, 64), (0, 129), (70, 100), (128, 129)])
     def test_ties_between_blocks_go_to_the_lowest_index(self, weights, tie):
         # From 0 both bits gain 1, the largest gain, and each one makes the
@@ -223,46 +225,30 @@ class TestDescentEquivalence:
         assert caches[0].solution.nonzero()[0].tolist() == [i]
 
     @pytest.mark.parametrize("pivot", PIVOT_RULES)
-    @pytest.mark.parametrize("weights, sign", [((0.0, 0.0), -1), ((-1.0, 0.0), 1)])
-    def test_non_positive_blend_with_negative_zero_is_a_local_optimum(self, pivot, weights,
-                                                                       sign):
-        # Every blended gain is -0.0 or negative (a bit pattern below zero)
-        # or +0.0, so no flip is taken.
+    @pytest.mark.parametrize("weights", [(0, 1), (1, 1)])
+    def test_non_positive_blend_is_a_local_optimum(self, pivot, weights):
+        # The first form's gains are negative or 0 and the second form's all
+        # 0, so every blended gain is 0 or negative and no flip is taken.
         n = MAX_N
-        diagonal = sign * seeded_rng(6).integers(0, 4, size=n)
+        diagonal = -seeded_rng(6).integers(0, 4, size=n)
         diagonal[::3] = 0
-        inst = UbqpInstance.from_matrix(np.diag(diagonal))
-        x = np.zeros(n, dtype=np.int8)
-        blend = np.multiply(GainCache.build(inst, x).gains, weights[0])
-        assert np.signbit(blend).any() and not (blend > 0).any()
-        caches = assert_descents_agree((inst, inst), x, weights, pivot)
+        forms = (UbqpInstance.from_matrix(np.diag(diagonal)),
+                 UbqpInstance.from_matrix(np.zeros((n, n), dtype=int)))
+        caches = assert_descents_agree(forms, np.zeros(n, dtype=np.int8), weights, pivot)
         assert not caches[0].solution.any()
 
-    @given(st.integers(2, MAX_N), st.integers(0, 2**32), st.sampled_from(PIVOT_RULES),
-           st.sampled_from(LAMS), st.sampled_from(ALPHAS))
-    def test_gains_beyond_2_53_round_as_in_numpy(self, n, seed, pivot, lam, alpha):
-        # Entries as large as UbqpInstance allows (n^2 max|Q| within int64)
-        # give gains past 2^53, where int64 -> float64 rounds.
-        bound = np.iinfo(np.int64).max // (n * n)
-        rng = seeded_rng(seed, 3)
-        forms = [UbqpInstance.from_matrix(random_symmetric(n, rng, -bound, bound))
-                 for _ in range(2)]
-        x = random_solution(n, rng)
-        assume(np.abs(GainCache.build(forms[0], x).gains).max() > 2**53)
-        assert_descents_agree(forms, x, (1.0 - lam, lam * alpha), pivot)
-
-    @pytest.mark.parametrize("weights, picked", [(None, 17), ((1.0, 0.0), 13), ((1.0, 0.5), 13)])
-    def test_blend_rounds_gains_past_2_53_to_nearest_even(self, weights, picked):
+    @pytest.mark.parametrize("weights", [None, (1, 0)])
+    def test_gains_past_2_53_are_scanned_exactly(self, weights):
         # From 0 the gains of bits 5, 9, 13, 17 are 2^53 + (1, 2, 3, 5), and
-        # the first flip of them makes the other three lose. As doubles,
-        # rounded to nearest even, they are 2^53 + (0, 2, 4, 4): the blend's
-        # first maximum is bit 13, the integer maximum bit 17. The second
-        # form's gains are all 0.
+        # the first flip of them makes the other three lose. As doubles they
+        # would round to 2^53 + (0, 2, 4, 4) and pick bit 13; the exact
+        # maximum is bit 17. The weights (1, 0) of lam = 0 scan the first
+        # form's gains as they are; the second form's gains are all 0.
         inst = gains_past_2_53()
         n = inst.n
         forms = (inst, UbqpInstance.from_matrix(np.zeros((n, n), dtype=int)))
         caches = assert_descents_agree(forms, np.zeros(n, dtype=np.int8), weights, "best")
-        assert caches[0].solution.nonzero()[0].tolist() == [picked]
+        assert caches[0].solution.nonzero()[0].tolist() == [17]
 
     @pytest.mark.parametrize("pivot", PIVOT_RULES)
     def test_local_search_runs_the_kernel(self, pivot, monkeypatch):
@@ -309,7 +295,7 @@ class TestIterationEquivalence:
         slots = (first,) if second is None else (first, second)
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
-        weights = (1.0 - lam, lam * alpha) if blend and len(forms) == 2 else None
+        weights = blend_weights(lam, alpha, 0, 0) if blend and len(forms) == 2 else None
         value = evaluate(forms[0], x)
 
         def state():
@@ -515,6 +501,26 @@ def assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, 
         assert _run_logs(inst, pivot) == dispatched
     finally:
         _kernel.library.cache_clear()
+
+
+def test_v4_clone_multiplies_no_int64_vectors(tmp_path):
+    # The gain updates negate under masks and the blend runs in doubles, so
+    # the AVX-512 clone of lsils_iterate has no vpmullq, AVX-512's slow
+    # 64-bit multiply.
+    if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
+        pytest.skip("the per-CPU clones are built on x86-64 with glibc")
+    try:
+        compiler = _kernel._compiler()
+    except OSError:
+        pytest.skip("no C compiler")
+    assembly = tmp_path / "kernel.s"
+    subprocess.run([compiler, *_kernel.FLAGS, "-S", "-o", str(assembly), str(_kernel.SOURCE)],
+                   check=True, capture_output=True)
+    clone = re.search(r"^lsils_iterate\.arch_x86_64_v4:$(.*?)^\s*\.size\s+lsils_iterate\.arch",
+                      assembly.read_text(), flags=re.MULTILINE | re.DOTALL)
+    if clone is None:
+        pytest.skip("the compiler builds no target_clones")
+    assert "vpmullq" not in clone.group(1)
 
 
 @pytest.mark.parametrize("pivot", PIVOT_RULES)

@@ -306,7 +306,7 @@ class TestStreamedHistogram:
         for kind in ToyKind:
             toy, t = forms[kind.value]
             obj = SmoothedObjective(instance=inst, toy=toy, lam=lam, alpha=2.3)
-            wo, wt = obj.weights
+            wo, wt = 1.0 - lam, lam * 2.3
             expected = Counter(np.round(wo * f + wt * t, 9).tolist())
             hist = value_histogram(obj)
             assert hist == expected, kind

@@ -35,10 +35,10 @@ from lsils import (
 )
 from lsils import search
 from lsils.qubo import INIT_STREAM
-from lsils.search import BUDGET_KINDS, BestTracker, RunLog, _Meter, sample_distinct_positions
+from lsils.search import BUDGET_KINDS, BestTracker, RunLog, _Meter, _fisher_yates
 
 import oracles
-from test_qubo import make_instance
+from test_qubo import make_instance, random_symmetric
 from test_smoothing import blended_gains
 
 
@@ -96,24 +96,29 @@ class TestConfigValidation:
                 ils(inst, cfg)
 
 
+def sample_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """`count` distinct positions from one vectorised draw of swap targets, as a run draws them."""
+    return _fisher_yates(rng.integers(np.arange(count), n))
+
+
 class TestSampling:
     @given(st.integers(1, 40), st.integers(0, 2**32), st.data())
     def test_positions_distinct_and_in_range(self, n, seed, data):
         count = data.draw(st.integers(1, n))
-        pos = sample_distinct_positions(seeded_rng(seed), n, count)
+        pos = sample_positions(seeded_rng(seed), n, count)
         assert pos.size == count
         assert len(set(pos.tolist())) == count
         assert pos.min() >= 0 and pos.max() < n
 
     def test_full_count_is_permutation(self):
-        pos = sample_distinct_positions(seeded_rng(7), 12, 12)
+        pos = sample_positions(seeded_rng(7), 12, 12)
         assert sorted(pos.tolist()) == list(range(12))
 
     @given(st.integers(1, 600), st.integers(0, 2**32), st.data())
     def test_matches_sequential_fisher_yates(self, n, seed, data):
         count = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
         ours, reference = seeded_rng(seed, 2), seeded_rng(seed, 2)
-        pos = sample_distinct_positions(ours, n, count)
+        pos = sample_positions(ours, n, count)
         assert np.array_equal(pos, oracles.fisher_yates_positions(reference, n, count))
         assert ours.integers(0, 2**62) == reference.integers(0, 2**62)
 
@@ -121,7 +126,7 @@ class TestSampling:
     def test_matches_sequential_fisher_yates_at_search_sizes(self, n, count):
         for seed in range(20):
             ours, reference = seeded_rng(seed, 2), seeded_rng(seed, 2)
-            pos = sample_distinct_positions(ours, n, count)
+            pos = sample_positions(ours, n, count)
             assert np.array_equal(pos, oracles.fisher_yates_positions(reference, n, count))
             assert ours.random() == reference.random()
 
@@ -129,8 +134,8 @@ class TestSampling:
                                                  (125, 500, 64), (300, 100000, 3)])
     def test_chunked_targets_are_the_per_iteration_draws(self, bits, n, chunk, monkeypatch):
         # The run's swap targets, drawn `chunk` iterations at a time, are the
-        # draws sample_distinct_positions makes one iteration at a time, and
-        # pick the same positions, across chunk ends.
+        # draws made one iteration at a time, and pick the same positions,
+        # across chunk ends.
         monkeypatch.setattr(search, "TARGET_CHUNK", chunk)
         targets = search._SwapTargets(seeded_rng(bits, 2), n, bits)
         one_at_a_time, positions = seeded_rng(bits, 2), seeded_rng(bits, 2)
@@ -138,15 +143,8 @@ class TestSampling:
             taken = targets.take()
             assert np.array_equal(taken, one_at_a_time.integers(np.arange(bits), n))
             assert np.array_equal(search._fisher_yates(taken),
-                                  sample_distinct_positions(positions, n, bits))
+                                  sample_positions(positions, n, bits))
         assert targets.at == bits  # one iteration into the third chunk
-
-    def test_count_out_of_range(self):
-        rng = seeded_rng(0)
-        with pytest.raises(ValueError):
-            sample_distinct_positions(rng, 5, 0)
-        with pytest.raises(ValueError):
-            sample_distinct_positions(rng, 5, 6)
 
 
 def assert_no_improving_flip(objective, x):
@@ -312,7 +310,7 @@ class TestLocalSearch:
         rng = seeded_rng(123)
         for _ in range(200):
             x = anchor.copy()
-            x[sample_distinct_positions(rng, n, int(rng.integers(1, n + 1)))] ^= 1
+            x[sample_positions(rng, n, int(rng.integers(1, n + 1)))] ^= 1
             out = local_search(x, obj)
             assert np.array_equal(out, anchor)
 
@@ -329,6 +327,42 @@ class TestLocalSearch:
             for _ in range(10):
                 out = local_search(random_solution(n, rng), obj, pivot_rule=pivot)
                 assert blended_gains(obj, out).max() <= 0
+
+    def test_blends_past_the_exact_bound_are_rejected(self):
+        # n = 8 and entries up to 2^50: at lam = 0.5, alpha = 1 (weights 1:1)
+        # gains may reach 16 * 2^50 = 2^54, past the bound 2^53.
+        n = 8
+        inst = UbqpInstance.from_matrix(random_symmetric(n, seeded_rng(40), -2**50, 2**50))
+        toy = construct_toy(ToyKind.PLUS_MINUS_I, random_solution(n, seeded_rng(41)))
+        obj = SmoothedObjective(instance=inst, toy=toy, lam=0.5, alpha=1.0)
+        with pytest.raises(ValueError, match=r"lam=0\.5, alpha=1: .*2\^53"):
+            local_search(random_solution(n, seeded_rng(42)), obj)
+        with pytest.raises(ValueError, match=r"2\^53"):
+            enumerate_local_optima(obj)
+        config = SearchConfig(budget=Budget("evals", 5000), toy_kind=ToyKind.PLUS_MINUS_I,
+                              alpha=1.0, lambda_schedule=LambdaSchedule.constant(0.5))
+        with pytest.raises(ValueError, match=r"2\^53"):
+            lsils(inst, config)
+        # At lam = 0 nothing is blended, and at lam = 1 only the toy counts.
+        for lam in (0.0, 1.0):
+            obj = SmoothedObjective(instance=inst, toy=toy, lam=lam, alpha=1.0)
+            out = local_search(random_solution(n, seeded_rng(42)), obj)
+            assert blended_gains(obj, out).max() <= 0
+
+    @pytest.mark.parametrize("pivot", ["best", "first"])
+    def test_blends_just_below_the_bound_are_exact(self, pivot):
+        # Weights 1:1 with 2n max|Q| + 2n max|t| one below 2^53: the descent
+        # stops only where the exact integer blend has no positive gain.
+        n = 8
+        bound = (2**53 - 1 - 2 * n * n) // (2 * n)
+        inst = UbqpInstance.from_matrix(random_symmetric(n, seeded_rng(43), -bound, bound))
+        toy = construct_toy(ToyKind.PLUS_MINUS_I, random_solution(n, seeded_rng(44)))
+        obj = SmoothedObjective(instance=inst, toy=toy, lam=0.5, alpha=1.0)
+        assert obj.integer_weights(2 * n) == (1, 1)
+        rng = seeded_rng(45)
+        for _ in range(20):
+            out = local_search(random_solution(n, rng), obj, pivot_rule=pivot)
+            assert blended_gains(obj, out).max() <= 0
 
     def test_invalid_pivot_rejected(self):
         inst = make_instance(6, seed=0)
@@ -473,8 +507,9 @@ class TestLsils:
 
     @pytest.mark.parametrize("kind", list(ToyKind))
     def test_zero_lambda_is_the_original_objective(self, kind):
-        # At lam = 0, g is f, so the descent must take f's exact integer
-        # gains: a float blend (1.0, 0.0) would round them and pick bit 13.
+        # At lam = 0, g is f and its blend weights are (1, 0), so the descent
+        # must take f's exact integer gains: rounded to doubles, they would
+        # pick bit 13.
         inst = gains_past_2_53()
         x = np.zeros(inst.n, dtype=np.int8)
         g = SmoothedObjective(instance=inst, toy=construct_toy(kind, x, seed=3), lam=0.0,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +22,12 @@ from lsils import (
     construct_toy,
     evaluate,
     flip_delta,
+    mean_abs,
     random_solution,
     seeded_rng,
     smoothed_evaluate,
 )
+from lsils.smoothing import blend_weights
 
 import oracles
 from test_qubo import make_instance, random_symmetric
@@ -322,9 +326,59 @@ class TestSmoothedObjective:
 
 
 def blended_gains(g: SmoothedObjective, x) -> np.ndarray:
-    """One-flip gains of g as the descent scans them, from fresh caches."""
-    return ((1 - g.lam) * GainCache.build(g.instance, x).gains
-            + g.lam * g.alpha * GainCache.build(g.toy, x).gains)
+    """One-flip gains of g's integer blend as the descent scans them, from fresh caches."""
+    a, b = g.integer_weights(2 * g.n)
+    return a * GainCache.build(g.instance, x).gains + b * GainCache.build(g.toy, x).gains
+
+
+def read(x: float) -> Fraction:
+    return Fraction(x).limit_denominator(10**6)
+
+
+class TestBlendWeights:
+    @settings(max_examples=300)
+    @given(st.integers(0, 6).flatmap(
+               lambda places: st.integers(0, 10**places).map(lambda p: Fraction(p, 10**places))),
+           st.one_of(st.sampled_from([Fraction(1, 3), Fraction(37, 10), Fraction(1, 4)]),
+                     st.integers(1, 10**9).map(lambda k: Fraction(k, 1000))))
+    def test_decimal_lambda_and_explicit_alpha(self, exact_lam, exact_alpha):
+        lam, alpha = float(exact_lam), float(exact_alpha)
+        assert (read(lam), read(alpha)) == (exact_lam, exact_alpha)
+        a, b = blend_weights(lam, alpha, 0, 0)
+        assert math.gcd(a, b) == 1 and a >= 0 and b >= 0
+        assert a * exact_lam * exact_alpha == b * (1 - exact_lam)
+
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("lam", [0.0, 0.001, 0.002, 0.003, 0.004, 0.3, 1.0])
+    def test_auto_alpha_is_read_exactly(self, kind, n, lam):
+        inst = make_instance(n, seed=n)
+        toy = construct_toy(kind, random_anchor(n, n), seed=n)
+        bound = round(mean_abs(inst)) or 1
+        alpha = auto_alpha(inst, toy, target_bound=bound)
+        assert read(alpha) == Fraction(bound, toy.max_abs())
+        g = SmoothedObjective(instance=inst, toy=toy, lam=lam, alpha=alpha)
+        a, b = g.integer_weights(2 * n)
+        assert math.gcd(a, b) == 1
+        assert a * read(lam) * Fraction(bound, toy.max_abs()) == b * (1 - read(lam))
+
+    def test_zero_and_one(self):
+        assert blend_weights(0.0, 3.7, 2**70, 2**70) == (1, 0)
+        assert blend_weights(1.0, 3.7, 2**70, 1) == (0, 1)
+
+    def test_bound_is_checked(self):
+        # lam = 1/2, alpha = 1: a = b = 1, so the magnitudes add.
+        assert blend_weights(0.5, 1.0, 2**52, 2**52 - 1) == (1, 1)
+        with pytest.raises(ValueError, match=r"lam=0\.5, alpha=1: .*2\^53"):
+            blend_weights(0.5, 1.0, 2**52, 2**52)
+        with pytest.raises(ValueError, match="2\\^53"):
+            blend_weights(0.001, 1e300, 1, 1)
+
+    def test_positive_values_below_the_resolution_are_rejected(self):
+        for lam, alpha in ((1e-9, 1.0), (0.5, 1e-9)):
+            with pytest.raises(ValueError, match="resolution"):
+                blend_weights(lam, alpha, 1, 1)
+        assert blend_weights(0.0, 1e-9, 1, 1) == (1, 0)
 
 
 class TestSmoothedFlipDelta:
@@ -346,7 +400,7 @@ class TestSmoothedFlipDelta:
         for k in range(10):
             y = x.copy()
             y[k] ^= 1
-            assert abs(gains[k] + blended_gains(g, y)[k]) <= 1e-12
+            assert gains[k] + blended_gains(g, y)[k] == 0
 
     @settings(max_examples=100)
     @given(st.integers(0, 10**6))
@@ -361,10 +415,10 @@ class TestSmoothedFlipDelta:
         k = int(rng.integers(0, n))
         y = x.copy()
         y[k] ^= 1
-        full = smoothed_evaluate(g, y) - smoothed_evaluate(g, x)
-        inc = blended_gains(g, x)[k]
-        scale = max(1.0, abs(smoothed_evaluate(g, x)), abs(smoothed_evaluate(g, y)))
-        assert abs(inc - full) <= 1e-9 * scale
+        a, b = g.integer_weights(2 * n)
+        full = a * (evaluate(inst, y) - evaluate(inst, x)) + b * (evaluate(toy, y)
+                                                                 - evaluate(toy, x))
+        assert blended_gains(g, x)[k] == full
 
 
 class TestLambdaSchedule:
