@@ -7,12 +7,9 @@
  * decision point, so control returns to Python only when
  *   - an iteration would start at or past the count `stop` (the end of an
  *     evals budget, or the next lambda step of the schedule),
- *   - the swap targets of the `rounds` iterations given are used up,
+ *   - the swap targets of the `rounds` iterations given are used up, or
  *   - an iteration improved the best and `halt` is set (the smoothed search
- *     rebuilds its toy at the new best), or
- *   - a charge passed the last log mark of the caller's buffer; the call
- *     then pauses where it is, mid-descent included, and a call with
- *     `descend` set resumes it.
+ *     rebuilds its toy at the new best).
  *
  * An iteration first perturbs: `bits` swap targets pick distinct positions
  * P through an n-slot scratch permutation (restored before the call
@@ -29,12 +26,10 @@
  * n per applied flip.
  *
  * The caller keeps the log marks' arithmetic and passes the evaluation
- * counts of the next few marks. For each one a charge reaches, the kernel
- * writes (evaluations, best value) as Python's meter stamps it: the first
- * running total that reaches the mark, one step of n at a time for the
- * perturbation. When a charge passes the last mark given, the kernel records
- * that charge, so the caller can stamp the marks past the buffer, and
- * pauses.
+ * count of every mark of the run, and the index of the first one not yet
+ * passed. For each one a charge reaches, the kernel writes (evaluations,
+ * best value) as Python's meter stamps it: the first running total that
+ * reaches the mark, one step of n at a time for the perturbation.
  *
  * The signs sigma are +-1, so nothing is multiplied by them: a gain update
  * adds 2 Q_jk (or 2 t_j) negated under the mask differ(sigma_j, sigma_k)
@@ -80,16 +75,12 @@ enum {
     ST_ROUNDS,      /* in: iterations whose swap targets are given */
     ST_STARTED,     /* out: iterations started, whose targets are used */
     ST_DESCEND,     /* in: 1 to descend before the first perturbation */
-    ST_PENDING,     /* in/out: k + 1 while flip k is picked and charged, not applied */
     ST_TRACK,       /* in: 1 when the best value and solution are tracked */
     ST_HALT,        /* in: 1 to start no iteration after one that improved the best */
     ST_BEST,        /* in/out: best value seen */
     ST_IMPROVED,    /* out: 1 when best_x holds a new best solution */
-    ST_MARKS,       /* in: log marks in the buffer */
-    ST_MARKED,      /* out: marks passed, each stamped (evaluations, best) */
-    ST_OVER_START,  /* out, when all marks passed: the running total before */
-    ST_OVER_UNITS,  /* the charge that passed the last one, its units per */
-    ST_OVER_BEST,   /* step, and the best value it was stamped with */
+    ST_MARKS,       /* in: log marks of the run */
+    ST_MARKED,      /* in/out: marks passed, each stamped (evaluations, best) */
     ST_SIZE
 };
 
@@ -335,11 +326,9 @@ HOT void blend(const int64_t *go, const int64_t *gt, const int64_t *w, int64_t n
 
 /* Charge `steps` successive charges of `units` evaluations each. Every
  * mark from marks[ST_MARKED] on that the running total reaches is stamped
- * with the first total that reaches it and the best value. Returns 1 when
- * the buffer's last mark is passed, with the charge recorded for the
- * caller, who stamps the marks past the buffer. */
-HOT int charge(int64_t *st, int64_t units, int64_t steps, const int64_t *marks,
-               int64_t *stamps)
+ * with the first total that reaches it and the best value. */
+HOT void charge(int64_t *st, int64_t units, int64_t steps, const int64_t *marks,
+                int64_t *stamps)
 {
     int64_t start = st[ST_CONSUMED], at = st[ST_MARKED];
 
@@ -351,57 +340,37 @@ HOT int charge(int64_t *st, int64_t units, int64_t steps, const int64_t *marks,
         at++;
     }
     st[ST_MARKED] = at;
-    if (at < st[ST_MARKS])
-        return 0;
-    st[ST_OVER_START] = start;
-    st[ST_OVER_UNITS] = units;
-    st[ST_OVER_BEST] = st[ST_BEST];
-    return 1;
 }
 
-/* Descend until a local optimum (returns 0) or until a charge passed the
- * last mark (returns 1, mid-descent; a flip picked but not applied waits in
- * ST_PENDING). A pending flip is applied first. */
-HOT int descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int first,
-                const int64_t *weights, int64_t *blended, int64_t *st, int8_t *best_x,
-                const int64_t *marks, int64_t *stamps)
+/* Descend until a local optimum. */
+HOT void descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int first,
+                 const int64_t *weights, int64_t *blended, int64_t *st, int8_t *best_x,
+                 const int64_t *marks, int64_t *stamps)
 {
     const int64_t *g0 = caches[0].gains;
-    int64_t i, k = st[ST_PENDING] - 1, examined;
-    int full;
+    int64_t i, k, examined;
 
-    st[ST_PENDING] = 0;
     for (;;) {
-        if (k < 0) {
-            if (weights)
-                blend(g0, caches[1].gains, weights, n, blended);
-            k = pick_int(weights ? blended : g0, n, first, &examined);
-            full = charge(st, examined, 1, marks, stamps);
-            if (k < 0)
-                return 0;
-            if (full) {
-                st[ST_PENDING] = k + 1;
-                return 1;
-            }
-        }
+        if (weights)
+            blend(g0, caches[1].gains, weights, n, blended);
+        k = pick_int(weights ? blended : g0, n, first, &examined);
+        charge(st, examined, 1, marks, stamps);
+        if (k < 0)
+            return;
         st[ST_VALUE] += g0[k];
         for (i = 0; i < n_caches; i++)
             apply_flip(&caches[i], n, k);
-        full = charge(st, n, 1, marks, stamps);
+        charge(st, n, 1, marks, stamps);
         if (st[ST_TRACK] && st[ST_VALUE] > st[ST_BEST]) {
             st[ST_BEST] = st[ST_VALUE];
             memcpy(best_x, caches[0].x, (size_t)n);
             st[ST_IMPROVED] = 1;
         }
-        if (full)
-            return 1;
-        k = -1;
     }
 }
 
 /* Run iterations: perturb the `bits` positions the next swap targets pick,
- * then descend, until a stop named at the top of this file; returns 1 when
- * paused mid-iteration, 0 between iterations. `targets` holds
+ * then descend, until a stop named at the top of this file. `targets` holds
  * ST_ROUNDS * bits swap targets; `marks` holds ST_MARKS mark counts, in
  * increasing order, and `stamps` room for two slots per mark. `scratch` holds
  * 4n slots: an identity permutation, then three scratch vectors of which the
@@ -409,33 +378,29 @@ HOT int descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int firs
  * first and third vectors, and the blend writes the third. With integer
  * `weights` (a, b) the pivot is picked on the blend a * g_0 + b * g_1 of
  * caches[0] and caches[1], and without (NULL) on the gains of caches[0]. */
-CLONES int64_t lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
-                             int64_t first, const int64_t *weights,
-                             const int64_t *targets, int64_t bits, int64_t *scratch,
-                             int64_t *st, int8_t *best_x, const int64_t *marks,
-                             int64_t *stamps)
+CLONES void lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
+                          int64_t first, const int64_t *weights,
+                          const int64_t *targets, int64_t bits, int64_t *scratch,
+                          int64_t *st, int8_t *best_x, const int64_t *marks,
+                          int64_t *stamps)
 {
     int64_t *pos = scratch + n, *v = scratch + 2 * n, *t = scratch + 3 * n;
     int64_t i;
 
     st[ST_STARTED] = 0;
     st[ST_IMPROVED] = 0;
-    st[ST_MARKED] = 0;
-    if (st[ST_DESCEND] && descend(caches, n_caches, n, (int)first, weights, t, st, best_x,
-                                  marks, stamps))
-        return 1;
+    if (st[ST_DESCEND])
+        descend(caches, n_caches, n, (int)first, weights, t, st, best_x, marks, stamps);
     while (st[ST_STARTED] < st[ST_ROUNDS] && st[ST_CONSUMED] < st[ST_STOP]
-           && st[ST_MARKED] < st[ST_MARKS] && !(st[ST_HALT] && st[ST_IMPROVED])) {
+           && !(st[ST_HALT] && st[ST_IMPROVED])) {
         fisher_yates(targets + st[ST_STARTED] * bits, bits, scratch, pos);
         st[ST_STARTED] += 1;
         st[ST_VALUE] += apply_flips(&caches[0], n, pos, bits, v, t);
         for (i = 1; i < n_caches; i++)
             apply_flips(&caches[i], n, pos, bits, v, t);
-        if (charge(st, n, bits, marks, stamps)
-            || descend(caches, n_caches, n, (int)first, weights, t, st, best_x, marks, stamps))
-            return 1;
+        charge(st, n, bits, marks, stamps);
+        descend(caches, n_caches, n, (int)first, weights, t, st, best_x, marks, stamps);
     }
-    return 0;
 }
 
 /* The random toy's n x n matrix; returns the largest draw. `draws` lists

@@ -45,9 +45,8 @@ COMPILE_TIMEOUT_S = 120
 FORM_DENSE, FORM_PLUS_MINUS_ONE, FORM_PLUS_MINUS_I = 0, 1, 2
 _TOY_FORMS = {ToyKind.PLUS_MINUS_ONE: FORM_PLUS_MINUS_ONE,
               ToyKind.PLUS_MINUS_I: FORM_PLUS_MINUS_I}
-(ST_VALUE, ST_CONSUMED, ST_STOP, ST_ROUNDS, ST_STARTED, ST_DESCEND, ST_PENDING, ST_TRACK,
- ST_HALT, ST_BEST, ST_IMPROVED, ST_MARKS, ST_MARKED, ST_OVER_START, ST_OVER_UNITS,
- ST_OVER_BEST, ST_SIZE) = range(17)
+(ST_VALUE, ST_CONSUMED, ST_STOP, ST_ROUNDS, ST_STARTED, ST_DESCEND, ST_TRACK, ST_HALT,
+ ST_BEST, ST_IMPROVED, ST_MARKS, ST_MARKED, ST_SIZE) = range(13)
 # One lsils_cache per row: the kind, then the addresses of q, anchor,
 # gains, sigma and x. Eight-byte fields, so 64-bit platforms only.
 CACHE_FIELDS = 6
@@ -136,7 +135,7 @@ def library():
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.lsils_iterate.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr,
                                   ptr]
-    lib.lsils_iterate.restype = i64
+    lib.lsils_iterate.restype = None
     lib.lsils_random_toy.argtypes = [ptr, ptr, i64, ptr]
     lib.lsils_random_toy.restype = i64
     return lib

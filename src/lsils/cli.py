@@ -162,6 +162,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"grid must look like start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"grid start, stop and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError("grid needs step > 0 and stop >= start")
     values = []

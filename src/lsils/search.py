@@ -23,10 +23,10 @@ Outer iterations run in the compiled kernel of `_kernel.c` when it builds.
 One kernel call perturbs and descends, iteration after iteration, and
 returns to Python only at a decision point: the end of an evals budget, the
 schedule's next lambda step, an iteration that improved the best (the
-smoothed search then rebuilds its toy there), the end of the swap targets
-drawn so far, or a full buffer of log marks, where it pauses mid-descent
-and a descent-only call resumes it. Under a seconds budget a call runs one
-iteration, because the kernel does not read the clock.
+smoothed search then rebuilds its toy there), or the end of the swap
+targets drawn so far. It stamps the run's log marks as it passes them, so
+marks never stop it. Under a seconds budget a call runs one iteration,
+because the kernel does not read the clock.
 The swap targets come from one source per run, `_SwapTargets`, which draws
 `TARGET_CHUNK` iterations' worth at a time and which both paths read in
 order. `_fisher_yates` (picking the positions), `_perturb_in_place` (which
@@ -111,6 +111,8 @@ class SearchConfig:
             raise ValueError("alpha must be a positive finite number or 'auto'")
         if self.log_interval is not None and not 0 < self.log_interval < math.inf:
             raise ValueError("log interval must be positive and finite, or None for no interval")
+        if self.log_interval is not None and not math.isfinite(self.budget.amount):
+            raise ValueError("a log interval needs a finite budget")
         if self.lambda_schedule is not None and self.lambda_schedule.unit != self.budget.kind:
             raise ValueError(f"lambda schedule unit {self.lambda_schedule.unit!r} does not "
                              f"match budget kind {self.budget.kind!r}")
@@ -223,10 +225,8 @@ def _fisher_yates(targets: np.ndarray) -> np.ndarray:
     return np.array(picked, dtype=np.intp)
 
 
-# Iterations' worth of swap targets drawn at once, and log marks the kernel
-# stamps before it pauses for more.
+# Iterations' worth of swap targets drawn at once.
 TARGET_CHUNK = 64
-MARK_BUFFER = 64
 
 
 class _SwapTargets:
@@ -266,9 +266,10 @@ class _SwapTargets:
 class _Meter:
     """Budget accounting, schedule progress, and interval logging for a run.
 
-    The meter keeps the log marks' arithmetic. The kernel sees the next
-    MARK_BUFFER marks as evaluation counts (`kernel_marks`) and hands back
-    the stamps of those it passed (`kernel_stamped`).
+    The meter keeps the log marks' arithmetic. Under an evals budget the
+    kernel sees every mark of the run as the evaluation count that reaches
+    it (`marks`), stamps those it passes from number `emitted` on into
+    `stamps`, and hands them back (`kernel_stamped`).
     """
 
     def __init__(self, budget: Budget, log_interval, tracker: BestTracker | None):
@@ -281,11 +282,14 @@ class _Meter:
         self.interval = log_interval
         self.next_mark = log_interval
         self.emitted = 0
-        # The kernel's buffer holds the marks from number `marks_from` on.
-        self.marks = np.full(MARK_BUFFER, INT64_MAX, dtype=np.int64)
-        self.marks_from = -MARK_BUFFER
-        self.stamps = np.zeros(2 * MARK_BUFFER, dtype=np.int64)
-        self.stamps_at = self.stamps.ctypes.data
+        counts = []
+        mark = log_interval if budget.kind == "evals" else None
+        while mark is not None:
+            counts.append(min(math.ceil(mark), INT64_MAX))
+            mark = self._following(mark)
+        self.marks = np.array(counts, dtype=np.int64)
+        self.stamps = np.zeros(2 * len(counts), dtype=np.int64)
+        self.marks_at, self.stamps_at = self.marks.ctypes.data, self.stamps.ctypes.data
 
     @property
     def records(self) -> list[RunLogRecord]:
@@ -342,35 +346,13 @@ class _Meter:
         while self.next_mark is not None and progress >= self.next_mark:
             self._emit_mark(self.consumed, self.tracker.best_value)
 
-    def kernel_marks(self) -> tuple[int, int]:
-        """(address, count) of the evaluation counts of the next evals marks.
-
-        The buffer is filled with the next MARK_BUFFER marks once the kernel
-        has passed all it held; past the last mark, and under a seconds
-        budget, it holds INT64_MAX.
-        """
-        offset = self.emitted - self.marks_from
-        if offset >= MARK_BUFFER:
-            counts = []
-            mark = self.next_mark if self.budget.kind == "evals" else None
-            while mark is not None and len(counts) < MARK_BUFFER:
-                counts.append(min(math.ceil(mark), INT64_MAX))
-                mark = self._following(mark)
-            self.marks[:len(counts)] = counts
-            self.marks[len(counts):] = INT64_MAX
-            self.marks_from, offset = self.emitted, 0
-        return self.marks.ctypes.data + offset * self.marks.itemsize, MARK_BUFFER - offset
-
-    def kernel_stamped(self, count: int, consumed: int, over=None) -> None:
-        """Emit the first `count` buffered marks with the kernel's stamps, then
-        take its count; `over`, the (start, units, best) of the charge that
-        passed the last buffered mark, stamps the marks it passed beyond it."""
-        stamps = self.stamps[:2 * count].tolist()
-        for i in range(0, 2 * count, 2):
+    def kernel_stamped(self, marked: int, consumed: int) -> None:
+        """Emit the marks up to number `marked` with the kernel's stamps, then
+        take its count."""
+        stamps = self.stamps[2 * self.emitted:2 * marked].tolist()
+        for i in range(0, len(stamps), 2):
             self._emit_mark(stamps[i], stamps[i + 1])
         self.consumed = consumed
-        if over is not None:
-            self.stamp(*over)
 
     def _following(self, mark):
         """The mark after `mark`, or None past the budget."""
@@ -448,12 +430,11 @@ class _Descent:
     the caches is built once, here. `weights` are `blend_weights` or None;
     at b = 0 the kernel scans the first cache's gains.
 
-    The kernel stamps the log marks it passes from the meter's buffer, with
-    the meter's own rule, so evals-budget records are the ones `_descend`
-    writes. When it passes the last mark the buffer holds, it pauses; the
-    marks are emitted here, the buffer refilled, and a descent-only call
-    resumes where it stopped. Under a seconds budget the clock is read when
-    the call returns, so such a record may land up to one iteration late.
+    The kernel stamps the log marks it passes in the meter's run-long
+    buffers, with the meter's own rule, so evals-budget records are the
+    ones `_descend` writes; they are emitted when the call returns. Under a
+    seconds budget the clock is read then, so such a record may land up to
+    one iteration late.
     """
 
     def __init__(self, caches, pivot_rule: str):
@@ -501,33 +482,23 @@ class _Descent:
         state[_kernel.ST_HALT] = halt
         if tracker is not None:
             state[_kernel.ST_BEST] = tracker.best_value
-        rounds = bits = 0
+        rounds = bits = at = 0
         if targets is not None:
             rounds, bits = targets.ready(), targets.bits
+            at = targets.address + 8 * targets.at
             if meter.budget.kind == "seconds":
                 rounds = 1  # the kernel does not read the clock
-        while True:
-            marks, state[_kernel.ST_MARKS] = meter.kernel_marks()
-            state[_kernel.ST_ROUNDS] = rounds
-            at = targets.address + 8 * targets.at if targets is not None else None
-            paused = self.kernel(*self.args, blend, at, bits, *self.buffers, marks,
-                                 meter.stamps_at)
-            st = state.tolist()
-            if st[_kernel.ST_IMPROVED]:
-                tracker.best_value = st[_kernel.ST_BEST]
-                tracker.best_solution = self.best_x.copy()
-            marked = st[_kernel.ST_MARKED]
-            over = (st[_kernel.ST_OVER_START:_kernel.ST_OVER_BEST + 1]
-                    if marked == st[_kernel.ST_MARKS] else None)
-            meter.kernel_stamped(marked, st[_kernel.ST_CONSUMED], over)
-            if targets is not None:
-                targets.at += st[_kernel.ST_STARTED] * bits
-                rounds -= st[_kernel.ST_STARTED]
-            if not paused:
-                break
-            state[_kernel.ST_DESCEND] = 1  # finish the paused iteration
-            if halt and st[_kernel.ST_IMPROVED]:
-                rounds = 0
+        state[_kernel.ST_ROUNDS] = rounds
+        state[_kernel.ST_MARKS] = meter.marks.size
+        state[_kernel.ST_MARKED] = meter.emitted
+        self.kernel(*self.args, blend, at, bits, *self.buffers, meter.marks_at, meter.stamps_at)
+        st = state.tolist()
+        if st[_kernel.ST_IMPROVED]:
+            tracker.best_value = st[_kernel.ST_BEST]
+            tracker.best_solution = self.best_x.copy()
+        meter.kernel_stamped(st[_kernel.ST_MARKED], st[_kernel.ST_CONSUMED])
+        if targets is not None:
+            targets.at += st[_kernel.ST_STARTED] * bits
         if meter.budget.kind == "seconds":
             meter.poll()
         return st[_kernel.ST_VALUE]
@@ -575,6 +546,27 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
     rng_perturb = seeded_rng(config.seed, PERTURB_STREAM)
     rng_toy = seeded_rng(config.seed, TOY_STREAM)
 
+    target_bound = config.target_bound
+    if smoothing and config.alpha == "auto" and target_bound is None:
+        # auto_alpha's default bound is an n^2 pass over Q: take it once per run.
+        target_bound = round(mean_abs(inst))
+
+    def alpha_of(toy: ToyMatrix) -> float:
+        return (auto_alpha(inst, toy, target_bound=target_bound)
+                if config.alpha == "auto" else float(config.alpha))
+
+    def weights_of(lam: float, toy: ToyMatrix, alpha: float) -> tuple[int, int]:
+        return blend_weights(lam, alpha, 2 * n * inst.max_abs(), 2 * n * toy.max_abs())
+
+    lams = [lam for threshold, lam in schedule.steps if lam and threshold < config.budget.amount]
+    if smoothing and lams and config.toy_kind is not ToyKind.RANDOM:
+        # The +-1 and +-i toys' largest entries (1 and n), and so their alpha,
+        # do not depend on the anchor: check every blend the run may ask for
+        # before it starts. The random toy's are checked as it is built.
+        probe = construct_toy(config.toy_kind, np.zeros(n, dtype=np.int8))
+        for lam in lams:
+            weights_of(lam, probe, alpha_of(probe))
+
     x = random_solution(n, rng_init)
     primary = GainCache.build(inst, x)
     value = primary.value()
@@ -586,10 +578,6 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
     plain = _Descent([primary], config.pivot_rule)
     value = plain(None, value, tracker, meter)
 
-    target_bound = config.target_bound
-    if smoothing and config.alpha == "auto" and target_bound is None:
-        # auto_alpha's default bound is an n^2 pass over Q: take it once per run.
-        target_bound = round(mean_abs(inst))
     anchor: np.ndarray | None = None
     toy: ToyMatrix | None = None
     blended: _Descent | None = None
@@ -614,12 +602,11 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
             else:
                 if toy is None:
                     toy = construct_toy(config.toy_kind, anchor, seed=toy_seed)
-                    alpha = (auto_alpha(inst, toy, target_bound=target_bound)
-                             if config.alpha == "auto" else float(config.alpha))
+                    alpha = alpha_of(toy)
                 if blended is None:
                     blended = _Descent([primary, GainCache.build(toy, primary.solution)],
                                        config.pivot_rule)
-                weights = blend_weights(lam, alpha, 2 * n * inst.max_abs(), 2 * n * toy.max_abs())
+                weights = weights_of(lam, toy, alpha)
         # One iteration, or on the compiled path every one up to the next
         # decision: a lambda step, or a new best, which moves the anchor.
         value = (blended or plain)(weights, value, tracker, meter, targets,

@@ -261,6 +261,8 @@ class LambdaSchedule:
         if self.unit not in ("evals", "seconds"):
             raise ValueError("schedule unit must be 'evals' or 'seconds'")
         thresholds = [t for t, _ in self.steps]
+        if any(t != t for t in thresholds):  # NaN; math.isnan overflows on huge ints
+            raise ValueError("schedule thresholds must be numbers, not NaN")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("schedule thresholds must be strictly increasing")
         for _, v in self.steps:

@@ -82,6 +82,9 @@ class TestFlagGrammar:
             parse_grid("0:1")
         with pytest.raises(ValueError):
             parse_grid("1:0:0.1")
+        for bad in ("0:1:nan", "0:nan:0.1", "-inf:1:0.1", "0:1:inf"):
+            with pytest.raises(ValueError, match="finite"):
+                parse_grid(bad)
 
     def test_log_interval_unit_must_match_budget(self):
         budget = parse_budget("evals:1000")
@@ -129,6 +132,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [
         ("solve", "--algo", "lsils:plusminusi", "--budget", "evals:5000", "--lambda", "const:0.5"),
         ("landscape", "--toy", "plusminusi", "--lam", "0.5"),
+        # The paper ramp first blends at 20% of the budget, but the blend is
+        # checked before the run starts, not after a fifth of 2e8 evaluations.
+        ("solve", "--algo", "lsils:plusminusi", "--budget", "evals:2e8", "--lambda", "paper"),
     ])
     def test_blends_past_the_exact_bound_return_one(self, command, tmp_path, capsys):
         # Entries up to 2^50 at n = 8 take the blended gains and values past 2^53.

@@ -291,7 +291,6 @@ class TestIterationEquivalence:
                                        st.floats(0.5, n * bits)), label="interval")
         stop = start + data.draw(st.integers(1, 20000), label="stop - start")
         chunk = data.draw(st.sampled_from((1, 2, 3, search.TARGET_CHUNK)), label="chunk")
-        buffer = data.draw(st.sampled_from((1, 2, search.MARK_BUFFER)), label="buffer")
         slots = (first,) if second is None else (first, second)
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
@@ -307,8 +306,7 @@ class TestIterationEquivalence:
                 meter.charge(start)
             return caches, tracker, meter, search._SwapTargets(seeded_rng(seed, 2), n, bits)
 
-        with mock.patch.object(search, "TARGET_CHUNK", chunk), \
-                mock.patch.object(search, "MARK_BUFFER", buffer):
+        with mock.patch.object(search, "TARGET_CHUNK", chunk):
             ref_caches, ref_tracker, ref_meter, ref_targets = state()
             caches, tracker, meter, targets = state()
             descent = search._Descent(caches, pivot)
@@ -326,10 +324,9 @@ class TestIterationEquivalence:
                 expected = search._descend(ref_caches, weights, expected, ref_tracker, ref_meter,
                                            pivot)
                 improved = ref_tracker.best_value > best
-        # It stopped for a reason: targets used up, the stop count, a new
-        # best under `halt`, or a full mark buffer.
-        assert (ran == rounds or ref_meter.consumed >= stop or (halt and improved)
-                or meter.emitted - meter.marks_from >= buffer)
+        # It stopped for a reason: targets used up, the stop count, or a new
+        # best under `halt`.
+        assert ran == rounds or ref_meter.consumed >= stop or (halt and improved)
         assert got == expected
         for ours, ref in zip(caches, ref_caches):
             assert np.array_equal(ours.gains, ref.gains)
@@ -416,20 +413,21 @@ def test_runs_are_byte_identical_on_both_paths(pivot, request):
 
 
 class KernelCalls:
-    """The loaded kernel, with the state vector of every `lsils_iterate` call kept as it returned."""
+    """The loaded kernel, with the state vector of every `lsils_iterate` call
+    kept as it was passed in and as it returned."""
 
     def __init__(self, lib):
         self.lib = lib
-        self.calls = []  # (paused, state)
+        self.calls = []  # (state in, state out)
 
     def __getattr__(self, name):
         return getattr(self.lib, name)
 
     def lsils_iterate(self, *args):
-        paused = self.lib.lsils_iterate(*args)
         state = (ctypes.c_int64 * _kernel.ST_SIZE).from_address(args[8])
-        self.calls.append((paused, dict(zip(ST_NAMES, state))))
-        return paused
+        entered = dict(zip(ST_NAMES, state))
+        self.lib.lsils_iterate(*args)
+        self.calls.append((entered, dict(zip(ST_NAMES, state))))
 
 
 ST_NAMES = sorted((name for name in vars(_kernel) if name.startswith("ST_") and name != "ST_SIZE"),
@@ -437,44 +435,39 @@ ST_NAMES = sorted((name for name in vars(_kernel) if name.startswith("ST_") and 
 
 
 def _stopped_with_targets_left(st, at_budget: bool) -> bool:
-    """A call that ended between iterations at its stop count, with targets left."""
+    """A call that ended at its stop count, with targets left."""
     return (st["ST_STARTED"] < st["ST_ROUNDS"] and st["ST_CONSUMED"] >= st["ST_STOP"]
             and (st["ST_STOP"] == 30000) == at_budget)
 
 
-# Settings under which the compiled loop must stop or pause at an awkward
-# point of the n = 45 runs, each with a check, on the kernel calls (paused,
-# state) and the runs' evaluation columns, that the runs reached it:
-# log interval, target chunk, mark buffer, check.
+# Settings under which the compiled loop must stop at an awkward point of
+# the n = 45 runs, or stamp an awkward set of marks, each with a check, on
+# the kernel calls (state in, state out) and the runs' evaluation columns,
+# that the runs reached it: log interval, target chunk, check.
 LOOP_EDGES = {
     # A scan charge of up to 45 passes two marks, a perturbation many.
-    "interval-below-n": (20, None, None,
-                         lambda calls, logs: any(len(set(e)) < len(e) for e in logs)),
-    "fractional-interval": (333.7, None, None, lambda calls, logs: True),
-    # Far more marks than the buffer holds: the kernel pauses mid-descent,
-    # with a flip picked and charged but not applied among the pauses.
-    "marks-past-buffer": (6, None, None, lambda calls, logs: any(
-        paused and st["ST_PENDING"] for paused, st in calls)),
-    "one-mark-buffer": (300, None, 1, lambda calls, logs: any(p for p, _ in calls)),
+    "interval-below-n": (20, None, lambda calls, logs: any(len(set(e)) < len(e) for e in logs)),
+    "fractional-interval": (333.7, None, lambda calls, logs: True),
+    # About 5000 marks per run, over 1000 of them stamped in one call.
+    "many-marks": (6, None, lambda calls, logs: any(
+        out["ST_MARKED"] - into["ST_MARKED"] > 1000 for into, out in calls)),
     # A lambda step, or the budget's end, with targets left in the chunk.
-    "step-inside-chunk": (1700, None, None, lambda calls, logs: any(
-        not paused and _stopped_with_targets_left(st, False) for paused, st in calls)),
-    "budget-inside-chunk": (1700, None, None, lambda calls, logs: any(
-        not paused and _stopped_with_targets_left(st, True) for paused, st in calls)),
+    "step-inside-chunk": (1700, None, lambda calls, logs: any(
+        _stopped_with_targets_left(out, False) for _, out in calls)),
+    "budget-inside-chunk": (1700, None, lambda calls, logs: any(
+        _stopped_with_targets_left(out, True) for _, out in calls)),
     # Targets running out at every second iteration.
-    "small-chunks": (1700, 2, None, lambda calls, logs: any(
-        not paused and st["ST_STARTED"] == st["ST_ROUNDS"] == 2 for paused, st in calls)),
+    "small-chunks": (1700, 2, lambda calls, logs: any(
+        out["ST_STARTED"] == out["ST_ROUNDS"] == 2 for _, out in calls)),
 }
 
 
 @pytest.mark.parametrize("pivot", PIVOT_RULES)
 @pytest.mark.parametrize("edge", sorted(LOOP_EDGES))
 def test_loop_edges_are_byte_identical_on_both_paths(edge, pivot, monkeypatch):
-    interval, chunk, buffer, reached = LOOP_EDGES[edge]
+    interval, chunk, reached = LOOP_EDGES[edge]
     if chunk:
         monkeypatch.setattr(search, "TARGET_CHUNK", chunk)
-    if buffer:
-        monkeypatch.setattr(search, "MARK_BUFFER", buffer)
     inst = make_instance(45, seed=21)
     kernel = KernelCalls(_kernel.library())
     monkeypatch.setattr(_kernel, "library", lambda: kernel)
@@ -484,6 +477,24 @@ def test_loop_edges_are_byte_identical_on_both_paths(edge, pivot, monkeypatch):
     logs = [[row.split(",")[1] for row in text.splitlines()[1:]]
             for text, *_ in compiled.values()]
     assert reached(kernel.calls, logs)
+
+
+@pytest.mark.parametrize("kind", [None, *ToyKind])
+def test_log_marks_take_no_kernel_calls(kind, monkeypatch):
+    # The kernel stamps every mark in place, so a run logging about 5000
+    # marks makes the calls the same run makes without a log interval.
+    inst = make_instance(45, seed=21)
+    kernel = KernelCalls(_kernel.library())
+    monkeypatch.setattr(_kernel, "library", lambda: kernel)
+    calls = []
+    for interval in (6, None):
+        kernel.calls.clear()
+        config = SearchConfig(budget=Budget("evals", 30000), toy_kind=kind,
+                              lambda_schedule=LambdaSchedule.staged_ramp(30000),
+                              log_interval=interval)
+        (lsils if kind else ils)(inst, config)
+        calls.append(len(kernel.calls))
+    assert calls[0] == calls[1] > 1
 
 
 def assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, *flags):

@@ -73,6 +73,10 @@ class TestConfigValidation:
         for bad in (0, -5, -0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="log interval"):
                 SearchConfig(budget=Budget("evals", 100), log_interval=bad)
+        # Every mark of the run is laid out up front, so the budget must end.
+        for kind in BUDGET_KINDS:
+            with pytest.raises(ValueError, match="log interval"):
+                SearchConfig(budget=Budget(kind, float("inf")), log_interval=10)
         assert SearchConfig(budget=Budget("evals", 100), log_interval=None).log_interval is None
 
     @pytest.mark.parametrize("budget, unit", [(Budget("seconds", 0.3), "evals"),
@@ -348,6 +352,25 @@ class TestLocalSearch:
             obj = SmoothedObjective(instance=inst, toy=toy, lam=lam, alpha=1.0)
             out = local_search(random_solution(n, seeded_rng(42)), obj)
             assert blended_gains(obj, out).max() <= 0
+
+    @pytest.mark.parametrize("kind", [ToyKind.PLUS_MINUS_ONE, ToyKind.PLUS_MINUS_I])
+    def test_blends_past_the_bound_fail_before_the_run_starts(self, kind, monkeypatch):
+        # The paper ramp blends from 20% of the budget on, but the +-1 and +-i
+        # toys' blends are checked before any evaluation or kernel call.
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(search._Meter, "charge", started)
+        monkeypatch.setattr(search._Descent, "__call__", started)
+        inst = UbqpInstance.from_matrix(random_symmetric(8, seeded_rng(40), -2**50, 2**50))
+        config = SearchConfig(budget=Budget("evals", 2 * 10**8), toy_kind=kind,
+                              lambda_schedule=LambdaSchedule.staged_ramp(2 * 10**8))
+        with pytest.raises(ValueError, match=r"lam=0\.001, .*2\^53"):
+            lsils(inst, config)
+        # A step at or past the budget's end is never reached, so not checked.
+        config.lambda_schedule = LambdaSchedule(steps=((2 * 10**8, 0.5),))
+        with pytest.raises(AssertionError, match="the run started"):
+            lsils(inst, config)
 
     @pytest.mark.parametrize("pivot", ["best", "first"])
     def test_blends_just_below_the_bound_are_exact(self, pivot):

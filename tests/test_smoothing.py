@@ -429,6 +429,8 @@ class TestLambdaSchedule:
             LambdaSchedule(steps=((10, 1.5),))
         with pytest.raises(ValueError, match="unit"):
             LambdaSchedule(steps=(), unit="minutes")
+        with pytest.raises(ValueError, match="NaN"):
+            LambdaSchedule(steps=((float("nan"), 0.5), (1.0, 0.2)))
 
     def test_staged_ramp_lookup(self):
         sched = LambdaSchedule.staged_ramp(1000, unit="seconds")
