@@ -1,9 +1,9 @@
 /* The search's perturb-and-descend iterations on exact int64 gain caches,
  * and the random toy's matrix fill.
  *
- * lsils_iterate is the compiled form of the numpy reference
- * lsils.search._fisher_yates + _perturb_in_place + _descend, which it must
- * match flip for flip. One call runs iterations until the caller's next
+ * lsils_iterate is the search's only path. It must match the numpy
+ * reference in tests/oracles.py (swap_positions + perturb + descend) flip
+ * for flip. One call runs iterations until the caller's next
  * decision point, so control returns to Python only when
  *   - an iteration would start at or past the count `stop` (the end of an
  *     evals budget, or the next lambda step of the schedule),
@@ -22,7 +22,7 @@
  * It then descends: it scans the gains of the first cache (or the integer
  * blend a * g_0 + b * g_1), flips the chosen bit k through every cache with
  * the rank-1 update g_j += 2 sigma_k sigma_j Q_jk, g_k = -g_k, and charges
- * the budget exactly as the Python loop does: the candidates examined, then
+ * the budget exactly as the reference does: the candidates examined, then
  * n per applied flip.
  *
  * The caller keeps the log marks' arithmetic and passes the evaluation

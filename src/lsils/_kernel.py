@@ -14,10 +14,11 @@ The flags name no CPU. On x86-64 with glibc the source builds
 picks the one the CPU runs, so a cached library is safe to share between
 machines with different CPUs.
 
-`library()` returns None when no compiler is found or the build fails;
-`layout(caches)` returns None for a form the kernel does not know. Either
-way the search runs its numpy perturbation and descent, and the random toy
-its numpy fill, which give the same results.
+The kernel is the search's only path: `library()` raises OSError when no
+compiler is found, the build fails or the platform is not 64-bit, and a
+failed build is not retried in the same process. `layout(caches)` takes any
+form, a duck-typed one through its dense matrix. The numpy reference the
+kernel is tested against lives in `tests/oracles.py`.
 
 ctypes, subprocess and hashlib are imported on first use, so that
 `import lsils` costs no more than it did without the kernel.
@@ -58,7 +59,7 @@ def _compiler() -> str:
         path = shutil.which(name)
         if path:
             return path
-    raise OSError("no C compiler found")
+    raise OSError(f"no C compiler found (tried {', '.join(COMPILERS)})")
 
 
 def _compile(compiler: str, target: Path) -> None:
@@ -118,20 +119,19 @@ def _build():
 
 
 @functools.cache
-def library():
-    """The loaded kernel, or None when it cannot be built; tried once per process.
-
-    Its functions are `lsils_iterate` and `lsils_random_toy`, with their
-    argument and result types declared.
-    """
+def _load():
+    """The loaded kernel, or the OSError that says why it could not be built."""
     import ctypes
     import subprocess
     if ctypes.sizeof(ctypes.c_void_p) != 8:
-        return None
+        return OSError("the lsils search kernel needs a 64-bit platform")
     try:
         lib = _build()
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except subprocess.CalledProcessError as exc:
+        tail = (exc.stderr or b"").decode(errors="replace").strip()[-2000:]
+        return OSError(f"the lsils search kernel failed to build:\n{tail}")
+    except (OSError, subprocess.SubprocessError) as exc:
+        return OSError(f"the lsils search kernel could not be built: {exc}")
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.lsils_iterate.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr,
                                   ptr]
@@ -141,37 +141,58 @@ def library():
     return lib
 
 
-def _fits(array: np.ndarray, dtype, shape) -> bool:
-    return array.dtype == dtype and array.shape == shape and array.flags.c_contiguous
+def library():
+    """The loaded kernel, built on the first call in a process.
+
+    Its functions are `lsils_iterate` and `lsils_random_toy`, with their
+    argument and result types declared. OSError when it cannot be built;
+    later calls raise the same error without compiling again.
+    """
+    found = _load()
+    if isinstance(found, OSError):
+        raise found.with_traceback(None)
+    return found
 
 
-def layout(caches) -> np.ndarray | None:
-    """The kernel's lsils_cache rows for `caches`, or None for an unknown form.
+def _dense(form, n: int) -> np.ndarray:
+    """The form's matrix as the kernel reads it, int64 in C order; row k is `col(k)`."""
+    if type(form) is UbqpInstance:
+        matrix = form.q
+    elif type(form) is ToyMatrix:
+        matrix = form._q
+    else:
+        matrix = [form.col(k) for k in range(n)]
+    matrix = np.ascontiguousarray(matrix, dtype=np.int64)
+    if matrix.shape != (n, n):
+        raise ValueError(f"the form's matrix has shape {matrix.shape}, not ({n}, {n})")
+    return matrix
 
-    The arrays stay owned by the caches; the caller keeps the caches alive
-    while the kernel runs.
+
+def layout(caches) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The kernel's lsils_cache rows for `caches`, and the arrays they read.
+
+    The ±1 and ±i toys enter by their anchor; every other form, a duck-typed
+    one too, as FORM_DENSE through its matrix. The gains, sigma and solution
+    stay owned by the caches, which the kernel writes in place. The caller
+    keeps the caches and the returned arrays alive while the kernel runs.
     """
     n = caches[0].solution.size
     rows = np.zeros((len(caches), CACHE_FIELDS), dtype=np.int64)
+    read = []
     for row, cache in zip(rows, caches):
         form = cache.form
-        anchor = None
-        if type(form) is UbqpInstance:
-            kind, matrix = FORM_DENSE, form.q
-        elif type(form) is ToyMatrix and form.kind in _TOY_FORMS:
-            kind, matrix, anchor = _TOY_FORMS[form.kind], None, form.anchor
-        elif type(form) is ToyMatrix:
-            kind, matrix = FORM_DENSE, form._q
+        if type(form) is ToyMatrix and form.kind in _TOY_FORMS:
+            row[0], slot = _TOY_FORMS[form.kind], 2
+            array = np.ascontiguousarray(form.anchor, dtype=np.int8)
         else:
-            return None
-        arrays = ((matrix, np.int64, (n, n), False), (anchor, np.int8, (n,), False),
-                  (cache.gains, np.int64, (n,), True), (cache.sigma, np.int64, (n,), True),
-                  (cache.solution, np.int8, (n,), True))
-        row[0] = kind
-        for i, (array, dtype, shape, written) in enumerate(arrays, start=1):
-            if array is None:
-                continue
-            if not _fits(array, dtype, shape) or (written and not array.flags.writeable):
-                return None
-            row[i] = array.ctypes.data
-    return rows
+            row[0], slot, array = FORM_DENSE, 1, _dense(form, n)
+        read.append(array)
+        row[slot] = array.ctypes.data
+        for slot, (array, dtype) in enumerate(((cache.gains, np.int64), (cache.sigma, np.int64),
+                                               (cache.solution, np.int8)), start=3):
+            if not (array.dtype == dtype and array.shape == (n,) and array.flags.c_contiguous
+                    and array.flags.writeable):
+                raise ValueError("a gain cache's gains, sigma and solution must be writable "
+                                 "contiguous vectors of length n")
+            row[slot] = array.ctypes.data
+    return rows, read

@@ -51,7 +51,8 @@ def random_solution(n: int, rng: np.random.Generator) -> np.ndarray:
 class UbqpInstance:
     """A UBQP instance: maximize x^T Q x over x in {0,1}^n.
 
-    `q` is dense, symmetric, int64 and locked read-only after construction.
+    `q` is dense, symmetric, int64, in C order and locked read-only after
+    construction, so the kernel reads it in place.
     `density` is the realized fraction of nonzero entries (informational).
     """
 
@@ -68,7 +69,7 @@ class UbqpInstance:
             raise ValueError("dimension n must be >= 1 and match q")
         if not np.issubdtype(q.dtype, np.integer):
             raise ValueError("q must hold integers")
-        q = q.astype(np.int64, copy=True)
+        q = q.astype(np.int64, order="C", copy=True)
         if not np.array_equal(q, q.T):
             raise ValueError("q must be symmetric")
         max_abs = int(np.abs(q).max()) if q.size else 0

@@ -19,20 +19,18 @@ reproducible; evaluation-count budgets are the deterministic default.
 The smoothed descent picks on the exact integer blend a * g_0 + b * g_1 of
 the caches' gains, with the weights of `blend_weights`.
 
-Outer iterations run in the compiled kernel of `_kernel.c` when it builds.
-One kernel call perturbs and descends, iteration after iteration, and
-returns to Python only at a decision point: the end of an evals budget, the
-schedule's next lambda step, an iteration that improved the best (the
-smoothed search then rebuilds its toy there), or the end of the swap
-targets drawn so far. It stamps the run's log marks as it passes them, so
-marks never stop it. Under a seconds budget a call runs one iteration,
-because the kernel does not read the clock.
+Outer iterations run in the compiled kernel of `_kernel.c`, the search's
+only path, which needs a C compiler (see `_kernel`). One kernel call
+perturbs and descends, iteration after iteration, and returns to Python
+only at a decision point: the end of an evals budget, the schedule's next
+lambda step, an iteration that improved the best (the smoothed search then
+rebuilds its toy there), or the end of the swap targets drawn so far. It
+stamps the run's log marks as it passes them, so marks never stop it.
+Under a seconds budget a call runs one iteration, because the kernel does
+not read the clock.
 The swap targets come from one source per run, `_SwapTargets`, which draws
-`TARGET_CHUNK` iterations' worth at a time and which both paths read in
-order. `_fisher_yates` (picking the positions), `_perturb_in_place` (which
-flips them one bit at a time) and `_descend` are the numpy reference the
-kernel matches flip for flip, and the path taken without a C compiler; on
-it a call runs one iteration.
+`TARGET_CHUNK` iterations' worth at a time. The numpy reference the kernel
+matches flip for flip, one iteration per call, is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -141,14 +139,6 @@ class BestTracker:
     def start(cls, x: np.ndarray, value: int) -> "BestTracker":
         return cls(best_solution=x.copy(), best_value=value)
 
-    def offer(self, x: np.ndarray, value: int) -> bool:
-        """Record x when it strictly improves the best original value."""
-        if value > self.best_value:
-            self.best_value = int(value)
-            self.best_solution = x.copy()
-            return True
-        return False
-
 
 class RunLog:
     """The points a run logs, packed in typed columns.
@@ -212,19 +202,6 @@ class RunResult:
         return self.log.records
 
 
-def _fisher_yates(targets: np.ndarray) -> np.ndarray:
-    """The positions a partial Fisher-Yates pass with swap targets j_i in [i, n) picks.
-
-    Only swapped slots are stored, so the pass is O(len(targets)) whatever n is.
-    """
-    moved: dict[int, int] = {}
-    picked = []
-    for i, j in enumerate(targets.tolist()):
-        picked.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return np.array(picked, dtype=np.intp)
-
-
 # Iterations' worth of swap targets drawn at once.
 TARGET_CHUNK = 64
 
@@ -234,10 +211,8 @@ class _SwapTargets:
 
     `rng.integers(np.tile(np.arange(bits), TARGET_CHUNK), n)` gives the
     values, in order, of TARGET_CHUNK separate draws
-    `rng.integers(np.arange(bits), n)` of swap targets j_i in [i, n) for
-    `_fisher_yates`. The numpy path takes one iteration's targets at a time
-    and the kernel reads them where `at` points, so mixing the two keeps the
-    stream.
+    `rng.integers(np.arange(bits), n)` of swap targets j_i in [i, n) for a
+    partial Fisher-Yates pass. The kernel reads them where `at` points.
     Draws left at the end of a run are never used.
     """
 
@@ -255,12 +230,6 @@ class _SwapTargets:
             self.at = 0
             self.address = self.chunk.ctypes.data
         return (self.chunk.size - self.at) // self.bits
-
-    def take(self) -> np.ndarray:
-        """The next iteration's targets."""
-        self.ready()
-        self.at += self.bits
-        return self.chunk[self.at - self.bits:self.at]
 
 
 class _Meter:
@@ -314,31 +283,10 @@ class _Meter:
             stop = min(stop, step)
         return INT64_MAX if stop >= INT64_MAX else math.ceil(stop)
 
-    def charge(self, units: int, steps: int = 1) -> None:
-        """Charge `steps` successive charges of `units` evaluations each.
-
-        Under an evals budget this emits exactly the records `steps`
-        separate calls would: each mark reached is stamped with the first
-        running total that reaches it. Under a seconds budget the clock is
-        read once, after the last step.
-        """
-        start = self.consumed
-        self.consumed += units * steps
-        if self.next_mark is None:
-            return
-        if self.budget.kind == "seconds":
-            self.poll()
-            return
-        self.stamp(start, units, self.tracker.best_value)
-
-    def stamp(self, start: int, units: int, best: int) -> None:
-        """Emit the evals marks that charges of `units` each from `start` reached.
-
-        Each is stamped with the first running total at or past it and `best`.
-        """
-        while self.next_mark is not None and self.consumed >= self.next_mark:
-            taken = max(1, -((start - math.ceil(self.next_mark)) // units))
-            self._emit_mark(start + taken * units, best)
+    def charge(self, units: int) -> None:
+        """Charge `units` evaluations, and emit the marks the run has passed."""
+        self.consumed += units
+        self.poll()
 
     def poll(self) -> None:
         """Emit the marks the clock (or the evaluation count) has passed."""
@@ -375,54 +323,11 @@ class _Meter:
             self._emit(final, self.consumed, self.tracker.best_value)
 
 
-def _pick_flip(gains, pivot_rule: str, n: int):
-    """(flip index or None, candidates examined) under the given pivot rule."""
-    if pivot_rule == "best":
-        k = int(np.argmax(gains))
-        return (k if gains[k] > 0 else None), n
-    positive = gains > 0
-    if not positive.any():
-        return None, n
-    k = int(np.argmax(positive))
-    return k, k + 1
-
-
-def _descend(caches, weights, value, tracker, meter, pivot_rule: str):
-    """Run local search all the way to a local optimum.
-
-    `caches` holds the gain cache of the original objective first, then
-    the toy's when blended; integer `weights` (a, b) switch the blend
-    a * g_0 + b * g_1 on, exact in int64, otherwise descent follows the
-    primary cache's gains. `value` tracks the primary cache's exact
-    objective and is returned updated. Budget exhaustion is checked between
-    descents, not inside one, so the consumed total may overshoot by one
-    descent.
-    """
-    primary = caches[0]
-    n = primary.solution.size
-    while True:
-        gains = primary.gains
-        if weights is not None:
-            gains = weights[0] * gains + weights[1] * caches[1].gains
-        k, examined = _pick_flip(gains, pivot_rule, n)
-        meter.charge(examined)
-        if k is None:
-            return value
-        value += int(primary.gains[k])
-        for cache in caches:
-            cache.apply_flip(k)
-        meter.charge(n)
-        if tracker is not None:
-            tracker.offer(primary.solution, value)
-
-
 class _Descent:
-    """Outer iterations over one fixed list of gain caches.
+    """Outer iterations over one fixed list of gain caches, in the kernel.
 
     A call without swap targets descends to a local optimum. With them it
-    perturbs `bits` distinct bits and descends: once on the numpy path
-    (`_fisher_yates`, `_perturb_in_place`, `_descend`), and on the compiled
-    path, when the kernel loads and knows every form, as many times as one
+    perturbs `bits` distinct bits and descends, as many times as one
     `lsils_iterate` call runs before a decision point. That is before the
     count `stop` (the budget's end or the next lambda step), at the end of
     the drawn targets, or, with `halt`, after an iteration that improved the
@@ -431,44 +336,34 @@ class _Descent:
     at b = 0 the kernel scans the first cache's gains.
 
     The kernel stamps the log marks it passes in the meter's run-long
-    buffers, with the meter's own rule, so evals-budget records are the
-    ones `_descend` writes; they are emitted when the call returns. Under a
-    seconds budget the clock is read then, so such a record may land up to
-    one iteration late.
+    buffers, with the rule of `_Meter.charge`, as if each scan, flip and
+    perturbed bit were charged on its own; they are emitted when the call
+    returns. Under a seconds budget the clock is read then, so such a record
+    may land up to one iteration late.
     """
 
     def __init__(self, caches, pivot_rule: str):
+        n = caches[0].solution.size
         self.caches = caches
         self.pivot_rule = pivot_rule
-        lib = _kernel.library()
-        self.entries = None if lib is None else _kernel.layout(caches)
-        if self.entries is not None:
-            n = caches[0].solution.size
-            self.kernel = lib.lsils_iterate
-            self.state = np.zeros(_kernel.ST_SIZE, dtype=np.int64)
-            self.best_x = np.empty(n, dtype=np.int8)
-            # An identity permutation, then three n-slot vectors; the kernel
-            # leaves the permutation and the second vector (zeros) as found.
-            self.scratch = np.zeros(4 * n, dtype=np.int64)
-            self.scratch[:n] = np.arange(n)
-            self.weights = np.zeros(2, dtype=np.int64)
-            self.weights_at = self.weights.ctypes.data
-            self.args = (self.entries.ctypes.data, len(caches), n, pivot_rule == "first")
-            self.buffers = (self.scratch.ctypes.data, self.state.ctypes.data,
-                            self.best_x.ctypes.data)
-
-    @property
-    def compiled(self) -> bool:
-        return self.entries is not None
+        self.kernel = _kernel.library().lsils_iterate
+        # The kernel's view of the caches, and the form arrays it reads,
+        # kept alive here (a duck-typed form's matrix is built for it).
+        self.entries, self.read = _kernel.layout(caches)
+        self.state = np.zeros(_kernel.ST_SIZE, dtype=np.int64)
+        self.best_x = np.empty(n, dtype=np.int8)
+        # An identity permutation, then three n-slot vectors; the kernel
+        # leaves the permutation and the second vector (zeros) as found.
+        self.scratch = np.zeros(4 * n, dtype=np.int64)
+        self.scratch[:n] = np.arange(n)
+        self.weights = np.zeros(2, dtype=np.int64)
+        self.weights_at = self.weights.ctypes.data
+        self.args = (self.entries.ctypes.data, len(caches), n, pivot_rule == "first")
+        self.buffers = (self.scratch.ctypes.data, self.state.ctypes.data, self.best_x.ctypes.data)
 
     def __call__(self, weights, value, tracker, meter, targets: _SwapTargets | None = None,
                  stop: int = INT64_MAX, halt: bool = False) -> int:
         """Descend, or perturb and descend with `targets`; returns the value."""
-        if not self.compiled:
-            if targets is not None:
-                positions = _fisher_yates(targets.take())
-                value = _perturb_in_place(self.caches, positions, value, meter)
-            return _descend(self.caches, weights, value, tracker, meter, self.pivot_rule)
         blend = None
         if weights is not None and weights[1]:  # b = 0 scans g_0 itself
             self.weights[:] = weights
@@ -507,8 +402,9 @@ class _Descent:
 def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     """Descend from x to a one-bit-flip local optimum of the objective.
 
-    The objective may be a UbqpInstance, a ToyMatrix, or a SmoothedObjective,
-    descended on its integer blend of gains (ValueError past the bound).
+    The objective may be a UbqpInstance, a ToyMatrix, any other object with
+    the quadratic-form protocol, or a SmoothedObjective, descended on its
+    integer blend of gains (ValueError past the bound).
     """
     if pivot_rule not in PIVOT_RULES:
         raise ValueError(f"pivot rule must be one of {PIVOT_RULES}")
@@ -521,21 +417,6 @@ def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     meter = _Meter(Budget("evals", float("inf")), None, None)
     _Descent(caches, pivot_rule)(weights, 0, None, meter)
     return caches[0].solution.copy()
-
-
-def _perturb_in_place(caches, positions, value, meter) -> int:
-    """Flip `positions` one bit at a time through all caches; returns the updated value.
-
-    The meter takes n per flipped bit, in one call that stamps interval
-    records as separate charges would.
-    """
-    primary = caches[0]
-    for p in positions.tolist():
-        value += int(primary.gains[p])
-        for cache in caches:
-            cache.apply_flip(p)
-    meter.charge(primary.solution.size, steps=len(positions))
-    return value
 
 
 def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult:
@@ -607,8 +488,8 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
                     blended = _Descent([primary, GainCache.build(toy, primary.solution)],
                                        config.pivot_rule)
                 weights = weights_of(lam, toy, alpha)
-        # One iteration, or on the compiled path every one up to the next
-        # decision: a lambda step, or a new best, which moves the anchor.
+        # Every iteration up to the next decision: a lambda step, or a new
+        # best, which moves the anchor.
         value = (blended or plain)(weights, value, tracker, meter, targets,
                                    meter.decision(steps), halt=smoothing)
 

@@ -146,7 +146,7 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     for the lower triangle (diagonal included), row by row, and mirrored, so
     the realized matrix is symmetric with |entries| in [1, 100]. The kernel
     of `_kernel.c` fills it from the draws and returns the largest one,
-    which is `max_abs()`; without a C compiler a row loop does the same.
+    which is `max_abs()`.
     """
     kind = ToyKind(kind)
     anchor = as_solution(anchor)
@@ -157,19 +157,9 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     rng = seeded_rng(seed, TOY_MAGNITUDE_STREAM)
     draws = rng.integers(1, 101, size=n * (n + 1) // 2)
     q = np.empty((n, n), dtype=np.int64)
-    lib = _kernel.library()
-    if lib is not None:
-        anchor = np.ascontiguousarray(anchor)
-        peak = lib.lsils_random_toy(draws.ctypes.data, anchor.ctypes.data, n, q.ctypes.data)
-    else:
-        signs = 2 * anchor.astype(np.int64) - 1
-        start = 0
-        for i in range(n):
-            row = draws[start:start + i + 1] * (signs[:i + 1] if anchor[i] else -1)
-            q[i, :i + 1] = row
-            q[:i + 1, i] = row
-            start += i + 1
-        peak = int(draws.max())
+    anchor = np.ascontiguousarray(anchor)
+    peak = _kernel.library().lsils_random_toy(draws.ctypes.data, anchor.ctypes.data, n,
+                                              q.ctypes.data)
     return ToyMatrix(kind=kind, anchor=anchor, _q=q, _peak=peak)
 
 

@@ -206,3 +206,95 @@ EXAMPLE_TOY_RANDOM_SIGNS = np.sign(
 # counts each off-diagonal pair once, would give 6 and 25.
 EXAMPLE_UNIT_VALUE_AT_ANCHOR = 9
 EXAMPLE_INDEX_VALUE_AT_ANCHOR = 39
+
+
+# -- The search's numpy reference -------------------------------------------
+# The compiled kernel of the search must match these flip for flip. They
+# take the package's gain caches, budget meter, best tracker and swap-target
+# source as arguments, by their attributes and methods alone.
+
+
+def take_targets(targets) -> np.ndarray:
+    """The next iteration's swap targets from a run's swap-target source."""
+    targets.ready()
+    targets.at += targets.bits
+    return targets.chunk[targets.at - targets.bits:targets.at]
+
+
+def swap_positions(targets) -> np.ndarray:
+    """The positions a partial Fisher-Yates pass with swap targets j_i in [i, n) picks.
+
+    Only swapped slots are stored, so the pass is O(len(targets)) whatever n is.
+    """
+    moved: dict[int, int] = {}
+    picked = []
+    for i, j in enumerate(np.asarray(targets).tolist()):
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(picked, dtype=np.intp)
+
+
+def pick_flip(gains, pivot_rule: str, n: int):
+    """(flip index or None, candidates examined) under the given pivot rule."""
+    if pivot_rule == "best":
+        k = int(np.argmax(gains))
+        return (k if gains[k] > 0 else None), n
+    positive = gains > 0
+    if not positive.any():
+        return None, n
+    k = int(np.argmax(positive))
+    return k, k + 1
+
+
+def descend(caches, weights, value, tracker, meter, pivot_rule: str) -> int:
+    """Local search all the way to a local optimum; returns the updated value.
+
+    `caches` holds the gain cache of the original objective first, then the
+    toy's when blended; integer `weights` (a, b) pick on a * g_0 + b * g_1,
+    otherwise on the first cache's gains. `value` is the first cache's
+    objective. Each scan and each flip is charged on its own, and a flip
+    that strictly improves the tracker's best value is recorded in it.
+    """
+    primary = caches[0]
+    n = primary.solution.size
+    while True:
+        gains = primary.gains
+        if weights is not None:
+            gains = weights[0] * gains + weights[1] * caches[1].gains
+        k, examined = pick_flip(gains, pivot_rule, n)
+        meter.charge(examined)
+        if k is None:
+            return value
+        value += int(primary.gains[k])
+        for cache in caches:
+            cache.apply_flip(k)
+        meter.charge(n)
+        if tracker is not None and value > tracker.best_value:
+            tracker.best_value = value
+            tracker.best_solution = primary.solution.copy()
+
+
+def perturb(caches, positions, value, meter) -> int:
+    """Flip `positions` one bit at a time through all caches, charging n per
+    bit; returns the updated value."""
+    primary = caches[0]
+    n = primary.solution.size
+    for p in positions.tolist():
+        value += int(primary.gains[p])
+        for cache in caches:
+            cache.apply_flip(p)
+        meter.charge(n)
+    return value
+
+
+def descent_call(descent, weights, value, tracker, meter, targets=None, stop=None,
+                 halt=False) -> int:
+    """A stand-in for `search._Descent.__call__` that runs one iteration.
+
+    It perturbs with the next iteration's targets, if given, and descends;
+    `stop` and `halt` are not needed, since the run decides again after
+    every iteration.
+    """
+    if targets is not None:
+        value = perturb(descent.caches, swap_positions(take_targets(targets)), value, meter)
+    return descend(descent.caches, weights, value, tracker, meter, descent.pivot_rule)

@@ -1,5 +1,6 @@
 """Command-line surface: flag grammar, subcommand contracts, determinism."""
 
+import shutil
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from lsils import (
     parse_orlib,
     read_runlog_csv,
 )
+from lsils import _kernel
 from lsils.cli import (
     main,
     parse_algos,
@@ -151,6 +153,24 @@ class TestExitCodes:
         assert main(["solve", "--algo", "ils", "--gen", "n=8,seed=1", *flags,
                      "--out-dir", str(tmp_path)]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ("solve", "--algo", "ils"),
+        ("batch", "--algos", "ils,lsils:random", "--seeds", "2"),
+    ])
+    def test_missing_compiler_is_one_error_line(self, command, tmp_path, capsys, monkeypatch):
+        # The kernel builds as on a host with none of the compilers tried.
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        monkeypatch.setattr(_kernel, "_build", _kernel._compiler)
+        _kernel._load.cache_clear()
+        try:
+            assert main([*command, "--gen", "n=8,seed=1", "--budget", "evals:1000",
+                         "--out-dir", str(tmp_path)]) == 1
+        finally:
+            _kernel._load.cache_clear()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "no C compiler found (tried cc, gcc, clang)" in err[0]
 
     def test_guard_violation_reported(self, tmp_path, capsys):
         rc = main(["landscape", "--gen", "n=26,seed=1", "--toy", "none",

@@ -1,7 +1,8 @@
-"""The compiled kernel against its numpy reference, and the fallback to it.
+"""The compiled kernel against the numpy reference in `oracles`, and its loader.
 
 The kernel runs the search's outer iterations, each a perturbation and a
 descent, up to the next decision point, and fills the random toy's matrix.
+It is the search's only path.
 
 A C compiler is part of the test environment, so a kernel that does not
 build or load fails these tests instead of skipping them.
@@ -9,12 +10,9 @@ build or load fails these tests instead of skipping them.
 
 import ctypes
 import io
-import os
 import platform
 import re
 import subprocess
-import sys
-import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -43,10 +41,10 @@ from lsils import _kernel, search
 from lsils.search import PIVOT_RULES, BestTracker, _Meter
 from lsils.smoothing import blend_weights
 
+import oracles
 from test_qubo import make_instance
 from test_search import gains_past_2_53
 
-ROOT = Path(__file__).resolve().parent.parent
 # Sizes up to 130 put the kernel's best-improvement scan across two whole
 # 64-entry blocks and a tail, and its vector loops across their remainders.
 MAX_N = 130
@@ -55,17 +53,6 @@ FORMS = ("instance",) + tuple(kind.value for kind in ToyKind)
 # (1, 0) and (0, 1) among them.
 LAMS = (0.0, 0.001, 0.3, 0.5, 1.0)
 ALPHAS = (0.25, 1.0, 3.7)
-
-
-@pytest.fixture
-def no_kernel(monkeypatch):
-    """The kernel's build fails, as on a host without a C compiler."""
-    def fail():
-        raise OSError("no C compiler found")
-    monkeypatch.setattr(_kernel, "_build", fail)
-    _kernel.library.cache_clear()
-    yield
-    _kernel.library.cache_clear()
 
 
 def make_form(name: str, n: int, seed: int):
@@ -77,6 +64,25 @@ def make_form(name: str, n: int, seed: int):
 
 def test_kernel_loads():
     assert _kernel.library() is not None
+
+
+def test_failed_build_is_tried_once_per_process(tmp_path, monkeypatch):
+    attempts = []
+
+    def fail(compiler, target):
+        attempts.append(target)
+        raise subprocess.CalledProcessError(1, compiler, stderr=b"_kernel.c:1: error: broken")
+
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(_kernel, "_compile", fail)
+    _kernel._load.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(OSError, match="failed to build:\n_kernel.c:1: error: broken"):
+                _kernel.library()
+    finally:
+        _kernel._load.cache_clear()
+    assert len(attempts) == 1
 
 
 def test_source_compiles_without_warnings(tmp_path):
@@ -138,17 +144,15 @@ def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
 
 
 def assert_descents_agree(forms, x, weights, pivot):
-    """One compiled and one numpy descent from x give identical results; returns the caches."""
+    """One compiled and one reference descent from x give identical results; returns the caches."""
     runs = []
     for compiled in (False, True):
         caches = [GainCache.build(form, x) for form in forms]
         meter = _Meter(Budget("evals", float("inf")), None, None)
         if compiled:
-            descent = search._Descent(caches, pivot)
-            assert descent.compiled
-            value = descent(weights, 0, None, meter)
+            value = search._Descent(caches, pivot)(weights, 0, None, meter)
         else:
-            value = search._descend(caches, weights, 0, None, meter, pivot)
+            value = oracles.descend(caches, weights, 0, None, meter, pivot)
         runs.append((value, meter.consumed, caches))
     (ref_value, ref_consumed, ref_caches), (value, consumed, caches) = runs
     assert (value, consumed) == (ref_value, ref_consumed)
@@ -184,10 +188,8 @@ class TestDescentEquivalence:
 
         ref_caches, ref_tracker, ref_meter = state()
         caches, tracker, meter = state()
-        expected = search._descend(ref_caches, weights, value, ref_tracker, ref_meter, pivot)
-        descent = search._Descent(caches, pivot)
-        assert descent.compiled
-        assert descent(weights, value, tracker, meter) == expected
+        expected = oracles.descend(ref_caches, weights, value, ref_tracker, ref_meter, pivot)
+        assert search._Descent(caches, pivot)(weights, value, tracker, meter) == expected
         for ours, ref in zip(caches, ref_caches):
             assert np.array_equal(ours.gains, ref.gains)
             assert np.array_equal(ours.sigma, ref.sigma)
@@ -207,7 +209,7 @@ class TestDescentEquivalence:
             if compiled:
                 value = search._Descent(caches, "best")(weights, 0, None, meter)
             else:
-                value = search._descend(caches, weights, 0, None, meter, "best")
+                value = oracles.descend(caches, weights, 0, None, meter, "best")
             assert value == 1
             assert caches[0].solution.tolist() == [1, 0]
 
@@ -251,18 +253,15 @@ class TestDescentEquivalence:
         assert caches[0].solution.nonzero()[0].tolist() == [17]
 
     @pytest.mark.parametrize("pivot", PIVOT_RULES)
-    def test_local_search_runs_the_kernel(self, pivot, monkeypatch):
+    def test_local_search_matches_the_reference_descent(self, pivot):
         inst = make_instance(30, seed=3)
         x = random_solution(30, seeded_rng(3))
-        expected = local_search(x, inst, pivot)
+        cache = GainCache.build(inst, x)
+        oracles.descend([cache], None, 0, None, _Meter(Budget("evals", float("inf")), None, None),
+                        pivot)
+        assert np.array_equal(local_search(x, inst, pivot), cache.solution)
 
-        def numpy_descent(*args):
-            raise AssertionError("the numpy descent ran")
-
-        monkeypatch.setattr(search, "_descend", numpy_descent)
-        assert np.array_equal(local_search(x, inst, pivot), expected)
-
-    def test_unknown_form_takes_the_numpy_path(self):
+    def test_unknown_form_runs_in_the_kernel(self):
         inst = make_instance(12, seed=4)
 
         class Wrapped:
@@ -271,9 +270,28 @@ class TestDescentEquivalence:
             diag, col, matvec = inst.diag, inst.col, inst.matvec
 
         x = random_solution(12, seeded_rng(4))
-        assert not search._Descent([GainCache.build(Wrapped(), x)], "best").compiled
-        assert search._Descent([GainCache.build(inst, x)], "best").compiled
+        rows, read = _kernel.layout([GainCache.build(Wrapped(), x)])
+        assert rows[0, 0] == _kernel.FORM_DENSE
+        assert np.array_equal(read[0], inst.q)
         assert np.array_equal(local_search(x, Wrapped()), local_search(x, inst))
+
+    def test_instances_enter_without_a_copy(self):
+        # Also one built from a Fortran-ordered matrix.
+        q = make_instance(12, seed=4).q
+        for inst in (UbqpInstance.from_matrix(q), UbqpInstance.from_matrix(np.asfortranarray(q))):
+            _, read = _kernel.layout([GainCache.build(inst, np.zeros(12, dtype=np.int8))])
+            assert read[0] is inst.q
+
+    def test_caches_the_kernel_cannot_write_are_rejected(self):
+        inst = make_instance(6, seed=4)
+        ok = GainCache.build(inst, np.zeros(6, dtype=np.int8))
+        frozen = ok.solution.copy()
+        frozen.setflags(write=False)
+        for bad in (dict(solution=frozen), dict(gains=ok.gains.astype(np.int32)),
+                    dict(sigma=np.repeat(ok.sigma, 2)[::2])):
+            fields = dict(form=inst, solution=ok.solution, gains=ok.gains, sigma=ok.sigma)
+            with pytest.raises(ValueError, match="writable contiguous"):
+                _kernel.layout([GainCache(**{**fields, **bad})])
 
 
 class TestIterationEquivalence:
@@ -283,8 +301,8 @@ class TestIterationEquivalence:
            st.integers(0, 400), st.integers(1, 20000), st.booleans(), st.data())
     def test_kernel_matches_numpy_iterations(self, n, seed, first, second, pivot, blend, lam,
                                              alpha, start, budget, halt, data):
-        # One compiled call runs iterations until a stop; the numpy reference
-        # runs as many, one at a time, and must end in the same state.
+        # One compiled call runs iterations until a stop; the reference runs
+        # as many, one at a time, and must end in the same state.
         bits = data.draw(st.integers(1, n), label="bits")
         # Intervals below n * bits put several marks inside one perturbation.
         interval = data.draw(st.one_of(st.none(), st.integers(1, n * bits),
@@ -310,7 +328,6 @@ class TestIterationEquivalence:
             ref_caches, ref_tracker, ref_meter, ref_targets = state()
             caches, tracker, meter, targets = state()
             descent = search._Descent(caches, pivot)
-            assert descent.compiled
             rounds, at = targets.ready(), targets.at
             got = descent(weights, value, tracker, meter, targets, stop, halt)
             ran = (targets.at - at) // bits
@@ -319,9 +336,9 @@ class TestIterationEquivalence:
             for _ in range(ran):
                 assert ref_meter.consumed < stop and not (halt and improved)
                 best = ref_tracker.best_value
-                positions = search._fisher_yates(ref_targets.take())
-                expected = search._perturb_in_place(ref_caches, positions, expected, ref_meter)
-                expected = search._descend(ref_caches, weights, expected, ref_tracker, ref_meter,
+                positions = oracles.swap_positions(oracles.take_targets(ref_targets))
+                expected = oracles.perturb(ref_caches, positions, expected, ref_meter)
+                expected = oracles.descend(ref_caches, weights, expected, ref_tracker, ref_meter,
                                            pivot)
                 improved = ref_tracker.best_value > best
         # It stopped for a reason: targets used up, the stop count, or a new
@@ -336,7 +353,7 @@ class TestIterationEquivalence:
         assert np.array_equal(tracker.best_solution, ref_tracker.best_solution)
         assert meter.records == ref_meter.records
         assert (meter.consumed, meter.next_mark) == (ref_meter.consumed, ref_meter.next_mark)
-        assert np.array_equal(ref_targets.take(), targets.take())
+        assert np.array_equal(oracles.take_targets(ref_targets), oracles.take_targets(targets))
         assert np.array_equal(descent.scratch[:n], np.arange(n))
         assert not descent.scratch[2 * n:3 * n].any()
 
@@ -349,7 +366,6 @@ class TestIterationEquivalence:
             form = make_form(name, n, int(rng.integers(0, 2**32)))
             cache = GainCache.build(form, random_solution(n, rng))
             descent = search._Descent([cache], "best")
-            assert descent.compiled
             meter = _Meter(Budget("evals", float("inf")), None, None)
             value = evaluate(form, cache.solution)
             for _ in range(50):
@@ -361,17 +377,6 @@ class TestIterationEquivalence:
                 fresh = GainCache.build(form, cache.solution)
                 assert np.array_equal(cache.gains, fresh.gains)
                 assert np.array_equal(cache.sigma, fresh.sigma)
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 33, 500])
-    def test_random_toy_fill_matches_numpy_fill(self, n, request):
-        anchors = [random_solution(n, seeded_rng(n, k)) for k in range(3)]
-        compiled = [construct_toy(ToyKind.RANDOM, a, seed=k) for k, a in enumerate(anchors)]
-        request.getfixturevalue("no_kernel")
-        assert _kernel.library() is None
-        for k, (anchor, ours) in enumerate(zip(anchors, compiled)):
-            ref = construct_toy(ToyKind.RANDOM, anchor, seed=k)
-            assert np.array_equal(ours.materialize(), ref.materialize())
-            assert ours.max_abs() == ref.max_abs()
 
 
 def test_seconds_budget_marks_are_checked_between_descents():
@@ -404,11 +409,11 @@ def _run_logs(inst, pivot, interval=1700, budget=30000):
 
 
 @pytest.mark.parametrize("pivot", PIVOT_RULES)
-def test_runs_are_byte_identical_on_both_paths(pivot, request):
+def test_runs_are_byte_identical_on_both_paths(pivot, monkeypatch):
+    # The kernel's runs against runs of the reference, one iteration per call.
     inst = make_instance(45, seed=21)
     compiled = _run_logs(inst, pivot)
-    request.getfixturevalue("no_kernel")
-    assert _kernel.library() is None
+    monkeypatch.setattr(search._Descent, "__call__", oracles.descent_call)
     assert _run_logs(inst, pivot) == compiled
 
 
@@ -472,7 +477,7 @@ def test_loop_edges_are_byte_identical_on_both_paths(edge, pivot, monkeypatch):
     kernel = KernelCalls(_kernel.library())
     monkeypatch.setattr(_kernel, "library", lambda: kernel)
     compiled = _run_logs(inst, pivot, interval, 30000)
-    monkeypatch.setattr(_kernel, "library", lambda: None)
+    monkeypatch.setattr(search._Descent, "__call__", oracles.descent_call)
     assert _run_logs(inst, pivot, interval, 30000) == compiled
     logs = [[row.split(",")[1] for row in text.splitlines()[1:]]
             for text, *_ in compiled.values()]
@@ -507,11 +512,11 @@ def assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, 
                     "-o", str(plain), str(_kernel.SOURCE)], check=True, capture_output=True)
     assert b"lsils_iterate.resolver" not in plain.read_bytes()
     monkeypatch.setattr(_kernel, "_build", lambda: ctypes.CDLL(str(plain)))
-    _kernel.library.cache_clear()
+    _kernel._load.cache_clear()
     try:
         assert _run_logs(inst, pivot) == dispatched
     finally:
-        _kernel.library.cache_clear()
+        _kernel._load.cache_clear()
 
 
 def test_v4_clone_multiplies_no_int64_vectors(tmp_path):
@@ -567,36 +572,3 @@ def test_level_build_runs_as_the_dispatched_one(level, pivot, tmp_path, monkeypa
     if missing:
         pytest.skip(f"the CPU lacks {' '.join(sorted(missing))}")
     assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, f"-march={level}")
-
-
-@pytest.mark.slow
-def test_search_tests_pass_on_the_numpy_path(tmp_path):
-    plugin = tmp_path / "numpy_descent.py"
-    plugin.write_text(textwrap.dedent("""
-        from lsils import _kernel, search
-
-        def _fail():
-            raise OSError("no C compiler found")
-
-        _kernel._build = _fail
-        _kernel.library.cache_clear()
-        _descents = []
-        _reference = search._descend
-
-        def _counted(*args):
-            _descents.append(1)
-            return _reference(*args)
-
-        search._descend = _counted
-
-        def pytest_sessionfinish(session):
-            print(f"kernel={_kernel.library()} numpy descents={len(_descents)}")
-    """))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(tmp_path)])}
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "numpy_descent",
-         str(ROOT / "tests" / "test_search.py")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=900)
-    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
-    found = re.search(r"kernel=None numpy descents=(\d+)", done.stdout)
-    assert found and int(found.group(1)) > 0, done.stdout[-2000:]

@@ -1,4 +1,7 @@
-"""The package's public namespace."""
+"""The package's public namespace, and the independence of the test oracles."""
+
+import ast
+from pathlib import Path
 
 import lsils
 
@@ -26,3 +29,13 @@ def test_exports_are_pinned():
     # A new export is a deliberate edit of this set.
     assert len(lsils.__all__) == len(PUBLIC_API) == 40
     assert set(lsils.__all__) == PUBLIC_API
+
+
+def test_oracles_import_nothing_from_the_package():
+    # The references in tests/oracles.py check the package, so they must not use it.
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert imported and not [name for name in imported if name.split(".")[0] == "lsils"]

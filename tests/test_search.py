@@ -35,7 +35,7 @@ from lsils import (
 )
 from lsils import search
 from lsils.qubo import INIT_STREAM
-from lsils.search import BUDGET_KINDS, BestTracker, RunLog, _Meter, _fisher_yates
+from lsils.search import BUDGET_KINDS, RunLog
 
 import oracles
 from test_qubo import make_instance, random_symmetric
@@ -102,7 +102,7 @@ class TestConfigValidation:
 
 def sample_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """`count` distinct positions from one vectorised draw of swap targets, as a run draws them."""
-    return _fisher_yates(rng.integers(np.arange(count), n))
+    return oracles.swap_positions(rng.integers(np.arange(count), n))
 
 
 class TestSampling:
@@ -144,9 +144,9 @@ class TestSampling:
         targets = search._SwapTargets(seeded_rng(bits, 2), n, bits)
         one_at_a_time, positions = seeded_rng(bits, 2), seeded_rng(bits, 2)
         for _ in range(2 * chunk + 1):
-            taken = targets.take()
+            taken = oracles.take_targets(targets)
             assert np.array_equal(taken, one_at_a_time.integers(np.arange(bits), n))
-            assert np.array_equal(search._fisher_yates(taken),
+            assert np.array_equal(oracles.swap_positions(taken),
                                   sample_positions(positions, n, bits))
         assert targets.at == bits  # one iteration into the third chunk
 
@@ -154,29 +154,6 @@ class TestSampling:
 def assert_no_improving_flip(objective, x):
     for k in range(x.size):
         assert flip_delta(objective, x, k) <= 0
-
-
-class TestMeter:
-    @staticmethod
-    def meter(budget, interval, consumed):
-        x = np.zeros(3, dtype=np.int8)
-        meter = _Meter(Budget("evals", budget), interval, BestTracker.start(x, 0))
-        if consumed:
-            meter.charge(consumed)
-        meter.tracker.best_value = 7
-        return meter
-
-    @given(st.integers(0, 3000), st.one_of(st.integers(1, 400), st.floats(0.5, 400)),
-           st.integers(1, 5000), st.integers(1, 60), st.integers(1, 60))
-    def test_batched_charge_emits_the_per_step_records(self, consumed, interval, budget,
-                                                      n, bits):
-        batched = self.meter(budget, interval, consumed)
-        stepped = self.meter(budget, interval, consumed)
-        batched.charge(n, steps=bits)
-        for _ in range(bits):
-            stepped.charge(n)
-        assert batched.records == stepped.records
-        assert (batched.consumed, batched.next_mark) == (stepped.consumed, stepped.next_mark)
 
 
 class TestRunLog:

@@ -110,13 +110,14 @@ class TestConstruction:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 500])
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 500])
     def test_random_matches_tril_indices_reference(self, n):
         for seed in (0, 5, 2**40 + 3):
             anchor = random_anchor(n, seed % 97)
             toy = construct_toy(ToyKind.RANDOM, anchor, seed=seed)
-            assert np.array_equal(toy.materialize(),
-                                  oracles.random_toy_by_indices(anchor, seed))
+            reference = oracles.random_toy_by_indices(anchor, seed)
+            assert np.array_equal(toy.materialize(), reference)
+            assert toy.max_abs() == np.abs(reference).max()
 
     def test_deterministic_kinds_idempotent(self):
         anchor = random_anchor(10, 7)
