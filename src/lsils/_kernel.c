@@ -3,8 +3,10 @@
  *
  * lsils_iterate is the search's only path. It must match the numpy
  * reference in tests/oracles.py (swap_positions + perturb + descend) flip
- * for flip. One call runs iterations until the caller's next
- * decision point, so control returns to Python only when
+ * for flip. Its int64 state vector is the run's only copy of its value,
+ * count, best and marks; best_x holds the best solution. A call given no
+ * iterations descends once; one given some runs them until the caller's
+ * next decision point, so control returns to Python only when
  *   - an iteration would start at or past the count `stop` (the end of an
  *     evals budget, or the next lambda step of the schedule),
  *   - the swap targets of the `rounds` iterations given are used up, or
@@ -28,8 +30,8 @@
  * The caller keeps the log marks' arithmetic and passes the evaluation
  * count of every mark of the run, and the index of the first one not yet
  * passed. For each one a charge reaches, the kernel writes (evaluations,
- * best value) as Python's meter stamps it: the first running total that
- * reaches the mark, one step of n at a time for the perturbation.
+ * best value) as the run's Python charge stamps it: the first running
+ * total that reaches the mark, one step of n at a time for the perturbation.
  *
  * The signs sigma are +-1, so nothing is multiplied by them: a gain update
  * adds 2 Q_jk (or 2 t_j) negated under the mask differ(sigma_j, sigma_k)
@@ -72,12 +74,10 @@ enum {
     ST_VALUE,       /* in/out: exact objective of the first cache's form */
     ST_CONSUMED,    /* in/out: evaluations charged so far */
     ST_STOP,        /* in: no iteration starts once ST_CONSUMED reaches this */
-    ST_ROUNDS,      /* in: iterations whose swap targets are given */
+    ST_ROUNDS,      /* in: iterations whose swap targets are given; 0 to descend once */
     ST_STARTED,     /* out: iterations started, whose targets are used */
-    ST_DESCEND,     /* in: 1 to descend before the first perturbation */
-    ST_TRACK,       /* in: 1 when the best value and solution are tracked */
     ST_HALT,        /* in: 1 to start no iteration after one that improved the best */
-    ST_BEST,        /* in/out: best value seen */
+    ST_BEST,        /* in/out: best value seen, and best_x its solution */
     ST_IMPROVED,    /* out: 1 when best_x holds a new best solution */
     ST_MARKS,       /* in: log marks of the run */
     ST_MARKED,      /* in/out: marks passed, each stamped (evaluations, best) */
@@ -342,7 +342,7 @@ HOT void charge(int64_t *st, int64_t units, int64_t steps, const int64_t *marks,
     st[ST_MARKED] = at;
 }
 
-/* Descend until a local optimum. */
+/* Descend until a local optimum, tracking the best value and solution. */
 HOT void descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int first,
                  const int64_t *weights, int64_t *blended, int64_t *st, int8_t *best_x,
                  const int64_t *marks, int64_t *stamps)
@@ -361,7 +361,7 @@ HOT void descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int fir
         for (i = 0; i < n_caches; i++)
             apply_flip(&caches[i], n, k);
         charge(st, n, 1, marks, stamps);
-        if (st[ST_TRACK] && st[ST_VALUE] > st[ST_BEST]) {
+        if (st[ST_VALUE] > st[ST_BEST]) {
             st[ST_BEST] = st[ST_VALUE];
             memcpy(best_x, caches[0].x, (size_t)n);
             st[ST_IMPROVED] = 1;
@@ -389,7 +389,7 @@ CLONES void lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n
 
     st[ST_STARTED] = 0;
     st[ST_IMPROVED] = 0;
-    if (st[ST_DESCEND])
+    if (st[ST_ROUNDS] == 0)
         descend(caches, n_caches, n, (int)first, weights, t, st, best_x, marks, stamps);
     while (st[ST_STARTED] < st[ST_ROUNDS] && st[ST_CONSUMED] < st[ST_STOP]
            && !(st[ST_HALT] && st[ST_IMPROVED])) {

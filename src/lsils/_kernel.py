@@ -30,6 +30,7 @@ import functools
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,8 @@ COMPILE_TIMEOUT_S = 120
 FORM_DENSE, FORM_PLUS_MINUS_ONE, FORM_PLUS_MINUS_I = 0, 1, 2
 _TOY_FORMS = {ToyKind.PLUS_MINUS_ONE: FORM_PLUS_MINUS_ONE,
               ToyKind.PLUS_MINUS_I: FORM_PLUS_MINUS_I}
-(ST_VALUE, ST_CONSUMED, ST_STOP, ST_ROUNDS, ST_STARTED, ST_DESCEND, ST_TRACK, ST_HALT,
- ST_BEST, ST_IMPROVED, ST_MARKS, ST_MARKED, ST_SIZE) = range(13)
+(ST_VALUE, ST_CONSUMED, ST_STOP, ST_ROUNDS, ST_STARTED, ST_HALT, ST_BEST, ST_IMPROVED,
+ ST_MARKS, ST_MARKED, ST_SIZE) = range(11)
 # One lsils_cache per row: the kind, then the addresses of q, anchor,
 # gains, sigma and x. Eight-byte fields, so 64-bit platforms only.
 CACHE_FIELDS = 6
@@ -168,13 +169,20 @@ def _dense(form, n: int) -> np.ndarray:
     return matrix
 
 
-def layout(caches) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The kernel's lsils_cache rows for `caches`, and the arrays they read.
+class Layout(NamedTuple):
+    """The kernel's lsils_cache rows for a list of caches, and all they read."""
+
+    rows: np.ndarray
+    caches: list
+    read: list
+
+
+def layout(caches) -> Layout:
+    """The kernel's view of `caches`, which keeps them and the arrays it reads alive.
 
     The ±1 and ±i toys enter by their anchor; every other form, a duck-typed
     one too, as FORM_DENSE through its matrix. The gains, sigma and solution
-    stay owned by the caches, which the kernel writes in place. The caller
-    keeps the caches and the returned arrays alive while the kernel runs.
+    stay owned by the caches, which the kernel writes in place.
     """
     n = caches[0].solution.size
     rows = np.zeros((len(caches), CACHE_FIELDS), dtype=np.int64)
@@ -195,4 +203,4 @@ def layout(caches) -> tuple[np.ndarray, list[np.ndarray]]:
                 raise ValueError("a gain cache's gains, sigma and solution must be writable "
                                  "contiguous vectors of length n")
             row[slot] = array.ctypes.data
-    return rows, read
+    return Layout(rows, list(caches), read)

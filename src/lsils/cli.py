@@ -407,6 +407,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_landscape(args) -> int:
+    if args.lam is not None and args.toy == "none":
+        raise ValueError("--lam blends a toy into the objective; give --toy too")
     name, inst = single_instance(args)
     objective = inst
     if args.toy != "none":

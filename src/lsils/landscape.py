@@ -332,12 +332,16 @@ def analyze(objective, cap: int = 1000) -> LandscapeReport:
 def lambda_sweep(inst: UbqpInstance, toy_kind: ToyKind, anchor, alpha: float,
                  lambda_grid, toy_seed: int = 0) -> list[tuple[float, int]]:
     """Local-optima count of the smoothed objective for each grid value."""
+    grid = [float(lam) for lam in lambda_grid]
+    outside = [lam for lam in grid if not 0.0 <= lam <= 1.0]
+    if outside:  # checked before the first census
+        raise ValueError(f"lam must lie in [0, 1], got {outside[0]:g}")
     toy = construct_toy(toy_kind, anchor, seed=toy_seed)
     curve = []
-    for lam in lambda_grid:
-        g = SmoothedObjective(instance=inst, toy=toy, lam=float(lam), alpha=alpha)
+    for lam in grid:
+        g = SmoothedObjective(instance=inst, toy=toy, lam=lam, alpha=alpha)
         count, _ = enumerate_local_optima(g)
-        curve.append((float(lam), count))
+        curve.append((lam, count))
     return curve
 
 

@@ -6,7 +6,9 @@ computation: building a gain cache costs n, every local-search scan costs n
 applied flip costs n (the cache update), and perturbing b bits costs b*n.
 Exhaustion is checked between phases, never inside a descent, so every
 local search runs to a true local optimum and the consumed total may
-overshoot the budget by the tail descent.
+overshoot the budget by the tail descent. A smoothed run ends with a
+charged descent on f from its best when that has an improving flip, so it
+too reports a local optimum of f.
 Work the smoothed variant does on top of that (toy construction, the toy
 gain cache, scoring accepted moves under the original objective) is not
 charged. It builds the toy and its gain cache only while lam > 0, so with
@@ -27,10 +29,10 @@ lambda step, an iteration that improved the best (the smoothed search then
 rebuilds its toy there), or the end of the swap targets drawn so far. It
 stamps the run's log marks as it passes them, so marks never stop it.
 Under a seconds budget a call runs one iteration, because the kernel does
-not read the clock.
-The swap targets come from one source per run, `_SwapTargets`, which draws
-`TARGET_CHUNK` iterations' worth at a time. The numpy reference the kernel
-matches flip for flip, one iteration per call, is in `tests/oracles.py`.
+not read the clock. One `_Run` holds a run's state, kernel buffers, clock
+and log, and one `_SwapTargets` its swap targets, drawn `TARGET_CHUNK`
+iterations' worth at a time. The numpy reference the kernel matches flip
+for flip, one iteration per call, is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -128,18 +130,6 @@ def algo_label(toy_kind: ToyKind | None) -> str:
     return "ils" if toy_kind is None else f"lsils-{ToyKind(toy_kind).value}"
 
 
-@dataclass
-class BestTracker:
-    """Best solution seen so far, scored under the original objective."""
-
-    best_solution: np.ndarray
-    best_value: int
-
-    @classmethod
-    def start(cls, x: np.ndarray, value: int) -> "BestTracker":
-        return cls(best_solution=x.copy(), best_value=value)
-
-
 class RunLog:
     """The points a run logs, packed in typed columns.
 
@@ -232,25 +222,36 @@ class _SwapTargets:
         return (self.chunk.size - self.at) // self.bits
 
 
-class _Meter:
-    """Budget accounting, schedule progress, and interval logging for a run.
+def _slot(index: int) -> property:
+    """One slot of a run's state vector, read and written as a Python int."""
+    return property(lambda run: int(run.state[index]),
+                    lambda run, value: run.state.__setitem__(index, value))
 
-    The meter keeps the log marks' arithmetic. Under an evals budget the
-    kernel sees every mark of the run as the evaluation count that reaches
-    it (`marks`), stamps those it passes from number `emitted` on into
-    `stamps`, and hands them back (`kernel_stamped`).
+
+class _Run:
+    """One run's state, buffers, budget clock and log, allocated once per run.
+
+    The kernel's int64 `state` is the only copy of the current `value`, the
+    evaluations charged (`consumed`), the `best` value and the log marks
+    stamped; `best_x` is the best solution. Under an evals budget the kernel
+    stamps every mark it passes (`marks`, the evaluation count reaching each)
+    into `stamps` as `charge` would, one scan, flip or perturbed bit at a
+    time, and they are logged when it returns. Under a seconds budget the
+    clock is read then, so a record may land up to one iteration late.
     """
 
-    def __init__(self, budget: Budget, log_interval, tracker: BestTracker | None):
-        self.budget = budget
-        self.consumed = 0
+    value = _slot(_kernel.ST_VALUE)
+    consumed = _slot(_kernel.ST_CONSUMED)
+    best = _slot(_kernel.ST_BEST)
+
+    def __init__(self, n: int, pivot_rule: str, budget: Budget = Budget("evals", math.inf),
+                 log_interval=None):
+        self.n, self.pivot_rule, self.budget = n, pivot_rule, budget
+        self.kernel = _kernel.library().lsils_iterate
         self.started = time.monotonic()
-        self.tracker = tracker
         self.log = RunLog(budget.kind)
         self.current_lam = 0.0
-        self.interval = log_interval
-        self.next_mark = log_interval
-        self.emitted = 0
+        self.interval = self.next_mark = log_interval
         counts = []
         mark = log_interval if budget.kind == "evals" else None
         while mark is not None:
@@ -258,16 +259,19 @@ class _Meter:
             mark = self._following(mark)
         self.marks = np.array(counts, dtype=np.int64)
         self.stamps = np.zeros(2 * len(counts), dtype=np.int64)
-        self.marks_at, self.stamps_at = self.marks.ctypes.data, self.stamps.ctypes.data
-
-    @property
-    def records(self) -> list[RunLogRecord]:
-        return self.log.records
+        self.state = np.zeros(_kernel.ST_SIZE, dtype=np.int64)
+        self.state[_kernel.ST_MARKS] = len(counts)
+        self.best_x = np.zeros(n, dtype=np.int8)
+        # An identity permutation, then three n-slot vectors; the kernel
+        # leaves the permutation and the second vector (zeros) as found.
+        self.scratch = np.zeros(4 * n, dtype=np.int64)
+        self.scratch[:n] = np.arange(n)
+        self.weights = np.zeros(2, dtype=np.int64)
+        self.buffers = tuple(a.ctypes.data for a in (self.scratch, self.state, self.best_x,
+                                                     self.marks, self.stamps))
 
     def progress(self) -> float:
-        if self.budget.kind == "evals":
-            return self.consumed
-        return time.monotonic() - self.started
+        return self.consumed if self.budget.kind == "evals" else time.monotonic() - self.started
 
     def exhausted(self) -> bool:
         return self.progress() >= self.budget.amount
@@ -285,22 +289,46 @@ class _Meter:
 
     def charge(self, units: int) -> None:
         """Charge `units` evaluations, and emit the marks the run has passed."""
-        self.consumed += units
+        self.state[_kernel.ST_CONSUMED] += units
         self.poll()
 
     def poll(self) -> None:
         """Emit the marks the clock (or the evaluation count) has passed."""
         progress = self.progress()
         while self.next_mark is not None and progress >= self.next_mark:
-            self._emit_mark(self.consumed, self.tracker.best_value)
+            self._emit_mark(self.consumed, self.best)
+        self.state[_kernel.ST_MARKED] = len(self.log)
 
-    def kernel_stamped(self, marked: int, consumed: int) -> None:
-        """Emit the marks up to number `marked` with the kernel's stamps, then
-        take its count."""
-        stamps = self.stamps[2 * self.emitted:2 * marked].tolist()
+    def iterate(self, view: _kernel.Layout, weights=None, targets: _SwapTargets | None = None,
+                stop: int = INT64_MAX, halt: bool = False) -> None:
+        """Descend on the caches of `view`, or with `targets` perturb and descend.
+
+        With targets, one kernel call runs iterations until a decision point:
+        the count `stop` (the budget's end or the next lambda step), the end
+        of the drawn targets, or, with `halt`, an iteration that improved the
+        best; under a seconds budget, one iteration. `weights` are
+        `blend_weights` or None; at b = 0 the kernel scans g_0 itself.
+        """
+        blend = None
+        if weights is not None and weights[1]:
+            self.weights[:] = weights
+            blend = self.weights.ctypes.data
+        rounds = bits = at = 0
+        if targets is not None:
+            rounds, bits = targets.ready(), targets.bits
+            at = targets.address + 8 * targets.at
+            if self.budget.kind == "seconds":
+                rounds = 1  # the kernel does not read the clock
+        self.state[[_kernel.ST_STOP, _kernel.ST_ROUNDS, _kernel.ST_HALT]] = stop, rounds, halt
+        self.kernel(view.rows.ctypes.data, len(view.caches), self.n, self.pivot_rule == "first",
+                    blend, at, bits, *self.buffers)
+        stamps = self.stamps[2 * len(self.log):2 * int(self.state[_kernel.ST_MARKED])].tolist()
         for i in range(0, len(stamps), 2):
             self._emit_mark(stamps[i], stamps[i + 1])
-        self.consumed = consumed
+        if targets is not None:
+            targets.at += int(self.state[_kernel.ST_STARTED]) * bits
+        if self.budget.kind == "seconds":
+            self.poll()
 
     def _following(self, mark):
         """The mark after `mark`, or None past the budget."""
@@ -310,7 +338,6 @@ class _Meter:
     def _emit_mark(self, evaluations: int, best: int) -> None:
         self._emit(self.next_mark, evaluations, best)
         self.next_mark = self._following(self.next_mark)
-        self.emitted += 1
 
     def _emit(self, elapsed, evaluations: int, best: int) -> None:
         if self.budget.kind == "evals":
@@ -320,83 +347,7 @@ class _Meter:
     def finish(self) -> None:
         final = self.consumed if self.budget.kind == "evals" else round(self.progress(), 3)
         if not self.log or self.log.evaluations[-1] < self.consumed:
-            self._emit(final, self.consumed, self.tracker.best_value)
-
-
-class _Descent:
-    """Outer iterations over one fixed list of gain caches, in the kernel.
-
-    A call without swap targets descends to a local optimum. With them it
-    perturbs `bits` distinct bits and descends, as many times as one
-    `lsils_iterate` call runs before a decision point. That is before the
-    count `stop` (the budget's end or the next lambda step), at the end of
-    the drawn targets, or, with `halt`, after an iteration that improved the
-    best. Under a seconds budget it runs one iteration. The kernel's view of
-    the caches is built once, here. `weights` are `blend_weights` or None;
-    at b = 0 the kernel scans the first cache's gains.
-
-    The kernel stamps the log marks it passes in the meter's run-long
-    buffers, with the rule of `_Meter.charge`, as if each scan, flip and
-    perturbed bit were charged on its own; they are emitted when the call
-    returns. Under a seconds budget the clock is read then, so such a record
-    may land up to one iteration late.
-    """
-
-    def __init__(self, caches, pivot_rule: str):
-        n = caches[0].solution.size
-        self.caches = caches
-        self.pivot_rule = pivot_rule
-        self.kernel = _kernel.library().lsils_iterate
-        # The kernel's view of the caches, and the form arrays it reads,
-        # kept alive here (a duck-typed form's matrix is built for it).
-        self.entries, self.read = _kernel.layout(caches)
-        self.state = np.zeros(_kernel.ST_SIZE, dtype=np.int64)
-        self.best_x = np.empty(n, dtype=np.int8)
-        # An identity permutation, then three n-slot vectors; the kernel
-        # leaves the permutation and the second vector (zeros) as found.
-        self.scratch = np.zeros(4 * n, dtype=np.int64)
-        self.scratch[:n] = np.arange(n)
-        self.weights = np.zeros(2, dtype=np.int64)
-        self.weights_at = self.weights.ctypes.data
-        self.args = (self.entries.ctypes.data, len(caches), n, pivot_rule == "first")
-        self.buffers = (self.scratch.ctypes.data, self.state.ctypes.data, self.best_x.ctypes.data)
-
-    def __call__(self, weights, value, tracker, meter, targets: _SwapTargets | None = None,
-                 stop: int = INT64_MAX, halt: bool = False) -> int:
-        """Descend, or perturb and descend with `targets`; returns the value."""
-        blend = None
-        if weights is not None and weights[1]:  # b = 0 scans g_0 itself
-            self.weights[:] = weights
-            blend = self.weights_at
-        state = self.state
-        state[_kernel.ST_VALUE] = value
-        state[_kernel.ST_CONSUMED] = meter.consumed
-        state[_kernel.ST_STOP] = stop
-        state[_kernel.ST_DESCEND] = targets is None
-        state[_kernel.ST_TRACK] = tracker is not None
-        state[_kernel.ST_HALT] = halt
-        if tracker is not None:
-            state[_kernel.ST_BEST] = tracker.best_value
-        rounds = bits = at = 0
-        if targets is not None:
-            rounds, bits = targets.ready(), targets.bits
-            at = targets.address + 8 * targets.at
-            if meter.budget.kind == "seconds":
-                rounds = 1  # the kernel does not read the clock
-        state[_kernel.ST_ROUNDS] = rounds
-        state[_kernel.ST_MARKS] = meter.marks.size
-        state[_kernel.ST_MARKED] = meter.emitted
-        self.kernel(*self.args, blend, at, bits, *self.buffers, meter.marks_at, meter.stamps_at)
-        st = state.tolist()
-        if st[_kernel.ST_IMPROVED]:
-            tracker.best_value = st[_kernel.ST_BEST]
-            tracker.best_solution = self.best_x.copy()
-        meter.kernel_stamped(st[_kernel.ST_MARKED], st[_kernel.ST_CONSUMED])
-        if targets is not None:
-            targets.at += st[_kernel.ST_STARTED] * bits
-        if meter.budget.kind == "seconds":
-            meter.poll()
-        return st[_kernel.ST_VALUE]
+            self._emit(final, self.consumed, self.best)
 
 
 def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
@@ -413,9 +364,8 @@ def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
         forms = (objective.instance, objective.toy)
         weights = objective.integer_weights(2 * objective.n)
     caches = [GainCache.build(form, x) for form in forms]
-    # Unbudgeted and untracked: the running value the descent keeps is unused.
-    meter = _Meter(Budget("evals", float("inf")), None, None)
-    _Descent(caches, pivot_rule)(weights, 0, None, meter)
+    # Unbudgeted: the value and best the run keeps are unused.
+    _Run(caches[0].solution.size, pivot_rule).iterate(_kernel.layout(caches), weights)
     return caches[0].solution.copy()
 
 
@@ -450,31 +400,31 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
 
     x = random_solution(n, rng_init)
     primary = GainCache.build(inst, x)
-    value = primary.value()
-    tracker = BestTracker.start(x, value)
-    meter = _Meter(config.budget, config.log_interval, tracker)
-    meter.charge(n)
+    run = _Run(n, config.pivot_rule, config.budget, config.log_interval)
+    run.value = run.best = primary.value()
+    run.best_x[:] = x
+    run.charge(n)
 
     # Initialization: one plain descent on the original objective.
-    plain = _Descent([primary], config.pivot_rule)
-    value = plain(None, value, tracker, meter)
+    plain = _kernel.layout([primary])
+    run.iterate(plain)
 
     anchor: np.ndarray | None = None
     toy: ToyMatrix | None = None
-    blended: _Descent | None = None
+    blended: _kernel.Layout | None = None
     targets = _SwapTargets(rng_perturb, n, bits)
     steps = schedule if smoothing else None
 
-    while not meter.exhausted():
+    while not run.exhausted():
         weights = None
         if smoothing:
-            lam = meter.current_lam = schedule.value_at(meter.progress())
-            if anchor is None or not np.array_equal(tracker.best_solution, anchor):
+            lam = run.current_lam = schedule.value_at(run.progress())
+            if anchor is None or not np.array_equal(run.best_x, anchor):
                 # The random toy's seed is drawn at every anchor change, built
                 # or not, so the stream does not depend on the schedule.
                 toy_seed = (int(rng_toy.integers(0, 2**63 - 1))
                             if config.toy_kind is ToyKind.RANDOM else 0)
-                anchor = tracker.best_solution.copy()
+                anchor = run.best_x.copy()
                 toy = blended = None
             if not lam:
                 # At lam = 0, g is f: descend on its exact integer gains alone.
@@ -485,23 +435,29 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
                     toy = construct_toy(config.toy_kind, anchor, seed=toy_seed)
                     alpha = alpha_of(toy)
                 if blended is None:
-                    blended = _Descent([primary, GainCache.build(toy, primary.solution)],
-                                       config.pivot_rule)
+                    blended = _kernel.layout([primary, GainCache.build(toy, primary.solution)])
                 weights = weights_of(lam, toy, alpha)
         # Every iteration up to the next decision: a lambda step, or a new
         # best, which moves the anchor.
-        value = (blended or plain)(weights, value, tracker, meter, targets,
-                                   meter.decision(steps), halt=smoothing)
+        run.iterate(blended or plain, weights, targets, run.decision(steps), halt=smoothing)
 
-    meter.finish()
+    if smoothing:
+        # A blended descent can pass its best on a slope of f. Checking the
+        # best's gains is free; the descent that climbs from it is charged.
+        at_best = (primary if np.array_equal(primary.solution, run.best_x)
+                   else GainCache.build(inst, run.best_x))
+        if at_best.gains.max() > 0:
+            run.value = run.best
+            run.iterate(_kernel.layout([at_best]))
+    run.finish()
     return RunResult(
         algo=algo_label(config.toy_kind if smoothing else None),
         seed=config.seed,
-        best_solution=tracker.best_solution.copy(),
-        best_value=tracker.best_value,
-        evaluations=meter.consumed,
-        elapsed_seconds=time.monotonic() - meter.started,
-        log=meter.log,
+        best_solution=run.best_x.copy(),
+        best_value=run.best,
+        evaluations=run.consumed,
+        elapsed_seconds=time.monotonic() - run.started,
+        log=run.log,
     )
 
 

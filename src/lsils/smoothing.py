@@ -275,13 +275,11 @@ class LambdaSchedule:
         return cls(steps=steps, unit=unit)
 
     def value_at(self, consumed) -> float:
-        thresholds = [t for t, _ in self.steps]
-        i = bisect_right(thresholds, consumed)
+        i = bisect_right(self.steps, consumed, key=lambda step: step[0])
         return 0.0 if i == 0 else float(self.steps[i - 1][1])
 
     def next_step(self, consumed):
         """The first threshold past `consumed`, where the value may change; None after the last."""
-        thresholds = [t for t, _ in self.steps]
-        i = bisect_right(thresholds, consumed)
-        return thresholds[i] if i < len(thresholds) else None
+        i = bisect_right(self.steps, consumed, key=lambda step: step[0])
+        return self.steps[i][0] if i < len(self.steps) else None
 

@@ -210,8 +210,10 @@ EXAMPLE_INDEX_VALUE_AT_ANCHOR = 39
 
 # -- The search's numpy reference -------------------------------------------
 # The compiled kernel of the search must match these flip for flip. They
-# take the package's gain caches, budget meter, best tracker and swap-target
-# source as arguments, by their attributes and methods alone.
+# take the package's run state, gain caches, kernel view of a cache list and
+# swap-target source as arguments, by their attributes and methods alone: a
+# run's `value` and `best` are slots of its state vector, `best_x` is its
+# best solution, and `charge` charges its budget.
 
 
 def take_targets(targets) -> np.ndarray:
@@ -246,14 +248,14 @@ def pick_flip(gains, pivot_rule: str, n: int):
     return k, k + 1
 
 
-def descend(caches, weights, value, tracker, meter, pivot_rule: str) -> int:
-    """Local search all the way to a local optimum; returns the updated value.
+def descend(run, caches, weights, pivot_rule: str) -> None:
+    """Local search all the way to a local optimum.
 
     `caches` holds the gain cache of the original objective first, then the
     toy's when blended; integer `weights` (a, b) pick on a * g_0 + b * g_1,
-    otherwise on the first cache's gains. `value` is the first cache's
-    objective. Each scan and each flip is charged on its own, and a flip
-    that strictly improves the tracker's best value is recorded in it.
+    otherwise on the first cache's gains. The run's value is the first
+    cache's objective. Each scan and each flip is charged on its own, and a
+    flip to a value above the run's best makes it the best.
     """
     primary = caches[0]
     n = primary.solution.size
@@ -262,39 +264,36 @@ def descend(caches, weights, value, tracker, meter, pivot_rule: str) -> int:
         if weights is not None:
             gains = weights[0] * gains + weights[1] * caches[1].gains
         k, examined = pick_flip(gains, pivot_rule, n)
-        meter.charge(examined)
+        run.charge(examined)
         if k is None:
-            return value
-        value += int(primary.gains[k])
+            return
+        run.value += int(primary.gains[k])
         for cache in caches:
             cache.apply_flip(k)
-        meter.charge(n)
-        if tracker is not None and value > tracker.best_value:
-            tracker.best_value = value
-            tracker.best_solution = primary.solution.copy()
+        run.charge(n)
+        if run.value > run.best:
+            run.best = run.value
+            run.best_x[:] = primary.solution
 
 
-def perturb(caches, positions, value, meter) -> int:
-    """Flip `positions` one bit at a time through all caches, charging n per
-    bit; returns the updated value."""
+def perturb(run, caches, positions) -> None:
+    """Flip `positions` one bit at a time through all caches, charging n per bit."""
     primary = caches[0]
     n = primary.solution.size
     for p in positions.tolist():
-        value += int(primary.gains[p])
+        run.value += int(primary.gains[p])
         for cache in caches:
             cache.apply_flip(p)
-        meter.charge(n)
-    return value
+        run.charge(n)
 
 
-def descent_call(descent, weights, value, tracker, meter, targets=None, stop=None,
-                 halt=False) -> int:
-    """A stand-in for `search._Descent.__call__` that runs one iteration.
+def descent_call(run, view, weights=None, targets=None, stop=None, halt=False) -> None:
+    """A stand-in for `search._Run.iterate` that runs one iteration.
 
-    It perturbs with the next iteration's targets, if given, and descends;
-    `stop` and `halt` are not needed, since the run decides again after
-    every iteration.
+    It perturbs the caches of the kernel view `view` with the next
+    iteration's targets, if given, and descends; `stop` and `halt` are not
+    needed, since the run decides again after every iteration.
     """
     if targets is not None:
-        value = perturb(descent.caches, swap_positions(take_targets(targets)), value, meter)
-    return descend(descent.caches, weights, value, tracker, meter, descent.pivot_rule)
+        perturb(run, view.caches, swap_positions(take_targets(targets)))
+    descend(run, view.caches, weights, run.pivot_rule)

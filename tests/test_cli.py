@@ -16,7 +16,7 @@ from lsils import (
     parse_orlib,
     read_runlog_csv,
 )
-from lsils import _kernel
+from lsils import _kernel, landscape
 from lsils.cli import (
     main,
     parse_algos,
@@ -172,6 +172,15 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "no C compiler found (tried cc, gcc, clang)" in err[0]
 
+    @pytest.mark.parametrize("toy", [(), ("--toy", "none")])
+    def test_lam_without_a_toy_is_one_error_line(self, toy, tmp_path, capsys):
+        assert main(["landscape", "--gen", "n=10,seed=3", *toy, "--lam", "0.5",
+                     "--out-dir", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not any(tmp_path.iterdir())
+        assert len(err.splitlines()) == 1 and err.startswith("error: --lam")
+        assert "--toy" in err
+
     def test_guard_violation_reported(self, tmp_path, capsys):
         rc = main(["landscape", "--gen", "n=26,seed=1", "--toy", "none",
                    "--out-dir", str(tmp_path)])
@@ -219,6 +228,18 @@ class TestSweepCommand:
         assert len(lines) == 12
         assert lines[-1].split(",") == ["1", "1"]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("grid", ["0:1.3:0.25", "-0.5:0.5:0.25"])
+    def test_grid_outside_the_unit_interval_fails_before_a_census(self, grid, monkeypatch,
+                                                                  capsys):
+        def census(*args, **kwargs):
+            raise AssertionError("a census ran")
+
+        monkeypatch.setattr(landscape, "enumerate_local_optima", census)
+        assert main(["sweep", "--gen", "n=14,seed=9", "--toy", "plusminus1",
+                     f"--grid={grid}"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: lam must lie in [0, 1]")
 
     def test_toy_kind_is_required(self, capsys):
         assert main(["sweep", "--gen", "n=8,seed=1"]) == 2

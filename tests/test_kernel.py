@@ -38,7 +38,7 @@ from lsils import (
     write_runlog_csv,
 )
 from lsils import _kernel, search
-from lsils.search import PIVOT_RULES, BestTracker, _Meter
+from lsils.search import PIVOT_RULES, _Run
 from lsils.smoothing import blend_weights
 
 import oracles
@@ -148,12 +148,12 @@ def assert_descents_agree(forms, x, weights, pivot):
     runs = []
     for compiled in (False, True):
         caches = [GainCache.build(form, x) for form in forms]
-        meter = _Meter(Budget("evals", float("inf")), None, None)
+        run = _Run(x.size, pivot)
         if compiled:
-            value = search._Descent(caches, pivot)(weights, 0, None, meter)
+            run.iterate(_kernel.layout(caches), weights)
         else:
-            value = oracles.descend(caches, weights, 0, None, meter, pivot)
-        runs.append((value, meter.consumed, caches))
+            oracles.descend(run, caches, weights, pivot)
+        runs.append((run.value, run.consumed, caches))
     (ref_value, ref_consumed, ref_caches), (value, consumed, caches) = runs
     assert (value, consumed) == (ref_value, ref_consumed)
     for ours, ref in zip(caches, ref_caches):
@@ -161,6 +161,31 @@ def assert_descents_agree(forms, x, weights, pivot):
         assert np.array_equal(ours.sigma, ref.sigma)
         assert np.array_equal(ours.solution, ref.solution)
     return caches
+
+
+def started_run(forms, x, pivot, budget, interval, lam, start):
+    """Caches at x and a run at value f(x), best f(x) - 1 and `start` evaluations."""
+    caches = [GainCache.build(form, x) for form in forms]
+    run = _Run(x.size, pivot, Budget("evals", budget), interval)
+    run.value = evaluate(forms[0], x)
+    run.best = run.value - 1
+    run.best_x[:] = x
+    run.current_lam = lam
+    if start:
+        run.charge(start)
+    return caches, run
+
+
+def assert_runs_agree(run, caches, ref, ref_caches):
+    """The kernel's run and caches end as the reference's do."""
+    for ours, theirs in zip(caches, ref_caches):
+        assert np.array_equal(ours.gains, theirs.gains)
+        assert np.array_equal(ours.sigma, theirs.sigma)
+        assert np.array_equal(ours.solution, theirs.solution)
+    assert (run.value, run.best) == (ref.value, ref.best)
+    assert np.array_equal(run.best_x, ref.best_x)
+    assert run.log.records == ref.log.records
+    assert (run.consumed, run.next_mark) == (ref.consumed, ref.next_mark)
 
 
 class TestDescentEquivalence:
@@ -175,29 +200,11 @@ class TestDescentEquivalence:
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
         weights = blend_weights(lam, alpha, 0, 0) if blend and len(forms) == 2 else None
-        value = evaluate(forms[0], x)
-
-        def state():
-            caches = [GainCache.build(form, x) for form in forms]
-            tracker = BestTracker.start(x, value - 1)
-            meter = _Meter(Budget("evals", budget), interval, tracker)
-            meter.current_lam = lam
-            if start:
-                meter.charge(start)
-            return caches, tracker, meter
-
-        ref_caches, ref_tracker, ref_meter = state()
-        caches, tracker, meter = state()
-        expected = oracles.descend(ref_caches, weights, value, ref_tracker, ref_meter, pivot)
-        assert search._Descent(caches, pivot)(weights, value, tracker, meter) == expected
-        for ours, ref in zip(caches, ref_caches):
-            assert np.array_equal(ours.gains, ref.gains)
-            assert np.array_equal(ours.sigma, ref.sigma)
-            assert np.array_equal(ours.solution, ref.solution)
-        assert tracker.best_value == ref_tracker.best_value
-        assert np.array_equal(tracker.best_solution, ref_tracker.best_solution)
-        assert meter.records == ref_meter.records
-        assert (meter.consumed, meter.next_mark) == (ref_meter.consumed, ref_meter.next_mark)
+        ref_caches, ref = started_run(forms, x, pivot, budget, interval, lam, start)
+        caches, run = started_run(forms, x, pivot, budget, interval, lam, start)
+        oracles.descend(ref, ref_caches, weights, pivot)
+        run.iterate(_kernel.layout(caches), weights)
+        assert_runs_agree(run, caches, ref, ref_caches)
 
     @pytest.mark.parametrize("weights", [None, (1, 0), (1, 1)])
     def test_ties_go_to_the_lowest_index(self, weights):
@@ -205,12 +212,12 @@ class TestDescentEquivalence:
         inst = UbqpInstance.from_matrix(np.array([[1, -1], [-1, 1]]))
         for compiled in (False, True):
             caches = [GainCache.build(inst, [0, 0]) for _ in range(2)]
-            meter = _Meter(Budget("evals", float("inf")), None, None)
+            run = _Run(2, "best")
             if compiled:
-                value = search._Descent(caches, "best")(weights, 0, None, meter)
+                run.iterate(_kernel.layout(caches), weights)
             else:
-                value = oracles.descend(caches, weights, 0, None, meter, "best")
-            assert value == 1
+                oracles.descend(run, caches, weights, "best")
+            assert run.value == 1
             assert caches[0].solution.tolist() == [1, 0]
 
     @pytest.mark.parametrize("weights", [None, (1, 0), (1, 1)])
@@ -257,8 +264,7 @@ class TestDescentEquivalence:
         inst = make_instance(30, seed=3)
         x = random_solution(30, seeded_rng(3))
         cache = GainCache.build(inst, x)
-        oracles.descend([cache], None, 0, None, _Meter(Budget("evals", float("inf")), None, None),
-                        pivot)
+        oracles.descend(_Run(30, pivot), [cache], None, pivot)
         assert np.array_equal(local_search(x, inst, pivot), cache.solution)
 
     def test_unknown_form_runs_in_the_kernel(self):
@@ -270,17 +276,19 @@ class TestDescentEquivalence:
             diag, col, matvec = inst.diag, inst.col, inst.matvec
 
         x = random_solution(12, seeded_rng(4))
-        rows, read = _kernel.layout([GainCache.build(Wrapped(), x)])
-        assert rows[0, 0] == _kernel.FORM_DENSE
-        assert np.array_equal(read[0], inst.q)
+        cache = GainCache.build(Wrapped(), x)
+        view = _kernel.layout([cache])
+        assert view.rows[0, 0] == _kernel.FORM_DENSE
+        assert view.caches == [cache]
+        assert np.array_equal(view.read[0], inst.q)
         assert np.array_equal(local_search(x, Wrapped()), local_search(x, inst))
 
     def test_instances_enter_without_a_copy(self):
         # Also one built from a Fortran-ordered matrix.
         q = make_instance(12, seed=4).q
         for inst in (UbqpInstance.from_matrix(q), UbqpInstance.from_matrix(np.asfortranarray(q))):
-            _, read = _kernel.layout([GainCache.build(inst, np.zeros(12, dtype=np.int8))])
-            assert read[0] is inst.q
+            view = _kernel.layout([GainCache.build(inst, np.zeros(12, dtype=np.int8))])
+            assert view.read[0] is inst.q
 
     def test_caches_the_kernel_cannot_write_are_rejected(self):
         inst = make_instance(6, seed=4)
@@ -313,49 +321,31 @@ class TestIterationEquivalence:
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
         weights = blend_weights(lam, alpha, 0, 0) if blend and len(forms) == 2 else None
-        value = evaluate(forms[0], x)
-
-        def state():
-            caches = [GainCache.build(form, x) for form in forms]
-            tracker = BestTracker.start(x, value - 1)
-            meter = _Meter(Budget("evals", budget), interval, tracker)
-            meter.current_lam = lam
-            if start:
-                meter.charge(start)
-            return caches, tracker, meter, search._SwapTargets(seeded_rng(seed, 2), n, bits)
 
         with mock.patch.object(search, "TARGET_CHUNK", chunk):
-            ref_caches, ref_tracker, ref_meter, ref_targets = state()
-            caches, tracker, meter, targets = state()
-            descent = search._Descent(caches, pivot)
+            ref_caches, ref = started_run(forms, x, pivot, budget, interval, lam, start)
+            caches, run = started_run(forms, x, pivot, budget, interval, lam, start)
+            ref_targets, targets = (search._SwapTargets(seeded_rng(seed, 2), n, bits)
+                                    for _ in range(2))
             rounds, at = targets.ready(), targets.at
-            got = descent(weights, value, tracker, meter, targets, stop, halt)
+            run.iterate(_kernel.layout(caches), weights, targets, stop, halt)
             ran = (targets.at - at) // bits
             assert 1 <= ran <= rounds
-            expected, improved = value, False
+            improved = False
             for _ in range(ran):
-                assert ref_meter.consumed < stop and not (halt and improved)
-                best = ref_tracker.best_value
+                assert ref.consumed < stop and not (halt and improved)
+                best = ref.best
                 positions = oracles.swap_positions(oracles.take_targets(ref_targets))
-                expected = oracles.perturb(ref_caches, positions, expected, ref_meter)
-                expected = oracles.descend(ref_caches, weights, expected, ref_tracker, ref_meter,
-                                           pivot)
-                improved = ref_tracker.best_value > best
+                oracles.perturb(ref, ref_caches, positions)
+                oracles.descend(ref, ref_caches, weights, pivot)
+                improved = ref.best > best
         # It stopped for a reason: targets used up, the stop count, or a new
         # best under `halt`.
-        assert ran == rounds or ref_meter.consumed >= stop or (halt and improved)
-        assert got == expected
-        for ours, ref in zip(caches, ref_caches):
-            assert np.array_equal(ours.gains, ref.gains)
-            assert np.array_equal(ours.sigma, ref.sigma)
-            assert np.array_equal(ours.solution, ref.solution)
-        assert tracker.best_value == ref_tracker.best_value
-        assert np.array_equal(tracker.best_solution, ref_tracker.best_solution)
-        assert meter.records == ref_meter.records
-        assert (meter.consumed, meter.next_mark) == (ref_meter.consumed, ref_meter.next_mark)
+        assert ran == rounds or ref.consumed >= stop or (halt and improved)
+        assert_runs_agree(run, caches, ref, ref_caches)
         assert np.array_equal(oracles.take_targets(ref_targets), oracles.take_targets(targets))
-        assert np.array_equal(descent.scratch[:n], np.arange(n))
-        assert not descent.scratch[2 * n:3 * n].any()
+        assert np.array_equal(run.scratch[:n], np.arange(n))
+        assert not run.scratch[2 * n:3 * n].any()
 
     def test_repeated_blocks_stay_exact(self):
         # Each form kind as the only cache: 50 compiled perturbations of up
@@ -365,15 +355,14 @@ class TestIterationEquivalence:
         for name in FORMS:
             form = make_form(name, n, int(rng.integers(0, 2**32)))
             cache = GainCache.build(form, random_solution(n, rng))
-            descent = search._Descent([cache], "best")
-            meter = _Meter(Budget("evals", float("inf")), None, None)
-            value = evaluate(form, cache.solution)
+            run, view = _Run(n, "best"), _kernel.layout([cache])
+            run.value = evaluate(form, cache.solution)
             for _ in range(50):
                 targets = search._SwapTargets(rng, n, int(rng.integers(1, n + 1)))
                 # Stopping one evaluation on runs a single iteration.
-                value = descent(None, value, None, meter, targets, meter.consumed + 1)
+                run.iterate(view, None, targets, run.consumed + 1)
                 assert targets.at == targets.bits
-                assert value == evaluate(form, cache.solution)
+                assert run.value == evaluate(form, cache.solution)
                 fresh = GainCache.build(form, cache.solution)
                 assert np.array_equal(cache.gains, fresh.gains)
                 assert np.array_equal(cache.sigma, fresh.sigma)
@@ -413,17 +402,19 @@ def test_runs_are_byte_identical_on_both_paths(pivot, monkeypatch):
     # The kernel's runs against runs of the reference, one iteration per call.
     inst = make_instance(45, seed=21)
     compiled = _run_logs(inst, pivot)
-    monkeypatch.setattr(search._Descent, "__call__", oracles.descent_call)
+    monkeypatch.setattr(search._Run, "iterate", oracles.descent_call)
     assert _run_logs(inst, pivot) == compiled
 
 
 class KernelCalls:
     """The loaded kernel, with the state vector of every `lsils_iterate` call
-    kept as it was passed in and as it returned."""
+    kept as it was passed in and as it returned, and the number of caches,
+    and the scratch, state vector and best solution addresses, it was given."""
 
     def __init__(self, lib):
         self.lib = lib
         self.calls = []  # (state in, state out)
+        self.addresses = []  # (caches, scratch, state, best_x)
 
     def __getattr__(self, name):
         return getattr(self.lib, name)
@@ -433,6 +424,7 @@ class KernelCalls:
         entered = dict(zip(ST_NAMES, state))
         self.lib.lsils_iterate(*args)
         self.calls.append((entered, dict(zip(ST_NAMES, state))))
+        self.addresses.append((args[1], *args[7:10]))
 
 
 ST_NAMES = sorted((name for name in vars(_kernel) if name.startswith("ST_") and name != "ST_SIZE"),
@@ -477,7 +469,7 @@ def test_loop_edges_are_byte_identical_on_both_paths(edge, pivot, monkeypatch):
     kernel = KernelCalls(_kernel.library())
     monkeypatch.setattr(_kernel, "library", lambda: kernel)
     compiled = _run_logs(inst, pivot, interval, 30000)
-    monkeypatch.setattr(search._Descent, "__call__", oracles.descent_call)
+    monkeypatch.setattr(search._Run, "iterate", oracles.descent_call)
     assert _run_logs(inst, pivot, interval, 30000) == compiled
     logs = [[row.split(",")[1] for row in text.splitlines()[1:]]
             for text, *_ in compiled.values()]
@@ -500,6 +492,27 @@ def test_log_marks_take_no_kernel_calls(kind, monkeypatch):
         (lsils if kind else ils)(inst, config)
         calls.append(len(kernel.calls))
     assert calls[0] == calls[1] > 1
+
+
+def test_a_run_keeps_one_state(monkeypatch):
+    # Every call of a random-toy LS-ILS run, over the plain cache and over
+    # every rebuilt toy's, gets the run's one scratch, state vector and best
+    # solution.
+    built = []
+
+    def counted(kind, anchor, seed=0):
+        built.append(seed)
+        return construct_toy(kind, anchor, seed=seed)
+
+    monkeypatch.setattr(search, "construct_toy", counted)
+    kernel = KernelCalls(_kernel.library())
+    monkeypatch.setattr(_kernel, "library", lambda: kernel)
+    lsils(make_instance(45, seed=21), SearchConfig(
+        budget=Budget("evals", 30000), toy_kind=ToyKind.RANDOM, log_interval=1700,
+        lambda_schedule=LambdaSchedule.constant(0.5)))
+    assert len(built) > 1
+    assert {caches for caches, *_ in kernel.addresses} == {1, 2}
+    assert len({tuple(buffers) for _, *buffers in kernel.addresses}) == 1
 
 
 def assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, *flags):

@@ -337,8 +337,8 @@ class TestLocalSearch:
         def started(*args, **kwargs):
             raise AssertionError("the run started")
 
-        monkeypatch.setattr(search._Meter, "charge", started)
-        monkeypatch.setattr(search._Descent, "__call__", started)
+        monkeypatch.setattr(search._Run, "charge", started)
+        monkeypatch.setattr(search._Run, "iterate", started)
         inst = UbqpInstance.from_matrix(random_symmetric(8, seeded_rng(40), -2**50, 2**50))
         config = SearchConfig(budget=Budget("evals", 2 * 10**8), toy_kind=kind,
                               lambda_schedule=LambdaSchedule.staged_ramp(2 * 10**8))
@@ -596,6 +596,25 @@ class TestLsils:
     def test_ils_run_logs_match_golden_hashes(self, pivot):
         inst = gen_random_instance(150, 0.3, (-100, 100), seed=11)
         assert golden_digest(inst, None, pivot) == self.ILS_GOLDEN_RUNS[pivot]
+
+    # Runs on the acceptance instance whose best, before the final descent on
+    # f, still had an improving flip: (toy, seed) -> the best it reaches.
+    POLISHED_BESTS = {("plusminusi", 3): 127343, ("random", 17): 127201,
+                      ("plusminus1", 0): 127351, ("plusminus1", 4): 127195}
+
+    @pytest.mark.parametrize("pivot", ["best", "first"])
+    @pytest.mark.parametrize("kind", list(ToyKind))
+    def test_best_is_a_local_optimum_of_f(self, kind, pivot):
+        inst = gen_random_instance(500, 0.1, (-100, 100), seed=7)
+        budget = 10**7
+        for seed in range(20):
+            result = lsils(inst, SearchConfig(
+                budget=Budget("evals", budget), pivot_rule=pivot, seed=seed, toy_kind=kind,
+                lambda_schedule=LambdaSchedule.staged_ramp(budget), log_interval=budget // 100))
+            assert result.best_value == evaluate(inst, result.best_solution)
+            assert_no_improving_flip(inst, result.best_solution)
+            if pivot == "best" and (kind.value, seed) in self.POLISHED_BESTS:
+                assert result.best_value == self.POLISHED_BESTS[kind.value, seed]
 
     def test_full_weight_schedule_freezes_the_best(self):
         # At blend weight 1 every descent returns to the current best, so
