@@ -106,21 +106,30 @@ HOT int64_t negate_if(int64_t v, int64_t m)
     return (v ^ m) - m;
 }
 
-/* g_j += 2 sigma_j sigma_k Q_jk for j in [lo, hi) on a toy with
- * Q_jk = (2 a_j a_k - 1) m_j, where m_j is m, or j + 1 when `grows`.
- * Q_jk is positive only when a_j = a_k = 1, so for a_k = 1 its sign
- * follows a_j, and for a_k = 0 it is always negative. */
+/* The anchored toys, +-1 and +-i, are one family: Q_jk = (2 a_j a_k - 1)
+ * max(w_j, w_k) with the index weights w_j = 1 + (j & grow), where the
+ * mask grow is 0 for +-1 and -1 for +-i (w_j = j + 1). The weights never
+ * decrease, so column k's magnitudes are w_k below k and w_j from k on. */
+HOT int64_t weight_mask(const lsils_cache *c)
+{
+    return -(int64_t)(c->kind == FORM_PLUS_MINUS_I);
+}
+
+/* g_j += 2 sigma_j sigma_k Q_jk for j in [lo, hi) on an anchored toy with
+ * Q_jk = (2 a_j a_k - 1) m_j, where m_j = m + (j & grow). Q_jk is positive
+ * only when a_j = a_k = 1, so for a_k = 1 its sign follows a_j, and for
+ * a_k = 0 it is always negative. */
 HOT void toy_update(int64_t *restrict g, const int64_t *restrict s, const int8_t *restrict a,
-                    int64_t sk, int64_t ak, int64_t lo, int64_t hi, int64_t m, int grows)
+                    int64_t sk, int64_t ak, int64_t lo, int64_t hi, int64_t m, int64_t grow)
 {
     int64_t j;
 
     if (ak) {
         for (j = lo; j < hi; j++)
-            g[j] += negate_if(2 * (grows ? j + 1 : m), differ(s[j], sk) ^ (a[j] - 1));
+            g[j] += negate_if(2 * (m + (j & grow)), differ(s[j], sk) ^ (a[j] - 1));
     } else {
         for (j = lo; j < hi; j++)
-            g[j] += negate_if(2 * (grows ? j + 1 : m), ~differ(s[j], sk));
+            g[j] += negate_if(2 * (m + (j & grow)), ~differ(s[j], sk));
     }
 }
 
@@ -137,24 +146,22 @@ HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
         const int64_t *restrict row = c->q + k * n;
         for (j = 0; j < n; j++)
             g[j] += negate_if(2 * row[j], differ(s[j], sk));
-    } else if (c->kind == FORM_PLUS_MINUS_I) {
-        /* m_j = max(j, k) + 1 (one-based) */
-        toy_update(g, s, a, sk, a[k], 0, k, k + 1, 0);
-        toy_update(g, s, a, sk, a[k], k, n, 0, 1);
     } else {
-        toy_update(g, s, a, sk, a[k], 0, n, 1, 0);
+        int64_t grow = weight_mask(c);
+        toy_update(g, s, a, sk, a[k], 0, k, 1 + (k & grow), 0);
+        toy_update(g, s, a, sk, a[k], k, n, 1, grow);
     }
     g[k] = -old;
     s[k] = -sk;
     c->x[k] ^= 1;
 }
 
-/* Q_pp of one cache's form: a toy's is +m_p on the anchor, else -m_p. */
+/* Q_pp of one cache's form: a toy's is +w_p on the anchor, else -w_p. */
 HOT int64_t diagonal(const lsils_cache *c, int64_t n, int64_t p)
 {
     if (c->kind == FORM_DENSE)
         return c->q[p * n + p];
-    return negate_if(c->kind == FORM_PLUS_MINUS_I ? p + 1 : 1, c->anchor[p] - 1);
+    return negate_if(1 + (p & weight_mask(c)), c->anchor[p] - 1);
 }
 
 /* t = Q v for v = sigma on the positions P (before the flip), 0 elsewhere.
@@ -178,33 +185,25 @@ HOT void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
                 for (j = 0; j < n; j++)
                     t[j] -= row[j];
         }
-    } else if (c->kind == FORM_PLUS_MINUS_ONE) {
-        /* Q_jk = 2 a_j a_k - 1, so t_j = 2 a_j (a . v) - sum(v) */
-        int64_t total = 0, on_anchor = 0;
-        for (i = 0; i < bits; i++) {
-            total += s[pos[i]];
-            on_anchor += a[pos[i]] ? s[pos[i]] : 0;
-        }
-        for (j = 0; j < n; j++)
-            t[j] = (a[j] ? 2 * on_anchor : 0) - total;
     } else {
-        /* Q_jk = (2 a_j a_k - 1) M_jk with M_jk = max(j, k) + 1, so
-         * t = 2 a (M (a v)) - M v, and (M u)_j = (j + 1) sum_{k <= j} u_k
-         * + sum_{k > j} (k + 1) u_k takes one pass over prefix sums. */
+        /* With M_jk = max(w_j, w_k), t = 2 a (M (a v)) - M v, and
+         * (M u)_j = w_j sum_{k <= j} u_k + sum_{k > j} w_k u_k takes one
+         * pass over prefix sums. */
+        int64_t grow = weight_mask(c);
         int64_t tail = 0, tail_a = 0, prefix = 0, prefix_a = 0;
         for (i = 0; i < bits; i++) {
-            int64_t m = negate_if(pos[i] + 1, differ(s[pos[i]], 1));
+            int64_t m = negate_if(1 + (pos[i] & grow), differ(s[pos[i]], 1));
             v[pos[i]] = s[pos[i]];
             tail += m;
             tail_a += a[pos[i]] ? m : 0;
         }
         for (j = 0; j < n; j++) {
-            int64_t u = v[j], ua = a[j] ? u : 0;
+            int64_t u = v[j], ua = a[j] ? u : 0, w = 1 + (j & grow);
             prefix += u;
             prefix_a += ua;
-            tail -= (j + 1) * u;
-            tail_a -= (j + 1) * ua;
-            t[j] = (a[j] ? 2 * ((j + 1) * prefix_a + tail_a) : 0) - ((j + 1) * prefix + tail);
+            tail -= w * u;
+            tail_a -= w * ua;
+            t[j] = (a[j] ? 2 * (w * prefix_a + tail_a) : 0) - (w * prefix + tail);
         }
         for (i = 0; i < bits; i++)
             v[pos[i]] = 0;

@@ -243,11 +243,10 @@ def describe_alpha(alpha, target_bound, inst: UbqpInstance, kind: ToyKind | None
     bound = float(target_bound) if target_bound is not None else float(round(mean_abs(inst)))
     if kind is None:
         return "auto (no toy)"
-    if kind is ToyKind.PLUS_MINUS_ONE:
-        return f"auto ({bound:g} / 1 = {bound:g})"
-    if kind is ToyKind.PLUS_MINUS_I:
-        return f"auto ({bound:g} / {inst.n} = {bound / inst.n:g})"
-    return f"auto ({bound:g} / max drawn magnitude, set per toy)"
+    if kind is ToyKind.RANDOM:
+        return f"auto ({bound:g} / max drawn magnitude, set per toy)"
+    peak = construct_toy(kind, [0] * inst.n).max_abs()  # the same for every anchor
+    return f"auto ({bound:g} / {peak} = {bound / peak:g})"
 
 
 def make_config(args, budget: Budget, schedule: LambdaSchedule | None,

@@ -93,7 +93,10 @@ def _combine(objective) -> np.ndarray:
         return enumerate_values(objective)[0]
     a, b = objective.integer_weights(objective.n ** 2)
     f, t = enumerate_values(objective)
-    return a * f + b * t
+    f *= a
+    t *= b
+    f += t
+    return f
 
 
 def _local_optima_mask(values: np.ndarray, n: int) -> np.ndarray:

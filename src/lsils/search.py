@@ -155,9 +155,7 @@ class RunLog:
         return len(self.evaluations)
 
     def append(self, elapsed, evaluations: int, best_f: int, lam: float) -> None:
-        # -0.0 equals 0.0 but prints differently, so a sign change is a step too.
-        if not (self.starts and best_f == self.best_f[-1] and lam == self.lam[-1]
-                and math.copysign(1.0, lam) == math.copysign(1.0, self.lam[-1])):
+        if not (self.starts and best_f == self.best_f[-1] and lam == self.lam[-1]):
             self.starts.append(len(self.evaluations))
             self.best_f.append(best_f)
             self.lam.append(lam)

@@ -1,12 +1,12 @@
 """Unimodal toy UBQPs anchored at a solution, and the smoothed objective.
 
-A toy matrix realizes entries sign_ij * w_ij where sign_ij is +1 exactly
-when anchor_i = anchor_j = 1 and -1 otherwise. The three kinds differ only
-in the positive magnitudes w:
+A toy matrix realizes entries (2 a_i a_j - 1) * m_ij for the anchor a: +m_ij
+exactly when a_i = a_j = 1, else -m_ij. The kinds differ only in the
+positive magnitudes m:
 
-  * plusminus1: w_ij = 1
-  * plusminusi: w_ij = max(i, j) in one-based indexing
-  * random:     w_ij uniform integers in [1, 100], symmetric
+  * plusminus1, plusminusi: one anchored family, m_ij = max(w_i, w_j) with
+    weights w_i = 1 (plusminus1) or w_i = i one-based (plusminusi)
+  * random: m_ij uniform integers in [1, 100], symmetric
 
 Each kind has the anchor as its unique one-bit-flip local optimum. The
 smoothed objective blends the original problem with a toy:
@@ -49,24 +49,19 @@ DENOMINATOR_LIMIT = 10**6
 EXACT_BOUND = 2**53
 
 
-def _index_matvec(v: np.ndarray) -> np.ndarray:
-    """(M v)_k for M_ij = max(i, j) one-based, exact int64, in O(n)."""
-    v = np.asarray(v, dtype=np.int64)
-    n = v.size
-    idx1 = np.arange(1, n + 1, dtype=np.int64)
-    prefix = np.cumsum(v)
-    weighted = idx1 * v
-    tail = weighted.sum() - np.cumsum(weighted)
-    return idx1 * prefix + tail
+def _max_matvec(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(M v)_k for M_ij = max(w_i, w_j) with w non-decreasing, exact int64, in O(n)."""
+    weighted = w * v
+    return w * np.cumsum(v) + (weighted.sum() - np.cumsum(weighted))
 
 
 @dataclass
 class ToyMatrix:
     """A unimodal toy UBQP anchored at `anchor`.
 
-    Magnitudes are implicit for kinds plusminus1 and plusminusi (O(1)
-    storage); only kind random stores its realized n x n matrix, and the
-    largest draw as `_peak`. `n` is the anchor's length.
+    Kinds plusminus1 and plusminusi are implicit in their weights `_w`, all
+    1 or 1..n (O(n) storage); only kind random stores its realized n x n
+    matrix, and the largest draw as `_peak`. `n` is the anchor's length.
     """
 
     kind: ToyKind
@@ -74,69 +69,50 @@ class ToyMatrix:
     n: int = field(init=False)
     _q: np.ndarray | None = None
     _peak: int | None = None
-    _anchor64: np.ndarray = field(init=False)
-    _idx1: np.ndarray = field(init=False)
+    _w: np.ndarray = field(init=False)
     _signs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        self.kind = ToyKind(self.kind)
         self.anchor = as_solution(self.anchor).copy()
         self.anchor.setflags(write=False)
         self.n = self.anchor.size
-        self._anchor64 = self.anchor.astype(np.int64)
-        self._idx1 = np.arange(1, self.n + 1, dtype=np.int64)
+        self._w = (np.arange(1, self.n + 1, dtype=np.int64) if self.kind is ToyKind.PLUS_MINUS_I
+                   else np.ones(self.n, dtype=np.int64))
         # Row k's signs when anchor_k = 1; every other row is all -1.
-        self._signs = 2 * self._anchor64 - 1
+        self._signs = 2 * self.anchor.astype(np.int64) - 1
         if self._q is not None:
             self._q.setflags(write=False)
 
     # -- quadratic-form protocol ------------------------------------------
     def diag(self) -> np.ndarray:
-        if self.kind is ToyKind.PLUS_MINUS_ONE:
-            return self._signs.copy()
-        if self.kind is ToyKind.PLUS_MINUS_I:
-            return self._signs * self._idx1
-        return self._q.diagonal()
+        if self.kind is ToyKind.RANDOM:
+            return self._q.diagonal()
+        return self._signs * self._w
 
     def col(self, k: int) -> np.ndarray:
-        a = self._anchor64
-        if self.kind is ToyKind.PLUS_MINUS_ONE:
-            return 2 * a * int(a[k]) - 1
-        if self.kind is ToyKind.PLUS_MINUS_I:
-            col = np.maximum(self._idx1, k + 1)
-            if a[k]:
-                col *= self._signs
-            else:
-                np.negative(col, out=col)
-            return col
-        return self._q[k]
+        if self.kind is ToyKind.RANDOM:
+            return self._q[k]
+        return (self._signs if self.anchor[k] else -1) * np.maximum(self._w, self._w[k])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64)
-        a = self._anchor64
-        if self.kind is ToyKind.PLUS_MINUS_ONE:
-            return 2 * a * int(a @ v) - int(v.sum())
-        if self.kind is ToyKind.PLUS_MINUS_I:
-            return 2 * a * _index_matvec(a * v) - _index_matvec(v)
-        return self._q @ v
+        if self.kind is ToyKind.RANDOM:
+            return self._q @ v
+        a = self.anchor
+        return 2 * a * _max_matvec(self._w, a * v) - _max_matvec(self._w, v)
 
     # -- helpers ------------------------------------------------------------
     def max_abs(self) -> int:
         """Largest |entry| of the realized matrix."""
-        if self.kind is ToyKind.PLUS_MINUS_ONE:
-            return 1
-        if self.kind is ToyKind.PLUS_MINUS_I:
-            return self.n
-        return self._peak
+        return self._peak if self.kind is ToyKind.RANDOM else int(self._w[-1])
 
     def materialize(self) -> np.ndarray:
         """Dense realized matrix; intended for small n (tests, landscape)."""
-        a = self._anchor64
-        signs = 2 * np.outer(a, a) - 1
-        if self.kind is ToyKind.PLUS_MINUS_ONE:
-            return signs
-        if self.kind is ToyKind.PLUS_MINUS_I:
-            return signs * np.maximum.outer(self._idx1, self._idx1)
-        return self._q.copy()
+        if self.kind is ToyKind.RANDOM:
+            return self._q.copy()
+        a = self.anchor
+        return (2 * np.outer(a, a) - 1) * np.maximum.outer(self._w, self._w)
 
 
 def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
@@ -255,9 +231,10 @@ class LambdaSchedule:
             raise ValueError("schedule thresholds must be numbers, not NaN")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("schedule thresholds must be strictly increasing")
-        for _, v in self.steps:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("schedule values must lie in [0, 1]")
+        if not all(0.0 <= v <= 1.0 for _, v in self.steps):
+            raise ValueError("schedule values must lie in [0, 1]")
+        # -0.0 runs as 0.0 but prints as -0; adding +0.0 makes it 0.0.
+        object.__setattr__(self, "steps", tuple((t, v + 0.0) for t, v in self.steps))
 
     @classmethod
     def zero(cls, unit: str = "evals") -> "LambdaSchedule":

@@ -1,12 +1,15 @@
 """Command-line surface: flag grammar, subcommand contracts, determinism."""
 
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsils
 from lsils import (
     Budget,
     LambdaSchedule,
@@ -283,6 +286,16 @@ class TestGenAndSolve:
             assert config.bits_for(20) == expected
             assert f"  perturbation_bits = {expected}\n" in capsys.readouterr().out
 
+    def test_negative_zero_lambda_reads_as_zero(self, tmp_path, capsys):
+        rc = main(["solve", "--gen", "n=8", "--algo", "lsils:plusminusi",
+                   "--budget", "evals:2000", "--lambda", "const:-0",
+                   "--log-interval", "evals:500", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert "  lambda_schedule = evals steps 0=0\n" in capsys.readouterr().out
+        lines = next(tmp_path.glob("*.csv")).read_text().splitlines()[1:]
+        assert len(lines) == 5  # four marks and the final point
+        assert {line.split(",")[3] for line in lines} == {"0.000000"}
+
     def test_solve_with_optima_sidecar(self, tmp_path, capsys):
         main(["gen", "--gen", "n=12,seed=6", "--out-dir", str(tmp_path)])
         instance_path = next(tmp_path.glob("gen-*.txt"))
@@ -389,9 +402,12 @@ class TestExcessCommand:
 
 
 def test_module_entry_point_runs():
+    # The child imports the package this test imported, installed or not.
+    package_root = str(Path(lsils.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lsils.cli", "landscape",
          "--gen", "n=8,seed=1", "--toy", "plusminus1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "local_optima_count 1" in proc.stdout

@@ -148,6 +148,21 @@ class TestLocalOptimaCensus:
         assert count == 1
         assert np.array_equal(solutions[0], anchor)
 
+    def test_smoothed_census_blends_in_place(self):
+        # The walk's two int64 value arrays take 16 bytes per state; blending
+        # them into new arrays held four at the peak.
+        n = 16
+        inst = gen_random_instance(n, 1.0, (-100, 100), 7)
+        toy = construct_toy(ToyKind.PLUS_MINUS_I, random_solution(n, seeded_rng(8)))
+        obj = SmoothedObjective(instance=inst, toy=toy, lam=0.5, alpha=auto_alpha(inst, toy))
+        tracemalloc.start()
+        try:
+            enumerate_local_optima(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << n, f"peak {peak / 2**n:.1f} bytes per state"
+
     def test_cap_drops_the_solution_list(self):
         inst = UbqpInstance.from_matrix(np.zeros((8, 8), dtype=np.int64))
         count, solutions = enumerate_local_optima(inst, cap=10)

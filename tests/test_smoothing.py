@@ -39,6 +39,19 @@ def random_anchor(n: int, seed: int) -> np.ndarray:
     return random_solution(n, seeded_rng(seed))
 
 
+def assert_protocol_matches_dense(toy: ToyMatrix, v: np.ndarray) -> None:
+    """diag, col and matvec against the oracle's matrix for the anchored toys,
+    whose materialize() shares their formula, and the random toy's stored one."""
+    if toy.kind is ToyKind.RANDOM:
+        dense = toy.materialize()
+    else:
+        dense = oracles.oracle_toy_matrix(toy.kind.value, toy.anchor)
+    assert np.array_equal(toy.matvec(v), dense @ v)
+    assert np.array_equal(toy.diag(), dense.diagonal())
+    for k in range(toy.n):
+        assert np.array_equal(toy.col(k), dense[k])
+
+
 class TestWorkedExample:
     def test_unit_toy_matrix(self):
         toy = construct_toy(ToyKind.PLUS_MINUS_ONE, oracles.EXAMPLE_ANCHOR)
@@ -179,12 +192,14 @@ class TestToyEvaluation:
         anchor = random_solution(n, rng)
         v = rng.integers(-5, 6, size=n)
         for kind in ALL_KINDS:
-            toy = construct_toy(kind, anchor, seed=seed)
-            dense = toy.materialize()
-            assert np.array_equal(toy.matvec(v), dense @ v)
-            assert np.array_equal(toy.diag(), dense.diagonal())
-            for k in range(n):
-                assert np.array_equal(toy.col(k), dense[k])
+            assert_protocol_matches_dense(construct_toy(kind, anchor, seed=seed), v)
+
+    def test_anchored_protocol_is_exact_at_scale(self):
+        rng = seeded_rng(12)
+        anchor = random_solution(300, rng)
+        v = rng.integers(-2**20, 2**20 + 1, size=300)
+        for kind in (ToyKind.PLUS_MINUS_ONE, ToyKind.PLUS_MINUS_I):
+            assert_protocol_matches_dense(construct_toy(kind, anchor), v)
 
     def test_index_column_is_a_fresh_array(self):
         toy = construct_toy(ToyKind.PLUS_MINUS_I, (1, 0, 1, 1, 0))
