@@ -10,7 +10,6 @@ from .qubo import (
     UbqpInstance,
     as_solution,
     evaluate,
-    flip_delta,
     mean_abs,
     random_solution,
     seeded_rng,
@@ -62,7 +61,6 @@ __all__ = [
     "UbqpInstance",
     "as_solution",
     "evaluate",
-    "flip_delta",
     "mean_abs",
     "random_solution",
     "seeded_rng",

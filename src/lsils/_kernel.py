@@ -17,7 +17,7 @@ machines with different CPUs.
 The kernel is the search's only path: `library()` raises OSError when no
 compiler is found, the build fails or the platform is not 64-bit, and a
 failed build is not retried in the same process. `layout(caches)` takes any
-form, a duck-typed one through its dense matrix. The numpy reference the
+form, a duck-typed one through its `materialize()`. The numpy reference the
 kernel is tested against lives in `tests/oracles.py`.
 
 ctypes, subprocess and hashlib are imported on first use, so that
@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qubo import UbqpInstance
 from .smoothing import ToyKind, ToyMatrix
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -155,20 +154,6 @@ def library():
     return found
 
 
-def _dense(form, n: int) -> np.ndarray:
-    """The form's matrix as the kernel reads it, int64 in C order; row k is `col(k)`."""
-    if type(form) is UbqpInstance:
-        matrix = form.q
-    elif type(form) is ToyMatrix:
-        matrix = form._q
-    else:
-        matrix = [form.col(k) for k in range(n)]
-    matrix = np.ascontiguousarray(matrix, dtype=np.int64)
-    if matrix.shape != (n, n):
-        raise ValueError(f"the form's matrix has shape {matrix.shape}, not ({n}, {n})")
-    return matrix
-
-
 class Layout(NamedTuple):
     """The kernel's lsils_cache rows for a list of caches, and all they read."""
 
@@ -180,9 +165,9 @@ class Layout(NamedTuple):
 def layout(caches) -> Layout:
     """The kernel's view of `caches`, which keeps them and the arrays it reads alive.
 
-    The ±1 and ±i toys enter by their anchor; every other form, a duck-typed
-    one too, as FORM_DENSE through its matrix. The gains, sigma and solution
-    stay owned by the caches, which the kernel writes in place.
+    The ±1 and ±i toys enter by their anchor, every other form as FORM_DENSE
+    through `materialize()` (copied unless int64, C order). The kernel writes
+    the caches' gains, sigma and solution in place.
     """
     n = caches[0].solution.size
     rows = np.zeros((len(caches), CACHE_FIELDS), dtype=np.int64)
@@ -193,7 +178,10 @@ def layout(caches) -> Layout:
             row[0], slot = _TOY_FORMS[form.kind], 2
             array = np.ascontiguousarray(form.anchor, dtype=np.int8)
         else:
-            row[0], slot, array = FORM_DENSE, 1, _dense(form, n)
+            row[0], slot = FORM_DENSE, 1
+            array = np.ascontiguousarray(form.materialize(), dtype=np.int64)
+            if array.shape != (n, n):
+                raise ValueError(f"the form's matrix has shape {array.shape}, not ({n}, {n})")
         read.append(array)
         row[slot] = array.ctypes.data
         for slot, (array, dtype) in enumerate(((cache.gains, np.int64), (cache.sigma, np.int64),

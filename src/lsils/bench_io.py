@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qubo import UbqpInstance, seeded_rng
+from .qubo import INT64_MAX, UbqpInstance, seeded_rng
 
 RUNLOG_HEADER = "elapsed,evaluations,best_f,lambda,excess"
 
@@ -82,6 +82,8 @@ def parse_orlib(source) -> list[UbqpInstance]:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ParseError(
                     f"line {line}: index ({i},{j}) out of range for n={n}")
+            if not -INT64_MAX - 1 <= v <= INT64_MAX:
+                raise ParseError(f"line {line}: entry {v} is outside the int64 range")
             cell = (min(i, j), max(i, j))
             if cell in seen:
                 raise ParseError(f"line {line}: duplicate entry for cell ({i},{j})")

@@ -31,7 +31,8 @@ from .bench_io import (
 from .landscape import analyze, describe_objective, histogram_csv, lambda_sweep, report_text, sweep_csv
 from .qubo import UbqpInstance, as_solution, mean_abs, random_solution, seeded_rng
 from .search import Budget, SearchConfig, algo_label, ils, lsils
-from .smoothing import LambdaSchedule, SmoothedObjective, ToyKind, auto_alpha, construct_toy
+from .smoothing import (LambdaSchedule, SmoothedObjective, ToyKind, auto_alpha, construct_toy,
+                        toy_peaks)
 
 # Stream label for anchors drawn by the landscape/sweep subcommands.
 ANCHOR_STREAM = 5
@@ -245,7 +246,7 @@ def describe_alpha(alpha, target_bound, inst: UbqpInstance, kind: ToyKind | None
         return "auto (no toy)"
     if kind is ToyKind.RANDOM:
         return f"auto ({bound:g} / max drawn magnitude, set per toy)"
-    peak = construct_toy(kind, [0] * inst.n).max_abs()  # the same for every anchor
+    peak, = toy_peaks(kind, inst.n)
     return f"auto ({bound:g} / {peak} = {bound / peak:g})"
 
 

@@ -179,10 +179,6 @@ def all_values_blocked(dense: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dense_of(form) -> np.ndarray:
-    return form.q if isinstance(form, UbqpInstance) else form.materialize()
-
-
 def _run_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending distinct values and their counts; sorts `values` in place."""
     values.sort()
@@ -280,7 +276,7 @@ def value_histogram(objective) -> dict:
         # -0.0 and 0.0 count as one value; the key is 0.0 whichever the sort met first.
         keys = keys + 0.0
     else:
-        keys, counts = _tally_integers(_dense_of(objective))
+        keys, counts = _tally_integers(objective.materialize())
     return dict(zip(keys.tolist(), counts.tolist()))
 
 

@@ -6,8 +6,8 @@ signed 64-bit integer math; the smoothing layer blends objectives with
 integer weights, so only its reported values are floats.
 
 The quadratic-form protocol shared by instances and toy matrices is duck
-typed: an object with `n`, `diag()`, `col(k)` and `matvec(v)` can be
-evaluated and gain-cached by the helpers below.
+typed: `evaluate` and `GainCache` read `n`, `diag()`, `col(k)` and
+`matvec(v)`; the search kernel reads a dense form through `materialize()`.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ class UbqpInstance:
     q: np.ndarray
     density: float
     _max_abs: int = field(init=False, repr=False, compare=False)
+    _abs_sum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q)
@@ -69,23 +70,25 @@ class UbqpInstance:
             raise ValueError("dimension n must be >= 1 and match q")
         if not np.issubdtype(q.dtype, np.integer):
             raise ValueError("q must hold integers")
+        if q.dtype.kind == "u" and q.max() > INT64_MAX:
+            raise ValueError("entries too large: past the int64 range")
         q = q.astype(np.int64, order="C", copy=True)
         if not np.array_equal(q, q.T):
             raise ValueError("q must be symmetric")
-        max_abs = int(np.abs(q).max()) if q.size else 0
-        # n^2 * max|Q| must stay within int64 so x^T Q x cannot overflow.
+        magnitudes = np.abs(q).view(np.uint64)  # exact for every int64, -2^63 included
+        self._max_abs = max_abs = int(magnitudes.max())
+        # n^2 * max|Q| within int64 keeps x^T Q x, and the sum of |Q_ij|, from overflowing.
         if max_abs and self.n * self.n > INT64_MAX // max_abs:
             raise ValueError("entries too large: n^2 * max|Q| exceeds int64")
         q.setflags(write=False)
         self.q = q
-        self._max_abs = max_abs
+        self._abs_sum = int(magnitudes.sum())
 
     @classmethod
     def from_matrix(cls, q) -> "UbqpInstance":
         q = np.asarray(q)
         n = q.shape[0] if q.ndim == 2 else 0
-        nonzero = int(np.count_nonzero(q)) if q.size else 0
-        density = nonzero / (n * n) if n else 0.0
+        density = int(np.count_nonzero(q)) / (n * n) if n else 0.0
         return cls(n=n, q=q, density=density)
 
     # -- quadratic-form protocol ------------------------------------------
@@ -97,6 +100,9 @@ class UbqpInstance:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.q @ np.asarray(v, dtype=np.int64)
+
+    def materialize(self) -> np.ndarray:
+        return self.q
 
     def max_abs(self) -> int:
         return self._max_abs
@@ -111,25 +117,9 @@ def evaluate(form, x) -> int:
     return int(x64 @ form.matvec(x64))
 
 
-def flip_delta(inst, x, k: int) -> int:
-    """Exact change of the objective when bit k of x is flipped.
-
-    Closed form for symmetric Q: (1 - 2 x_k) (Q_kk + 2 sum_{j != k} Q_kj x_j).
-    """
-    x = np.asarray(x)
-    if not 0 <= k < inst.n:
-        raise IndexError(f"flip index {k} out of range for n={inst.n}")
-    col = inst.col(k)
-    dk = int(col[k])
-    s = int(col @ np.asarray(x, dtype=np.int64))
-    sigma = 1 - 2 * int(x[k])
-    return sigma * (dk + 2 * (s - dk * int(x[k])))
-
-
 def mean_abs(inst: UbqpInstance) -> Fraction:
     """Mean of |Q_ij| over all n^2 entries, zeros included, as an exact rational."""
-    total = int(np.abs(inst.q, dtype=np.int64).sum())
-    return Fraction(total, inst.n * inst.n)
+    return Fraction(inst._abs_sum, inst.n * inst.n)
 
 
 @dataclass

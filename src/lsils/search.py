@@ -53,7 +53,6 @@ from .qubo import (
     TOY_STREAM,
     GainCache,
     UbqpInstance,
-    mean_abs,
     random_solution,
     seeded_rng,
 )
@@ -62,9 +61,10 @@ from .smoothing import (
     SmoothedObjective,
     ToyKind,
     ToyMatrix,
-    auto_alpha,
     blend_weights,
     construct_toy,
+    peak_alpha,
+    toy_peaks,
 )
 
 PIVOT_RULES = ("best", "first")
@@ -375,26 +375,23 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
     rng_perturb = seeded_rng(config.seed, PERTURB_STREAM)
     rng_toy = seeded_rng(config.seed, TOY_STREAM)
 
-    target_bound = config.target_bound
-    if smoothing and config.alpha == "auto" and target_bound is None:
-        # auto_alpha's default bound is an n^2 pass over Q: take it once per run.
-        target_bound = round(mean_abs(inst))
+    def weights_of(lam: float, peak: int) -> tuple[int, int]:
+        alpha = (peak_alpha(inst, peak, config.target_bound) if config.alpha == "auto"
+                 else float(config.alpha))
+        return blend_weights(lam, alpha, 2 * n * inst.max_abs(), 2 * n * peak)
 
-    def alpha_of(toy: ToyMatrix) -> float:
-        return (auto_alpha(inst, toy, target_bound=target_bound)
-                if config.alpha == "auto" else float(config.alpha))
-
-    def weights_of(lam: float, toy: ToyMatrix, alpha: float) -> tuple[int, int]:
-        return blend_weights(lam, alpha, 2 * n * inst.max_abs(), 2 * n * toy.max_abs())
-
-    lams = [lam for threshold, lam in schedule.steps if lam and threshold < config.budget.amount]
-    if smoothing and lams and config.toy_kind is not ToyKind.RANDOM:
-        # The +-1 and +-i toys' largest entries (1 and n), and so their alpha,
-        # do not depend on the anchor: check every blend the run may ask for
-        # before it starts. The random toy's are checked as it is built.
-        probe = construct_toy(config.toy_kind, np.zeros(n, dtype=np.int8))
-        for lam in lams:
-            weights_of(lam, probe, alpha_of(probe))
+    # Before the run, reject a reachable lambda step that fails at every toy peak.
+    lams = [lam for threshold, lam in schedule.steps
+            if smoothing and lam and threshold < config.budget.amount]
+    for lam in lams:
+        for peak in toy_peaks(config.toy_kind, n):
+            try:
+                weights_of(lam, peak)
+                break
+            except ValueError as exc:
+                error = exc
+        else:
+            raise error
 
     x = random_solution(n, rng_init)
     primary = GainCache.build(inst, x)
@@ -431,10 +428,9 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
             else:
                 if toy is None:
                     toy = construct_toy(config.toy_kind, anchor, seed=toy_seed)
-                    alpha = alpha_of(toy)
                 if blended is None:
                     blended = _kernel.layout([primary, GainCache.build(toy, primary.solution)])
-                weights = weights_of(lam, toy, alpha)
+                weights = weights_of(lam, toy.max_abs())
         # Every iteration up to the next decision: a lambda step, or a new
         # best, which moves the anchor.
         run.iterate(blended or plain, weights, targets, run.decision(steps), halt=smoothing)

@@ -6,7 +6,7 @@ positive magnitudes m:
 
   * plusminus1, plusminusi: one anchored family, m_ij = max(w_i, w_j) with
     weights w_i = 1 (plusminus1) or w_i = i one-based (plusminusi)
-  * random: m_ij uniform integers in [1, 100], symmetric
+  * random: m_ij uniform integers in [1, 100] (`RANDOM_MAGNITUDES`), symmetric
 
 Each kind has the anchor as its unique one-bit-flip local optimum. The
 smoothed objective blends the original problem with a toy:
@@ -43,6 +43,8 @@ class ToyKind(str, Enum):
 
 # Label separating magnitude draws from other streams derived off one seed.
 TOY_MAGNITUDE_STREAM = 0
+# The random toy's magnitudes, drawn uniformly.
+RANDOM_MAGNITUDES = range(1, 101)
 # blend_weights' denominators, and its bound on blended magnitudes, below
 # which the kernel's double arithmetic is exact.
 DENOMINATOR_LIMIT = 10**6
@@ -102,15 +104,14 @@ class ToyMatrix:
         a = self.anchor
         return 2 * a * _max_matvec(self._w, a * v) - _max_matvec(self._w, v)
 
-    # -- helpers ------------------------------------------------------------
     def max_abs(self) -> int:
         """Largest |entry| of the realized matrix."""
         return self._peak if self.kind is ToyKind.RANDOM else int(self._w[-1])
 
     def materialize(self) -> np.ndarray:
-        """Dense realized matrix; intended for small n (tests, landscape)."""
+        """Dense realized matrix: the random toy's stored one (read-only), else built."""
         if self.kind is ToyKind.RANDOM:
-            return self._q.copy()
+            return self._q
         a = self.anchor
         return (2 * np.outer(a, a) - 1) * np.maximum.outer(self._w, self._w)
 
@@ -131,12 +132,19 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     from . import _kernel  # here, not at the top: _kernel imports this module
     n = anchor.size
     rng = seeded_rng(seed, TOY_MAGNITUDE_STREAM)
-    draws = rng.integers(1, 101, size=n * (n + 1) // 2)
+    draws = rng.integers(RANDOM_MAGNITUDES.start, RANDOM_MAGNITUDES.stop, size=n * (n + 1) // 2)
     q = np.empty((n, n), dtype=np.int64)
     anchor = np.ascontiguousarray(anchor)
     peak = _kernel.library().lsils_random_toy(draws.ctypes.data, anchor.ctypes.data, n,
                                               q.ctypes.data)
     return ToyMatrix(kind=kind, anchor=anchor, _q=q, _peak=peak)
+
+
+def toy_peaks(kind: ToyKind, n: int):
+    """Every `max_abs()` a toy of `kind` on n bits can have, largest first."""
+    if ToyKind(kind) is ToyKind.RANDOM:
+        return RANDOM_MAGNITUDES[::-1]
+    return (construct_toy(kind, np.zeros(n, dtype=np.int8)).max_abs(),)  # the same at every anchor
 
 
 def auto_alpha(inst: UbqpInstance, toy: ToyMatrix, target_bound=None) -> float:
@@ -145,15 +153,15 @@ def auto_alpha(inst: UbqpInstance, toy: ToyMatrix, target_bound=None) -> float:
     alpha = target_bound / max|Qhat_ij|; target_bound defaults to
     round(mean_abs(inst)). An explicitly supplied bound always wins.
     """
-    if target_bound is None:
-        target_bound = round(mean_abs(inst))
-    target_bound = float(target_bound)
+    return peak_alpha(inst, toy.max_abs(), target_bound)
+
+
+def peak_alpha(inst: UbqpInstance, peak: int, target_bound=None) -> float:
+    """`auto_alpha` for a toy whose largest |entry| is `peak`."""
+    target_bound = float(round(mean_abs(inst)) if target_bound is None else target_bound)
     if not 0 < target_bound < math.inf:  # NaN too
         raise ValueError("target bound must be positive and finite; pass one explicitly "
                          "when the instance mean |Q| rounds to zero")
-    peak = toy.max_abs()
-    if peak == 0:
-        raise ValueError("toy matrix is all zeros")
     return target_bound / peak
 
 

@@ -42,6 +42,11 @@ class TestParseOrlib:
         with pytest.raises(ParseError, match="line 3"):
             parse_orlib("1\n2 1\n1 3 4\n")
 
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+    def test_entry_outside_int64_names_the_line(self, value):
+        with pytest.raises(ParseError, match=f"line 4: entry {value} is outside the int64"):
+            parse_orlib(f"1\n2 2\n1 1 5\n1 2 {value}\n")
+
     def test_duplicate_triple_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_orlib("1\n3 2\n1 2 4\n2 1 7\n")

@@ -134,6 +134,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_entry_outside_int64_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("1\n1 1\n1 1 9223372036854775808\n")
+        assert main(["solve", "--algo", "ils", "--budget", "evals:10", "--instance", str(path),
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: line 3: entry 9223372036854775808 is outside the int64 range"]
+
     @pytest.mark.parametrize("command", [
         ("solve", "--algo", "lsils:plusminusi", "--budget", "evals:5000", "--lambda", "const:0.5"),
         ("landscape", "--toy", "plusminusi", "--lam", "0.5"),

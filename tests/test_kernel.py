@@ -275,6 +275,9 @@ class TestDescentEquivalence:
             n = inst.n
             diag, col, matvec = inst.diag, inst.col, inst.matvec
 
+            def materialize(self):
+                return inst.q.astype(np.int32)  # copied to int64 in C order
+
         x = random_solution(12, seeded_rng(4))
         cache = GainCache.build(Wrapped(), x)
         view = _kernel.layout([cache])
@@ -282,6 +285,9 @@ class TestDescentEquivalence:
         assert view.caches == [cache]
         assert np.array_equal(view.read[0], inst.q)
         assert np.array_equal(local_search(x, Wrapped()), local_search(x, inst))
+        Wrapped.materialize = lambda self: inst.q[:, 1:]
+        with pytest.raises(ValueError, match=r"shape \(12, 11\), not \(12, 12\)"):
+            _kernel.layout([cache])
 
     def test_instances_enter_without_a_copy(self):
         # Also one built from a Fortran-ordered matrix.

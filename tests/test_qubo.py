@@ -16,7 +16,6 @@ from lsils import (
     as_solution,
     construct_toy,
     evaluate,
-    flip_delta,
     mean_abs,
     random_solution,
     seeded_rng,
@@ -52,6 +51,20 @@ class TestInstanceValidation:
         big = np.eye(4, dtype=np.int64) * (2**62)
         with pytest.raises(ValueError, match="int64"):
             UbqpInstance.from_matrix(big)
+
+    def test_rejects_unsigned_entries_past_int64(self):
+        for big in (2**64 - 1, 2**63 + 5):
+            with pytest.raises(ValueError, match="int64"):
+                UbqpInstance.from_matrix(np.array([[big]], dtype=np.uint64))
+        fits = np.array([[INT64_MAX]], dtype=np.uint64)
+        assert UbqpInstance.from_matrix(fits).q.tolist() == [[INT64_MAX]]
+
+    def test_rejects_the_int64_minimum(self):
+        # |-2^63| wraps to -2^63 in int64; as a magnitude it is past the limit.
+        q = np.zeros((2, 2), dtype=np.int64)
+        q[0, 0] = -INT64_MAX - 1
+        with pytest.raises(ValueError, match="int64"):
+            UbqpInstance.from_matrix(q)
 
     def test_matrix_is_read_only(self):
         inst = make_instance(5, 1)
@@ -107,29 +120,30 @@ class TestEvaluate:
 
 
 class TestFlipDelta:
+    """One-flip gains, which only `GainCache` computes, against their definition."""
+
     def test_two_by_two_up(self):
         inst = UbqpInstance.from_matrix(np.array([[1, 2], [2, 3]]))
-        assert flip_delta(inst, (0, 0), 0) == 1
+        assert GainCache.build(inst, (0, 0)).gains[0] == 1
 
     def test_two_by_two_down(self):
         inst = UbqpInstance.from_matrix(np.array([[1, 2], [2, 3]]))
-        assert flip_delta(inst, (1, 1), 1) == -7
+        assert GainCache.build(inst, (1, 1)).gains[1] == -7
 
     def test_involution_sums_to_zero(self):
         inst = make_instance(10, 5)
         rng = seeded_rng(6)
         x = random_solution(10, rng)
+        gains = GainCache.build(inst, x).gains
         for k in range(10):
-            d1 = flip_delta(inst, x, k)
             y = x.copy()
             y[k] ^= 1
-            d2 = flip_delta(inst, y, k)
-            assert d1 + d2 == 0
+            assert gains[k] + GainCache.build(inst, y).gains[k] == 0
 
     def test_index_out_of_range(self):
         inst = make_instance(3, 7)
         with pytest.raises(IndexError):
-            flip_delta(inst, (0, 1, 0), 3)
+            GainCache.build(inst, (0, 1, 0)).apply_flip(3)
 
     @settings(max_examples=200)
     @given(st.integers(0, 10**6))
@@ -139,16 +153,16 @@ class TestFlipDelta:
         inst = UbqpInstance.from_matrix(random_symmetric(n, rng))
         x = random_solution(n, rng)
         k = int(rng.integers(0, n))
-        assert flip_delta(inst, x, k) == oracles.brute_flip_delta(inst.q, x, k)
+        assert GainCache.build(inst, x).gains[k] == oracles.brute_flip_delta(inst.q, x, k)
 
 
 class TestGainCache:
-    def test_build_matches_flip_delta(self):
+    def test_build_matches_brute_flip_delta(self):
         inst = make_instance(12, 8)
         x = random_solution(12, seeded_rng(9))
         cache = GainCache.build(inst, x)
         for k in range(12):
-            assert int(cache.gains[k]) == flip_delta(inst, x, k)
+            assert int(cache.gains[k]) == oracles.brute_flip_delta(inst.q, x, k)
 
     def test_apply_flip_stays_exact(self):
         inst = make_instance(15, 10)
@@ -224,6 +238,18 @@ class TestMeanMaxAbs:
     def test_mean_abs_is_exact_rational(self):
         inst = UbqpInstance.from_matrix(np.array([[1, 1], [1, 0]]))
         assert mean_abs(inst) == Fraction(3, 4)
+
+    def test_mean_abs_is_the_sum_over_all_entries(self):
+        q = random_symmetric(9, seeded_rng(12), -2**20, 2**20)
+        total = sum(abs(int(v)) for v in q.ravel())
+        for matrix in (q.astype(np.int32), np.asfortranarray(q), -q):
+            inst = UbqpInstance.from_matrix(matrix)
+            assert mean_abs(inst) == Fraction(total, 81)
+            assert inst.max_abs() == int(np.abs(q).max())
+
+    def test_materialize_is_the_matrix(self):
+        inst = make_instance(6, 3)
+        assert inst.materialize() is inst.q
 
 
 class TestSolutions:

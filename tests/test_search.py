@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lsils import (
     Budget,
+    GainCache,
     LambdaSchedule,
     RunLogRecord,
     SearchConfig,
@@ -23,7 +24,6 @@ from lsils import (
     construct_toy,
     enumerate_local_optima,
     evaluate,
-    flip_delta,
     gen_random_instance,
     ils,
     local_search,
@@ -152,8 +152,7 @@ class TestSampling:
 
 
 def assert_no_improving_flip(objective, x):
-    for k in range(x.size):
-        assert flip_delta(objective, x, k) <= 0
+    assert GainCache.build(objective, x).gains.max() <= 0
 
 
 class TestRunLog:
@@ -330,10 +329,11 @@ class TestLocalSearch:
             out = local_search(random_solution(n, seeded_rng(42)), obj)
             assert blended_gains(obj, out).max() <= 0
 
-    @pytest.mark.parametrize("kind", [ToyKind.PLUS_MINUS_ONE, ToyKind.PLUS_MINUS_I])
+    @pytest.mark.parametrize("kind", list(ToyKind))
     def test_blends_past_the_bound_fail_before_the_run_starts(self, kind, monkeypatch):
-        # The paper ramp blends from 20% of the budget on, but the +-1 and +-i
-        # toys' blends are checked before any evaluation or kernel call.
+        # The paper ramp blends from 20% of the budget on, but its blends are
+        # checked before any evaluation or kernel call, the random toy's at
+        # every largest draw it can have.
         def started(*args, **kwargs):
             raise AssertionError("the run started")
 
@@ -346,6 +346,19 @@ class TestLocalSearch:
             lsils(inst, config)
         # A step at or past the budget's end is never reached, so not checked.
         config.lambda_schedule = LambdaSchedule(steps=((2 * 10**8, 0.5),))
+        with pytest.raises(AssertionError, match="the run started"):
+            lsils(inst, config)
+
+    def test_a_random_toy_run_starts_when_some_draw_passes(self, monkeypatch):
+        # At lam = 0.5, alpha = 1 (weights 1:1), 2n max|Q| + 2n p reaches
+        # 2^53 for a largest draw p = 100, not for p = 1.
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(search._Run, "charge", started)
+        inst = UbqpInstance.from_matrix(np.full((8, 8), 2**49 - 50))
+        config = SearchConfig(budget=Budget("evals", 5000), toy_kind=ToyKind.RANDOM,
+                              alpha=1.0, lambda_schedule=LambdaSchedule.constant(0.5))
         with pytest.raises(AssertionError, match="the run started"):
             lsils(inst, config)
 

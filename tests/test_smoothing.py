@@ -21,13 +21,12 @@ from lsils import (
     auto_alpha,
     construct_toy,
     evaluate,
-    flip_delta,
     mean_abs,
     random_solution,
     seeded_rng,
     smoothed_evaluate,
 )
-from lsils.smoothing import blend_weights
+from lsils.smoothing import blend_weights, toy_peaks
 
 import oracles
 from test_qubo import make_instance, random_symmetric
@@ -114,6 +113,12 @@ class TestConstruction:
         mags = np.abs(toy.materialize())
         assert mags.min() >= 1
         assert mags.max() <= 100
+
+    def test_random_materializes_its_stored_matrix(self):
+        toy = construct_toy(ToyKind.RANDOM, random_anchor(6, 3), seed=9)
+        dense = toy.materialize()
+        assert toy.materialize() is dense
+        assert not dense.flags.writeable
 
     def test_random_deterministic_per_seed(self):
         anchor = random_anchor(12, 4)
@@ -217,7 +222,7 @@ class TestToyEvaluation:
             toy = construct_toy(kind, anchor, seed=3)
             cache = GainCache.build(toy, x)
             for k in range(25):
-                assert int(cache.gains[k]) == flip_delta(toy, x, k)
+                assert int(cache.gains[k]) == oracles.brute_flip_delta(toy.materialize(), x, k)
             for _ in range(200):
                 k = int(rng.integers(0, 25))
                 cache.apply_flip(k)
@@ -261,16 +266,23 @@ class TestAutoAlpha:
             toy = construct_toy(kind, random_anchor(n, seed), seed=seed)
             assert toy.max_abs() == np.abs(toy.materialize()).max()
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_peaks_hold_every_realized_peak(self, kind):
+        for seed in range(8):
+            toy = construct_toy(kind, random_anchor(3, seed), seed=seed)
+            assert toy.max_abs() in toy_peaks(kind, 3)
+
     def test_random_rebuild_holds_one_matrix_and_its_draws(self):
-        # What a search does per rebuild: its alpha bound is computed once per run.
+        # What a search does per rebuild: the default bound reads the mean |Q|
+        # summed when the instance was built.
         n = 500
-        anchor, inst = random_anchor(n, 5), make_instance(4, 2)
+        anchor, inst = random_anchor(n, 5), make_instance(n, 2)
         construct_toy(ToyKind.RANDOM, anchor, seed=0)  # builds the kernel outside the trace
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             toy = construct_toy(ToyKind.RANDOM, anchor, seed=1)
-            auto_alpha(inst, toy, target_bound=5)
+            auto_alpha(inst, toy)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -405,7 +417,7 @@ class TestSmoothedFlipDelta:
         x = random_solution(10, seeded_rng(7))
         gains = blended_gains(g, x)
         for k in range(10):
-            assert gains[k] == flip_delta(inst, x, k)
+            assert gains[k] == oracles.brute_flip_delta(inst.q, x, k)
 
     def test_involution_cancels(self):
         inst = make_instance(10, 8)
