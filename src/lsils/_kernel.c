@@ -1,12 +1,23 @@
-/* The search's perturb-and-descend iterations on exact int64 gain caches,
+/* The search's perturb-and-descend iterations on exact integer gain caches,
  * and the random toy's matrix fill.
  *
- * lsils_iterate is the search's only path. It must match the numpy
- * reference in tests/oracles.py (swap_positions + perturb + descend) flip
- * for flip. Its int64 state vector is the run's only copy of its value,
- * count, best and marks; best_x holds the best solution. A call given no
- * iterations descends once; one given some runs them until the caller's
- * next decision point, so control returns to Python only when
+ * lsils_iterate_i32 and lsils_iterate_i64 are the search's only path. They
+ * are one body, written once below over the gain type GAIN and built for
+ * int32 and int64 gain lanes: the gains, the signs sigma, the perturbation
+ * vector t and the integer scans take that type, while the value, count,
+ * best, marks, stamps and each perturbation's value change stay int64.
+ * A run uses the int32 body only when every form it holds has
+ *   (2n + 1) * max|entry| <= 2^31 - 1,
+ * which bounds every gain, (2n - 1) max|entry|, and every intermediate of
+ * the updates below: 2 Q_pp - g_p of the block update, and 2 t_j, of which
+ * |t_j| <= n max|entry| (qubo.gain_dtype picks the width).
+ *
+ * The body must match the numpy reference in tests/oracles.py
+ * (swap_positions + perturb + descend) flip for flip. Its int64 state
+ * vector is the run's only copy of its value, count, best and marks; best_x
+ * holds the best solution. A call given no iterations descends once; one
+ * given some runs them until the caller's next decision point, so control
+ * returns to Python only when
  *   - an iteration would start at or past the count `stop` (the end of an
  *     evals budget, or the next lambda step of the schedule),
  *   - the swap targets of the `rounds` iterations given are used up, or
@@ -38,17 +49,20 @@
  * (differ(sigma_j, 1) in the block shift), which is -1 when the two signs
  * differ and 0 when they agree, and the perturbation's value change and
  * diagonal entries take their signs the same way. The sums are the same
- * exact int64 values; the masks spare a 64-bit vector multiply per entry,
- * which AVX-512 does slowly (vpmullq) and AVX2 and SSE2 emulate with 32-bit
- * multiplies.
+ * exact values; the masks spare a vector multiply per entry, which AVX-512
+ * does slowly on int64 (vpmullq) and AVX2 and SSE2 emulate with 32-bit
+ * multiplies. Q stays int64; the int32 body narrows each entry as it reads
+ * it, and a vector then holds twice as many gains.
  *
- * Build: cc -O3 -shared -fPIC. On x86-64 with glibc, lsils_iterate is
- * built three times, for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and
- * baseline x86-64, and the dynamic loader picks the clone the CPU runs (an
- * ifunc); its helpers are always inlined, so each clone gets its own vector
- * code. The library file stays the same on every x86-64 CPU, which is why
- * -march=native is not used. Elsewhere the plain function is built.
+ * Build: cc -O3 -shared -fPIC. The file includes itself once per gain type
+ * to build the body. On x86-64 with glibc, each lsils_iterate_* is built
+ * three times, for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline
+ * x86-64, and the dynamic loader picks the clone the CPU runs (an ifunc);
+ * its helpers are always inlined, so each clone gets its own vector code.
+ * The library file stays the same on every x86-64 CPU, which is why
+ * -march=native is not used. Elsewhere the plain functions are built.
  */
+#ifndef GAIN /* the file's own pass; the body below is built when it includes itself */
 #include <stdint.h>
 #include <string.h>
 
@@ -88,23 +102,10 @@ typedef struct {
     int64_t kind;          /* FORM_* */
     const int64_t *q;      /* FORM_DENSE: the n x n matrix, row-major */
     const int8_t *anchor;  /* toys: entry (j, k) is +m when both bits are 1, else -m */
-    int64_t *gains;
-    int64_t *sigma;        /* 1 - 2x */
+    void *gains;           /* GAIN, as the entry point called */
+    void *sigma;           /* GAIN: 1 - 2x */
     int8_t *x;
 } lsils_cache;
-
-/* -1 when the +-1 values a and b differ, 0 when they are equal. The shift
- * is unsigned, so reading the sign bit is defined in C99. */
-HOT int64_t differ(int64_t a, int64_t b)
-{
-    return -(int64_t)((uint64_t)(a ^ b) >> 63);
-}
-
-/* v when the mask m is 0, -v when it is -1. */
-HOT int64_t negate_if(int64_t v, int64_t m)
-{
-    return (v ^ m) - m;
-}
 
 /* The anchored toys, +-1 and +-i, are one family: Q_jk = (2 a_j a_k - 1)
  * max(w_j, w_k) with the index weights w_j = 1 + (j & grow), where the
@@ -113,125 +114,6 @@ HOT int64_t negate_if(int64_t v, int64_t m)
 HOT int64_t weight_mask(const lsils_cache *c)
 {
     return -(int64_t)(c->kind == FORM_PLUS_MINUS_I);
-}
-
-/* g_j += 2 sigma_j sigma_k Q_jk for j in [lo, hi) on an anchored toy with
- * Q_jk = (2 a_j a_k - 1) m_j, where m_j = m + (j & grow). Q_jk is positive
- * only when a_j = a_k = 1, so for a_k = 1 its sign follows a_j, and for
- * a_k = 0 it is always negative. */
-HOT void toy_update(int64_t *restrict g, const int64_t *restrict s, const int8_t *restrict a,
-                    int64_t sk, int64_t ak, int64_t lo, int64_t hi, int64_t m, int64_t grow)
-{
-    int64_t j;
-
-    if (ak) {
-        for (j = lo; j < hi; j++)
-            g[j] += negate_if(2 * (m + (j & grow)), differ(s[j], sk) ^ (a[j] - 1));
-    } else {
-        for (j = lo; j < hi; j++)
-            g[j] += negate_if(2 * (m + (j & grow)), ~differ(s[j], sk));
-    }
-}
-
-/* Flip bit k of one cache: gains, sigma and solution in O(n). */
-HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
-{
-    int64_t *restrict g = c->gains;
-    int64_t *restrict s = c->sigma;
-    const int8_t *a = c->anchor;
-    int64_t old = g[k], sk = s[k];
-    int64_t j;
-
-    if (c->kind == FORM_DENSE) {
-        const int64_t *restrict row = c->q + k * n;
-        for (j = 0; j < n; j++)
-            g[j] += negate_if(2 * row[j], differ(s[j], sk));
-    } else {
-        int64_t grow = weight_mask(c);
-        toy_update(g, s, a, sk, a[k], 0, k, 1 + (k & grow), 0);
-        toy_update(g, s, a, sk, a[k], k, n, 1, grow);
-    }
-    g[k] = -old;
-    s[k] = -sk;
-    c->x[k] ^= 1;
-}
-
-/* Q_pp of one cache's form: a toy's is +w_p on the anchor, else -w_p. */
-HOT int64_t diagonal(const lsils_cache *c, int64_t n, int64_t p)
-{
-    if (c->kind == FORM_DENSE)
-        return c->q[p * n + p];
-    return negate_if(1 + (p & weight_mask(c)), c->anchor[p] - 1);
-}
-
-/* t = Q v for v = sigma on the positions P (before the flip), 0 elsewhere.
- * `v` is an all-zero n-slot scratch vector, left all zero again. */
-HOT void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
-                     int64_t bits, int64_t *restrict v, int64_t *restrict t)
-{
-    const int64_t *s = c->sigma;
-    const int8_t *a = c->anchor;
-    int64_t i, j;
-
-    if (c->kind == FORM_DENSE) {
-        /* add the rows switched on, subtract the rows switched off */
-        memset(t, 0, (size_t)n * sizeof *t);
-        for (i = 0; i < bits; i++) {
-            const int64_t *restrict row = c->q + pos[i] * n;
-            if (s[pos[i]] > 0)
-                for (j = 0; j < n; j++)
-                    t[j] += row[j];
-            else
-                for (j = 0; j < n; j++)
-                    t[j] -= row[j];
-        }
-    } else {
-        /* With M_jk = max(w_j, w_k), t = 2 a (M (a v)) - M v, and
-         * (M u)_j = w_j sum_{k <= j} u_k + sum_{k > j} w_k u_k takes one
-         * pass over prefix sums. */
-        int64_t grow = weight_mask(c);
-        int64_t tail = 0, tail_a = 0, prefix = 0, prefix_a = 0;
-        for (i = 0; i < bits; i++) {
-            int64_t m = negate_if(1 + (pos[i] & grow), differ(s[pos[i]], 1));
-            v[pos[i]] = s[pos[i]];
-            tail += m;
-            tail_a += a[pos[i]] ? m : 0;
-        }
-        for (j = 0; j < n; j++) {
-            int64_t u = v[j], ua = a[j] ? u : 0, w = 1 + (j & grow);
-            prefix += u;
-            prefix_a += ua;
-            tail -= w * u;
-            tail_a -= w * ua;
-            t[j] = (a[j] ? 2 * (w * prefix_a + tail_a) : 0) - (w * prefix + tail);
-        }
-        for (i = 0; i < bits; i++)
-            v[pos[i]] = 0;
-    }
-}
-
-/* Flip the distinct positions P of one cache in one block update; returns
- * the exact change of its objective. Each p in P is set to its final gain
- * less the shift, 2 Q_pp - g_p, and its sign flipped first, so the shift
- * pass then adds 2 sigma_p t_p with sigma_p as it was before the flip. */
-HOT int64_t apply_flips(const lsils_cache *c, int64_t n, const int64_t *pos,
-                        int64_t bits, int64_t *v, int64_t *t)
-{
-    int64_t *restrict g = c->gains;
-    int64_t *restrict s = c->sigma;
-    int64_t delta = 0, i, j;
-
-    flip_matvec(c, n, pos, bits, v, t);
-    for (i = 0; i < bits; i++) {
-        int64_t p = pos[i], d = diagonal(c, n, p);
-        delta += g[p] + negate_if(t[p], differ(s[p], 1)) - d;
-        g[p] = 2 * d - g[p];
-        s[p] = -s[p];
-        c->x[p] ^= 1;
-    }
-    for (j = 0; j < n; j++)
-        g[j] += negate_if(2 * t[j], differ(s[j], 1));
-    return delta;
 }
 
 /* The Fisher-Yates picks of `targets` (targets[i] in [i, n)) into pos,
@@ -246,81 +128,6 @@ HOT void fisher_yates(const int64_t *targets, int64_t bits, int64_t *perm, int64
     }
     for (i = 0; i < bits; i++)
         perm[targets[i]] = targets[i];  /* the only slots the pass wrote */
-}
-
-/* The lowest index of the largest of v[0..n), n >= 1, and the largest in
- * *top. The max pass runs over 64-entry blocks, which vectorises (whole
- * blocks with a constant trip count, then the tail), and remembers the
- * first block whose maximum beats all blocks before it; the search for the
- * first entry equal to the maximum then reads only that block. */
-enum { BLOCK = 64 };
-
-HOT int64_t block_max(const int64_t *v, int64_t len)
-{
-    int64_t j, m = v[0];
-
-    for (j = 0; j < len; j++)
-        m = v[j] > m ? v[j] : m;
-    return m;
-}
-
-HOT int64_t first_max(const int64_t *v, int64_t n, int64_t *top)
-{
-    int64_t j0, j, best = v[0], start = 0;
-
-    for (j0 = 0; j0 + BLOCK <= n; j0 += BLOCK) {
-        int64_t m = block_max(v + j0, BLOCK);
-        if (m > best) {
-            best = m;
-            start = j0;
-        }
-    }
-    if (j0 < n) {
-        int64_t m = block_max(v + j0, n - j0);
-        if (m > best) {
-            best = m;
-            start = j0;
-        }
-    }
-    for (j = start; v[j] != best; j++)
-        ;
-    *top = best;
-    return j;
-}
-
-/* The bit to flip, or -1 at a local optimum; *examined gets the scan's charge. */
-HOT int64_t pick_int(const int64_t *g, int64_t n, int first, int64_t *examined)
-{
-    int64_t j, k, best;
-
-    *examined = n;
-    if (first) {
-        for (j = 0; j < n; j++)
-            if (g[j] > 0) {
-                *examined = j + 1;
-                return j;
-            }
-        return -1;
-    }
-    k = first_max(g, n, &best);
-    return best > 0 ? k : -1;
-}
-
-/* The blend a * go + b * gt into `out` as double bit patterns, for
- * pick_int. The caller keeps b > 0 and a |go| + b |gt| below 2^53, so each
- * value is an exact integer (FMA or not), and a zero is +0.0. Positive
- * doubles order like their bit patterns read as int64, and negative ones
- * read as negative. Doubles spare AVX-512's slow int64 multiply. */
-HOT void blend(const int64_t *go, const int64_t *gt, const int64_t *w, int64_t n,
-               int64_t *restrict out)
-{
-    double a = (double)w[0], b = (double)w[1];
-    int64_t j;
-
-    for (j = 0; j < n; j++) {
-        double v = (double)go[j] * a + (double)gt[j] * b;
-        memcpy(&out[j], &v, sizeof v);
-    }
 }
 
 /* Charge `steps` successive charges of `units` evaluations each. Every
@@ -341,66 +148,30 @@ HOT void charge(int64_t *st, int64_t units, int64_t steps, const int64_t *marks,
     st[ST_MARKED] = at;
 }
 
-/* Descend until a local optimum, tracking the best value and solution. */
-HOT void descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int first,
-                 const int64_t *weights, int64_t *blended, int64_t *st, int8_t *best_x,
-                 const int64_t *marks, int64_t *stamps)
-{
-    const int64_t *g0 = caches[0].gains;
-    int64_t i, k, examined;
+/* The block length of the scans' max pass (first_max). */
+enum { BLOCK = 64 };
 
-    for (;;) {
-        if (weights)
-            blend(g0, caches[1].gains, weights, n, blended);
-        k = pick_int(weights ? blended : g0, n, first, &examined);
-        charge(st, examined, 1, marks, stamps);
-        if (k < 0)
-            return;
-        st[ST_VALUE] += g0[k];
-        for (i = 0; i < n_caches; i++)
-            apply_flip(&caches[i], n, k);
-        charge(st, n, 1, marks, stamps);
-        if (st[ST_VALUE] > st[ST_BEST]) {
-            st[ST_BEST] = st[ST_VALUE];
-            memcpy(best_x, caches[0].x, (size_t)n);
-            st[ST_IMPROVED] = 1;
-        }
-    }
-}
+/* The body's names carry its width: apply_flip is apply_flip_i32 in the
+ * int32 body. The int64 body comes first, since the int32 one scans the
+ * blend with pick_int_i64. */
+#define WIDTH_NAME(name, bits) name##_i##bits
+#define WIDTH(name, bits) WIDTH_NAME(name, bits)
 
-/* Run iterations: perturb the `bits` positions the next swap targets pick,
- * then descend, until a stop named at the top of this file. `targets` holds
- * ST_ROUNDS * bits swap targets; `marks` holds ST_MARKS mark counts, in
- * increasing order, and `stamps` room for two slots per mark. `scratch` holds
- * 4n slots: an identity permutation, then three scratch vectors of which the
- * second is all zero; both are left as found. The perturbation writes the
- * first and third vectors, and the blend writes the third. With integer
- * `weights` (a, b) the pivot is picked on the blend a * g_0 + b * g_1 of
- * caches[0] and caches[1], and without (NULL) on the gains of caches[0]. */
-CLONES void lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
-                          int64_t first, const int64_t *weights,
-                          const int64_t *targets, int64_t bits, int64_t *scratch,
-                          int64_t *st, int8_t *best_x, const int64_t *marks,
-                          int64_t *stamps)
-{
-    int64_t *pos = scratch + n, *v = scratch + 2 * n, *t = scratch + 3 * n;
-    int64_t i;
+#define GAIN int64_t
+#define GAIN_UNSIGNED uint64_t
+#define GAIN_BITS 64
+#include "_kernel.c"
+#undef GAIN
+#undef GAIN_UNSIGNED
+#undef GAIN_BITS
 
-    st[ST_STARTED] = 0;
-    st[ST_IMPROVED] = 0;
-    if (st[ST_ROUNDS] == 0)
-        descend(caches, n_caches, n, (int)first, weights, t, st, best_x, marks, stamps);
-    while (st[ST_STARTED] < st[ST_ROUNDS] && st[ST_CONSUMED] < st[ST_STOP]
-           && !(st[ST_HALT] && st[ST_IMPROVED])) {
-        fisher_yates(targets + st[ST_STARTED] * bits, bits, scratch, pos);
-        st[ST_STARTED] += 1;
-        st[ST_VALUE] += apply_flips(&caches[0], n, pos, bits, v, t);
-        for (i = 1; i < n_caches; i++)
-            apply_flips(&caches[i], n, pos, bits, v, t);
-        charge(st, n, bits, marks, stamps);
-        descend(caches, n_caches, n, (int)first, weights, t, st, best_x, marks, stamps);
-    }
-}
+#define GAIN int32_t
+#define GAIN_UNSIGNED uint32_t
+#define GAIN_BITS 32
+#include "_kernel.c"
+#undef GAIN
+#undef GAIN_UNSIGNED
+#undef GAIN_BITS
 
 /* The random toy's n x n matrix; returns the largest draw. `draws` lists
  * its lower triangle, diagonal included, row by row; each draw w lands at
@@ -428,3 +199,308 @@ int64_t lsils_random_toy(const int64_t *draws, const int8_t *anchor, int64_t n, 
                     q[i * n + j] = q[j * n + i];
     return peak;
 }
+
+#else /* GAIN: the search body over GAIN lanes */
+#define differ WIDTH(differ, GAIN_BITS)
+#define negate_if WIDTH(negate_if, GAIN_BITS)
+#define toy_update WIDTH(toy_update, GAIN_BITS)
+#define apply_flip WIDTH(apply_flip, GAIN_BITS)
+#define diagonal WIDTH(diagonal, GAIN_BITS)
+#define flip_matvec WIDTH(flip_matvec, GAIN_BITS)
+#define apply_flips WIDTH(apply_flips, GAIN_BITS)
+#define block_max WIDTH(block_max, GAIN_BITS)
+#define first_max WIDTH(first_max, GAIN_BITS)
+#define pick_int WIDTH(pick_int, GAIN_BITS)
+#define blend WIDTH(blend, GAIN_BITS)
+#define descend WIDTH(descend, GAIN_BITS)
+#define lsils_iterate WIDTH(lsils_iterate, GAIN_BITS)
+
+/* -1 when the +-1 values a and b differ, 0 when they are equal. The shift
+ * is unsigned, so reading the sign bit is defined in C99. */
+HOT GAIN differ(GAIN a, GAIN b)
+{
+    return -(GAIN)((GAIN_UNSIGNED)(a ^ b) >> (GAIN_BITS - 1));
+}
+
+/* v when the mask m is 0, -v when it is -1. */
+HOT GAIN negate_if(GAIN v, GAIN m)
+{
+    return (v ^ m) - m;
+}
+
+/* g_j += 2 sigma_j sigma_k Q_jk for j in [lo, hi) on an anchored toy with
+ * Q_jk = (2 a_j a_k - 1) m_j, where m_j = m + (j & grow). Q_jk is positive
+ * only when a_j = a_k = 1, so for a_k = 1 its sign follows a_j, and for
+ * a_k = 0 it is always negative. */
+HOT void toy_update(GAIN *restrict g, const GAIN *restrict s, const int8_t *restrict a,
+                    GAIN sk, int64_t ak, int64_t lo, int64_t hi, GAIN m, GAIN grow)
+{
+    int64_t j;
+
+    if (ak) {
+        for (j = lo; j < hi; j++)
+            g[j] += negate_if(2 * (m + ((GAIN)j & grow)), differ(s[j], sk) ^ (a[j] - 1));
+    } else {
+        for (j = lo; j < hi; j++)
+            g[j] += negate_if(2 * (m + ((GAIN)j & grow)), ~differ(s[j], sk));
+    }
+}
+
+/* Flip bit k of one cache: gains, sigma and solution in O(n). */
+HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
+{
+    GAIN *restrict g = c->gains;
+    GAIN *restrict s = c->sigma;
+    const int8_t *a = c->anchor;
+    GAIN old = g[k], sk = s[k];
+    int64_t j;
+
+    if (c->kind == FORM_DENSE) {
+        const int64_t *restrict row = c->q + k * n;
+        for (j = 0; j < n; j++)
+            g[j] += negate_if(2 * (GAIN)row[j], differ(s[j], sk));
+    } else {
+        GAIN grow = (GAIN)weight_mask(c);
+        toy_update(g, s, a, sk, a[k], 0, k, (GAIN)(1 + (k & grow)), 0);
+        toy_update(g, s, a, sk, a[k], k, n, 1, grow);
+    }
+    g[k] = -old;
+    s[k] = -sk;
+    c->x[k] ^= 1;
+}
+
+/* Q_pp of one cache's form: a toy's is +w_p on the anchor, else -w_p. */
+HOT GAIN diagonal(const lsils_cache *c, int64_t n, int64_t p)
+{
+    if (c->kind == FORM_DENSE)
+        return (GAIN)c->q[p * n + p];
+    return negate_if((GAIN)(1 + (p & weight_mask(c))), (GAIN)(c->anchor[p] - 1));
+}
+
+/* t = Q v for v = sigma on the positions P (before the flip), 0 elsewhere.
+ * `v` is an all-zero n-slot scratch vector, left all zero again. */
+HOT void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
+                     int64_t bits, GAIN *restrict v, GAIN *restrict t)
+{
+    const GAIN *s = c->sigma;
+    const int8_t *a = c->anchor;
+    int64_t i, j;
+
+    if (c->kind == FORM_DENSE) {
+        /* add the rows switched on, subtract the rows switched off */
+        memset(t, 0, (size_t)n * sizeof *t);
+        for (i = 0; i < bits; i++) {
+            const int64_t *restrict row = c->q + pos[i] * n;
+            if (s[pos[i]] > 0)
+                for (j = 0; j < n; j++)
+                    t[j] += (GAIN)row[j];
+            else
+                for (j = 0; j < n; j++)
+                    t[j] -= (GAIN)row[j];
+        }
+    } else {
+        /* With M_jk = max(w_j, w_k), t = 2 a (M (a v)) - M v, and
+         * (M u)_j = w_j sum_{k <= j} u_k + sum_{k > j} w_k u_k takes one
+         * pass over prefix sums, kept in int64. */
+        int64_t grow = weight_mask(c);
+        int64_t tail = 0, tail_a = 0, prefix = 0, prefix_a = 0;
+        for (i = 0; i < bits; i++) {
+            int64_t m = negate_if((GAIN)(1 + (pos[i] & grow)), differ(s[pos[i]], 1));
+            v[pos[i]] = s[pos[i]];
+            tail += m;
+            tail_a += a[pos[i]] ? m : 0;
+        }
+        for (j = 0; j < n; j++) {
+            int64_t u = v[j], ua = a[j] ? u : 0, w = 1 + (j & grow);
+            prefix += u;
+            prefix_a += ua;
+            tail -= w * u;
+            tail_a -= w * ua;
+            t[j] = (GAIN)((a[j] ? 2 * (w * prefix_a + tail_a) : 0) - (w * prefix + tail));
+        }
+        for (i = 0; i < bits; i++)
+            v[pos[i]] = 0;
+    }
+}
+
+/* Flip the distinct positions P of one cache in one block update; returns
+ * the exact change of its objective. Each p in P is set to its final gain
+ * less the shift, 2 Q_pp - g_p, and its sign flipped first, so the shift
+ * pass then adds 2 sigma_p t_p with sigma_p as it was before the flip. */
+HOT int64_t apply_flips(const lsils_cache *c, int64_t n, const int64_t *pos,
+                        int64_t bits, GAIN *v, GAIN *t)
+{
+    GAIN *restrict g = c->gains;
+    GAIN *restrict s = c->sigma;
+    int64_t delta = 0, i, j;
+
+    flip_matvec(c, n, pos, bits, v, t);
+    for (i = 0; i < bits; i++) {
+        int64_t p = pos[i];
+        GAIN d = diagonal(c, n, p);
+        delta += (int64_t)g[p] + negate_if(t[p], differ(s[p], 1)) - d;
+        g[p] = 2 * d - g[p];
+        s[p] = -s[p];
+        c->x[p] ^= 1;
+    }
+    for (j = 0; j < n; j++)
+        g[j] += negate_if(2 * t[j], differ(s[j], 1));
+    return delta;
+}
+
+/* The lowest index of the largest of v[0..n), n >= 1, and the largest in
+ * *top. The max pass runs over BLOCK-entry blocks, which vectorises (whole
+ * blocks with a constant trip count, then the tail), and remembers the
+ * first block whose maximum beats all blocks before it; the search for the
+ * first entry equal to the maximum then reads only that block. */
+HOT GAIN block_max(const GAIN *v, int64_t len)
+{
+    int64_t j;
+    GAIN m = v[0];
+
+    for (j = 0; j < len; j++)
+        m = v[j] > m ? v[j] : m;
+    return m;
+}
+
+HOT int64_t first_max(const GAIN *v, int64_t n, GAIN *top)
+{
+    int64_t j0, j, start = 0;
+    GAIN best = v[0];
+
+    for (j0 = 0; j0 + BLOCK <= n; j0 += BLOCK) {
+        GAIN m = block_max(v + j0, BLOCK);
+        if (m > best) {
+            best = m;
+            start = j0;
+        }
+    }
+    if (j0 < n) {
+        GAIN m = block_max(v + j0, n - j0);
+        if (m > best) {
+            best = m;
+            start = j0;
+        }
+    }
+    for (j = start; v[j] != best; j++)
+        ;
+    *top = best;
+    return j;
+}
+
+/* The bit to flip, or -1 at a local optimum; *examined gets the scan's charge. */
+HOT int64_t pick_int(const GAIN *g, int64_t n, int first, int64_t *examined)
+{
+    int64_t j, k;
+    GAIN best;
+
+    *examined = n;
+    if (first) {
+        for (j = 0; j < n; j++)
+            if (g[j] > 0) {
+                *examined = j + 1;
+                return j;
+            }
+        return -1;
+    }
+    k = first_max(g, n, &best);
+    return best > 0 ? k : -1;
+}
+
+/* The blend a * go + b * gt into `out` as double bit patterns, for
+ * pick_int_i64. The caller keeps b > 0 and a |go| + b |gt| below 2^53, so
+ * each value is an exact integer (FMA or not), and a zero is +0.0.
+ * Positive doubles order like their bit patterns read as int64, and
+ * negative ones read as negative. Doubles spare AVX-512's slow int64
+ * multiply, and int32 lanes convert to doubles in vectors on AVX2 too. */
+HOT void blend(const GAIN *go, const GAIN *gt, const int64_t *w, int64_t n,
+               int64_t *restrict out)
+{
+    double a = (double)w[0], b = (double)w[1];
+    int64_t j;
+
+    for (j = 0; j < n; j++) {
+        double v = (double)go[j] * a + (double)gt[j] * b;
+        memcpy(&out[j], &v, sizeof v);
+    }
+}
+
+/* Descend until a local optimum, tracking the best value and solution. */
+HOT void descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int first,
+                 const int64_t *weights, int64_t *blended, int64_t *st, int8_t *best_x,
+                 const int64_t *marks, int64_t *stamps)
+{
+    const GAIN *g0 = caches[0].gains;
+    int64_t i, k, examined;
+
+    for (;;) {
+        if (weights) {
+            blend(g0, caches[1].gains, weights, n, blended);
+            k = pick_int_i64(blended, n, first, &examined);
+        } else {
+            k = pick_int(g0, n, first, &examined);
+        }
+        charge(st, examined, 1, marks, stamps);
+        if (k < 0)
+            return;
+        st[ST_VALUE] += g0[k];
+        for (i = 0; i < n_caches; i++)
+            apply_flip(&caches[i], n, k);
+        charge(st, n, 1, marks, stamps);
+        if (st[ST_VALUE] > st[ST_BEST]) {
+            st[ST_BEST] = st[ST_VALUE];
+            memcpy(best_x, caches[0].x, (size_t)n);
+            st[ST_IMPROVED] = 1;
+        }
+    }
+}
+
+/* Run iterations: perturb the `bits` positions the next swap targets pick,
+ * then descend, until a stop named at the top of this file. The caches'
+ * gains and sigma are GAIN vectors. `targets` holds ST_ROUNDS * bits swap
+ * targets; `marks` holds ST_MARKS mark counts, in increasing order, and
+ * `stamps` room for two slots per mark. `scratch` holds 3n int64 slots: an
+ * identity permutation, left as found, then the positions and the blend.
+ * `lanes` holds 2n GAIN slots: v, all zero and left so, then t. With
+ * integer `weights` (a, b) the pivot is picked on the blend a * g_0 + b * g_1
+ * of caches[0] and caches[1], and without (NULL) on the gains of caches[0]. */
+CLONES void lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
+                          int64_t first, const int64_t *weights,
+                          const int64_t *targets, int64_t bits, int64_t *scratch,
+                          GAIN *lanes, int64_t *st, int8_t *best_x, const int64_t *marks,
+                          int64_t *stamps)
+{
+    int64_t *pos = scratch + n, *blended = scratch + 2 * n;
+    GAIN *v = lanes, *t = lanes + n;
+    int64_t i;
+
+    st[ST_STARTED] = 0;
+    st[ST_IMPROVED] = 0;
+    if (st[ST_ROUNDS] == 0)
+        descend(caches, n_caches, n, (int)first, weights, blended, st, best_x, marks, stamps);
+    while (st[ST_STARTED] < st[ST_ROUNDS] && st[ST_CONSUMED] < st[ST_STOP]
+           && !(st[ST_HALT] && st[ST_IMPROVED])) {
+        fisher_yates(targets + st[ST_STARTED] * bits, bits, scratch, pos);
+        st[ST_STARTED] += 1;
+        st[ST_VALUE] += apply_flips(&caches[0], n, pos, bits, v, t);
+        for (i = 1; i < n_caches; i++)
+            apply_flips(&caches[i], n, pos, bits, v, t);
+        charge(st, n, bits, marks, stamps);
+        descend(caches, n_caches, n, (int)first, weights, blended, st, best_x, marks, stamps);
+    }
+}
+
+#undef differ
+#undef negate_if
+#undef toy_update
+#undef apply_flip
+#undef diagonal
+#undef flip_matvec
+#undef apply_flips
+#undef block_max
+#undef first_max
+#undef pick_int
+#undef blend
+#undef descend
+#undef lsils_iterate
+#endif

@@ -9,16 +9,18 @@ a complete file, and the libraries of other sources or flags found there
 are removed. When that directory is not writable the library is built in a
 private temporary directory, loaded, and the directory removed.
 
-The flags name no CPU. On x86-64 with glibc the source builds
-`lsils_iterate` once per x86-64 level (v4, v3, baseline) and the loader
-picks the one the CPU runs, so a cached library is safe to share between
-machines with different CPUs.
+The source builds its search body twice, `lsils_iterate_i32` and
+`lsils_iterate_i64`, one per gain width (`iterate(dtype)` names the one for
+a width). The flags name no CPU. On x86-64 with glibc each is built once per
+x86-64 level (v4, v3, baseline) and the loader picks the one the CPU runs,
+so a cached library is safe to share between machines with different CPUs.
 
 The kernel is the search's only path: `library()` raises OSError when no
 compiler is found, the build fails or the platform is not 64-bit, and a
 failed build is not retried in the same process. `layout(caches)` takes any
-form, a duck-typed one through its `materialize()`. The numpy reference the
-kernel is tested against lives in `tests/oracles.py`.
+form, a duck-typed one through its `materialize()`, and caches of one gain
+width, int32 or int64. The numpy reference the kernel is tested against
+lives in `tests/oracles.py`.
 
 ctypes, subprocess and hashlib are imported on first use, so that
 `import lsils` costs no more than it did without the kernel.
@@ -51,6 +53,8 @@ _TOY_FORMS = {ToyKind.PLUS_MINUS_ONE: FORM_PLUS_MINUS_ONE,
 # One lsils_cache per row: the kind, then the addresses of q, anchor,
 # gains, sigma and x. Eight-byte fields, so 64-bit platforms only.
 CACHE_FIELDS = 6
+# The gain widths the source builds its search body for.
+GAIN_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
 
 def _compiler() -> str:
@@ -133,9 +137,10 @@ def _load():
     except (OSError, subprocess.SubprocessError) as exc:
         return OSError(f"the lsils search kernel could not be built: {exc}")
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.lsils_iterate.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr,
-                                  ptr]
-    lib.lsils_iterate.restype = None
+    for dtype in GAIN_DTYPES:
+        iterate = getattr(lib, _iterate_name(dtype))
+        iterate.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+        iterate.restype = None
     lib.lsils_random_toy.argtypes = [ptr, ptr, i64, ptr]
     lib.lsils_random_toy.restype = i64
     return lib
@@ -144,9 +149,10 @@ def _load():
 def library():
     """The loaded kernel, built on the first call in a process.
 
-    Its functions are `lsils_iterate` and `lsils_random_toy`, with their
-    argument and result types declared. OSError when it cannot be built;
-    later calls raise the same error without compiling again.
+    Its functions are `lsils_iterate_i32`, `lsils_iterate_i64` and
+    `lsils_random_toy`, with their argument and result types declared.
+    OSError when it cannot be built; later calls raise the same error
+    without compiling again.
     """
     found = _load()
     if isinstance(found, OSError):
@@ -154,22 +160,37 @@ def library():
     return found
 
 
+def _iterate_name(dtype) -> str:
+    return f"lsils_iterate_i{8 * np.dtype(dtype).itemsize}"
+
+
+def iterate(dtype):
+    """The kernel's search entry point for caches with gains of `dtype`."""
+    return getattr(library(), _iterate_name(dtype))
+
+
 class Layout(NamedTuple):
-    """The kernel's lsils_cache rows for a list of caches, and all they read."""
+    """The kernel's lsils_cache rows for a list of caches, all they read, and
+    the caches' gain width."""
 
     rows: np.ndarray
     caches: list
     read: list
+    dtype: np.dtype
 
 
 def layout(caches) -> Layout:
     """The kernel's view of `caches`, which keeps them and the arrays it reads alive.
 
     The ±1 and ±i toys enter by their anchor, every other form as FORM_DENSE
-    through `materialize()` (copied unless int64, C order). The kernel writes
-    the caches' gains, sigma and solution in place.
+    through `materialize()` (copied unless int64, C order). The caches' gains
+    and sigma share one width of `GAIN_DTYPES`. The kernel writes the
+    caches' gains, sigma and solution in place.
     """
     n = caches[0].solution.size
+    dtype = caches[0].gains.dtype
+    if dtype not in GAIN_DTYPES:
+        raise ValueError(f"gains of {dtype} have no kernel; int32 or int64 do")
     rows = np.zeros((len(caches), CACHE_FIELDS), dtype=np.int64)
     read = []
     for row, cache in zip(rows, caches):
@@ -184,11 +205,12 @@ def layout(caches) -> Layout:
                 raise ValueError(f"the form's matrix has shape {array.shape}, not ({n}, {n})")
         read.append(array)
         row[slot] = array.ctypes.data
-        for slot, (array, dtype) in enumerate(((cache.gains, np.int64), (cache.sigma, np.int64),
-                                               (cache.solution, np.int8)), start=3):
-            if not (array.dtype == dtype and array.shape == (n,) and array.flags.c_contiguous
+        for slot, (array, kind) in enumerate(((cache.gains, dtype), (cache.sigma, dtype),
+                                              (cache.solution, np.int8)), start=3):
+            if not (array.dtype == kind and array.shape == (n,) and array.flags.c_contiguous
                     and array.flags.writeable):
                 raise ValueError("a gain cache's gains, sigma and solution must be writable "
-                                 "contiguous vectors of length n")
+                                 "contiguous vectors of length n, the gains and sigma of "
+                                 "every cache of one width")
             row[slot] = array.ctypes.data
-    return Layout(rows, list(caches), read)
+    return Layout(rows, list(caches), read, dtype)

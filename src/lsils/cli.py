@@ -32,7 +32,7 @@ from .landscape import analyze, describe_objective, histogram_csv, lambda_sweep,
 from .qubo import UbqpInstance, as_solution, mean_abs, random_solution, seeded_rng
 from .search import Budget, SearchConfig, algo_label, ils, lsils
 from .smoothing import (LambdaSchedule, SmoothedObjective, ToyKind, auto_alpha, construct_toy,
-                        toy_peaks)
+                        peak_alpha, toy_peaks)
 
 # Stream label for anchors drawn by the landscape/sweep subcommands.
 ANCHOR_STREAM = 5
@@ -241,13 +241,13 @@ def describe_alpha(alpha, target_bound, inst: UbqpInstance, kind: ToyKind | None
     """Resolved blend scale; for auto, spell out target_bound / toy peak."""
     if alpha != "auto":
         return f"{alpha:g}"
-    bound = float(target_bound) if target_bound is not None else float(round(mean_abs(inst)))
     if kind is None:
         return "auto (no toy)"
+    bound = peak_alpha(inst, 1, target_bound)  # the bound itself, rejected as the run would
     if kind is ToyKind.RANDOM:
         return f"auto ({bound:g} / max drawn magnitude, set per toy)"
     peak, = toy_peaks(kind, inst.n)
-    return f"auto ({bound:g} / {peak} = {bound / peak:g})"
+    return f"auto ({bound:g} / {peak} = {peak_alpha(inst, peak, target_bound):g})"
 
 
 def make_config(args, budget: Budget, schedule: LambdaSchedule | None,

@@ -2,8 +2,10 @@
 
 Everything in this package maximizes f(x) = x^T Q x over binary vectors x,
 with Q a symmetric integer matrix. Arithmetic on this objective is exact
-signed 64-bit integer math; the smoothing layer blends objectives with
-integer weights, so only its reported values are floats.
+signed 64-bit integer math, and the search's gains narrow to 32 bits only
+where every gain and update provably fits (`gain_dtype`); the smoothing
+layer blends objectives with integer weights, so only its reported values
+are floats.
 
 The quadratic-form protocol shared by instances and toy matrices is duck
 typed: `evaluate` and `GainCache` read `n`, `diag()`, `col(k)` and
@@ -18,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 INT64_MAX = np.iinfo(np.int64).max
+INT32_MAX = np.iinfo(np.int32).max
 
 # Fixed labels deriving independent per-component RNG streams from one seed.
 INIT_STREAM = 1
@@ -122,13 +125,23 @@ def mean_abs(inst: UbqpInstance) -> Fraction:
     return Fraction(inst._abs_sum, inst.n * inst.n)
 
 
+def gain_dtype(n: int, peak: int) -> np.dtype:
+    """The search kernel's gain lanes for forms on n bits with entries up to `peak`.
+
+    int32 when (2n + 1) * peak <= 2^31 - 1, which bounds every gain and
+    every intermediate of the kernel's updates (see `_kernel.c`), else int64.
+    """
+    return np.dtype(np.int32 if (2 * n + 1) * peak <= INT32_MAX else np.int64)
+
+
 @dataclass
 class GainCache:
     """One-flip gains of a quadratic form at the cached solution.
 
-    gains[k] = f(flip_k(x)) - f(x), exact int64, maintained in O(n) per
-    applied flip. `sigma` mirrors 1 - 2x. Single-owner mutable state: never
-    share one cache between concurrent searches.
+    gains[k] = f(flip_k(x)) - f(x), exact, maintained in O(n) per applied
+    flip. `sigma` mirrors 1 - 2x. Both are int64, or int32 when built so for
+    a form within `gain_dtype`'s int32 bound. Single-owner mutable state:
+    never share one cache between concurrent searches.
     """
 
     form: object
@@ -141,7 +154,9 @@ class GainCache:
         self._buf = np.empty(self.solution.size, dtype=np.int64)
 
     @classmethod
-    def build(cls, form, x) -> "GainCache":
+    def build(cls, form, x, dtype=np.int64) -> "GainCache":
+        """The cache at x, its gains and sigma of `dtype` (int32 only within
+        `gain_dtype`'s bound)."""
         x = as_solution(x)
         if x.size != form.n:
             raise ValueError(f"solution length {x.size} does not match n={form.n}")
@@ -149,7 +164,8 @@ class GainCache:
         sigma = 1 - 2 * x64
         d = np.asarray(form.diag(), dtype=np.int64)
         gains = sigma * (2 * form.matvec(x64) - 2 * d * x64 + d)
-        return cls(form=form, solution=x.copy(), gains=gains, sigma=sigma)
+        return cls(form=form, solution=x.copy(), gains=gains.astype(dtype, copy=False),
+                   sigma=sigma.astype(dtype, copy=False))
 
     def value(self) -> int:
         """The exact objective at the cached solution, from the gains in O(n).

@@ -53,6 +53,7 @@ from .qubo import (
     TOY_STREAM,
     GainCache,
     UbqpInstance,
+    gain_dtype,
     random_solution,
     seeded_rng,
 )
@@ -231,7 +232,9 @@ class _Run:
 
     The kernel's int64 `state` is the only copy of the current `value`, the
     evaluations charged (`consumed`), the `best` value and the log marks
-    stamped; `best_x` is the best solution. Under an evals budget the kernel
+    stamped; `best_x` is the best solution. A run's caches all have gains of
+    one `dtype`, int32 or int64, which picks the kernel's entry point and
+    the type of its `lanes` scratch. Under an evals budget the kernel
     stamps every mark it passes (`marks`, the evaluation count reaching each)
     into `stamps` as `charge` would, one scan, flip or perturbed bit at a
     time, and they are logged when it returns. Under a seconds budget the
@@ -243,9 +246,9 @@ class _Run:
     best = _slot(_kernel.ST_BEST)
 
     def __init__(self, n: int, pivot_rule: str, budget: Budget = Budget("evals", math.inf),
-                 log_interval=None):
+                 log_interval=None, dtype=np.int64):
         self.n, self.pivot_rule, self.budget = n, pivot_rule, budget
-        self.kernel = _kernel.library().lsils_iterate
+        self.kernel = _kernel.iterate(dtype)
         self.started = time.monotonic()
         self.log = RunLog(budget.kind)
         self.current_lam = 0.0
@@ -260,13 +263,15 @@ class _Run:
         self.state = np.zeros(_kernel.ST_SIZE, dtype=np.int64)
         self.state[_kernel.ST_MARKS] = len(counts)
         self.best_x = np.zeros(n, dtype=np.int8)
-        # An identity permutation, then three n-slot vectors; the kernel
-        # leaves the permutation and the second vector (zeros) as found.
-        self.scratch = np.zeros(4 * n, dtype=np.int64)
+        # An identity permutation, which the kernel leaves as found, then
+        # the positions and the blend; and two gain-typed vectors, of which
+        # the kernel leaves the first (zeros) as found.
+        self.scratch = np.zeros(3 * n, dtype=np.int64)
         self.scratch[:n] = np.arange(n)
+        self.lanes = np.zeros(2 * n, dtype=dtype)
         self.weights = np.zeros(2, dtype=np.int64)
-        self.buffers = tuple(a.ctypes.data for a in (self.scratch, self.state, self.best_x,
-                                                     self.marks, self.stamps))
+        self.buffers = tuple(a.ctypes.data for a in (self.scratch, self.lanes, self.state,
+                                                     self.best_x, self.marks, self.stamps))
 
     def progress(self) -> float:
         return self.consumed if self.budget.kind == "evals" else time.monotonic() - self.started
@@ -305,8 +310,11 @@ class _Run:
         the count `stop` (the budget's end or the next lambda step), the end
         of the drawn targets, or, with `halt`, an iteration that improved the
         best; under a seconds budget, one iteration. `weights` are
-        `blend_weights` or None; at b = 0 the kernel scans g_0 itself.
+        `blend_weights` or None; at b = 0 the kernel scans g_0 itself. The
+        caches' gains must have the run's dtype.
         """
+        if view.dtype != self.lanes.dtype:
+            raise ValueError(f"caches with {view.dtype} gains in a run of {self.lanes.dtype}")
         blend = None
         if weights is not None and weights[1]:
             self.weights[:] = weights
@@ -361,9 +369,13 @@ def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     if isinstance(objective, SmoothedObjective):
         forms = (objective.instance, objective.toy)
         weights = objective.integer_weights(2 * objective.n)
-    caches = [GainCache.build(form, x) for form in forms]
+    # int32 gains within their bound; a form that reports no max_abs() gets int64.
+    peaks = [getattr(form, "max_abs", None) for form in forms]
+    dtype = (gain_dtype(objective.n, max(peak() for peak in peaks)) if all(peaks)
+             else np.dtype(np.int64))
+    caches = [GainCache.build(form, x, dtype) for form in forms]
     # Unbudgeted: the value and best the run keeps are unused.
-    _Run(caches[0].solution.size, pivot_rule).iterate(_kernel.layout(caches), weights)
+    _Run(objective.n, pivot_rule, dtype=dtype).iterate(_kernel.layout(caches), weights)
     return caches[0].solution.copy()
 
 
@@ -392,10 +404,15 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
                 error = exc
         else:
             raise error
+    # One gain width for every cache of the run, a toy's at any anchor too.
+    peak = inst.max_abs()
+    if smoothing:
+        peak = max(peak, max(toy_peaks(config.toy_kind, n)))
+    dtype = gain_dtype(n, peak)
 
     x = random_solution(n, rng_init)
-    primary = GainCache.build(inst, x)
-    run = _Run(n, config.pivot_rule, config.budget, config.log_interval)
+    primary = GainCache.build(inst, x, dtype)
+    run = _Run(n, config.pivot_rule, config.budget, config.log_interval, dtype)
     run.value = run.best = primary.value()
     run.best_x[:] = x
     run.charge(n)
@@ -429,7 +446,8 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
                 if toy is None:
                     toy = construct_toy(config.toy_kind, anchor, seed=toy_seed)
                 if blended is None:
-                    blended = _kernel.layout([primary, GainCache.build(toy, primary.solution)])
+                    blended = _kernel.layout([primary,
+                                              GainCache.build(toy, primary.solution, dtype)])
                 weights = weights_of(lam, toy.max_abs())
         # Every iteration up to the next decision: a lambda step, or a new
         # best, which moves the anchor.
@@ -439,7 +457,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
         # A blended descent can pass its best on a slope of f. Checking the
         # best's gains is free; the descent that climbs from it is charged.
         at_best = (primary if np.array_equal(primary.solution, run.best_x)
-                   else GainCache.build(inst, run.best_x))
+                   else GainCache.build(inst, run.best_x, dtype))
         if at_best.gains.max() > 0:
             run.value = run.best
             run.iterate(_kernel.layout([at_best]))

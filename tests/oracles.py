@@ -261,8 +261,9 @@ def descend(run, caches, weights, pivot_rule: str) -> None:
     n = primary.solution.size
     while True:
         gains = primary.gains
-        if weights is not None:
-            gains = weights[0] * gains + weights[1] * caches[1].gains
+        if weights is not None:  # in int64: products of int32 gains would wrap
+            gains = (weights[0] * gains.astype(np.int64)
+                     + weights[1] * caches[1].gains.astype(np.int64))
         k, examined = pick_flip(gains, pivot_rule, n)
         run.charge(examined)
         if k is None:

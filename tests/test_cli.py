@@ -143,6 +143,23 @@ class TestExitCodes:
         assert err == ["error: line 3: entry 9223372036854775808 is outside the int64 range"]
 
     @pytest.mark.parametrize("command", [
+        ("solve", "--algo", "lsils:plusminus1", "--budget", "evals:1000"),
+        ("solve", "--algo", "lsils:random", "--budget", "evals:1000"),
+        ("batch", "--algos", "ils,lsils:plusminusi", "--seeds", "1", "--budget", "evals:1000"),
+    ])
+    def test_a_zero_default_target_bound_fails_before_the_configuration(self, command, tmp_path,
+                                                                        capsys):
+        # The instance's mean |Q| rounds to 0, so auto alpha has no default
+        # bound; the resolved configuration must not print alpha = 0 first.
+        assert main([*command, "--lambda", "const:0.5", "--out-dir", str(tmp_path),
+                     "--gen", "n=50,density=0.01,range=-1:1,seed=1"]) == 1
+        captured = capsys.readouterr()
+        assert "alpha" not in captured.out
+        assert captured.err.splitlines() == [
+            "error: target bound must be positive and finite; pass one explicitly when the "
+            "instance mean |Q| rounds to zero"]
+
+    @pytest.mark.parametrize("command", [
         ("solve", "--algo", "lsils:plusminusi", "--budget", "evals:5000", "--lambda", "const:0.5"),
         ("landscape", "--toy", "plusminusi", "--lam", "0.5"),
         # The paper ramp first blends at 20% of the budget, but the blend is

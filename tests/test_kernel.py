@@ -13,6 +13,7 @@ import io
 import platform
 import re
 import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -38,6 +39,7 @@ from lsils import (
     write_runlog_csv,
 )
 from lsils import _kernel, search
+from lsils.qubo import INT32_MAX, gain_dtype
 from lsils.search import PIVOT_RULES, _Run
 from lsils.smoothing import blend_weights
 
@@ -53,6 +55,8 @@ FORMS = ("instance",) + tuple(kind.value for kind in ToyKind)
 # (1, 0) and (0, 1) among them.
 LAMS = (0.0, 0.001, 0.3, 0.5, 1.0)
 ALPHAS = (0.25, 1.0, 3.7)
+# Every form of up to MAX_N bits above is within the int32 gain bound.
+WIDTHS = _kernel.GAIN_DTYPES
 
 
 def make_form(name: str, n: int, seed: int):
@@ -119,9 +123,9 @@ def test_layout_matches_the_source():
 
 def test_build_caches_one_file_by_hash(tmp_path, monkeypatch):
     monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
-    assert _kernel._build().lsils_iterate
+    assert _kernel._build().lsils_iterate_i32
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [_kernel._library_name()]
-    assert _kernel._build().lsils_iterate
+    assert _kernel._build().lsils_iterate_i32
 
 
 def test_build_prunes_stale_libraries(tmp_path, monkeypatch):
@@ -131,7 +135,7 @@ def test_build_prunes_stale_libraries(tmp_path, monkeypatch):
     (cache / "_kernel-fedcba9876543210.so").mkdir()  # cannot be unlinked
     (cache / "other.so").write_bytes(b"")
     monkeypatch.setattr(_kernel, "CACHE_DIR", cache)
-    assert _kernel._build().lsils_iterate
+    assert _kernel._build().lsils_iterate_i32
     assert sorted(p.name for p in cache.iterdir()) == sorted(
         [_kernel._library_name(), "_kernel-fedcba9876543210.so", "other.so"])
 
@@ -140,15 +144,15 @@ def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     monkeypatch.setattr(_kernel, "CACHE_DIR", blocker / "cache")
-    assert _kernel._build().lsils_iterate
+    assert _kernel._build().lsils_iterate_i32
 
 
-def assert_descents_agree(forms, x, weights, pivot):
+def assert_descents_agree(forms, x, weights, pivot, dtype=np.int64):
     """One compiled and one reference descent from x give identical results; returns the caches."""
     runs = []
     for compiled in (False, True):
-        caches = [GainCache.build(form, x) for form in forms]
-        run = _Run(x.size, pivot)
+        caches = [GainCache.build(form, x, dtype) for form in forms]
+        run = _Run(x.size, pivot, dtype=dtype)
         if compiled:
             run.iterate(_kernel.layout(caches), weights)
         else:
@@ -163,10 +167,10 @@ def assert_descents_agree(forms, x, weights, pivot):
     return caches
 
 
-def started_run(forms, x, pivot, budget, interval, lam, start):
+def started_run(forms, x, pivot, budget, interval, lam, start, dtype=np.int64):
     """Caches at x and a run at value f(x), best f(x) - 1 and `start` evaluations."""
-    caches = [GainCache.build(form, x) for form in forms]
-    run = _Run(x.size, pivot, Budget("evals", budget), interval)
+    caches = [GainCache.build(form, x, dtype) for form in forms]
+    run = _Run(x.size, pivot, Budget("evals", budget), interval, dtype)
     run.value = evaluate(forms[0], x)
     run.best = run.value - 1
     run.best_x[:] = x
@@ -188,20 +192,48 @@ def assert_runs_agree(run, caches, ref, ref_caches):
     assert (run.consumed, run.next_mark) == (ref.consumed, ref.next_mark)
 
 
+def assert_iterations_agree(run, caches, ref, ref_caches, weights, pivot, bits, key, stop,
+                            halt):
+    """One compiled call and as many reference iterations, one at a time,
+    from the same started runs and swap targets drawn with `seeded_rng(*key)`,
+    end in the same state."""
+    n = run.n
+    ref_targets, targets = (search._SwapTargets(seeded_rng(*key), n, bits) for _ in range(2))
+    rounds, at = targets.ready(), targets.at
+    run.iterate(_kernel.layout(caches), weights, targets, stop, halt)
+    ran = (targets.at - at) // bits
+    assert 1 <= ran <= rounds
+    improved = False
+    for _ in range(ran):
+        assert ref.consumed < stop and not (halt and improved)
+        best = ref.best
+        positions = oracles.swap_positions(oracles.take_targets(ref_targets))
+        oracles.perturb(ref, ref_caches, positions)
+        oracles.descend(ref, ref_caches, weights, pivot)
+        improved = ref.best > best
+    # It stopped for a reason: targets used up, the stop count, or a new
+    # best under `halt`.
+    assert ran == rounds or ref.consumed >= stop or (halt and improved)
+    assert_runs_agree(run, caches, ref, ref_caches)
+    assert np.array_equal(oracles.take_targets(ref_targets), oracles.take_targets(targets))
+    assert np.array_equal(run.scratch[:n], np.arange(n))
+    assert not run.lanes[:n].any()
+
+
 class TestDescentEquivalence:
     @given(st.integers(1, MAX_N), st.integers(0, 2**32),
            st.lists(st.sampled_from(FORMS), min_size=1, max_size=2),
            st.sampled_from(PIVOT_RULES), st.booleans(), st.sampled_from(LAMS),
            st.sampled_from(ALPHAS),
            st.one_of(st.none(), st.integers(1, 120), st.floats(0.5, 120)),
-           st.integers(0, 400), st.integers(1, 20000))
+           st.integers(0, 400), st.integers(1, 20000), st.sampled_from(WIDTHS))
     def test_kernel_matches_numpy_descent(self, n, seed, slots, pivot, blend, lam, alpha,
-                                          interval, start, budget):
+                                          interval, start, budget, dtype):
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
         weights = blend_weights(lam, alpha, 0, 0) if blend and len(forms) == 2 else None
-        ref_caches, ref = started_run(forms, x, pivot, budget, interval, lam, start)
-        caches, run = started_run(forms, x, pivot, budget, interval, lam, start)
+        ref_caches, ref = started_run(forms, x, pivot, budget, interval, lam, start, dtype)
+        caches, run = started_run(forms, x, pivot, budget, interval, lam, start, dtype)
         oracles.descend(ref, ref_caches, weights, pivot)
         run.iterate(_kernel.layout(caches), weights)
         assert_runs_agree(run, caches, ref, ref_caches)
@@ -306,15 +338,27 @@ class TestDescentEquivalence:
             fields = dict(form=inst, solution=ok.solution, gains=ok.gains, sigma=ok.sigma)
             with pytest.raises(ValueError, match="writable contiguous"):
                 _kernel.layout([GainCache(**{**fields, **bad})])
+        narrow = GainCache.build(inst, np.zeros(6, dtype=np.int8), np.int32)
+        with pytest.raises(ValueError, match="of one width"):
+            _kernel.layout([ok, narrow])
+        with pytest.raises(ValueError, match="int16 have no kernel"):
+            _kernel.layout([GainCache.build(inst, np.zeros(6, dtype=np.int8), np.int16)])
+
+    def test_a_run_takes_caches_of_its_width_only(self):
+        inst = make_instance(6, seed=4)
+        view = _kernel.layout([GainCache.build(inst, np.zeros(6, dtype=np.int8), np.int32)])
+        with pytest.raises(ValueError, match="int32 gains in a run of int64"):
+            _Run(6, "best").iterate(view)
 
 
 class TestIterationEquivalence:
     @given(st.integers(1, MAX_N), st.integers(0, 2**32), st.sampled_from(FORMS),
            st.one_of(st.none(), st.sampled_from(FORMS)), st.sampled_from(PIVOT_RULES),
            st.booleans(), st.sampled_from(LAMS), st.sampled_from(ALPHAS),
-           st.integers(0, 400), st.integers(1, 20000), st.booleans(), st.data())
+           st.integers(0, 400), st.integers(1, 20000), st.booleans(), st.sampled_from(WIDTHS),
+           st.data())
     def test_kernel_matches_numpy_iterations(self, n, seed, first, second, pivot, blend, lam,
-                                             alpha, start, budget, halt, data):
+                                             alpha, start, budget, halt, dtype, data):
         # One compiled call runs iterations until a stop; the reference runs
         # as many, one at a time, and must end in the same state.
         bits = data.draw(st.integers(1, n), label="bits")
@@ -329,29 +373,10 @@ class TestIterationEquivalence:
         weights = blend_weights(lam, alpha, 0, 0) if blend and len(forms) == 2 else None
 
         with mock.patch.object(search, "TARGET_CHUNK", chunk):
-            ref_caches, ref = started_run(forms, x, pivot, budget, interval, lam, start)
-            caches, run = started_run(forms, x, pivot, budget, interval, lam, start)
-            ref_targets, targets = (search._SwapTargets(seeded_rng(seed, 2), n, bits)
-                                    for _ in range(2))
-            rounds, at = targets.ready(), targets.at
-            run.iterate(_kernel.layout(caches), weights, targets, stop, halt)
-            ran = (targets.at - at) // bits
-            assert 1 <= ran <= rounds
-            improved = False
-            for _ in range(ran):
-                assert ref.consumed < stop and not (halt and improved)
-                best = ref.best
-                positions = oracles.swap_positions(oracles.take_targets(ref_targets))
-                oracles.perturb(ref, ref_caches, positions)
-                oracles.descend(ref, ref_caches, weights, pivot)
-                improved = ref.best > best
-        # It stopped for a reason: targets used up, the stop count, or a new
-        # best under `halt`.
-        assert ran == rounds or ref.consumed >= stop or (halt and improved)
-        assert_runs_agree(run, caches, ref, ref_caches)
-        assert np.array_equal(oracles.take_targets(ref_targets), oracles.take_targets(targets))
-        assert np.array_equal(run.scratch[:n], np.arange(n))
-        assert not run.scratch[2 * n:3 * n].any()
+            ref_caches, ref = started_run(forms, x, pivot, budget, interval, lam, start, dtype)
+            caches, run = started_run(forms, x, pivot, budget, interval, lam, start, dtype)
+            assert_iterations_agree(run, caches, ref, ref_caches, weights, pivot, bits,
+                                    (seed, 2), stop, halt)
 
     def test_repeated_blocks_stay_exact(self):
         # Each form kind as the only cache: 50 compiled perturbations of up
@@ -412,25 +437,142 @@ def test_runs_are_byte_identical_on_both_paths(pivot, monkeypatch):
     assert _run_logs(inst, pivot) == compiled
 
 
+def test_runs_are_byte_identical_at_both_widths(monkeypatch):
+    # The same runs on int32 gain lanes, which this instance's bound
+    # allows, and on int64 lanes.
+    inst = make_instance(45, seed=21)
+    kernel = KernelCalls(_kernel.library())
+    monkeypatch.setattr(_kernel, "library", lambda: kernel)
+    logs = {}
+    for dtype in WIDTHS:
+        monkeypatch.setattr(search, "gain_dtype", lambda n, peak: dtype)
+        kernel.entries.clear()
+        logs[dtype] = _run_logs(inst, "best")
+        assert set(kernel.entries) == {_kernel._iterate_name(dtype)}
+    assert logs[WIDTHS[0]] == logs[WIDTHS[1]]
+
+
+# Instances at the int32 gain bound have BOUND_N bits, across one whole
+# 64-entry scan block and a tail.
+BOUND_N = 70
+
+
+def bound_instance(n: int, above: bool, negative: float) -> UbqpInstance:
+    """Entries +-m, m the largest with (2n + 1) m <= 2^31 - 1, or m + 1 when
+    `above`; the diagonal is +m and a share `negative` of the others is -m.
+
+    With no negative entry, at x = 1 every gain is -(2n - 1) m, and a
+    perturbation that flips bit p takes it through 2 Q_pp - g_p = (2n + 1) m,
+    the bound itself."""
+    m = INT32_MAX // (2 * n + 1) + above
+    signs = np.where(seeded_rng(n, 17).random((n, n)) < negative, -1, 1)
+    upper = np.triu(signs, 1)
+    return UbqpInstance.from_matrix(m * (upper + upper.T + np.eye(n, dtype=np.int64)))
+
+
+def check_bound_cases(inst: UbqpInstance, dtype) -> None:
+    """The kernel against the reference on `inst` with gain lanes of `dtype`:
+    descents and iterations from x = 1 and from a random x, with one cache,
+    and with two blended at weights (1, 1), under both pivot rules."""
+    n = inst.n
+    flipped = UbqpInstance.from_matrix(-inst.q)
+    for x in (np.ones(n, dtype=np.int8), random_solution(n, seeded_rng(n, 18))):
+        for pivot in PIVOT_RULES:
+            for forms, weights in (((inst,), None), ((inst, flipped), (1, 1))):
+                assert_descents_agree(forms, x, weights, pivot, dtype)
+                for bits in (1, n // 4, n):
+                    start = (forms, x, pivot, 10**6, 97, 0.5, 0, dtype)
+                    (ref_caches, ref), (caches, run) = started_run(*start), started_run(*start)
+                    assert_iterations_agree(run, caches, ref, ref_caches, weights, pivot, bits,
+                                            (n, bits), 10**6, False)
+
+
+@pytest.mark.parametrize("dtype", WIDTHS)
+@pytest.mark.parametrize("negative", [0.0, 0.3])
+def test_kernel_matches_the_reference_at_the_int32_bound(negative, dtype):
+    inst = bound_instance(BOUND_N, False, negative)
+    assert gain_dtype(inst.n, inst.max_abs()) == np.int32
+    check_bound_cases(inst, dtype)
+
+
+@pytest.mark.parametrize("negative", [0.0, 0.3])
+def test_kernel_matches_the_reference_just_above_the_int32_bound(negative):
+    inst = bound_instance(BOUND_N, True, negative)
+    assert gain_dtype(inst.n, inst.max_abs()) == np.int64
+    check_bound_cases(inst, np.int64)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_bound_runs_take_their_width_and_match_the_reference(above, monkeypatch):
+    # Whole runs on an instance at the int32 bound take the int32 lanes,
+    # and just above it the int64 lanes, and match the reference's runs.
+    inst = bound_instance(45, above, 0.3)
+    kernel = KernelCalls(_kernel.library())
+    monkeypatch.setattr(_kernel, "library", lambda: kernel)
+    compiled = _run_logs(inst, "best")
+    assert set(kernel.entries) == {_kernel._iterate_name(np.int64 if above else np.int32)}
+    monkeypatch.setattr(search._Run, "iterate", oracles.descent_call)
+    assert _run_logs(inst, "best") == compiled
+
+
+SANITIZED_RUN = """
+import ctypes, sys
+sys.path[:0] = {paths!r}
+import numpy as np
+from lsils import _kernel
+_kernel._build = lambda: ctypes.CDLL({library!r})
+import test_kernel
+test_kernel.check_bound_cases(test_kernel.bound_instance(test_kernel.BOUND_N, {above}, {negative}),
+                              np.int32)
+"""
+
+
+def test_int32_lanes_do_not_overflow_at_the_bound(tmp_path):
+    # A build that traps on signed overflow runs the int32 cases at the
+    # bound; forced onto int32 lanes just above it, the same build traps.
+    library = tmp_path / "trapping.so"
+    try:
+        subprocess.run([_kernel._compiler(), *_kernel.FLAGS, "-fsanitize=signed-integer-overflow",
+                        "-fsanitize-undefined-trap-on-error", "-o", str(library),
+                        str(_kernel.SOURCE)], check=True, capture_output=True)
+    except subprocess.CalledProcessError as exc:
+        pytest.skip(f"the compiler rejects the sanitizer: {exc.stderr.decode()[-300:]}")
+    paths = [str(Path(__file__).parent), str(_kernel.SOURCE.parents[1])]
+    for above, negative in ((False, 0.0), (False, 0.3), (True, 0.0)):
+        script = SANITIZED_RUN.format(paths=paths, library=str(library), above=above,
+                                      negative=negative)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        if above:
+            assert done.returncode < 0, "no trap on int32 lanes past the bound"
+        else:
+            assert done.returncode == 0, done.stderr.decode()[-2000:]
+
+
 class KernelCalls:
-    """The loaded kernel, with the state vector of every `lsils_iterate` call
-    kept as it was passed in and as it returned, and the number of caches,
-    and the scratch, state vector and best solution addresses, it was given."""
+    """The loaded kernel, with the state vector of every `lsils_iterate_*` call
+    kept as it was passed in and as it returned, the entry point's name, and
+    the number of caches, and the scratch, lanes, state vector and best
+    solution addresses, it was given."""
 
     def __init__(self, lib):
         self.lib = lib
         self.calls = []  # (state in, state out)
-        self.addresses = []  # (caches, scratch, state, best_x)
+        self.entries = []
+        self.addresses = []  # (caches, scratch, lanes, state, best_x)
 
     def __getattr__(self, name):
-        return getattr(self.lib, name)
+        entry = getattr(self.lib, name)
+        if not name.startswith("lsils_iterate_"):
+            return entry
 
-    def lsils_iterate(self, *args):
-        state = (ctypes.c_int64 * _kernel.ST_SIZE).from_address(args[8])
-        entered = dict(zip(ST_NAMES, state))
-        self.lib.lsils_iterate(*args)
-        self.calls.append((entered, dict(zip(ST_NAMES, state))))
-        self.addresses.append((args[1], *args[7:10]))
+        def iterate(*args):
+            state = (ctypes.c_int64 * _kernel.ST_SIZE).from_address(args[9])
+            entered = dict(zip(ST_NAMES, state))
+            entry(*args)
+            self.calls.append((entered, dict(zip(ST_NAMES, state))))
+            self.entries.append(name)
+            self.addresses.append((args[1], *args[7:11]))
+        return iterate
 
 
 ST_NAMES = sorted((name for name in vars(_kernel) if name.startswith("ST_") and name != "ST_SIZE"),
@@ -521,15 +663,18 @@ def test_a_run_keeps_one_state(monkeypatch):
     assert len({tuple(buffers) for _, *buffers in kernel.addresses}) == 1
 
 
-def assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, *flags):
-    # A compiler without __has_attribute builds lsils_iterate once, with no
-    # per-CPU clones and no forced inlining, as on a platform without ifunc.
+def assert_plain_build_runs_as_the_dispatched_one(pivot, dtype, tmp_path, monkeypatch, *flags):
+    # A compiler without __has_attribute builds each lsils_iterate_* once,
+    # with no per-CPU clones and no forced inlining, as on a platform
+    # without ifunc. The runs take gain lanes of `dtype`.
     inst = make_instance(MAX_N, seed=22)
+    assert gain_dtype(inst.n, inst.max_abs()) == np.int32
+    monkeypatch.setattr(search, "gain_dtype", lambda n, peak: np.dtype(dtype))
     dispatched = _run_logs(inst, pivot)
     plain = tmp_path / "plain.so"
     subprocess.run([_kernel._compiler(), "-D__has_attribute(x)=0", *flags, *_kernel.FLAGS,
                     "-o", str(plain), str(_kernel.SOURCE)], check=True, capture_output=True)
-    assert b"lsils_iterate.resolver" not in plain.read_bytes()
+    assert re.search(rb"lsils_iterate_i\d+\.resolver", plain.read_bytes()) is None
     monkeypatch.setattr(_kernel, "_build", lambda: ctypes.CDLL(str(plain)))
     _kernel._load.cache_clear()
     try:
@@ -540,8 +685,8 @@ def assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, 
 
 def test_v4_clone_multiplies_no_int64_vectors(tmp_path):
     # The gain updates negate under masks and the blend runs in doubles, so
-    # the AVX-512 clone of lsils_iterate has no vpmullq, AVX-512's slow
-    # 64-bit multiply.
+    # the AVX-512 clone of each width's lsils_iterate_* has no vpmullq,
+    # AVX-512's slow 64-bit multiply.
     if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
         pytest.skip("the per-CPU clones are built on x86-64 with glibc")
     try:
@@ -551,16 +696,19 @@ def test_v4_clone_multiplies_no_int64_vectors(tmp_path):
     assembly = tmp_path / "kernel.s"
     subprocess.run([compiler, *_kernel.FLAGS, "-S", "-o", str(assembly), str(_kernel.SOURCE)],
                    check=True, capture_output=True)
-    clone = re.search(r"^lsils_iterate\.arch_x86_64_v4:$(.*?)^\s*\.size\s+lsils_iterate\.arch",
-                      assembly.read_text(), flags=re.MULTILINE | re.DOTALL)
-    if clone is None:
+    clones = re.findall(r"^(lsils_iterate_i\d+)\.arch_x86_64_v4:$(.*?)^\s*\.size\s+\1\.arch",
+                        assembly.read_text(), flags=re.MULTILINE | re.DOTALL)
+    if not clones:
         pytest.skip("the compiler builds no target_clones")
-    assert "vpmullq" not in clone.group(1)
+    assert sorted(name for name, _ in clones) == sorted(map(_kernel._iterate_name, WIDTHS))
+    for name, code in clones:
+        assert "vpmullq" not in code, name
 
 
+@pytest.mark.parametrize("dtype", WIDTHS)
 @pytest.mark.parametrize("pivot", PIVOT_RULES)
-def test_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch):
-    assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch)
+def test_plain_build_runs_as_the_dispatched_one(pivot, dtype, tmp_path, monkeypatch):
+    assert_plain_build_runs_as_the_dispatched_one(pivot, dtype, tmp_path, monkeypatch)
 
 
 # The /proc/cpuinfo flags an x86-64 level needs, each level including the last.
@@ -580,9 +728,10 @@ def cpu_flags() -> set[str]:
     return set(found.group(1).split()) if found else set()
 
 
+@pytest.mark.parametrize("dtype", WIDTHS)
 @pytest.mark.parametrize("pivot", PIVOT_RULES)
 @pytest.mark.parametrize("level", sorted(LEVEL_FLAGS))
-def test_level_build_runs_as_the_dispatched_one(level, pivot, tmp_path, monkeypatch):
+def test_level_build_runs_as_the_dispatched_one(level, pivot, dtype, tmp_path, monkeypatch):
     # The code of one per-CPU clone as the only function, so that each
     # level's vector code runs, not only the one the loader picks here.
     if platform.machine() != "x86_64":
@@ -590,4 +739,5 @@ def test_level_build_runs_as_the_dispatched_one(level, pivot, tmp_path, monkeypa
     missing = set(LEVEL_FLAGS[level]) - cpu_flags()
     if missing:
         pytest.skip(f"the CPU lacks {' '.join(sorted(missing))}")
-    assert_plain_build_runs_as_the_dispatched_one(pivot, tmp_path, monkeypatch, f"-march={level}")
+    assert_plain_build_runs_as_the_dispatched_one(pivot, dtype, tmp_path, monkeypatch,
+                                                  f"-march={level}")
