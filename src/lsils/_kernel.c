@@ -1,8 +1,17 @@
-/* The search's perturb-and-descend iterations on exact integer gain caches,
- * and the random toy's matrix fill.
+/* The search's perturb-and-descend iterations and gain-cache builds on exact
+ * integer gain caches, and the random toy's magnitude fill.
  *
- * lsils_iterate_i32 and lsils_iterate_i64 are the search's only path. They
- * are one body, written once below over the gain type GAIN and built for
+ * A cache's form is one of four codes (FORM_*). A dense form (FORM_DENSE)
+ * is its n x n int64 matrix. The toys are anchored at a solution a, and
+ * their entries are (2 a_j a_k - 1) m_jk: +m_jk when a_j = a_k = 1, else
+ * -m_jk. The +-1 and +-i toys (FORM_PLUS_MINUS_ONE, FORM_PLUS_MINUS_I) are
+ * implicit in a and their index weights; the random toy (FORM_RANDOM) reads
+ * its magnitudes m_jk from an n x n uint8 matrix, and every toy takes its
+ * signs from the anchor.
+ *
+ * lsils_iterate_i32 and lsils_iterate_i64 are the search's only path, and
+ * lsils_build_i32 and lsils_build_i64 build every gain cache the search
+ * uses. They are written once below over the gain type GAIN and built for
  * int32 and int64 gain lanes: the gains, the signs sigma, the perturbation
  * vector t and the integer scans take that type, while the value, count,
  * best, marks, stamps and each perturbation's value change stay int64.
@@ -12,8 +21,13 @@
  * the updates below: 2 Q_pp - g_p of the block update, and 2 t_j, of which
  * |t_j| <= n max|entry| (qubo.gain_dtype picks the width).
  *
- * The body must match the numpy reference in tests/oracles.py
- * (swap_positions + perturb + descend) flip for flip. Its int64 state
+ * A build starts from the cache at x = 0, whose gains are Q_jj and whose
+ * signs are all 1, and flips the set bits of the cache's solution in one
+ * block update (apply_flips below), which gives the gains at x and, as its
+ * value change, the exact objective f(x).
+ *
+ * The iterations must match the numpy reference in tests/oracles.py
+ * (swap_positions + perturb + descend) flip for flip. Their int64 state
  * vector is the run's only copy of its value, count, best and marks; best_x
  * holds the best solution. A call given no iterations descends once; one
  * given some runs them until the caller's next decision point, so control
@@ -48,19 +62,21 @@
  * adds 2 Q_jk (or 2 t_j) negated under the mask differ(sigma_j, sigma_k)
  * (differ(sigma_j, 1) in the block shift), which is -1 when the two signs
  * differ and 0 when they agree, and the perturbation's value change and
- * diagonal entries take their signs the same way. The sums are the same
- * exact values; the masks spare a vector multiply per entry, which AVX-512
- * does slowly on int64 (vpmullq) and AVX2 and SSE2 emulate with 32-bit
- * multiplies. Q stays int64; the int32 body narrows each entry as it reads
- * it, and a vector then holds twice as many gains.
+ * diagonal entries take their signs the same way; a toy's entry signs from
+ * the anchor are masks too. The sums are the same exact values; the masks
+ * spare a vector multiply per entry, which AVX-512 does slowly on int64
+ * (vpmullq) and AVX2 and SSE2 emulate with 32-bit multiplies. A dense Q
+ * stays int64 and the random toy's magnitudes uint8; the int32 body narrows
+ * each entry as it reads it, and a vector then holds twice as many gains.
  *
  * Build: cc -O3 -shared -fPIC. The file includes itself once per gain type
- * to build the body. On x86-64 with glibc, each lsils_iterate_* is built
+ * to build the bodies. On x86-64 with glibc, each lsils_iterate_* is built
  * three times, for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline
  * x86-64, and the dynamic loader picks the clone the CPU runs (an ifunc);
  * its helpers are always inlined, so each clone gets its own vector code.
  * The library file stays the same on every x86-64 CPU, which is why
- * -march=native is not used. Elsewhere the plain functions are built.
+ * -march=native is not used. Elsewhere, and for lsils_build_*, the plain
+ * functions are built.
  */
 #ifndef GAIN /* the file's own pass; the body below is built when it includes itself */
 #include <stdint.h>
@@ -81,7 +97,7 @@
 #define CLONES
 #endif
 
-enum { FORM_DENSE = 0, FORM_PLUS_MINUS_ONE = 1, FORM_PLUS_MINUS_I = 2 };
+enum { FORM_DENSE = 0, FORM_PLUS_MINUS_ONE = 1, FORM_PLUS_MINUS_I = 2, FORM_RANDOM = 3 };
 
 /* Layout of the int64 state vector shared with the caller. */
 enum {
@@ -100,8 +116,9 @@ enum {
 
 typedef struct {
     int64_t kind;          /* FORM_* */
-    const int64_t *q;      /* FORM_DENSE: the n x n matrix, row-major */
-    const int8_t *anchor;  /* toys: entry (j, k) is +m when both bits are 1, else -m */
+    const void *q;         /* row-major n x n: FORM_DENSE's int64 entries, FORM_RANDOM's
+                              uint8 magnitudes */
+    const int8_t *anchor;  /* toys: entry (j, k) is +m_jk when both bits are 1, else -m_jk */
     void *gains;           /* GAIN, as the entry point called */
     void *sigma;           /* GAIN: 1 - 2x */
     int8_t *x;
@@ -173,22 +190,22 @@ enum { BLOCK = 64 };
 #undef GAIN_UNSIGNED
 #undef GAIN_BITS
 
-/* The random toy's n x n matrix; returns the largest draw. `draws` lists
- * its lower triangle, diagonal included, row by row; each draw w lands at
- * (i, j) and (j, i) as +w when anchor_i = anchor_j = 1 and as -w
- * otherwise. The lower triangle is written row by row, then mirrored tile
- * by tile, so that no pass writes with a stride of n. */
-int64_t lsils_random_toy(const int64_t *draws, const int8_t *anchor, int64_t n, int64_t *q)
+/* The random toy's n x n magnitude matrix; returns the largest draw.
+ * `draws` lists its lower triangle, diagonal included, row by row, each in
+ * [0, 255]; each draw lands at (i, j) and (j, i). The lower triangle is
+ * written row by row, then mirrored tile by tile, so that no pass writes
+ * with a stride of n. */
+int64_t lsils_random_toy(const int64_t *draws, int64_t n, uint8_t *m)
 {
     enum { TILE = 32 };
     int64_t i, j, i0, j0, peak = 0;
 
     for (i = 0; i < n; i++) {
-        int64_t *restrict row = q + i * n;
+        uint8_t *restrict row = m + i * n;
         for (j = 0; j <= i; j++) {
             int64_t w = draws[j];
             peak = w > peak ? w : peak;
-            row[j] = (anchor[i] & anchor[j]) ? w : -w;
+            row[j] = (uint8_t)w;
         }
         draws += i + 1;
     }
@@ -196,7 +213,7 @@ int64_t lsils_random_toy(const int64_t *draws, const int8_t *anchor, int64_t n, 
         for (j0 = i0; j0 < n; j0 += TILE)
             for (i = i0; i < i0 + TILE && i < n; i++)
                 for (j = j0 > i ? j0 : i + 1; j < j0 + TILE && j < n; j++)
-                    q[i * n + j] = q[j * n + i];
+                    m[i * n + j] = m[j * n + i];
     return peak;
 }
 
@@ -204,6 +221,7 @@ int64_t lsils_random_toy(const int64_t *draws, const int8_t *anchor, int64_t n, 
 #define differ WIDTH(differ, GAIN_BITS)
 #define negate_if WIDTH(negate_if, GAIN_BITS)
 #define toy_update WIDTH(toy_update, GAIN_BITS)
+#define random_update WIDTH(random_update, GAIN_BITS)
 #define apply_flip WIDTH(apply_flip, GAIN_BITS)
 #define diagonal WIDTH(diagonal, GAIN_BITS)
 #define flip_matvec WIDTH(flip_matvec, GAIN_BITS)
@@ -214,6 +232,7 @@ int64_t lsils_random_toy(const int64_t *draws, const int8_t *anchor, int64_t n, 
 #define blend WIDTH(blend, GAIN_BITS)
 #define descend WIDTH(descend, GAIN_BITS)
 #define lsils_iterate WIDTH(lsils_iterate, GAIN_BITS)
+#define lsils_build WIDTH(lsils_build, GAIN_BITS)
 
 /* -1 when the +-1 values a and b differ, 0 when they are equal. The shift
  * is unsigned, so reading the sign bit is defined in C99. */
@@ -246,6 +265,23 @@ HOT void toy_update(GAIN *restrict g, const GAIN *restrict s, const int8_t *rest
     }
 }
 
+/* g_j += 2 sigma_j sigma_k Q_jk for every j on the random toy, with
+ * Q_jk = (2 a_j a_k - 1) m_j for row k's magnitudes m; signs as in
+ * toy_update. */
+HOT void random_update(GAIN *restrict g, const GAIN *restrict s, const int8_t *restrict a,
+                       const uint8_t *restrict m, GAIN sk, int64_t ak, int64_t n)
+{
+    int64_t j;
+
+    if (ak) {
+        for (j = 0; j < n; j++)
+            g[j] += negate_if(2 * (GAIN)m[j], differ(s[j], sk) ^ (a[j] - 1));
+    } else {
+        for (j = 0; j < n; j++)
+            g[j] += negate_if(2 * (GAIN)m[j], ~differ(s[j], sk));
+    }
+}
+
 /* Flip bit k of one cache: gains, sigma and solution in O(n). */
 HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
 {
@@ -256,9 +292,11 @@ HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
     int64_t j;
 
     if (c->kind == FORM_DENSE) {
-        const int64_t *restrict row = c->q + k * n;
+        const int64_t *restrict row = (const int64_t *)c->q + k * n;
         for (j = 0; j < n; j++)
             g[j] += negate_if(2 * (GAIN)row[j], differ(s[j], sk));
+    } else if (c->kind == FORM_RANDOM) {
+        random_update(g, s, a, (const uint8_t *)c->q + k * n, sk, a[k], n);
     } else {
         GAIN grow = (GAIN)weight_mask(c);
         toy_update(g, s, a, sk, a[k], 0, k, (GAIN)(1 + (k & grow)), 0);
@@ -269,12 +307,18 @@ HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
     c->x[k] ^= 1;
 }
 
-/* Q_pp of one cache's form: a toy's is +w_p on the anchor, else -w_p. */
+/* Q_pp of one cache's form: a toy's is +m_pp on the anchor, else -m_pp. */
 HOT GAIN diagonal(const lsils_cache *c, int64_t n, int64_t p)
 {
+    GAIN m;
+
     if (c->kind == FORM_DENSE)
-        return (GAIN)c->q[p * n + p];
-    return negate_if((GAIN)(1 + (p & weight_mask(c))), (GAIN)(c->anchor[p] - 1));
+        return (GAIN)((const int64_t *)c->q)[p * n + p];
+    if (c->kind == FORM_RANDOM)
+        m = (GAIN)((const uint8_t *)c->q)[p * n + p];
+    else
+        m = (GAIN)(1 + (p & weight_mask(c)));
+    return negate_if(m, (GAIN)(c->anchor[p] - 1));
 }
 
 /* t = Q v for v = sigma on the positions P (before the flip), 0 elsewhere.
@@ -290,13 +334,28 @@ HOT void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
         /* add the rows switched on, subtract the rows switched off */
         memset(t, 0, (size_t)n * sizeof *t);
         for (i = 0; i < bits; i++) {
-            const int64_t *restrict row = c->q + pos[i] * n;
+            const int64_t *restrict row = (const int64_t *)c->q + pos[i] * n;
             if (s[pos[i]] > 0)
                 for (j = 0; j < n; j++)
                     t[j] += (GAIN)row[j];
             else
                 for (j = 0; j < n; j++)
                     t[j] -= (GAIN)row[j];
+        }
+    } else if (c->kind == FORM_RANDOM) {
+        /* add sigma_p Q_pj over p: row p's magnitudes, negated where
+         * sigma_p differs from the sign of Q_pj, which is 2 a_j - 1 when
+         * a_p = 1 and -1 when a_p = 0 */
+        memset(t, 0, (size_t)n * sizeof *t);
+        for (i = 0; i < bits; i++) {
+            const uint8_t *restrict row = (const uint8_t *)c->q + pos[i] * n;
+            GAIN off = differ(s[pos[i]], 1);
+            if (a[pos[i]])
+                for (j = 0; j < n; j++)
+                    t[j] += negate_if((GAIN)row[j], off ^ (a[j] - 1));
+            else
+                for (j = 0; j < n; j++)
+                    t[j] += negate_if((GAIN)row[j], ~off);
         }
     } else {
         /* With M_jk = max(w_j, w_k), t = 2 a (M (a v)) - M v, and
@@ -476,23 +535,52 @@ CLONES void lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n
 
     st[ST_STARTED] = 0;
     st[ST_IMPROVED] = 0;
-    if (st[ST_ROUNDS] == 0)
+    /* One loop with one call of the descent and of the block update, which
+     * are inlined, so each clone holds one copy of their code. */
+    for (;;) {
+        if (st[ST_ROUNDS]) {
+            if (!(st[ST_STARTED] < st[ST_ROUNDS] && st[ST_CONSUMED] < st[ST_STOP]
+                  && !(st[ST_HALT] && st[ST_IMPROVED])))
+                return;
+            fisher_yates(targets + st[ST_STARTED] * bits, bits, scratch, pos);
+            st[ST_STARTED] += 1;
+            for (i = 0; i < n_caches; i++) {
+                int64_t delta = apply_flips(&caches[i], n, pos, bits, v, t);
+                if (i == 0)
+                    st[ST_VALUE] += delta;
+            }
+            charge(st, n, bits, marks, stamps);
+        }
         descend(caches, n_caches, n, (int)first, weights, blended, st, best_x, marks, stamps);
-    while (st[ST_STARTED] < st[ST_ROUNDS] && st[ST_CONSUMED] < st[ST_STOP]
-           && !(st[ST_HALT] && st[ST_IMPROVED])) {
-        fisher_yates(targets + st[ST_STARTED] * bits, bits, scratch, pos);
-        st[ST_STARTED] += 1;
-        st[ST_VALUE] += apply_flips(&caches[0], n, pos, bits, v, t);
-        for (i = 1; i < n_caches; i++)
-            apply_flips(&caches[i], n, pos, bits, v, t);
-        charge(st, n, bits, marks, stamps);
-        descend(caches, n_caches, n, (int)first, weights, blended, st, best_x, marks, stamps);
+        if (!st[ST_ROUNDS])
+            return;
     }
+}
+
+/* Build one cache at its solution x: the cache at x = 0, gains Q_jj and
+ * sigma 1, with x's set bits flipped in one block update. Returns the exact
+ * objective f(x). `pos` holds n int64 slots, and `lanes` 2n GAIN slots, v,
+ * all zero and left so, then t. A build is a small share of a run, so it
+ * is not cloned per CPU, which would add half again to the compile. */
+int64_t lsils_build(const lsils_cache *c, int64_t n, int64_t *pos, GAIN *lanes)
+{
+    GAIN *g = c->gains, *s = c->sigma;
+    int64_t bits = 0, j;
+
+    for (j = 0; j < n; j++) {
+        g[j] = diagonal(c, n, j);
+        s[j] = 1;
+        if (c->x[j])
+            pos[bits++] = j;
+        c->x[j] = 0;
+    }
+    return apply_flips(c, n, pos, bits, lanes, lanes + n);
 }
 
 #undef differ
 #undef negate_if
 #undef toy_update
+#undef random_update
 #undef apply_flip
 #undef diagonal
 #undef flip_matvec
@@ -503,4 +591,5 @@ CLONES void lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n
 #undef blend
 #undef descend
 #undef lsils_iterate
+#undef lsils_build
 #endif

@@ -1,4 +1,5 @@
-"""Loader for the compiled search iterations and random-toy fill in `_kernel.c`.
+"""Loader for the compiled search iterations, gain-cache builds and random-toy
+fill in `_kernel.c`.
 
 The library is built on first use, never at import, with the system C
 compiler, and cached under this package's `__pycache__` in a file named by
@@ -9,18 +10,22 @@ a complete file, and the libraries of other sources or flags found there
 are removed. When that directory is not writable the library is built in a
 private temporary directory, loaded, and the directory removed.
 
-The source builds its search body twice, `lsils_iterate_i32` and
-`lsils_iterate_i64`, one per gain width (`iterate(dtype)` names the one for
-a width). The flags name no CPU. On x86-64 with glibc each is built once per
-x86-64 level (v4, v3, baseline) and the loader picks the one the CPU runs,
-so a cached library is safe to share between machines with different CPUs.
+The source builds its search body and its gain-cache build twice, one per
+gain width: `lsils_iterate_i32` and `lsils_iterate_i64`, `lsils_build_i32`
+and `lsils_build_i64` (`entry(name, dtype)` gives the one for a width). The
+flags name no CPU. On x86-64 with glibc each `lsils_iterate_*` is built once
+per x86-64 level (v4, v3, baseline) and the loader picks the one the CPU
+runs, so a cached library is safe to share between machines with different
+CPUs.
 
 The kernel is the search's only path: `library()` raises OSError when no
 compiler is found, the build fails or the platform is not 64-bit, and a
 failed build is not retried in the same process. `layout(caches)` takes any
-form, a duck-typed one through its `materialize()`, and caches of one gain
-width, int32 or int64. The numpy reference the kernel is tested against
-lives in `tests/oracles.py`.
+form and caches of one gain width, int32 or int64: the toys by their anchor,
+the random toy with its uint8 magnitudes, and every other form, a
+duck-typed one too, through its `materialize()`. The numpy reference the
+kernel is tested against lives in `tests/oracles.py`, and `GainCache.build`
+is the reference for its cache builds.
 
 ctypes, subprocess and hashlib are imported on first use, so that
 `import lsils` costs no more than it did without the kernel.
@@ -45,9 +50,9 @@ COMPILERS = ("cc", "gcc", "clang")
 COMPILE_TIMEOUT_S = 120
 
 # The form codes and the state vector layout of _kernel.c.
-FORM_DENSE, FORM_PLUS_MINUS_ONE, FORM_PLUS_MINUS_I = 0, 1, 2
+FORM_DENSE, FORM_PLUS_MINUS_ONE, FORM_PLUS_MINUS_I, FORM_RANDOM = 0, 1, 2, 3
 _TOY_FORMS = {ToyKind.PLUS_MINUS_ONE: FORM_PLUS_MINUS_ONE,
-              ToyKind.PLUS_MINUS_I: FORM_PLUS_MINUS_I}
+              ToyKind.PLUS_MINUS_I: FORM_PLUS_MINUS_I, ToyKind.RANDOM: FORM_RANDOM}
 (ST_VALUE, ST_CONSUMED, ST_STOP, ST_ROUNDS, ST_STARTED, ST_HALT, ST_BEST, ST_IMPROVED,
  ST_MARKS, ST_MARKED, ST_SIZE) = range(11)
 # One lsils_cache per row: the kind, then the addresses of q, anchor,
@@ -138,10 +143,13 @@ def _load():
         return OSError(f"the lsils search kernel could not be built: {exc}")
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     for dtype in GAIN_DTYPES:
-        iterate = getattr(lib, _iterate_name(dtype))
+        iterate = getattr(lib, entry_name("iterate", dtype))
         iterate.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
         iterate.restype = None
-    lib.lsils_random_toy.argtypes = [ptr, ptr, i64, ptr]
+        build = getattr(lib, entry_name("build", dtype))
+        build.argtypes = [ptr, i64, ptr, ptr]
+        build.restype = i64
+    lib.lsils_random_toy.argtypes = [ptr, i64, ptr]
     lib.lsils_random_toy.restype = i64
     return lib
 
@@ -149,10 +157,10 @@ def _load():
 def library():
     """The loaded kernel, built on the first call in a process.
 
-    Its functions are `lsils_iterate_i32`, `lsils_iterate_i64` and
-    `lsils_random_toy`, with their argument and result types declared.
-    OSError when it cannot be built; later calls raise the same error
-    without compiling again.
+    Its functions are `lsils_iterate_i32`, `lsils_iterate_i64`,
+    `lsils_build_i32`, `lsils_build_i64` and `lsils_random_toy`, with their
+    argument and result types declared. OSError when it cannot be built;
+    later calls raise the same error without compiling again.
     """
     found = _load()
     if isinstance(found, OSError):
@@ -160,13 +168,14 @@ def library():
     return found
 
 
-def _iterate_name(dtype) -> str:
-    return f"lsils_iterate_i{8 * np.dtype(dtype).itemsize}"
+def entry_name(name: str, dtype) -> str:
+    """The name of the kernel's entry point `name` (iterate, build) for gains of `dtype`."""
+    return f"lsils_{name}_i{8 * np.dtype(dtype).itemsize}"
 
 
-def iterate(dtype):
-    """The kernel's search entry point for caches with gains of `dtype`."""
-    return getattr(library(), _iterate_name(dtype))
+def entry(name: str, dtype):
+    """The kernel's entry point `name` (iterate, build) for caches with gains of `dtype`."""
+    return getattr(library(), entry_name(name, dtype))
 
 
 class Layout(NamedTuple):
@@ -182,10 +191,11 @@ class Layout(NamedTuple):
 def layout(caches) -> Layout:
     """The kernel's view of `caches`, which keeps them and the arrays it reads alive.
 
-    The ±1 and ±i toys enter by their anchor, every other form as FORM_DENSE
-    through `materialize()` (copied unless int64, C order). The caches' gains
-    and sigma share one width of `GAIN_DTYPES`. The kernel writes the
-    caches' gains, sigma and solution in place.
+    The toys enter by their anchor, the random toy with its uint8 magnitude
+    matrix too, and every other form as FORM_DENSE through `materialize()`
+    (copied unless int64, C order). The caches' gains and sigma share one
+    width of `GAIN_DTYPES`. The kernel writes the caches' gains, sigma and
+    solution in place.
     """
     n = caches[0].solution.size
     dtype = caches[0].gains.dtype
@@ -195,16 +205,20 @@ def layout(caches) -> Layout:
     read = []
     for row, cache in zip(rows, caches):
         form = cache.form
-        if type(form) is ToyMatrix and form.kind in _TOY_FORMS:
-            row[0], slot = _TOY_FORMS[form.kind], 2
-            array = np.ascontiguousarray(form.anchor, dtype=np.int8)
+        if type(form) is ToyMatrix:
+            row[0] = _TOY_FORMS[form.kind]
+            arrays = {2: np.ascontiguousarray(form.anchor, dtype=np.int8)}
+            if form.kind is ToyKind.RANDOM:
+                arrays[1] = form._m  # C-ordered n x n uint8, as ToyMatrix checks
         else:
-            row[0], slot = FORM_DENSE, 1
-            array = np.ascontiguousarray(form.materialize(), dtype=np.int64)
-            if array.shape != (n, n):
-                raise ValueError(f"the form's matrix has shape {array.shape}, not ({n}, {n})")
-        read.append(array)
-        row[slot] = array.ctypes.data
+            row[0] = FORM_DENSE
+            arrays = {1: np.ascontiguousarray(form.materialize(), dtype=np.int64)}
+            if arrays[1].shape != (n, n):
+                raise ValueError(f"the form's matrix has shape {arrays[1].shape}, "
+                                 f"not ({n}, {n})")
+        for slot, array in arrays.items():
+            read.append(array)
+            row[slot] = array.ctypes.data
         for slot, (array, kind) in enumerate(((cache.gains, dtype), (cache.sigma, dtype),
                                               (cache.solution, np.int8)), start=3):
             if not (array.dtype == kind and array.shape == (n,) and array.flags.c_contiguous

@@ -10,7 +10,7 @@ duplicates are rejected. Known optima live in an editable sidecar file of
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +196,8 @@ class RunLogRecord:
 
 def attach_excess(records, opt_f: int) -> list[RunLogRecord]:
     """Copy of records with excess columns recomputed against opt_f."""
-    return [replace(r, excess=excess(r.best_f, opt_f)) for r in records]
+    return [RunLogRecord(r.elapsed, r.evaluations, r.best_f, r.lam, excess(r.best_f, opt_f))
+            for r in records]
 
 
 def _format_elapsed(elapsed) -> str:

@@ -156,7 +156,8 @@ class GainCache:
     @classmethod
     def build(cls, form, x, dtype=np.int64) -> "GainCache":
         """The cache at x, its gains and sigma of `dtype` (int32 only within
-        `gain_dtype`'s bound)."""
+        `gain_dtype`'s bound), by one numpy matvec. The search builds its
+        caches in the kernel (`search._Run.build`); this is their reference."""
         x = as_solution(x)
         if x.size != form.n:
             raise ValueError(f"solution length {x.size} does not match n={form.n}")

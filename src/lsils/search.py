@@ -21,8 +21,10 @@ reproducible; evaluation-count budgets are the deterministic default.
 The smoothed descent picks on the exact integer blend a * g_0 + b * g_1 of
 the caches' gains, with the weights of `blend_weights`.
 
-Outer iterations run in the compiled kernel of `_kernel.c`, the search's
-only path, which needs a C compiler (see `_kernel`). One kernel call
+Outer iterations, and every gain cache a run builds, run in the compiled
+kernel of `_kernel.c`, the search's only path, which needs a C compiler
+(see `_kernel`). A cache is built from the cache at x = 0 by flipping x's
+set bits in one block update, which also gives f(x). One kernel call
 perturbs and descends, iteration after iteration, and returns to Python
 only at a decision point: the end of an evals budget, the schedule's next
 lambda step, an iteration that improved the best (the smoothed search then
@@ -53,6 +55,7 @@ from .qubo import (
     TOY_STREAM,
     GainCache,
     UbqpInstance,
+    as_solution,
     gain_dtype,
     random_solution,
     seeded_rng,
@@ -232,13 +235,14 @@ class _Run:
 
     The kernel's int64 `state` is the only copy of the current `value`, the
     evaluations charged (`consumed`), the `best` value and the log marks
-    stamped; `best_x` is the best solution. A run's caches all have gains of
-    one `dtype`, int32 or int64, which picks the kernel's entry point and
-    the type of its `lanes` scratch. Under an evals budget the kernel
-    stamps every mark it passes (`marks`, the evaluation count reaching each)
-    into `stamps` as `charge` would, one scan, flip or perturbed bit at a
-    time, and they are logged when it returns. Under a seconds budget the
-    clock is read then, so a record may land up to one iteration late.
+    stamped; `best_x` is the best solution. A run's caches, which `build`
+    makes, all have gains of one `dtype`, int32 or int64, which picks the
+    kernel's entry points and the type of its `lanes` scratch. Under an
+    evals budget the kernel stamps every mark it passes (`marks`, the
+    evaluation count reaching each) into `stamps` as `charge` would, one
+    scan, flip or perturbed bit at a time, and they are logged when it
+    returns. Under a seconds budget the clock is read then, so a record may
+    land up to one iteration late.
     """
 
     value = _slot(_kernel.ST_VALUE)
@@ -248,7 +252,8 @@ class _Run:
     def __init__(self, n: int, pivot_rule: str, budget: Budget = Budget("evals", math.inf),
                  log_interval=None, dtype=np.int64):
         self.n, self.pivot_rule, self.budget = n, pivot_rule, budget
-        self.kernel = _kernel.iterate(dtype)
+        self.kernel = _kernel.entry("iterate", dtype)
+        self.builder = _kernel.entry("build", dtype)
         self.started = time.monotonic()
         self.log = RunLog(budget.kind)
         self.current_lam = 0.0
@@ -272,6 +277,20 @@ class _Run:
         self.weights = np.zeros(2, dtype=np.int64)
         self.buffers = tuple(a.ctypes.data for a in (self.scratch, self.lanes, self.state,
                                                      self.best_x, self.marks, self.stamps))
+
+    def build(self, form, x) -> tuple[GainCache, int]:
+        """The gain cache of `form` at x with the run's gain width, built in
+        the kernel, and the exact objective f(x). Not charged."""
+        x = as_solution(x)
+        n = self.n
+        if x.size != n or form.n != n:
+            raise ValueError(f"solution length {x.size} does not match n={form.n}")
+        dtype = self.lanes.dtype
+        cache = GainCache(form=form, solution=x.copy(), gains=np.empty(n, dtype=dtype),
+                          sigma=np.empty(n, dtype=dtype))
+        view = _kernel.layout([cache])  # kept alive with what it reads until the call returns
+        scratch, lanes = self.buffers[:2]  # the positions' n slots follow the permutation's
+        return cache, self.builder(view.rows.ctypes.data, n, scratch + 8 * n, lanes)
 
     def progress(self) -> float:
         return self.consumed if self.budget.kind == "evals" else time.monotonic() - self.started
@@ -373,9 +392,10 @@ def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     peaks = [getattr(form, "max_abs", None) for form in forms]
     dtype = (gain_dtype(objective.n, max(peak() for peak in peaks)) if all(peaks)
              else np.dtype(np.int64))
-    caches = [GainCache.build(form, x, dtype) for form in forms]
     # Unbudgeted: the value and best the run keeps are unused.
-    _Run(objective.n, pivot_rule, dtype=dtype).iterate(_kernel.layout(caches), weights)
+    run = _Run(objective.n, pivot_rule, dtype=dtype)
+    caches = [run.build(form, x)[0] for form in forms]
+    run.iterate(_kernel.layout(caches), weights)
     return caches[0].solution.copy()
 
 
@@ -411,9 +431,9 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
     dtype = gain_dtype(n, peak)
 
     x = random_solution(n, rng_init)
-    primary = GainCache.build(inst, x, dtype)
     run = _Run(n, config.pivot_rule, config.budget, config.log_interval, dtype)
-    run.value = run.best = primary.value()
+    primary, run.value = run.build(inst, x)
+    run.best = run.value
     run.best_x[:] = x
     run.charge(n)
 
@@ -446,8 +466,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
                 if toy is None:
                     toy = construct_toy(config.toy_kind, anchor, seed=toy_seed)
                 if blended is None:
-                    blended = _kernel.layout([primary,
-                                              GainCache.build(toy, primary.solution, dtype)])
+                    blended = _kernel.layout([primary, run.build(toy, primary.solution)[0]])
                 weights = weights_of(lam, toy.max_abs())
         # Every iteration up to the next decision: a lambda step, or a new
         # best, which moves the anchor.
@@ -457,7 +476,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
         # A blended descent can pass its best on a slope of f. Checking the
         # best's gains is free; the descent that climbs from it is charged.
         at_best = (primary if np.array_equal(primary.solution, run.best_x)
-                   else GainCache.build(inst, run.best_x, dtype))
+                   else run.build(inst, run.best_x)[0])
         if at_best.gains.max() > 0:
             run.value = run.best
             run.iterate(_kernel.layout([at_best]))

@@ -43,7 +43,8 @@ class ToyKind(str, Enum):
 
 # Label separating magnitude draws from other streams derived off one seed.
 TOY_MAGNITUDE_STREAM = 0
-# The random toy's magnitudes, drawn uniformly.
+# The random toy's magnitudes, drawn uniformly; stored as uint8, so they
+# must lie in [0, 255] (construct_toy checks).
 RANDOM_MAGNITUDES = range(1, 101)
 # blend_weights' denominators, and its bound on blended magnitudes, below
 # which the kernel's double arithmetic is exact.
@@ -62,14 +63,17 @@ class ToyMatrix:
     """A unimodal toy UBQP anchored at `anchor`.
 
     Kinds plusminus1 and plusminusi are implicit in their weights `_w`, all
-    1 or 1..n (O(n) storage); only kind random stores its realized n x n
-    matrix, and the largest draw as `_peak`. `n` is the anchor's length.
+    1 or 1..n (O(n) storage); only kind random stores a matrix, its n x n
+    magnitudes m_ij as read-only uint8 `_m` (n^2 bytes), and the largest as
+    `_peak`. Every kind takes its signs from the anchor, so `diag`, `col`,
+    `matvec` and `materialize` derive the realized int64 entries
+    (2 a_i a_j - 1) m_ij. `n` is the anchor's length.
     """
 
     kind: ToyKind
     anchor: np.ndarray
     n: int = field(init=False)
-    _q: np.ndarray | None = None
+    _m: np.ndarray | None = None
     _peak: int | None = None
     _w: np.ndarray = field(init=False)
     _signs: np.ndarray = field(init=False)
@@ -83,61 +87,71 @@ class ToyMatrix:
                    else np.ones(self.n, dtype=np.int64))
         # Row k's signs when anchor_k = 1; every other row is all -1.
         self._signs = 2 * self.anchor.astype(np.int64) - 1
-        if self._q is not None:
-            self._q.setflags(write=False)
+        if self._m is not None:
+            # The kernel reads these bytes in place.
+            if not (self._m.dtype == np.uint8 and self._m.shape == (self.n, self.n)
+                    and self._m.flags.c_contiguous):
+                raise ValueError("a random toy's magnitudes must be a C-ordered n x n uint8 "
+                                 "matrix")
+            self._m.setflags(write=False)
+
+    def _magnitudes(self, v: np.ndarray) -> np.ndarray:
+        """M v for the magnitude matrix M, exact int64."""
+        if self.kind is ToyKind.RANDOM:
+            return self._m @ v  # uint8 @ int64 computes in int64
+        return _max_matvec(self._w, v)
 
     # -- quadratic-form protocol ------------------------------------------
     def diag(self) -> np.ndarray:
-        if self.kind is ToyKind.RANDOM:
-            return self._q.diagonal()
-        return self._signs * self._w
+        return self._signs * (self._m.diagonal() if self.kind is ToyKind.RANDOM else self._w)
 
     def col(self, k: int) -> np.ndarray:
-        if self.kind is ToyKind.RANDOM:
-            return self._q[k]
-        return (self._signs if self.anchor[k] else -1) * np.maximum(self._w, self._w[k])
+        magnitudes = (self._m[k].astype(np.int64) if self.kind is ToyKind.RANDOM
+                      else np.maximum(self._w, self._w[k]))
+        return (self._signs if self.anchor[k] else -1) * magnitudes
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64)
-        if self.kind is ToyKind.RANDOM:
-            return self._q @ v
         a = self.anchor
-        return 2 * a * _max_matvec(self._w, a * v) - _max_matvec(self._w, v)
+        return 2 * a * self._magnitudes(a * v) - self._magnitudes(v)
 
     def max_abs(self) -> int:
         """Largest |entry| of the realized matrix."""
         return self._peak if self.kind is ToyKind.RANDOM else int(self._w[-1])
 
     def materialize(self) -> np.ndarray:
-        """Dense realized matrix: the random toy's stored one (read-only), else built."""
-        if self.kind is ToyKind.RANDOM:
-            return self._q
+        """Dense realized int64 matrix, built on each call and read-only."""
         a = self.anchor
-        return (2 * np.outer(a, a) - 1) * np.maximum.outer(self._w, self._w)
+        magnitudes = (self._m.astype(np.int64) if self.kind is ToyKind.RANDOM
+                      else np.maximum.outer(self._w, self._w))
+        dense = (2 * np.outer(a, a) - 1) * magnitudes
+        dense.setflags(write=False)
+        return dense
 
 
 def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     """Build a toy UBQP anchored at `anchor`; `seed` matters only for kind random.
 
     Deterministic given (kind, anchor, seed). Random magnitudes are drawn
-    for the lower triangle (diagonal included), row by row, and mirrored, so
-    the realized matrix is symmetric with |entries| in [1, 100]. The kernel
-    of `_kernel.c` fills it from the draws and returns the largest one,
-    which is `max_abs()`.
+    as int64 for the lower triangle (diagonal included), row by row, and
+    mirrored, so the realized matrix is symmetric with |entries| in
+    [1, 100]. The kernel of `_kernel.c` stores them in a uint8 matrix and
+    returns the largest draw, which is `max_abs()`; ValueError when
+    `RANDOM_MAGNITUDES` leaves uint8.
     """
     kind = ToyKind(kind)
     anchor = as_solution(anchor)
     if kind is not ToyKind.RANDOM:
         return ToyMatrix(kind=kind, anchor=anchor)
+    if not 0 <= RANDOM_MAGNITUDES.start <= RANDOM_MAGNITUDES[-1] <= np.iinfo(np.uint8).max:
+        raise ValueError(f"random toy magnitudes {RANDOM_MAGNITUDES} do not fit in uint8")
     from . import _kernel  # here, not at the top: _kernel imports this module
     n = anchor.size
     rng = seeded_rng(seed, TOY_MAGNITUDE_STREAM)
     draws = rng.integers(RANDOM_MAGNITUDES.start, RANDOM_MAGNITUDES.stop, size=n * (n + 1) // 2)
-    q = np.empty((n, n), dtype=np.int64)
-    anchor = np.ascontiguousarray(anchor)
-    peak = _kernel.library().lsils_random_toy(draws.ctypes.data, anchor.ctypes.data, n,
-                                              q.ctypes.data)
-    return ToyMatrix(kind=kind, anchor=anchor, _q=q, _peak=peak)
+    m = np.empty((n, n), dtype=np.uint8)
+    peak = _kernel.library().lsils_random_toy(draws.ctypes.data, n, m.ctypes.data)
+    return ToyMatrix(kind=kind, anchor=anchor, _m=m, _peak=peak)
 
 
 def toy_peaks(kind: ToyKind, n: int):

@@ -1,8 +1,8 @@
 """The compiled kernel against the numpy reference in `oracles`, and its loader.
 
 The kernel runs the search's outer iterations, each a perturbation and a
-descent, up to the next decision point, and fills the random toy's matrix.
-It is the search's only path.
+descent, up to the next decision point, builds the search's gain caches,
+and fills the random toy's magnitudes. It is the search's only path.
 
 A C compiler is part of the test environment, so a kernel that does not
 build or load fails these tests instead of skipping them.
@@ -12,6 +12,7 @@ import ctypes
 import io
 import platform
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lsils import (
@@ -64,6 +65,28 @@ def make_form(name: str, n: int, seed: int):
         return make_instance(n, seed=seed)
     anchor = random_solution(n, seeded_rng(seed, 9))
     return construct_toy(ToyKind(name), anchor, seed=seed)
+
+
+class DuckForm:
+    """A duck-typed quadratic form the kernel does not know: an instance's,
+    whose dense view is int32 (copied to int64 in C order), with no
+    max_abs(), so `local_search` gives it int64 gains."""
+
+    def __init__(self, inst: UbqpInstance):
+        self.n, self.diag, self.col, self.matvec = inst.n, inst.diag, inst.col, inst.matvec
+        self.materialize = lambda: inst.q.astype(np.int32)
+
+
+def reference_build(run, form, x):
+    """`_Run.build` by `GainCache.build`, the numpy reference."""
+    cache = GainCache.build(form, x, run.lanes.dtype)
+    return cache, cache.value()
+
+
+def run_the_reference(monkeypatch) -> None:
+    """Runs build their caches and run their iterations in the numpy reference."""
+    monkeypatch.setattr(search._Run, "iterate", oracles.descent_call)
+    monkeypatch.setattr(search._Run, "build", reference_build)
 
 
 def test_kernel_loads():
@@ -121,14 +144,30 @@ def test_layout_matches_the_source():
     assert members == _kernel.CACHE_FIELDS
 
 
-def test_build_caches_one_file_by_hash(tmp_path, monkeypatch):
+@pytest.fixture(scope="session")
+def compiled_library(tmp_path_factory) -> Path:
+    """One library compiled from the source, once per session."""
+    library = tmp_path_factory.mktemp("kernel") / "kernel.so"
+    _kernel._compile(_kernel._compiler(), library)
+    return library
+
+
+@pytest.fixture
+def copied_compile(compiled_library, monkeypatch) -> None:
+    """`_kernel._compile` copies the session's library: for the tests of how
+    the loader handles its files, which need no compile of their own."""
+    monkeypatch.setattr(_kernel, "_compile",
+                        lambda compiler, target: shutil.copy(compiled_library, target))
+
+
+def test_build_caches_one_file_by_hash(tmp_path, monkeypatch, copied_compile):
     monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
     assert _kernel._build().lsils_iterate_i32
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [_kernel._library_name()]
     assert _kernel._build().lsils_iterate_i32
 
 
-def test_build_prunes_stale_libraries(tmp_path, monkeypatch):
+def test_build_prunes_stale_libraries(tmp_path, monkeypatch, copied_compile):
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "_kernel-0123456789abcdef.so").write_bytes(b"an older kernel")
@@ -140,7 +179,7 @@ def test_build_prunes_stale_libraries(tmp_path, monkeypatch):
         [_kernel._library_name(), "_kernel-fedcba9876543210.so", "other.so"])
 
 
-def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
+def test_unwritable_cache_builds_privately(tmp_path, monkeypatch, copied_compile):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     monkeypatch.setattr(_kernel, "CACHE_DIR", blocker / "cache")
@@ -227,6 +266,8 @@ class TestDescentEquivalence:
            st.sampled_from(ALPHAS),
            st.one_of(st.none(), st.integers(1, 120), st.floats(0.5, 120)),
            st.integers(0, 400), st.integers(1, 20000), st.sampled_from(WIDTHS))
+    @example(MAX_N, 3, ["random", "random"], "best", True, 0.3, 1.0, 40, 0, 20000, np.int32)
+    @example(MAX_N, 4, ["random", "random"], "first", True, 0.5, 3.7, None, 7, 20000, np.int64)
     def test_kernel_matches_numpy_descent(self, n, seed, slots, pivot, blend, lam, alpha,
                                           interval, start, budget, dtype):
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
@@ -301,25 +342,24 @@ class TestDescentEquivalence:
 
     def test_unknown_form_runs_in_the_kernel(self):
         inst = make_instance(12, seed=4)
-
-        class Wrapped:
-            """A duck-typed quadratic form the kernel does not know."""
-            n = inst.n
-            diag, col, matvec = inst.diag, inst.col, inst.matvec
-
-            def materialize(self):
-                return inst.q.astype(np.int32)  # copied to int64 in C order
-
+        form = DuckForm(inst)
         x = random_solution(12, seeded_rng(4))
-        cache = GainCache.build(Wrapped(), x)
+        cache = GainCache.build(form, x)
         view = _kernel.layout([cache])
         assert view.rows[0, 0] == _kernel.FORM_DENSE
         assert view.caches == [cache]
         assert np.array_equal(view.read[0], inst.q)
-        assert np.array_equal(local_search(x, Wrapped()), local_search(x, inst))
-        Wrapped.materialize = lambda self: inst.q[:, 1:]
+        assert np.array_equal(local_search(x, form), local_search(x, inst))
+        form.materialize = lambda: inst.q[:, 1:]
         with pytest.raises(ValueError, match=r"shape \(12, 11\), not \(12, 12\)"):
             _kernel.layout([cache])
+
+    def test_random_toys_enter_by_their_magnitudes(self):
+        toy = make_form("random", 12, 4)
+        view = _kernel.layout([GainCache.build(toy, np.zeros(12, dtype=np.int8))])
+        assert view.rows[0, 0] == _kernel.FORM_RANDOM
+        assert view.rows[0, 1] == toy._m.ctypes.data
+        assert [array.dtype for array in view.read] == [np.int8, np.uint8]
 
     def test_instances_enter_without_a_copy(self):
         # Also one built from a Fortran-ordered matrix.
@@ -399,6 +439,73 @@ class TestIterationEquivalence:
                 assert np.array_equal(cache.sigma, fresh.sigma)
 
 
+@pytest.mark.parametrize("dtype", WIDTHS)
+@pytest.mark.parametrize("pivot", PIVOT_RULES)
+def test_random_toys_in_both_slots_match_the_reference(pivot, dtype):
+    # The uint8 random form as the first and as the second cache, blended:
+    # descents, and iterations of 1, n/4 and n bits.
+    n = MAX_N
+    forms = [make_form("random", n, seed) for seed in (5, 6)]
+    x = random_solution(n, seeded_rng(5, 1))
+    weights = blend_weights(0.3, 1.0, 0, 0)
+    assert_descents_agree(forms, x, weights, pivot, dtype)
+    for bits in (1, n // 4, n):
+        start = (forms, x, pivot, 10**6, 97, 0.3, 0, dtype)
+        (ref_caches, ref), (caches, run) = started_run(*start), started_run(*start)
+        assert_iterations_agree(run, caches, ref, ref_caches, weights, pivot, bits, (n, bits),
+                                10**6, False)
+
+
+def assert_build_matches_the_reference(form, x, dtype) -> None:
+    """A cache the kernel builds at x equals `GainCache.build`'s, and its value
+    is f(x); the run's scratch is left as found."""
+    n = form.n
+    run = _Run(n, "best", dtype=dtype)
+    cache, value = run.build(form, x)
+    ref = GainCache.build(form, x, dtype)
+    assert cache.form is form
+    assert cache.gains.dtype == cache.sigma.dtype == dtype
+    assert np.array_equal(cache.gains, ref.gains)
+    assert np.array_equal(cache.sigma, ref.sigma)
+    assert np.array_equal(cache.solution, ref.solution)
+    assert value == ref.value() == evaluate(form, x)
+    assert np.array_equal(run.scratch[:n], np.arange(n))
+    assert not run.lanes[:n].any()
+
+
+def build_points(n: int, seed: int):
+    """x = 0, x = 1 and a random x on n bits."""
+    return (np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8),
+            random_solution(n, seeded_rng(seed, 3)))
+
+
+class TestCacheBuilds:
+    @pytest.mark.parametrize("dtype", WIDTHS)
+    @pytest.mark.parametrize("name", FORMS + ("duck",))
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, MAX_N])
+    def test_kernel_builds_the_reference_cache(self, n, name, dtype):
+        for seed in (0, 1):
+            form = (DuckForm(make_instance(n, seed=seed)) if name == "duck"
+                    else make_form(name, n, seed))
+            for x in build_points(n, seed):
+                assert_build_matches_the_reference(form, x, dtype)
+
+    def test_builds_reject_a_solution_of_another_length(self):
+        inst = make_instance(6, seed=4)
+        with pytest.raises(ValueError, match="solution length 5 does not match n=6"):
+            _Run(6, "best").build(inst, np.zeros(5, dtype=np.int8))
+        with pytest.raises(ValueError, match="0 or 1"):
+            _Run(6, "best").build(inst, [0, 1, 2, 0, 1, 0])
+
+    def test_builds_leave_their_input_alone(self):
+        inst = make_instance(9, seed=4)
+        x = random_solution(9, seeded_rng(4))
+        kept = x.copy()
+        cache, _ = _Run(9, "best").build(inst, x)
+        assert np.array_equal(x, kept)
+        assert cache.solution is not x
+
+
 def test_seconds_budget_marks_are_checked_between_descents():
     inst = make_instance(40, seed=8)
     result = lsils(inst, SearchConfig(
@@ -433,7 +540,7 @@ def test_runs_are_byte_identical_on_both_paths(pivot, monkeypatch):
     # The kernel's runs against runs of the reference, one iteration per call.
     inst = make_instance(45, seed=21)
     compiled = _run_logs(inst, pivot)
-    monkeypatch.setattr(search._Run, "iterate", oracles.descent_call)
+    run_the_reference(monkeypatch)
     assert _run_logs(inst, pivot) == compiled
 
 
@@ -448,7 +555,7 @@ def test_runs_are_byte_identical_at_both_widths(monkeypatch):
         monkeypatch.setattr(search, "gain_dtype", lambda n, peak: dtype)
         kernel.entries.clear()
         logs[dtype] = _run_logs(inst, "best")
-        assert set(kernel.entries) == {_kernel._iterate_name(dtype)}
+        assert set(kernel.entries) == {_kernel.entry_name("iterate", dtype)}
     assert logs[WIDTHS[0]] == logs[WIDTHS[1]]
 
 
@@ -472,10 +579,14 @@ def bound_instance(n: int, above: bool, negative: float) -> UbqpInstance:
 
 def check_bound_cases(inst: UbqpInstance, dtype) -> None:
     """The kernel against the reference on `inst` with gain lanes of `dtype`:
+    cache builds of `inst` and of -inst at x = 0, x = 1 and a random x, then
     descents and iterations from x = 1 and from a random x, with one cache,
     and with two blended at weights (1, 1), under both pivot rules."""
     n = inst.n
     flipped = UbqpInstance.from_matrix(-inst.q)
+    for form in (inst, flipped):
+        for x in build_points(n, n):
+            assert_build_matches_the_reference(form, x, dtype)
     for x in (np.ones(n, dtype=np.int8), random_solution(n, seeded_rng(n, 18))):
         for pivot in PIVOT_RULES:
             for forms, weights in (((inst,), None), ((inst, flipped), (1, 1))):
@@ -510,8 +621,8 @@ def test_bound_runs_take_their_width_and_match_the_reference(above, monkeypatch)
     kernel = KernelCalls(_kernel.library())
     monkeypatch.setattr(_kernel, "library", lambda: kernel)
     compiled = _run_logs(inst, "best")
-    assert set(kernel.entries) == {_kernel._iterate_name(np.int64 if above else np.int32)}
-    monkeypatch.setattr(search._Run, "iterate", oracles.descent_call)
+    assert set(kernel.entries) == {_kernel.entry_name("iterate", np.int64 if above else np.int32)}
+    run_the_reference(monkeypatch)
     assert _run_logs(inst, "best") == compiled
 
 
@@ -617,7 +728,7 @@ def test_loop_edges_are_byte_identical_on_both_paths(edge, pivot, monkeypatch):
     kernel = KernelCalls(_kernel.library())
     monkeypatch.setattr(_kernel, "library", lambda: kernel)
     compiled = _run_logs(inst, pivot, interval, 30000)
-    monkeypatch.setattr(search._Run, "iterate", oracles.descent_call)
+    run_the_reference(monkeypatch)
     assert _run_logs(inst, pivot, interval, 30000) == compiled
     logs = [[row.split(",")[1] for row in text.splitlines()[1:]]
             for text, *_ in compiled.values()]
@@ -696,11 +807,12 @@ def test_v4_clone_multiplies_no_int64_vectors(tmp_path):
     assembly = tmp_path / "kernel.s"
     subprocess.run([compiler, *_kernel.FLAGS, "-S", "-o", str(assembly), str(_kernel.SOURCE)],
                    check=True, capture_output=True)
-    clones = re.findall(r"^(lsils_iterate_i\d+)\.arch_x86_64_v4:$(.*?)^\s*\.size\s+\1\.arch",
+    clones = re.findall(r"^(lsils_\w+)\.arch_x86_64_v4:$(.*?)^\s*\.size\s+\1\.arch",
                         assembly.read_text(), flags=re.MULTILINE | re.DOTALL)
     if not clones:
         pytest.skip("the compiler builds no target_clones")
-    assert sorted(name for name, _ in clones) == sorted(map(_kernel._iterate_name, WIDTHS))
+    assert sorted(name for name, _ in clones) == sorted(
+        _kernel.entry_name("iterate", dtype) for dtype in WIDTHS)
     for name, code in clones:
         assert "vpmullq" not in code, name
 

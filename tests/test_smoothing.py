@@ -26,6 +26,7 @@ from lsils import (
     seeded_rng,
     smoothed_evaluate,
 )
+from lsils import smoothing
 from lsils.smoothing import blend_weights, toy_peaks
 
 import oracles
@@ -115,10 +116,33 @@ class TestConstruction:
         assert mags.max() <= 100
 
     def test_random_materializes_its_stored_matrix(self):
-        toy = construct_toy(ToyKind.RANDOM, random_anchor(6, 3), seed=9)
+        # The toy stores uint8 magnitudes; its dense view is the realized
+        # int64 matrix, read-only.
+        anchor = random_anchor(6, 3)
+        toy = construct_toy(ToyKind.RANDOM, anchor, seed=9)
         dense = toy.materialize()
-        assert toy.materialize() is dense
+        assert dense.dtype == np.int64
+        assert np.array_equal(dense, oracles.random_toy_by_indices(anchor, 9))
         assert not dense.flags.writeable
+        assert toy._m.dtype == np.uint8 and not toy._m.flags.writeable
+
+    def test_random_toy_takes_only_a_c_ordered_uint8_square(self):
+        anchor = random_anchor(6, 3)
+        m = np.ones((6, 6), dtype=np.uint8)
+        for bad in (m.astype(np.int64), m[:5], np.asfortranarray(np.ones((6, 7), np.uint8))[:, :6]):
+            with pytest.raises(ValueError, match="C-ordered n x n uint8"):
+                ToyMatrix(kind=ToyKind.RANDOM, anchor=anchor, _m=bad, _peak=1)
+
+    def test_random_magnitudes_must_fit_in_uint8(self, monkeypatch):
+        monkeypatch.setattr(smoothing, "RANDOM_MAGNITUDES", range(1, 257))
+        with pytest.raises(ValueError, match="do not fit in uint8"):
+            construct_toy(ToyKind.RANDOM, random_anchor(6, 3), seed=9)
+        monkeypatch.setattr(smoothing, "RANDOM_MAGNITUDES", range(-1, 101))
+        with pytest.raises(ValueError, match="do not fit in uint8"):
+            construct_toy(ToyKind.RANDOM, random_anchor(6, 3), seed=9)
+        monkeypatch.setattr(smoothing, "RANDOM_MAGNITUDES", range(1, 256))
+        toy = construct_toy(ToyKind.RANDOM, random_anchor(60, 3), seed=9)
+        assert toy.max_abs() == np.abs(toy.materialize()).max() == 255
 
     def test_random_deterministic_per_seed(self):
         anchor = random_anchor(12, 4)
