@@ -2,14 +2,15 @@
 
 Solutions are indexed little-endian: bit i of index s is x_i. Local-optima
 enumeration walks all 2^n solutions in reflected-binary Gray-code order
-(one flip per step, O(n) incremental gain update), stores every objective
-value (a smoothed objective's exact integer blend), then compares each
-solution against its n neighbors. Every other
-2^n enumeration streams the values from `_value_blocks`, a bilinear block
-split of the matrix that yields them in cache-sized blocks made by exact
-int64 additions. Histograms count block by block, so their memory does not
-grow with 2^n; `all_values_blocked` fills one array from the same blocks.
-Smoothed histogram keys are g's float values, quantized to 1e-9.
+(one flip per step, O(n) incremental gain update) on one integer form: the
+objective itself, or a smoothed objective's exact integer blend
+a * Q + b * T, built once. It stores every value, then compares each
+solution against its n neighbors. Every other 2^n enumeration streams the
+values from `_value_blocks`, a bilinear block split of the matrix that
+yields them in cache-sized blocks made by exact int64 additions.
+Histograms count block by block, so their memory does not grow with 2^n;
+`all_values_blocked` fills one array from the same blocks. Smoothed
+histogram keys are g's float values, quantized to 1e-9.
 
 Everything here is guarded to n <= ENUMERATION_GUARD since the work (and
 the census's memory) grows as 2^n.
@@ -60,43 +61,31 @@ def gray_flip_sequence(n: int) -> np.ndarray:
 
 
 def enumerate_values(objective) -> list[np.ndarray]:
-    """Exact objective values of every solution, indexed by solution integer.
+    """Exact values of every solution, indexed by solution integer: of the
+    objective, or of a smoothed objective's integer blend a * f + b * t,
+    its weights checked before the walk.
 
-    Returns one int64 array per component form (one for a plain objective,
-    original plus toy for a smoothed one), each filled by a Gray-code walk
-    with O(n) incremental evaluation per step.
+    One int64 array, filled by a Gray-code walk on one gain cache with O(n)
+    incremental evaluation per step. It comes as a list of one, which the
+    benchmark's trace hook iterates (`bench/tracing.py`).
     """
-    smoothed = isinstance(objective, SmoothedObjective)
-    forms = [objective.instance, objective.toy] if smoothed else [objective]
-    n = forms[0].n
+    n = objective.n
     _check_guard(n)
+    if isinstance(objective, SmoothedObjective):
+        a, b = objective.integer_weights(n ** 2)
+        objective = UbqpInstance.from_matrix(a * objective.instance.q
+                                             + b * objective.toy.materialize())
     flips = gray_flip_sequence(n)
-    start = np.zeros(n, dtype=np.int8)
-    caches = [GainCache.build(form, start) for form in forms]
-    outs = [np.zeros(1 << n, dtype=np.int64) for _ in forms]
-    values = [0 for _ in forms]
-    index = 0
+    cache = GainCache.build(objective, np.zeros(n, dtype=np.int8))
+    values = np.zeros(1 << n, dtype=np.int64)
+    value = index = 0
     for step in range(flips.size):
         k = int(flips[step])
         index ^= 1 << k
-        for f, cache in enumerate(caches):
-            values[f] += int(cache.gains[k])
-            cache.apply_flip(k)
-            outs[f][index] = values[f]
-    return outs
-
-
-def _combine(objective) -> np.ndarray:
-    """The values the census compares: a smoothed objective's exact integer
-    blend a * f + b * t, its weights checked before the walk."""
-    if not isinstance(objective, SmoothedObjective):
-        return enumerate_values(objective)[0]
-    a, b = objective.integer_weights(objective.n ** 2)
-    f, t = enumerate_values(objective)
-    f *= a
-    t *= b
-    f += t
-    return f
+        value += int(cache.gains[k])
+        cache.apply_flip(k)
+        values[index] = value
+    return [values]
 
 
 def _local_optima_mask(values: np.ndarray, n: int) -> np.ndarray:
@@ -117,7 +106,7 @@ def enumerate_local_optima(objective, cap: int = 1000):
     """
     n = objective.n
     _check_guard(n)
-    values = _combine(objective)
+    values = enumerate_values(objective)[0]
     mask = _local_optima_mask(values, n)
     count = int(mask.sum())
     if count > cap:
@@ -353,20 +342,23 @@ def report_text(report: LandscapeReport) -> str:
         f"distinct_values {len(report.histogram)}",
         f"collision_probability {report.collision_probability:.9f}",
     ]
-    lo = min(report.histogram)
-    hi = max(report.histogram)
-    lines.append(f"value_range {lo:g} {hi:g}")
+    lo, hi = min(report.histogram), max(report.histogram)
+    lines.append(f"value_range {_key_text(lo)} {_key_text(hi)}")
     for x in report.local_optima:
         lines.append("local_optimum " + "".join(str(int(b)) for b in x))
     return "\n".join(lines) + "\n"
+
+
+def _key_text(v) -> str:
+    """A histogram key as printed: an integer exactly, a float by `:g`."""
+    return f"{v:g}" if isinstance(v, float) else str(v)
 
 
 def histogram_csv(histogram: dict) -> str:
     """`value,count` rows sorted by value."""
     lines = ["value,count"]
     for v in sorted(histogram):
-        lines.append(f"{v:g},{histogram[v]}" if isinstance(v, float)
-                     else f"{v},{histogram[v]}")
+        lines.append(f"{_key_text(v)},{histogram[v]}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,8 +8,9 @@ layer blends objectives with integer weights, so only its reported values
 are floats.
 
 The quadratic-form protocol shared by instances and toy matrices is duck
-typed: `evaluate` and `GainCache` read `n`, `diag()`, `col(k)` and
-`matvec(v)`; the search kernel reads a dense form through `materialize()`.
+typed and has three members: `n`, `materialize()`, the dense int64 matrix,
+and `max_abs()`, its largest |entry|. `evaluate` and `GainCache` read the
+dense matrix; the search kernel keeps the toys implicit (see `_kernel`).
 """
 
 from __future__ import annotations
@@ -80,9 +81,11 @@ class UbqpInstance:
             raise ValueError("q must be symmetric")
         magnitudes = np.abs(q).view(np.uint64)  # exact for every int64, -2^63 included
         self._max_abs = max_abs = int(magnitudes.max())
-        # n^2 * max|Q| within int64 keeps x^T Q x, and the sum of |Q_ij|, from overflowing.
-        if max_abs and self.n * self.n > INT64_MAX // max_abs:
-            raise ValueError("entries too large: n^2 * max|Q| exceeds int64")
+        # n^2 * max|Q| within int64 keeps x^T Q x, and the sum of |Q_ij|, from
+        # overflowing; (2n + 1) * max|Q| keeps the kernel's gain updates exact,
+        # and is the larger of the two at n <= 2.
+        if max_abs and max(self.n * self.n, 2 * self.n + 1) > INT64_MAX // max_abs:
+            raise ValueError("entries too large: max(n^2, 2n + 1) * max|Q| exceeds int64")
         q.setflags(write=False)
         self.q = q
         self._abs_sum = int(magnitudes.sum())
@@ -95,15 +98,6 @@ class UbqpInstance:
         return cls(n=n, q=q, density=density)
 
     # -- quadratic-form protocol ------------------------------------------
-    def diag(self) -> np.ndarray:
-        return self.q.diagonal()
-
-    def col(self, k: int) -> np.ndarray:
-        return self.q[k]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.q @ np.asarray(v, dtype=np.int64)
-
     def materialize(self) -> np.ndarray:
         return self.q
 
@@ -117,7 +111,7 @@ def evaluate(form, x) -> int:
     if x.ndim != 1 or x.size != form.n:
         raise ValueError(f"solution length {x.size} does not match n={form.n}")
     x64 = x.astype(np.int64)
-    return int(x64 @ form.matvec(x64))
+    return int(x64 @ (np.asarray(form.materialize(), dtype=np.int64) @ x64))
 
 
 def mean_abs(inst: UbqpInstance) -> Fraction:
@@ -140,14 +134,18 @@ class GainCache:
 
     gains[k] = f(flip_k(x)) - f(x), exact, maintained in O(n) per applied
     flip. `sigma` mirrors 1 - 2x. Both are int64, or int32 when built so for
-    a form within `gain_dtype`'s int32 bound. Single-owner mutable state:
-    never share one cache between concurrent searches.
+    a form within `gain_dtype`'s int32 bound. `apply_flip` reads rows of the
+    form's dense matrix: `build` keeps the one it used, and a cache built
+    otherwise (`search._Run.build`) materializes it on its first flip, so
+    the search, whose flips run in the kernel, never does. Single-owner
+    mutable state: never share one cache between concurrent searches.
     """
 
     form: object
     solution: np.ndarray
     gains: np.ndarray
     sigma: np.ndarray
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
     _buf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -156,38 +154,33 @@ class GainCache:
     @classmethod
     def build(cls, form, x, dtype=np.int64) -> "GainCache":
         """The cache at x, its gains and sigma of `dtype` (int32 only within
-        `gain_dtype`'s bound), by one numpy matvec. The search builds its
-        caches in the kernel (`search._Run.build`); this is their reference."""
+        `gain_dtype`'s bound), by one numpy matvec on the form's dense matrix.
+        The search builds its caches in the kernel (`search._Run.build`);
+        this is their reference."""
         x = as_solution(x)
         if x.size != form.n:
             raise ValueError(f"solution length {x.size} does not match n={form.n}")
+        rows = np.asarray(form.materialize(), dtype=np.int64)
         x64 = x.astype(np.int64)
         sigma = 1 - 2 * x64
-        d = np.asarray(form.diag(), dtype=np.int64)
-        gains = sigma * (2 * form.matvec(x64) - 2 * d * x64 + d)
-        return cls(form=form, solution=x.copy(), gains=gains.astype(dtype, copy=False),
-                   sigma=sigma.astype(dtype, copy=False))
-
-    def value(self) -> int:
-        """The exact objective at the cached solution, from the gains in O(n).
-
-        For a set bit k, g_k = Q_kk - 2 (Qx)_k, so f(x) = sum over set bits
-        of (Qx)_k = Q_kk - (Q_kk + g_k) / 2. Every term, and every partial
-        sum, lies within n^2 max|Q|, so nothing overflows int64.
-        """
-        on = self.solution.astype(bool)
-        d = np.asarray(self.form.diag(), dtype=np.int64)[on]
-        return int((d - (d + self.gains[on]) // 2).sum())
+        d = rows.diagonal()
+        gains = sigma * (2 * (rows @ x64) - 2 * d * x64 + d)
+        cache = cls(form=form, solution=x.copy(), gains=gains.astype(dtype, copy=False),
+                    sigma=sigma.astype(dtype, copy=False))
+        cache._rows = rows
+        return cache
 
     def apply_flip(self, k: int) -> "GainCache":
         """Flip bit k of the cached solution and update all gains in O(n)."""
         if not 0 <= k < self.solution.size:
             raise IndexError(f"flip index {k} out of range")
+        if self._rows is None:
+            self._rows = np.asarray(self.form.materialize(), dtype=np.int64)
         old = int(self.gains[k])
         sk = int(self.sigma[k])
         # For j != k the gain shifts by 2 * sigma_j * Q_jk * sigma_k(old).
         buf = self._buf
-        np.multiply(self.sigma, np.asarray(self.form.col(k), dtype=np.int64), out=buf)
+        np.multiply(self.sigma, self._rows[k], out=buf)
         buf *= 2 * sk
         self.gains += buf
         self.gains[k] = -old

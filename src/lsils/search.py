@@ -379,8 +379,10 @@ def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     """Descend from x to a one-bit-flip local optimum of the objective.
 
     The objective may be a UbqpInstance, a ToyMatrix, any other object with
-    the quadratic-form protocol, or a SmoothedObjective, descended on its
-    integer blend of gains (ValueError past the bound).
+    `n` and `materialize()` (and `max_abs()` for int32 gains), or a
+    SmoothedObjective, descended on the integer blend of its two caches'
+    gains (ValueError past the blend's bound at 2n times each form's
+    largest |entry|).
     """
     if pivot_rule not in PIVOT_RULES:
         raise ValueError(f"pivot rule must be one of {PIVOT_RULES}")

@@ -52,12 +52,6 @@ DENOMINATOR_LIMIT = 10**6
 EXACT_BOUND = 2**53
 
 
-def _max_matvec(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(M v)_k for M_ij = max(w_i, w_j) with w non-decreasing, exact int64, in O(n)."""
-    weighted = w * v
-    return w * np.cumsum(v) + (weighted.sum() - np.cumsum(weighted))
-
-
 @dataclass
 class ToyMatrix:
     """A unimodal toy UBQP anchored at `anchor`.
@@ -65,9 +59,11 @@ class ToyMatrix:
     Kinds plusminus1 and plusminusi are implicit in their weights `_w`, all
     1 or 1..n (O(n) storage); only kind random stores a matrix, its n x n
     magnitudes m_ij as read-only uint8 `_m` (n^2 bytes), and the largest as
-    `_peak`. Every kind takes its signs from the anchor, so `diag`, `col`,
-    `matvec` and `materialize` derive the realized int64 entries
-    (2 a_i a_j - 1) m_ij. `n` is the anchor's length.
+    `_peak`. Every kind takes its signs from the anchor, and `materialize`
+    is the one place in Python that derives the realized int64 entries
+    (2 a_i a_j - 1) m_ij from them, in n^2 time and memory; the search
+    kernel reads the anchor, `_w` and `_m` in place. `n` is the anchor's
+    length.
     """
 
     kind: ToyKind
@@ -76,7 +72,6 @@ class ToyMatrix:
     _m: np.ndarray | None = None
     _peak: int | None = None
     _w: np.ndarray = field(init=False)
-    _signs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.kind = ToyKind(self.kind)
@@ -85,8 +80,6 @@ class ToyMatrix:
         self.n = self.anchor.size
         self._w = (np.arange(1, self.n + 1, dtype=np.int64) if self.kind is ToyKind.PLUS_MINUS_I
                    else np.ones(self.n, dtype=np.int64))
-        # Row k's signs when anchor_k = 1; every other row is all -1.
-        self._signs = 2 * self.anchor.astype(np.int64) - 1
         if self._m is not None:
             # The kernel reads these bytes in place.
             if not (self._m.dtype == np.uint8 and self._m.shape == (self.n, self.n)
@@ -95,26 +88,7 @@ class ToyMatrix:
                                  "matrix")
             self._m.setflags(write=False)
 
-    def _magnitudes(self, v: np.ndarray) -> np.ndarray:
-        """M v for the magnitude matrix M, exact int64."""
-        if self.kind is ToyKind.RANDOM:
-            return self._m @ v  # uint8 @ int64 computes in int64
-        return _max_matvec(self._w, v)
-
     # -- quadratic-form protocol ------------------------------------------
-    def diag(self) -> np.ndarray:
-        return self._signs * (self._m.diagonal() if self.kind is ToyKind.RANDOM else self._w)
-
-    def col(self, k: int) -> np.ndarray:
-        magnitudes = (self._m[k].astype(np.int64) if self.kind is ToyKind.RANDOM
-                      else np.maximum(self._w, self._w[k]))
-        return (self._signs if self.anchor[k] else -1) * magnitudes
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.int64)
-        a = self.anchor
-        return 2 * a * self._magnitudes(a * v) - self._magnitudes(v)
-
     def max_abs(self) -> int:
         """Largest |entry| of the realized matrix."""
         return self._peak if self.kind is ToyKind.RANDOM else int(self._w[-1])

@@ -40,7 +40,7 @@ from lsils import (
     write_runlog_csv,
 )
 from lsils import _kernel, search
-from lsils.qubo import INT32_MAX, gain_dtype
+from lsils.qubo import INT32_MAX, INT64_MAX, gain_dtype
 from lsils.search import PIVOT_RULES, _Run
 from lsils.smoothing import blend_weights
 
@@ -73,14 +73,13 @@ class DuckForm:
     max_abs(), so `local_search` gives it int64 gains."""
 
     def __init__(self, inst: UbqpInstance):
-        self.n, self.diag, self.col, self.matvec = inst.n, inst.diag, inst.col, inst.matvec
+        self.n = inst.n
         self.materialize = lambda: inst.q.astype(np.int32)
 
 
 def reference_build(run, form, x):
     """`_Run.build` by `GainCache.build`, the numpy reference."""
-    cache = GainCache.build(form, x, run.lanes.dtype)
-    return cache, cache.value()
+    return GainCache.build(form, x, run.lanes.dtype), evaluate(form, x)
 
 
 def run_the_reference(monkeypatch) -> None:
@@ -458,19 +457,23 @@ def test_random_toys_in_both_slots_match_the_reference(pivot, dtype):
 
 def assert_build_matches_the_reference(form, x, dtype) -> None:
     """A cache the kernel builds at x equals `GainCache.build`'s, and its value
-    is f(x); the run's scratch is left as found."""
+    is f(x); the run's scratch is left as found, and the cache holds no
+    dense rows of its form until Python's `apply_flip` reads them."""
     n = form.n
     run = _Run(n, "best", dtype=dtype)
     cache, value = run.build(form, x)
     ref = GainCache.build(form, x, dtype)
     assert cache.form is form
+    assert cache._rows is None
     assert cache.gains.dtype == cache.sigma.dtype == dtype
     assert np.array_equal(cache.gains, ref.gains)
     assert np.array_equal(cache.sigma, ref.sigma)
     assert np.array_equal(cache.solution, ref.solution)
-    assert value == ref.value() == evaluate(form, x)
+    assert value == evaluate(form, x)
     assert np.array_equal(run.scratch[:n], np.arange(n))
     assert not run.lanes[:n].any()
+    cache.apply_flip(n - 1)
+    assert np.array_equal(cache.gains, ref.apply_flip(n - 1).gains)
 
 
 def build_points(n: int, seed: int):
@@ -577,6 +580,13 @@ def bound_instance(n: int, above: bool, negative: float) -> UbqpInstance:
     return UbqpInstance.from_matrix(m * (upper + upper.T + np.eye(n, dtype=np.int64)))
 
 
+def largest_instance(n: int) -> UbqpInstance:
+    """The largest instance `UbqpInstance` accepts on n <= 2 bits, every entry
+    m = INT64_MAX // (2n + 1): at x = 1 a perturbation takes the int64
+    gains through (2n + 1) m, the bound itself (see `bound_instance`)."""
+    return UbqpInstance.from_matrix(np.full((n, n), INT64_MAX // (2 * n + 1)))
+
+
 def check_bound_cases(inst: UbqpInstance, dtype) -> None:
     """The kernel against the reference on `inst` with gain lanes of `dtype`:
     cache builds of `inst` and of -inst at x = 0, x = 1 and a random x, then
@@ -591,7 +601,7 @@ def check_bound_cases(inst: UbqpInstance, dtype) -> None:
         for pivot in PIVOT_RULES:
             for forms, weights in (((inst,), None), ((inst, flipped), (1, 1))):
                 assert_descents_agree(forms, x, weights, pivot, dtype)
-                for bits in (1, n // 4, n):
+                for bits in sorted({1, max(n // 4, 1), n}):
                     start = (forms, x, pivot, 10**6, 97, 0.5, 0, dtype)
                     (ref_caches, ref), (caches, run) = started_run(*start), started_run(*start)
                     assert_iterations_agree(run, caches, ref, ref_caches, weights, pivot, bits,
@@ -613,6 +623,11 @@ def test_kernel_matches_the_reference_just_above_the_int32_bound(negative):
     check_bound_cases(inst, np.int64)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_matches_the_reference_on_the_largest_small_instances(n):
+    check_bound_cases(largest_instance(n), np.int64)
+
+
 @pytest.mark.parametrize("above", [False, True])
 def test_bound_runs_take_their_width_and_match_the_reference(above, monkeypatch):
     # Whole runs on an instance at the int32 bound take the int32 lanes,
@@ -632,15 +647,15 @@ sys.path[:0] = {paths!r}
 import numpy as np
 from lsils import _kernel
 _kernel._build = lambda: ctypes.CDLL({library!r})
-import test_kernel
-test_kernel.check_bound_cases(test_kernel.bound_instance(test_kernel.BOUND_N, {above}, {negative}),
-                              np.int32)
+from test_kernel import BOUND_N, bound_instance, check_bound_cases, largest_instance
+check_bound_cases({instance}, np.{dtype})
 """
 
 
 def test_int32_lanes_do_not_overflow_at_the_bound(tmp_path):
     # A build that traps on signed overflow runs the int32 cases at the
-    # bound; forced onto int32 lanes just above it, the same build traps.
+    # bound, and the largest 1-bit and 2-bit instances on int64 lanes;
+    # forced onto int32 lanes just above the int32 bound, the same build traps.
     library = tmp_path / "trapping.so"
     try:
         subprocess.run([_kernel._compiler(), *_kernel.FLAGS, "-fsanitize=signed-integer-overflow",
@@ -649,9 +664,12 @@ def test_int32_lanes_do_not_overflow_at_the_bound(tmp_path):
     except subprocess.CalledProcessError as exc:
         pytest.skip(f"the compiler rejects the sanitizer: {exc.stderr.decode()[-300:]}")
     paths = [str(Path(__file__).parent), str(_kernel.SOURCE.parents[1])]
-    for above, negative in ((False, 0.0), (False, 0.3), (True, 0.0)):
-        script = SANITIZED_RUN.format(paths=paths, library=str(library), above=above,
-                                      negative=negative)
+    cases = [(f"bound_instance(BOUND_N, {above}, {negative})", "int32", above)
+             for above, negative in ((False, 0.0), (False, 0.3), (True, 0.0))]
+    cases += [(f"largest_instance({n})", "int64", False) for n in (1, 2)]
+    for instance, dtype, above in cases:
+        script = SANITIZED_RUN.format(paths=paths, library=str(library), instance=instance,
+                                      dtype=dtype)
         done = subprocess.run([sys.executable, "-c", script], capture_output=True)
         if above:
             assert done.returncode < 0, "no trap on int32 lanes past the bound"

@@ -83,20 +83,20 @@ class TestGrayWalk:
             x = solution_from_index(int(s), n)
             assert values[int(s)] == evaluate(toy, x)
 
-    def test_smoothed_components_match_direct_evaluate(self):
+    def test_smoothed_values_are_the_integer_blend(self):
         n = 10
         inst = make_instance(n, seed=6)
         anchor = random_solution(n, seeded_rng(7))
         toy = construct_toy(ToyKind.RANDOM, anchor, seed=3)
         obj = SmoothedObjective(instance=inst, toy=toy, lam=0.3,
                                 alpha=auto_alpha(inst, toy))
-        parts = enumerate_values(obj)
-        combined = 0.7 * parts[0] + 0.3 * obj.alpha * parts[1]
+        a, b = obj.integer_weights(n * n)
+        assert a > 1 and b > 1
+        (values,) = enumerate_values(obj)
         rng = seeded_rng(101)
         for s in rng.integers(0, 2**n, size=300):
             x = solution_from_index(int(s), n)
-            assert combined[int(s)] == pytest.approx(
-                smoothed_evaluate(obj, x), rel=1e-12, abs=1e-9)
+            assert values[int(s)] == a * evaluate(inst, x) + b * evaluate(toy, x)
 
     def test_blocked_values_equal_gray_values(self):
         n = 11
@@ -149,8 +149,8 @@ class TestLocalOptimaCensus:
         assert np.array_equal(solutions[0], anchor)
 
     def test_smoothed_census_blends_in_place(self):
-        # The walk's two int64 value arrays take 16 bytes per state; blending
-        # them into new arrays held four at the peak.
+        # The walk of the blended form holds one int64 value array, 8 bytes
+        # per state; blending the values of two walks held four at the peak.
         n = 16
         inst = gen_random_instance(n, 1.0, (-100, 100), 7)
         toy = construct_toy(ToyKind.PLUS_MINUS_I, random_solution(n, seeded_rng(8)))
@@ -437,6 +437,10 @@ class TestReports:
         text = report_text(analyze(toy))
         assert "local_optima_count 1" in text
         assert "collision_probability" in text
+
+    def test_report_text_prints_integer_values_exactly(self):
+        inst = UbqpInstance.from_matrix(np.diag([1234567, -7654321]))
+        assert "value_range -7654321 1234567\n" in report_text(analyze(inst))
 
     def test_histogram_csv_shape(self):
         hist = {3: 4, -1: 2, 0: 2}
