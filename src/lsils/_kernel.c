@@ -2,12 +2,12 @@
  * integer gain caches, and the random toy's magnitude fill.
  *
  * A cache's form is one of four codes (FORM_*). A dense form (FORM_DENSE)
- * is its n x n int64 matrix. The toys are anchored at a solution a, and
- * their entries are (2 a_j a_k - 1) m_jk: +m_jk when a_j = a_k = 1, else
- * -m_jk. The +-1 and +-i toys (FORM_PLUS_MINUS_ONE, FORM_PLUS_MINUS_I) are
- * implicit in a and their index weights; the random toy (FORM_RANDOM) reads
- * its magnitudes m_jk from an n x n uint8 matrix, and every toy takes its
- * signs from the anchor.
+ * is its n x n matrix, in the gain type of the entry point called. The toys
+ * are anchored at a solution a, and their entries are (2 a_j a_k - 1) m_jk:
+ * +m_jk when a_j = a_k = 1, else -m_jk. The +-1 and +-i toys
+ * (FORM_PLUS_MINUS_ONE, FORM_PLUS_MINUS_I) are implicit in a and their
+ * index weights; the random toy (FORM_RANDOM) reads its magnitudes m_jk
+ * from an n x n uint8 matrix, and every toy takes its signs from the anchor.
  *
  * lsils_iterate_i32 and lsils_iterate_i64 are the search's only path, and
  * lsils_build_i32 and lsils_build_i64 build every gain cache the search
@@ -66,8 +66,10 @@
  * the anchor are masks too. The sums are the same exact values; the masks
  * spare a vector multiply per entry, which AVX-512 does slowly on int64
  * (vpmullq) and AVX2 and SSE2 emulate with 32-bit multiplies. A dense Q
- * stays int64 and the random toy's magnitudes uint8; the int32 body narrows
- * each entry as it reads it, and a vector then holds twice as many gains.
+ * is read in the gain type, int32 rows by the int32 body (exact, since the
+ * bound above puts every entry in int32) and int64 rows by the int64 one,
+ * and the random toy's magnitudes stay uint8; an int32 vector holds twice as
+ * many gains, and an int32 row is half the cache lines.
  *
  * Build: cc -O3 -shared -fPIC. The file includes itself once per gain type
  * to build the bodies. On x86-64 with glibc, each lsils_iterate_* is built
@@ -116,7 +118,7 @@ enum {
 
 typedef struct {
     int64_t kind;          /* FORM_* */
-    const void *q;         /* row-major n x n: FORM_DENSE's int64 entries, FORM_RANDOM's
+    const void *q;         /* row-major n x n: FORM_DENSE's entries (GAIN), FORM_RANDOM's
                               uint8 magnitudes */
     const int8_t *anchor;  /* toys: entry (j, k) is +m_jk when both bits are 1, else -m_jk */
     void *gains;           /* GAIN, as the entry point called */
@@ -292,9 +294,9 @@ HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
     int64_t j;
 
     if (c->kind == FORM_DENSE) {
-        const int64_t *restrict row = (const int64_t *)c->q + k * n;
+        const GAIN *restrict row = (const GAIN *)c->q + k * n;
         for (j = 0; j < n; j++)
-            g[j] += negate_if(2 * (GAIN)row[j], differ(s[j], sk));
+            g[j] += negate_if(2 * row[j], differ(s[j], sk));
     } else if (c->kind == FORM_RANDOM) {
         random_update(g, s, a, (const uint8_t *)c->q + k * n, sk, a[k], n);
     } else {
@@ -313,7 +315,7 @@ HOT GAIN diagonal(const lsils_cache *c, int64_t n, int64_t p)
     GAIN m;
 
     if (c->kind == FORM_DENSE)
-        return (GAIN)((const int64_t *)c->q)[p * n + p];
+        return ((const GAIN *)c->q)[p * n + p];
     if (c->kind == FORM_RANDOM)
         m = (GAIN)((const uint8_t *)c->q)[p * n + p];
     else
@@ -334,13 +336,13 @@ HOT void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
         /* add the rows switched on, subtract the rows switched off */
         memset(t, 0, (size_t)n * sizeof *t);
         for (i = 0; i < bits; i++) {
-            const int64_t *restrict row = (const int64_t *)c->q + pos[i] * n;
+            const GAIN *restrict row = (const GAIN *)c->q + pos[i] * n;
             if (s[pos[i]] > 0)
                 for (j = 0; j < n; j++)
-                    t[j] += (GAIN)row[j];
+                    t[j] += row[j];
             else
                 for (j = 0; j < n; j++)
-                    t[j] -= (GAIN)row[j];
+                    t[j] -= row[j];
         }
     } else if (c->kind == FORM_RANDOM) {
         /* add sigma_p Q_pj over p: row p's magnitudes, negated where

@@ -22,8 +22,10 @@ The kernel is the search's only path: `library()` raises OSError when no
 compiler is found, the build fails or the platform is not 64-bit, and a
 failed build is not retried in the same process. `layout(caches)` takes any
 form and caches of one gain width, int32 or int64: the toys by their anchor,
-the random toy with its uint8 magnitudes, and every other form, a
-duck-typed one too, through its `materialize()`. The numpy reference the
+the random toy with its uint8 magnitudes, and every other form as a dense
+matrix in that width: an instance's `q` in place, or its int32 copy, which
+the instance makes once and keeps (`UbqpInstance.rows`), and a duck-typed
+form's `materialize()`, converted on each call. The numpy reference the
 kernel is tested against lives in `tests/oracles.py`, and `GainCache.build`
 is the reference for its cache builds.
 
@@ -41,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .qubo import UbqpInstance, in_width
 from .smoothing import ToyKind, ToyMatrix
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -192,10 +195,13 @@ def layout(caches) -> Layout:
     """The kernel's view of `caches`, which keeps them and the arrays it reads alive.
 
     The toys enter by their anchor, the random toy with its uint8 magnitude
-    matrix too, and every other form as FORM_DENSE through `materialize()`
-    (copied unless int64, C order). The caches' gains and sigma share one
-    width of `GAIN_DTYPES`. The kernel writes the caches' gains, sigma and
-    solution in place.
+    matrix too, and every other form as FORM_DENSE, a C-ordered matrix of
+    the caches' gain width, one of `GAIN_DTYPES`, which their gains and
+    sigma share: an instance by `rows` (`q` itself for int64, the kept
+    int32 copy for int32), any other form through `materialize()`, copied
+    unless it is already of that width. ValueError when an entry does not
+    fit the width. The kernel writes the caches' gains, sigma and solution
+    in place.
     """
     n = caches[0].solution.size
     dtype = caches[0].gains.dtype
@@ -212,7 +218,8 @@ def layout(caches) -> Layout:
                 arrays[1] = form._m  # C-ordered n x n uint8, as ToyMatrix checks
         else:
             row[0] = FORM_DENSE
-            arrays = {1: np.ascontiguousarray(form.materialize(), dtype=np.int64)}
+            arrays = {1: form.rows(dtype) if type(form) is UbqpInstance
+                      else in_width(form.materialize(), dtype)}
             if arrays[1].shape != (n, n):
                 raise ValueError(f"the form's matrix has shape {arrays[1].shape}, "
                                  f"not ({n}, {n})")

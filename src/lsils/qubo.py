@@ -2,15 +2,18 @@
 
 Everything in this package maximizes f(x) = x^T Q x over binary vectors x,
 with Q a symmetric integer matrix. Arithmetic on this objective is exact
-signed 64-bit integer math, and the search's gains narrow to 32 bits only
-where every gain and update provably fits (`gain_dtype`); the smoothing
+signed 64-bit integer math, and the search's gains, and the rows of Q it
+reads, narrow to 32 bits only where every gain and update provably fits
+(`gain_dtype`); the smoothing
 layer blends objectives with integer weights, so only its reported values
 are floats.
 
 The quadratic-form protocol shared by instances and toy matrices is duck
 typed and has three members: `n`, `materialize()`, the dense int64 matrix,
 and `max_abs()`, its largest |entry|. `evaluate` and `GainCache` read the
-dense matrix; the search kernel keeps the toys implicit (see `_kernel`).
+dense matrix; the search kernel keeps the toys implicit and reads a dense
+matrix in its run's gain width (see `_kernel`): an instance's `q` in place,
+or its int32 copy (`UbqpInstance.rows`).
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ class UbqpInstance:
     """A UBQP instance: maximize x^T Q x over x in {0,1}^n.
 
     `q` is dense, symmetric, int64, in C order and locked read-only after
-    construction, so the kernel reads it in place.
+    construction, so the kernel's int64 lanes read it in place; its int32
+    lanes read a read-only int32 copy, made the first time one needs it and
+    kept with the instance (`rows`).
     `density` is the realized fraction of nonzero entries (informational).
     """
 
@@ -65,6 +70,7 @@ class UbqpInstance:
     density: float
     _max_abs: int = field(init=False, repr=False, compare=False)
     _abs_sum: int = field(init=False, repr=False, compare=False)
+    _q32: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q)
@@ -97,12 +103,36 @@ class UbqpInstance:
         density = int(np.count_nonzero(q)) / (n * n) if n else 0.0
         return cls(n=n, q=q, density=density)
 
+    def rows(self, dtype) -> np.ndarray:
+        """`q` in the gain width `dtype`, int64 or int32, as the search kernel
+        reads it: `q` itself, or an int32 copy, read-only, made on the first
+        call and kept (n^2 * 4 bytes). ValueError when an entry is past int32."""
+        if np.dtype(dtype) == np.int64:
+            return self.q
+        if self._q32 is None:
+            q32 = in_width(self.q, np.int32)
+            q32.setflags(write=False)
+            self._q32 = q32
+        return self._q32
+
     # -- quadratic-form protocol ------------------------------------------
     def materialize(self) -> np.ndarray:
         return self.q
 
     def max_abs(self) -> int:
         return self._max_abs
+
+
+def in_width(matrix, dtype) -> np.ndarray:
+    """`matrix` as a C-ordered array of the integer `dtype`, not copied when it
+    is one already; ValueError, never a wrapped entry, when an entry is
+    outside `dtype`'s range."""
+    matrix = np.asarray(matrix)
+    if matrix.size and not np.can_cast(matrix.dtype, dtype):
+        limits = np.iinfo(dtype)
+        if matrix.min().item() < limits.min or matrix.max().item() > limits.max:
+            raise ValueError(f"the form's entries do not fit {np.dtype(dtype)}")
+    return np.ascontiguousarray(matrix, dtype=dtype)
 
 
 def evaluate(form, x) -> int:

@@ -138,19 +138,22 @@ class RunLog:
     """The points a run logs, packed in typed columns.
 
     A run keeps every point, and batch runs and benchmarks keep every run,
-    so a point is stored as two machine words, `elapsed` (an integer under
-    an evals budget, a float under a seconds budget) and `evaluations`. The
-    best value and lambda change only at a new best or a schedule step, so
-    they are stored once per step: from point `starts[i]` on, the point has
-    `best_f[i]` and `lam[i]`. A point becomes a `RunLogRecord` only when
-    `records` is read.
+    so a point is stored as at most two machine words, `elapsed` (an integer
+    under an evals budget, a float under a seconds budget) and
+    `evaluations`. Under an evals budget a mark's elapsed is its evaluation
+    count whenever a charge lands on it, so `elapsed` starts as the same
+    array as `evaluations` and is copied out at the first point whose two
+    differ. The best value and lambda change only at a new best or a
+    schedule step, so they are stored once per step: from point `starts[i]`
+    on, the point has `best_f[i]` and `lam[i]`. A point becomes a
+    `RunLogRecord` only when `records` is read.
     """
 
     __slots__ = ("elapsed", "evaluations", "starts", "best_f", "lam")
 
     def __init__(self, budget_kind: str = "evals"):
-        self.elapsed = array("q" if budget_kind == "evals" else "d")
         self.evaluations = array("q")
+        self.elapsed = self.evaluations if budget_kind == "evals" else array("d")
         self.starts = array("q")
         self.best_f = array("q")
         self.lam = array("d")
@@ -163,6 +166,11 @@ class RunLog:
             self.starts.append(len(self.evaluations))
             self.best_f.append(best_f)
             self.lam.append(lam)
+        if self.elapsed is self.evaluations:
+            if elapsed == evaluations:
+                self.evaluations.append(evaluations)
+                return
+            self.elapsed = array("q", self.evaluations)
         self.elapsed.append(elapsed)
         self.evaluations.append(evaluations)
 

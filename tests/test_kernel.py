@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -69,12 +70,14 @@ def make_form(name: str, n: int, seed: int):
 
 class DuckForm:
     """A duck-typed quadratic form the kernel does not know: an instance's,
-    whose dense view is int32 (copied to int64 in C order), with no
-    max_abs(), so `local_search` gives it int64 gains."""
+    whose dense view is one int32 array (int32 layouts read it as it is,
+    int64 ones a copy), with no max_abs(), so `local_search` gives it int64
+    gains."""
 
     def __init__(self, inst: UbqpInstance):
         self.n = inst.n
-        self.materialize = lambda: inst.q.astype(np.int32)
+        rows = inst.q.astype(np.int32)
+        self.materialize = lambda: rows
 
 
 def reference_build(run, form, x):
@@ -347,7 +350,10 @@ class TestDescentEquivalence:
         view = _kernel.layout([cache])
         assert view.rows[0, 0] == _kernel.FORM_DENSE
         assert view.caches == [cache]
+        assert view.read[0].dtype == np.int64
         assert np.array_equal(view.read[0], inst.q)
+        narrow = _kernel.layout([GainCache.build(form, x, np.int32)])
+        assert narrow.read[0] is form.materialize()
         assert np.array_equal(local_search(x, form), local_search(x, inst))
         form.materialize = lambda: inst.q[:, 1:]
         with pytest.raises(ValueError, match=r"shape \(12, 11\), not \(12, 12\)"):
@@ -366,6 +372,55 @@ class TestDescentEquivalence:
         for inst in (UbqpInstance.from_matrix(q), UbqpInstance.from_matrix(np.asfortranarray(q))):
             view = _kernel.layout([GainCache.build(inst, np.zeros(12, dtype=np.int8))])
             assert view.read[0] is inst.q
+
+    def test_int32_layouts_of_an_instance_read_one_copy(self, monkeypatch):
+        # Every int32 layout of one instance, in every run, reads one
+        # read-only int32 copy of q, made once; int64 layouts read q itself.
+        inst = make_instance(45, seed=21)
+        assert gain_dtype(inst.n, inst.max_abs()) == np.int32
+        read, layout = [], _kernel.layout
+
+        def recorded(caches):
+            view = layout(caches)
+            read.extend(array for row, array in zip(view.rows, view.read)
+                        if row[0] == _kernel.FORM_DENSE)
+            return view
+
+        monkeypatch.setattr(_kernel, "layout", recorded)
+        _run_logs(inst, "best")
+        assert len(read) > 6
+        assert len({id(array) for array in read}) == 1
+        narrow = read[0]
+        assert narrow.dtype == np.int32 and narrow.flags.c_contiguous
+        assert not narrow.flags.writeable
+        assert np.array_equal(narrow, inst.q)
+        assert inst.rows(np.int32) is narrow
+        assert inst.rows(np.int64) is inst.q
+
+    def test_entries_past_the_width_are_rejected(self, monkeypatch):
+        # Forced onto int32 lanes, a form with an entry past int32 fails
+        # before the kernel reads it; -2^31 still fits the layout.
+        n = 6
+        q = np.zeros((n, n), dtype=np.int64)
+        q[1, 2] = q[2, 1] = INT32_MAX + 1
+        inst = UbqpInstance.from_matrix(q)
+        monkeypatch.setattr(search, "gain_dtype", lambda n, peak: np.dtype(np.int32))
+        config = SearchConfig(budget=Budget("evals", 1000))
+        with pytest.raises(ValueError, match="do not fit int32"):
+            ils(inst, config)
+        cache = GainCache.build(inst, np.zeros(n, dtype=np.int8))
+        duck = SimpleNamespace(n=n, materialize=lambda: inst.q)
+        for form in (inst, duck):
+            narrow = GainCache(form=form, solution=cache.solution,
+                               gains=cache.gains.astype(np.int32),
+                               sigma=cache.sigma.astype(np.int32))
+            with pytest.raises(ValueError, match="do not fit int32"):
+                _kernel.layout([narrow])
+        q[1, 2] = q[2, 1] = -INT32_MAX - 1
+        lowest = UbqpInstance.from_matrix(q)
+        view = _kernel.layout([GainCache(form=lowest, solution=narrow.solution,
+                                         gains=narrow.gains, sigma=narrow.sigma)])
+        assert view.read[0].dtype == np.int32 and np.array_equal(view.read[0], q)
 
     def test_caches_the_kernel_cannot_write_are_rejected(self):
         inst = make_instance(6, seed=4)

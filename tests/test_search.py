@@ -155,6 +155,29 @@ def assert_no_improving_flip(objective, x):
     assert GainCache.build(objective, x).gains.max() <= 0
 
 
+def retained_block():
+    """A 40-run ILS block (n=100, 2e5 evals, a mark every 2000), and the bytes
+    it retains by tracemalloc, after a first run has warmed every cache."""
+    inst = make_instance(100, seed=7)
+    budget = 200_000
+
+    def run(seed):
+        return ils(inst, SearchConfig(budget=Budget("evals", budget), seed=seed,
+                                      log_interval=budget // 100))
+
+    run(0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        kept = [run(seed) for seed in range(40)]
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    return kept, sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+
+
 class TestRunLog:
     @given(st.sampled_from(BUDGET_KINDS),
            st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62),
@@ -207,27 +230,44 @@ class TestRunLog:
         # benchmark and `lsils batch` keep it: about 30 bytes a record. One
         # RunLogRecord object per record took about 122, four packed columns
         # and an unslotted RunResult about 44.
-        inst = make_instance(100, seed=7)
-        budget = 200_000
-
-        def run(seed):
-            return ils(inst, SearchConfig(budget=Budget("evals", budget), seed=seed,
-                                          log_interval=budget // 100))
-
-        run(0)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.take_snapshot()
-            kept = [run(seed) for seed in range(40)]
-            gc.collect()
-            after = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-        retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        kept, retained = retained_block()
         records = sum(len(result.records) for result in kept)
         assert records >= 40 * 100
         assert retained / records <= 36, f"{retained / records:.1f} bytes per record"
+
+    def test_aligned_runs_share_one_column(self):
+        # Every mark of these best-improvement runs lands on a charge, so the
+        # logs keep one column for elapsed and evaluations: about 22 bytes a
+        # record for the same block as above, where two columns took about 31.
+        kept, retained = retained_block()
+        assert all(result.log.elapsed is result.log.evaluations for result in kept)
+        records = sum(len(result.records) for result in kept)
+        assert retained / records <= 26, f"{retained / records:.1f} bytes per record"
+
+    def test_points_share_one_column_until_one_differs(self):
+        points = [(100, 100, 5, 0.0), (200, 200, 7, 0.0), (300, 301, 7, 0.5), (400, 400, 9, 0.5)]
+        log = RunLog("evals")
+        for i, point in enumerate(points):
+            log.append(*point)
+            assert (log.elapsed is log.evaluations) == (i < 2)
+        assert log.records == [RunLogRecord(*point) for point in points]
+        assert RunLog("seconds").elapsed.typecode == "d"
+
+    def test_misaligned_logs_keep_their_marks(self):
+        # First-improvement scans charge the candidates examined, so a mark is
+        # stamped at the first count past it: elapsed is copied out of the
+        # evaluations column, and keeps the mark grid.
+        inst = make_instance(40, seed=3)
+        interval = 700
+        result = ils(inst, SearchConfig(budget=Budget("evals", 20000), pivot_rule="first",
+                                        log_interval=interval))
+        log, records = result.log, result.records
+        assert log.elapsed is not log.evaluations
+        assert [r.elapsed for r in records[:-1]] == [interval * k for k in range(1, len(records))]
+        assert any(r.evaluations > r.elapsed for r in records)
+        assert records[-1].elapsed == records[-1].evaluations == result.evaluations
+        back = pickle.loads(pickle.dumps(result))
+        assert back.records == records
 
 
 class TestLocalSearch:
