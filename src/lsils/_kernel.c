@@ -1,13 +1,14 @@
 /* The search's perturb-and-descend iterations and gain-cache builds on exact
  * integer gain caches, and the random toy's magnitude fill.
  *
- * A cache's form is one of four codes (FORM_*). A dense form (FORM_DENSE)
+ * A cache's form is one of three codes (FORM_*). A dense form (FORM_DENSE)
  * is its n x n matrix, in the gain type of the entry point called. The toys
  * are anchored at a solution a, and their entries are (2 a_j a_k - 1) m_jk:
- * +m_jk when a_j = a_k = 1, else -m_jk. The +-1 and +-i toys
- * (FORM_PLUS_MINUS_ONE, FORM_PLUS_MINUS_I) are implicit in a and their
- * index weights; the random toy (FORM_RANDOM) reads its magnitudes m_jk
- * from an n x n uint8 matrix, and every toy takes its signs from the anchor.
+ * +m_jk when a_j = a_k = 1, else -m_jk. The +-1 and +-i toys are one
+ * anchored form (FORM_ANCHORED), m_jk = max(w_j, w_k) for a weight vector
+ * w in the gain type, all 1 or 1..n; the random toy (FORM_RANDOM) reads its
+ * magnitudes m_jk from an n x n uint8 matrix, and every toy takes its signs
+ * from the anchor.
  *
  * lsils_iterate_i32 and lsils_iterate_i64 are the search's only path, and
  * lsils_build_i32 and lsils_build_i64 build every gain cache the search
@@ -66,10 +67,10 @@
  * the anchor are masks too. The sums are the same exact values; the masks
  * spare a vector multiply per entry, which AVX-512 does slowly on int64
  * (vpmullq) and AVX2 and SSE2 emulate with 32-bit multiplies. A dense Q
- * is read in the gain type, int32 rows by the int32 body (exact, since the
- * bound above puts every entry in int32) and int64 rows by the int64 one,
- * and the random toy's magnitudes stay uint8; an int32 vector holds twice as
- * many gains, and an int32 row is half the cache lines.
+ * and an anchored toy's weights are read in the gain type (exact in int32,
+ * since the bound above puts every entry there), and the random toy's
+ * magnitudes stay uint8; an int32 vector holds twice as many gains, and an
+ * int32 row is half the cache lines.
  *
  * Build: cc -O3 -shared -fPIC. The file includes itself once per gain type
  * to build the bodies. On x86-64 with glibc, each lsils_iterate_* is built
@@ -99,7 +100,7 @@
 #define CLONES
 #endif
 
-enum { FORM_DENSE = 0, FORM_PLUS_MINUS_ONE = 1, FORM_PLUS_MINUS_I = 2, FORM_RANDOM = 3 };
+enum { FORM_DENSE = 0, FORM_ANCHORED = 1, FORM_RANDOM = 2 };
 
 /* Layout of the int64 state vector shared with the caller. */
 enum {
@@ -118,22 +119,13 @@ enum {
 
 typedef struct {
     int64_t kind;          /* FORM_* */
-    const void *q;         /* row-major n x n: FORM_DENSE's entries (GAIN), FORM_RANDOM's
-                              uint8 magnitudes */
+    const void *q;         /* GAIN: FORM_DENSE's row-major n x n entries, FORM_ANCHORED's
+                              n weights; FORM_RANDOM's n x n uint8 magnitudes */
     const int8_t *anchor;  /* toys: entry (j, k) is +m_jk when both bits are 1, else -m_jk */
     void *gains;           /* GAIN, as the entry point called */
     void *sigma;           /* GAIN: 1 - 2x */
     int8_t *x;
 } lsils_cache;
-
-/* The anchored toys, +-1 and +-i, are one family: Q_jk = (2 a_j a_k - 1)
- * max(w_j, w_k) with the index weights w_j = 1 + (j & grow), where the
- * mask grow is 0 for +-1 and -1 for +-i (w_j = j + 1). The weights never
- * decrease, so column k's magnitudes are w_k below k and w_j from k on. */
-HOT int64_t weight_mask(const lsils_cache *c)
-{
-    return -(int64_t)(c->kind == FORM_PLUS_MINUS_I);
-}
 
 /* The Fisher-Yates picks of `targets` (targets[i] in [i, n)) into pos,
  * through `perm`, an identity permutation of n slots that is left as one. */
@@ -249,21 +241,21 @@ HOT GAIN negate_if(GAIN v, GAIN m)
     return (v ^ m) - m;
 }
 
-/* g_j += 2 sigma_j sigma_k Q_jk for j in [lo, hi) on an anchored toy with
- * Q_jk = (2 a_j a_k - 1) m_j, where m_j = m + (j & grow). Q_jk is positive
- * only when a_j = a_k = 1, so for a_k = 1 its sign follows a_j, and for
- * a_k = 0 it is always negative. */
+/* g_j += 2 sigma_j sigma_k Q_jk for every j on an anchored toy with
+ * Q_jk = (2 a_j a_k - 1) max(w_j, w_k). Q_jk is positive only when
+ * a_j = a_k = 1, so for a_k = 1 its sign follows a_j, and for a_k = 0 it is
+ * always negative. */
 HOT void toy_update(GAIN *restrict g, const GAIN *restrict s, const int8_t *restrict a,
-                    GAIN sk, int64_t ak, int64_t lo, int64_t hi, GAIN m, GAIN grow)
+                    const GAIN *restrict w, GAIN sk, int64_t ak, GAIN wk, int64_t n)
 {
     int64_t j;
 
     if (ak) {
-        for (j = lo; j < hi; j++)
-            g[j] += negate_if(2 * (m + ((GAIN)j & grow)), differ(s[j], sk) ^ (a[j] - 1));
+        for (j = 0; j < n; j++)
+            g[j] += negate_if(2 * (w[j] > wk ? w[j] : wk), differ(s[j], sk) ^ (a[j] - 1));
     } else {
-        for (j = lo; j < hi; j++)
-            g[j] += negate_if(2 * (m + ((GAIN)j & grow)), ~differ(s[j], sk));
+        for (j = 0; j < n; j++)
+            g[j] += negate_if(2 * (w[j] > wk ? w[j] : wk), ~differ(s[j], sk));
     }
 }
 
@@ -300,9 +292,7 @@ HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
     } else if (c->kind == FORM_RANDOM) {
         random_update(g, s, a, (const uint8_t *)c->q + k * n, sk, a[k], n);
     } else {
-        GAIN grow = (GAIN)weight_mask(c);
-        toy_update(g, s, a, sk, a[k], 0, k, (GAIN)(1 + (k & grow)), 0);
-        toy_update(g, s, a, sk, a[k], k, n, 1, grow);
+        toy_update(g, s, a, c->q, sk, a[k], ((const GAIN *)c->q)[k], n);
     }
     g[k] = -old;
     s[k] = -sk;
@@ -319,7 +309,7 @@ HOT GAIN diagonal(const lsils_cache *c, int64_t n, int64_t p)
     if (c->kind == FORM_RANDOM)
         m = (GAIN)((const uint8_t *)c->q)[p * n + p];
     else
-        m = (GAIN)(1 + (p & weight_mask(c)));
+        m = ((const GAIN *)c->q)[p];
     return negate_if(m, (GAIN)(c->anchor[p] - 1));
 }
 
@@ -360,24 +350,25 @@ HOT void flip_matvec(const lsils_cache *c, int64_t n, const int64_t *pos,
                     t[j] += negate_if((GAIN)row[j], ~off);
         }
     } else {
-        /* With M_jk = max(w_j, w_k), t = 2 a (M (a v)) - M v, and
+        /* With M_jk = max(w_j, w_k), t = 2 a (M (a v)) - M v. The weights
+         * never decrease (ToyMatrix makes them so), so
          * (M u)_j = w_j sum_{k <= j} u_k + sum_{k > j} w_k u_k takes one
          * pass over prefix sums, kept in int64. */
-        int64_t grow = weight_mask(c);
+        const GAIN *w = c->q;
         int64_t tail = 0, tail_a = 0, prefix = 0, prefix_a = 0;
         for (i = 0; i < bits; i++) {
-            int64_t m = negate_if((GAIN)(1 + (pos[i] & grow)), differ(s[pos[i]], 1));
+            int64_t m = negate_if(w[pos[i]], differ(s[pos[i]], 1));
             v[pos[i]] = s[pos[i]];
             tail += m;
             tail_a += a[pos[i]] ? m : 0;
         }
         for (j = 0; j < n; j++) {
-            int64_t u = v[j], ua = a[j] ? u : 0, w = 1 + (j & grow);
+            int64_t u = v[j], ua = a[j] ? u : 0, wj = w[j];
             prefix += u;
             prefix_a += ua;
-            tail -= w * u;
-            tail_a -= w * ua;
-            t[j] = (GAIN)((a[j] ? 2 * (w * prefix_a + tail_a) : 0) - (w * prefix + tail));
+            tail -= wj * u;
+            tail_a -= wj * ua;
+            t[j] = (GAIN)((a[j] ? 2 * (wj * prefix_a + tail_a) : 0) - (wj * prefix + tail));
         }
         for (i = 0; i < bits; i++)
             v[pos[i]] = 0;

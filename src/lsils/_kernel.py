@@ -20,14 +20,14 @@ CPUs.
 
 The kernel is the search's only path: `library()` raises OSError when no
 compiler is found, the build fails or the platform is not 64-bit, and a
-failed build is not retried in the same process. `layout(caches)` takes any
-form and caches of one gain width, int32 or int64: the toys by their anchor,
-the random toy with its uint8 magnitudes, and every other form as a dense
-matrix in that width: an instance's `q` in place, or its int32 copy, which
-the instance makes once and keeps (`UbqpInstance.rows`), and a duck-typed
-form's `materialize()`, converted on each call. The numpy reference the
-kernel is tested against lives in `tests/oracles.py`, and `GainCache.build`
-is the reference for its cache builds.
+failed build is not retried in the same process. `layout(caches)` takes
+caches of one gain width, int32 or int64, on toys and instances only: a toy
+by its anchor, with its weights in that width (FORM_ANCHORED, +-1 and +-i)
+or its uint8 magnitudes (FORM_RANDOM), and an instance as its dense matrix
+in that width (FORM_DENSE), `q` in place or the int32 copy it makes once
+and keeps (`UbqpInstance.rows`). The numpy reference the kernel is tested
+against lives in `tests/oracles.py`, and `GainCache.build` is the
+reference for its cache builds.
 
 ctypes, subprocess and hashlib are imported on first use, so that
 `import lsils` costs no more than it did without the kernel.
@@ -53,9 +53,7 @@ COMPILERS = ("cc", "gcc", "clang")
 COMPILE_TIMEOUT_S = 120
 
 # The form codes and the state vector layout of _kernel.c.
-FORM_DENSE, FORM_PLUS_MINUS_ONE, FORM_PLUS_MINUS_I, FORM_RANDOM = 0, 1, 2, 3
-_TOY_FORMS = {ToyKind.PLUS_MINUS_ONE: FORM_PLUS_MINUS_ONE,
-              ToyKind.PLUS_MINUS_I: FORM_PLUS_MINUS_I, ToyKind.RANDOM: FORM_RANDOM}
+FORM_DENSE, FORM_ANCHORED, FORM_RANDOM = 0, 1, 2
 (ST_VALUE, ST_CONSUMED, ST_STOP, ST_ROUNDS, ST_STARTED, ST_HALT, ST_BEST, ST_IMPROVED,
  ST_MARKS, ST_MARKED, ST_SIZE) = range(11)
 # One lsils_cache per row: the kind, then the addresses of q, anchor,
@@ -194,13 +192,13 @@ class Layout(NamedTuple):
 def layout(caches) -> Layout:
     """The kernel's view of `caches`, which keeps them and the arrays it reads alive.
 
-    The toys enter by their anchor, the random toy with its uint8 magnitude
-    matrix too, and every other form as FORM_DENSE, a C-ordered matrix of
-    the caches' gain width, one of `GAIN_DTYPES`, which their gains and
-    sigma share: an instance by `rows` (`q` itself for int64, the kept
-    int32 copy for int32), any other form through `materialize()`, copied
-    unless it is already of that width. ValueError when an entry does not
-    fit the width. The kernel writes the caches' gains, sigma and solution
+    The caches' gain width, one of `GAIN_DTYPES`, is the one their gains and
+    sigma share. A toy enters by its anchor: the random toy with its uint8
+    magnitude matrix, the +-1 and +-i toys with their weights `_w` in that
+    width (an O(n) copy for int32). An instance enters as its dense matrix
+    in that width by `rows` (`q` itself for int64, the kept int32 copy for
+    int32); ValueError when an entry does not fit the width. TypeError for
+    any other form. The kernel writes the caches' gains, sigma and solution
     in place.
     """
     n = caches[0].solution.size
@@ -211,18 +209,20 @@ def layout(caches) -> Layout:
     read = []
     for row, cache in zip(rows, caches):
         form = cache.form
-        if type(form) is ToyMatrix:
-            row[0] = _TOY_FORMS[form.kind]
-            arrays = {2: np.ascontiguousarray(form.anchor, dtype=np.int8)}
-            if form.kind is ToyKind.RANDOM:
-                arrays[1] = form._m  # C-ordered n x n uint8, as ToyMatrix checks
-        else:
+        if isinstance(form, ToyMatrix):
+            random = form.kind is ToyKind.RANDOM
+            row[0] = FORM_RANDOM if random else FORM_ANCHORED
+            # _m is C-ordered n x n uint8, as ToyMatrix checks
+            arrays = {1: form._m if random else in_width(form._w, dtype),
+                      2: np.ascontiguousarray(form.anchor, dtype=np.int8)}
+        elif isinstance(form, UbqpInstance):
             row[0] = FORM_DENSE
-            arrays = {1: form.rows(dtype) if type(form) is UbqpInstance
-                      else in_width(form.materialize(), dtype)}
-            if arrays[1].shape != (n, n):
-                raise ValueError(f"the form's matrix has shape {arrays[1].shape}, "
-                                 f"not ({n}, {n})")
+            arrays = {1: form.rows(dtype)}
+        else:
+            raise TypeError(f"the search kernel runs UbqpInstance and ToyMatrix forms, "
+                            f"not {type(form).__name__}")
+        if form.n != n:
+            raise ValueError(f"a form on {form.n} bits in a cache of {n}")
         for slot, array in arrays.items():
             read.append(array)
             row[slot] = array.ctypes.data

@@ -11,9 +11,10 @@ are floats.
 The quadratic-form protocol shared by instances and toy matrices is duck
 typed and has three members: `n`, `materialize()`, the dense int64 matrix,
 and `max_abs()`, its largest |entry|. `evaluate` and `GainCache` read the
-dense matrix; the search kernel keeps the toys implicit and reads a dense
-matrix in its run's gain width (see `_kernel`): an instance's `q` in place,
-or its int32 copy (`UbqpInstance.rows`).
+dense matrix of any form in the protocol. The search kernel reads instances
+and toys only (see `_kernel`): a toy by its anchor and magnitudes, and an
+instance's dense matrix in its run's gain width, `q` in place or its int32
+copy (`UbqpInstance.rows`).
 """
 
 from __future__ import annotations

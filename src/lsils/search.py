@@ -386,11 +386,10 @@ class _Run:
 def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     """Descend from x to a one-bit-flip local optimum of the objective.
 
-    The objective may be a UbqpInstance, a ToyMatrix, any other object with
-    `n` and `materialize()` (and `max_abs()` for int32 gains), or a
-    SmoothedObjective, descended on the integer blend of its two caches'
-    gains (ValueError past the blend's bound at 2n times each form's
-    largest |entry|).
+    The objective is a UbqpInstance, a ToyMatrix, or a SmoothedObjective,
+    descended on the integer blend of its two caches' gains (ValueError past
+    the blend's bound at 2n times each form's largest |entry|). The kernel
+    runs no other form: TypeError.
     """
     if pivot_rule not in PIVOT_RULES:
         raise ValueError(f"pivot rule must be one of {PIVOT_RULES}")
@@ -398,10 +397,11 @@ def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     if isinstance(objective, SmoothedObjective):
         forms = (objective.instance, objective.toy)
         weights = objective.integer_weights(2 * objective.n)
-    # int32 gains within their bound; a form that reports no max_abs() gets int64.
-    peaks = [getattr(form, "max_abs", None) for form in forms]
-    dtype = (gain_dtype(objective.n, max(peak() for peak in peaks)) if all(peaks)
-             else np.dtype(np.int64))
+    for form in forms:
+        if not isinstance(form, (UbqpInstance, ToyMatrix)):
+            raise TypeError(f"the search kernel runs UbqpInstance and ToyMatrix forms, "
+                            f"not {type(form).__name__}")
+    dtype = gain_dtype(objective.n, max(form.max_abs() for form in forms))
     # Unbudgeted: the value and best the run keeps are unused.
     run = _Run(objective.n, pivot_rule, dtype=dtype)
     caches = [run.build(form, x)[0] for form in forms]

@@ -56,8 +56,9 @@ EXACT_BOUND = 2**53
 class ToyMatrix:
     """A unimodal toy UBQP anchored at `anchor`.
 
-    Kinds plusminus1 and plusminusi are implicit in their weights `_w`, all
-    1 or 1..n (O(n) storage); only kind random stores a matrix, its n x n
+    Kinds plusminus1 and plusminusi are implicit in their read-only weights
+    `_w`, all 1 or 1..n (O(n) storage), which never decrease, as the kernel
+    needs; only kind random stores, and must be given, a matrix, its n x n
     magnitudes m_ij as read-only uint8 `_m` (n^2 bytes), and the largest as
     `_peak`. Every kind takes its signs from the anchor, and `materialize`
     is the one place in Python that derives the realized int64 entries
@@ -80,6 +81,11 @@ class ToyMatrix:
         self.n = self.anchor.size
         self._w = (np.arange(1, self.n + 1, dtype=np.int64) if self.kind is ToyKind.PLUS_MINUS_I
                    else np.ones(self.n, dtype=np.int64))
+        self._w.setflags(write=False)
+        random = self.kind is ToyKind.RANDOM
+        if (self._m is not None, self._peak is not None) != (random, random):
+            raise ValueError("a random toy takes its magnitudes _m and their peak _peak, "
+                             "and an anchored toy neither")
         if self._m is not None:
             # The kernel reads these bytes in place.
             if not (self._m.dtype == np.uint8 and self._m.shape == (self.n, self.n)

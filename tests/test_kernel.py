@@ -68,16 +68,10 @@ def make_form(name: str, n: int, seed: int):
     return construct_toy(ToyKind(name), anchor, seed=seed)
 
 
-class DuckForm:
-    """A duck-typed quadratic form the kernel does not know: an instance's,
-    whose dense view is one int32 array (int32 layouts read it as it is,
-    int64 ones a copy), with no max_abs(), so `local_search` gives it int64
-    gains."""
-
-    def __init__(self, inst: UbqpInstance):
-        self.n = inst.n
-        rows = inst.q.astype(np.int32)
-        self.materialize = lambda: rows
+def read_at(view, i: int, slot: int) -> np.ndarray:
+    """The array the kernel reads through `slot` of the layout's row i."""
+    (array,) = [array for array in view.read if array.ctypes.data == view.rows[i, slot]]
+    return array
 
 
 def reference_build(run, form, x):
@@ -342,29 +336,54 @@ class TestDescentEquivalence:
         oracles.descend(_Run(30, pivot), [cache], None, pivot)
         assert np.array_equal(local_search(x, inst, pivot), cache.solution)
 
-    def test_unknown_form_runs_in_the_kernel(self):
-        inst = make_instance(12, seed=4)
-        form = DuckForm(inst)
+    @pytest.mark.parametrize("peak", [True, False], ids=["max_abs", "no_max_abs"])
+    @pytest.mark.parametrize("name", ["instance", ToyKind.PLUS_MINUS_I.value])
+    def test_foreign_forms_stay_on_the_numpy_side(self, name, peak):
+        # A form in the quadratic-form protocol that is neither an instance
+        # nor a toy, a wrapped toy's dense view included: evaluate and
+        # GainCache take it, the kernel does not, with or without max_abs().
+        inner = make_form(name, 12, 4)
+        form = SimpleNamespace(n=inner.n, materialize=inner.materialize)
+        if peak:
+            form.max_abs = inner.max_abs
         x = random_solution(12, seeded_rng(4))
+        assert evaluate(form, x) == evaluate(inner, x)
         cache = GainCache.build(form, x)
-        view = _kernel.layout([cache])
-        assert view.rows[0, 0] == _kernel.FORM_DENSE
-        assert view.caches == [cache]
-        assert view.read[0].dtype == np.int64
-        assert np.array_equal(view.read[0], inst.q)
-        narrow = _kernel.layout([GainCache.build(form, x, np.int32)])
-        assert narrow.read[0] is form.materialize()
-        assert np.array_equal(local_search(x, form), local_search(x, inst))
-        form.materialize = lambda: inst.q[:, 1:]
-        with pytest.raises(ValueError, match=r"shape \(12, 11\), not \(12, 12\)"):
+        assert np.array_equal(cache.gains, GainCache.build(inner, x).gains)
+        with pytest.raises(TypeError, match="not SimpleNamespace"):
+            _kernel.layout([cache])
+        with pytest.raises(TypeError, match="not SimpleNamespace"):
+            local_search(x, form)
+
+    def test_a_form_of_another_length_is_rejected(self):
+        inst = make_instance(12, seed=4)
+        cache = GainCache.build(inst, np.zeros(12, dtype=np.int8))
+        cache.form = make_instance(11, seed=4)
+        with pytest.raises(ValueError, match="a form on 11 bits in a cache of 12"):
             _kernel.layout([cache])
 
     def test_random_toys_enter_by_their_magnitudes(self):
         toy = make_form("random", 12, 4)
         view = _kernel.layout([GainCache.build(toy, np.zeros(12, dtype=np.int8))])
         assert view.rows[0, 0] == _kernel.FORM_RANDOM
-        assert view.rows[0, 1] == toy._m.ctypes.data
-        assert [array.dtype for array in view.read] == [np.int8, np.uint8]
+        assert read_at(view, 0, 1) is toy._m
+        anchor = read_at(view, 0, 2)
+        assert anchor.dtype == np.int8 and np.array_equal(anchor, toy.anchor)
+
+    @pytest.mark.parametrize("dtype", WIDTHS)
+    @pytest.mark.parametrize("kind", [ToyKind.PLUS_MINUS_ONE, ToyKind.PLUS_MINUS_I])
+    def test_anchored_toys_enter_by_their_weights(self, kind, dtype):
+        # One form for both anchored toys: their weights in the layout's
+        # width, an int32 copy or the toy's own int64 vector.
+        toy = make_form(kind.value, 12, 4)
+        view = _kernel.layout([GainCache.build(toy, np.zeros(12, dtype=np.int8), dtype)])
+        assert view.rows[0, 0] == _kernel.FORM_ANCHORED
+        weights = read_at(view, 0, 1)
+        assert weights.dtype == dtype and weights.flags.c_contiguous
+        assert np.array_equal(weights, toy._w)
+        assert (weights is toy._w) == (dtype == np.int64)
+        anchor = read_at(view, 0, 2)
+        assert anchor.dtype == np.int8 and np.array_equal(anchor, toy.anchor)
 
     def test_instances_enter_without_a_copy(self):
         # Also one built from a Fortran-ordered matrix.
@@ -382,7 +401,7 @@ class TestDescentEquivalence:
 
         def recorded(caches):
             view = layout(caches)
-            read.extend(array for row, array in zip(view.rows, view.read)
+            read.extend(read_at(view, i, 1) for i, row in enumerate(view.rows)
                         if row[0] == _kernel.FORM_DENSE)
             return view
 
@@ -409,13 +428,11 @@ class TestDescentEquivalence:
         with pytest.raises(ValueError, match="do not fit int32"):
             ils(inst, config)
         cache = GainCache.build(inst, np.zeros(n, dtype=np.int8))
-        duck = SimpleNamespace(n=n, materialize=lambda: inst.q)
-        for form in (inst, duck):
-            narrow = GainCache(form=form, solution=cache.solution,
-                               gains=cache.gains.astype(np.int32),
-                               sigma=cache.sigma.astype(np.int32))
-            with pytest.raises(ValueError, match="do not fit int32"):
-                _kernel.layout([narrow])
+        narrow = GainCache(form=inst, solution=cache.solution,
+                           gains=cache.gains.astype(np.int32),
+                           sigma=cache.sigma.astype(np.int32))
+        with pytest.raises(ValueError, match="do not fit int32"):
+            _kernel.layout([narrow])
         q[1, 2] = q[2, 1] = -INT32_MAX - 1
         lowest = UbqpInstance.from_matrix(q)
         view = _kernel.layout([GainCache(form=lowest, solution=narrow.solution,
@@ -539,12 +556,11 @@ def build_points(n: int, seed: int):
 
 class TestCacheBuilds:
     @pytest.mark.parametrize("dtype", WIDTHS)
-    @pytest.mark.parametrize("name", FORMS + ("duck",))
+    @pytest.mark.parametrize("name", FORMS)
     @pytest.mark.parametrize("n", [1, 2, 7, 64, MAX_N])
     def test_kernel_builds_the_reference_cache(self, n, name, dtype):
         for seed in (0, 1):
-            form = (DuckForm(make_instance(n, seed=seed)) if name == "duck"
-                    else make_form(name, n, seed))
+            form = make_form(name, n, seed)
             for x in build_points(n, seed):
                 assert_build_matches_the_reference(form, x, dtype)
 

@@ -133,6 +133,34 @@ class TestConstruction:
             with pytest.raises(ValueError, match="C-ordered n x n uint8"):
                 ToyMatrix(kind=ToyKind.RANDOM, anchor=anchor, _m=bad, _peak=1)
 
+    def test_toys_take_magnitudes_only_when_random(self):
+        # A random toy without its magnitudes and their peak could not run,
+        # and an anchored toy would ignore them.
+        anchor = random_anchor(4, 3)
+        m = np.ones((4, 4), dtype=np.uint8)
+        for kind, stored in ((ToyKind.RANDOM, {}), (ToyKind.RANDOM, dict(_m=m)),
+                             (ToyKind.RANDOM, dict(_peak=1)),
+                             (ToyKind.PLUS_MINUS_I, dict(_m=m)),
+                             (ToyKind.PLUS_MINUS_ONE, dict(_peak=1)),
+                             (ToyKind.PLUS_MINUS_ONE, dict(_m=m, _peak=1))):
+            with pytest.raises(ValueError, match="random toy takes its magnitudes"):
+                ToyMatrix(kind=kind, anchor=anchor, **stored)
+        assert ToyMatrix(kind=ToyKind.RANDOM, anchor=anchor, _m=m, _peak=1).max_abs() == 1
+
+    @pytest.mark.parametrize("kind", [ToyKind.PLUS_MINUS_ONE, ToyKind.PLUS_MINUS_I])
+    def test_anchored_weights_never_decrease(self, kind):
+        # The kernel's prefix pass over an anchored toy relies on w never
+        # decreasing; it reads _w in place, so _w is read-only.
+        for n in (1, 2, 9):
+            toy = ToyMatrix(kind=kind, anchor=random_anchor(n, n))
+            w = toy._w
+            assert w.dtype == np.int64 and w.shape == (n,)
+            assert np.all(np.diff(w) >= 0) and w[0] == 1
+            assert toy.max_abs() == w[-1] == (n if kind is ToyKind.PLUS_MINUS_I else 1)
+            assert not w.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                w[0] = 0
+
     def test_random_magnitudes_must_fit_in_uint8(self, monkeypatch):
         monkeypatch.setattr(smoothing, "RANDOM_MAGNITUDES", range(1, 257))
         with pytest.raises(ValueError, match="do not fit in uint8"):
