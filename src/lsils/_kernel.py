@@ -20,14 +20,16 @@ CPUs.
 
 The kernel is the search's only path: `library()` raises OSError when no
 compiler is found, the build fails or the platform is not 64-bit, and a
-failed build is not retried in the same process. `layout(caches)` takes
-caches of one gain width, int32 or int64, on toys and instances only: a toy
-by its anchor, with its weights in that width (FORM_ANCHORED, +-1 and +-i)
-or its uint8 magnitudes (FORM_RANDOM), and an instance as its dense matrix
-in that width (FORM_DENSE), `q` in place or the int32 copy it makes once
-and keeps (`UbqpInstance.rows`). The numpy reference the kernel is tested
-against lives in `tests/oracles.py`, and `GainCache.build` is the
-reference for its cache builds.
+failed build is not retried in the same process. The kernel reads a gain
+cache through one `lsils_cache` row, whose gains, sigma and x are arrays
+the run allocates (`search._Run`), and whose form fields `bind(row, form,
+n, dtype)` writes for toys and instances only, in the run's gain width,
+int32 or int64: a toy by its anchor, with its weights in that width
+(FORM_ANCHORED, +-1 and +-i) or its uint8 magnitudes (FORM_RANDOM), and an
+instance as its dense matrix in that width (FORM_DENSE), `q` in place or
+the int32 copy it makes once and keeps (`UbqpInstance.rows`). The numpy
+reference the kernel is tested against lives in `tests/oracles.py`, and
+`GainCache.build` is the reference for its cache builds.
 
 ctypes, subprocess and hashlib are imported on first use, so that
 `import lsils` costs no more than it did without the kernel.
@@ -39,8 +41,6 @@ import functools
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
-
 import numpy as np
 
 from .qubo import UbqpInstance, in_width
@@ -56,9 +56,10 @@ COMPILE_TIMEOUT_S = 120
 FORM_DENSE, FORM_ANCHORED, FORM_RANDOM = 0, 1, 2
 (ST_VALUE, ST_CONSUMED, ST_STOP, ST_ROUNDS, ST_STARTED, ST_HALT, ST_BEST, ST_IMPROVED,
  ST_MARKS, ST_MARKED, ST_SIZE) = range(11)
-# One lsils_cache per row: the kind, then the addresses of q, anchor,
-# gains, sigma and x. Eight-byte fields, so 64-bit platforms only.
-CACHE_FIELDS = 6
+# The members of one lsils_cache row, in order: the form's kind, then the
+# addresses of q, anchor, gains, sigma and x. Eight-byte fields, so 64-bit
+# platforms only.
+ROW_KIND, ROW_Q, ROW_ANCHOR, ROW_GAINS, ROW_SIGMA, ROW_X, CACHE_FIELDS = range(7)
 # The gain widths the source builds its search body for.
 GAIN_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
@@ -179,59 +180,32 @@ def entry(name: str, dtype):
     return getattr(library(), entry_name(name, dtype))
 
 
-class Layout(NamedTuple):
-    """The kernel's lsils_cache rows for a list of caches, all they read, and
-    the caches' gain width."""
+def bind(row: np.ndarray, form, n: int, dtype) -> tuple:
+    """Write the form fields of the lsils_cache `row` for `form` on n bits with
+    gains of `dtype`, one of `GAIN_DTYPES`; returns the arrays the row now
+    reads, which must outlive its reads.
 
-    rows: np.ndarray
-    caches: list
-    read: list
-    dtype: np.dtype
-
-
-def layout(caches) -> Layout:
-    """The kernel's view of `caches`, which keeps them and the arrays it reads alive.
-
-    The caches' gain width, one of `GAIN_DTYPES`, is the one their gains and
-    sigma share. A toy enters by its anchor: the random toy with its uint8
-    magnitude matrix, the +-1 and +-i toys with their weights `_w` in that
-    width (an O(n) copy for int32). An instance enters as its dense matrix
-    in that width by `rows` (`q` itself for int64, the kept int32 copy for
-    int32); ValueError when an entry does not fit the width. TypeError for
-    any other form. The kernel writes the caches' gains, sigma and solution
-    in place.
+    A toy enters by its anchor: the random toy with its uint8 magnitude
+    matrix, the +-1 and +-i toys with their weights `_w` in that width (an
+    O(n) copy for int32). An instance enters as its dense matrix in that
+    width by `rows` (`q` itself for int64, the kept int32 copy for int32),
+    with no anchor. TypeError for any other form; ValueError for a form on
+    another n, or with an entry that does not fit the width.
     """
-    n = caches[0].solution.size
-    dtype = caches[0].gains.dtype
-    if dtype not in GAIN_DTYPES:
-        raise ValueError(f"gains of {dtype} have no kernel; int32 or int64 do")
-    rows = np.zeros((len(caches), CACHE_FIELDS), dtype=np.int64)
-    read = []
-    for row, cache in zip(rows, caches):
-        form = cache.form
-        if isinstance(form, ToyMatrix):
-            random = form.kind is ToyKind.RANDOM
-            row[0] = FORM_RANDOM if random else FORM_ANCHORED
-            # _m is C-ordered n x n uint8, as ToyMatrix checks
-            arrays = {1: form._m if random else in_width(form._w, dtype),
-                      2: np.ascontiguousarray(form.anchor, dtype=np.int8)}
-        elif isinstance(form, UbqpInstance):
-            row[0] = FORM_DENSE
-            arrays = {1: form.rows(dtype)}
-        else:
-            raise TypeError(f"the search kernel runs UbqpInstance and ToyMatrix forms, "
-                            f"not {type(form).__name__}")
-        if form.n != n:
-            raise ValueError(f"a form on {form.n} bits in a cache of {n}")
-        for slot, array in arrays.items():
-            read.append(array)
-            row[slot] = array.ctypes.data
-        for slot, (array, kind) in enumerate(((cache.gains, dtype), (cache.sigma, dtype),
-                                              (cache.solution, np.int8)), start=3):
-            if not (array.dtype == kind and array.shape == (n,) and array.flags.c_contiguous
-                    and array.flags.writeable):
-                raise ValueError("a gain cache's gains, sigma and solution must be writable "
-                                 "contiguous vectors of length n, the gains and sigma of "
-                                 "every cache of one width")
-            row[slot] = array.ctypes.data
-    return Layout(rows, list(caches), read, dtype)
+    if not isinstance(form, (UbqpInstance, ToyMatrix)):
+        raise TypeError(f"the search kernel runs UbqpInstance and ToyMatrix forms, "
+                        f"not {type(form).__name__}")
+    if form.n != n:
+        raise ValueError(f"a form on {form.n} bits in a cache of {n}")
+    if isinstance(form, UbqpInstance):
+        row[ROW_KIND], row[ROW_ANCHOR] = FORM_DENSE, 0
+        read = (form.rows(dtype),)
+    else:
+        random = form.kind is ToyKind.RANDOM
+        row[ROW_KIND] = FORM_RANDOM if random else FORM_ANCHORED
+        # _m is C-ordered n x n uint8, as ToyMatrix checks
+        read = (form._m if random else in_width(form._w, dtype),
+                np.ascontiguousarray(form.anchor, dtype=np.int8))
+        row[ROW_ANCHOR] = read[1].ctypes.data
+    row[ROW_Q] = read[0].ctypes.data
+    return read

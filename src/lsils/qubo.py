@@ -161,33 +161,31 @@ def gain_dtype(n: int, peak: int) -> np.dtype:
 
 @dataclass
 class GainCache:
-    """One-flip gains of a quadratic form at the cached solution.
+    """One-flip gains of a quadratic form at the cached solution: the numpy
+    reference for the search kernel's caches, which a run holds itself and
+    builds and flips in the kernel (`search._Run`).
 
-    gains[k] = f(flip_k(x)) - f(x), exact, maintained in O(n) per applied
-    flip. `sigma` mirrors 1 - 2x. Both are int64, or int32 when built so for
-    a form within `gain_dtype`'s int32 bound. `apply_flip` reads rows of the
-    form's dense matrix: `build` keeps the one it used, and a cache built
-    otherwise (`search._Run.build`) materializes it on its first flip, so
-    the search, whose flips run in the kernel, never does. Single-owner
-    mutable state: never share one cache between concurrent searches.
+    gains[k] = f(flip_k(x)) - f(x), exact int64, maintained in O(n) per
+    applied flip. `sigma` mirrors 1 - 2x. A cache comes from `build`, which
+    keeps the form's dense matrix for `apply_flip` to read rows of.
+    Single-owner mutable state: never share one cache between concurrent
+    searches.
     """
 
     form: object
     solution: np.ndarray
     gains: np.ndarray
     sigma: np.ndarray
-    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
     _buf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._buf = np.empty(self.solution.size, dtype=np.int64)
 
     @classmethod
-    def build(cls, form, x, dtype=np.int64) -> "GainCache":
-        """The cache at x, its gains and sigma of `dtype` (int32 only within
-        `gain_dtype`'s bound), by one numpy matvec on the form's dense matrix.
-        The search builds its caches in the kernel (`search._Run.build`);
-        this is their reference."""
+    def build(cls, form, x) -> "GainCache":
+        """The cache at x, by one numpy matvec on the form's dense matrix: the
+        reference for the kernel's builds (`search._Run.build`)."""
         x = as_solution(x)
         if x.size != form.n:
             raise ValueError(f"solution length {x.size} does not match n={form.n}")
@@ -196,8 +194,7 @@ class GainCache:
         sigma = 1 - 2 * x64
         d = rows.diagonal()
         gains = sigma * (2 * (rows @ x64) - 2 * d * x64 + d)
-        cache = cls(form=form, solution=x.copy(), gains=gains.astype(dtype, copy=False),
-                    sigma=sigma.astype(dtype, copy=False))
+        cache = cls(form=form, solution=x.copy(), gains=gains, sigma=sigma)
         cache._rows = rows
         return cache
 
@@ -205,8 +202,6 @@ class GainCache:
         """Flip bit k of the cached solution and update all gains in O(n)."""
         if not 0 <= k < self.solution.size:
             raise IndexError(f"flip index {k} out of range")
-        if self._rows is None:
-            self._rows = np.asarray(self.form.materialize(), dtype=np.int64)
         old = int(self.gains[k])
         sk = int(self.sigma[k])
         # For j != k the gain shifts by 2 * sigma_j * Q_jk * sigma_k(old).

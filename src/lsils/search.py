@@ -23,18 +23,20 @@ the caches' gains, with the weights of `blend_weights`.
 
 Outer iterations, and every gain cache a run builds, run in the compiled
 kernel of `_kernel.c`, the search's only path, which needs a C compiler
-(see `_kernel`). A cache is built from the cache at x = 0 by flipping x's
-set bits in one block update, which also gives f(x). One kernel call
-perturbs and descends, iteration after iteration, and returns to Python
-only at a decision point: the end of an evals budget, the schedule's next
-lambda step, an iteration that improved the best (the smoothed search then
-rebuilds its toy there), or the end of the swap targets drawn so far. It
-stamps the run's log marks as it passes them, so marks never stop it.
-Under a seconds budget a call runs one iteration, because the kernel does
-not read the clock. One `_Run` holds a run's state, kernel buffers, clock
-and log, and one `_SwapTargets` its swap targets, drawn `TARGET_CHUNK`
-iterations' worth at a time. The numpy reference the kernel matches flip
-for flip, one iteration per call, is in `tests/oracles.py`.
+(see `_kernel`). A run holds two gain caches in fixed slots, f's in slot 0
+and the current toy's in slot 1, allocated once; building a slot binds it
+to a form and flips x's set bits into the cache at x = 0 in one block
+update, which also gives f(x). One kernel call perturbs and descends,
+iteration after iteration, and returns to Python only at a decision point:
+the end of an evals budget, the schedule's next lambda step, an iteration
+that improved the best (the smoothed search then rebuilds its toy there),
+or the end of the swap targets drawn so far. It stamps the run's log marks
+as it passes them, so marks never stop it. Under a seconds budget a call
+runs one iteration, because the kernel does not read the clock. One `_Run`
+holds a run's state, caches, kernel buffers, clock and log, and one
+`_SwapTargets` its swap targets, drawn `TARGET_CHUNK` iterations' worth at
+a time. The numpy reference the kernel matches flip for flip, one
+iteration per call, is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .qubo import (
     INT64_MAX,
     PERTURB_STREAM,
     TOY_STREAM,
-    GainCache,
     UbqpInstance,
     as_solution,
     gain_dtype,
@@ -239,13 +240,18 @@ def _slot(index: int) -> property:
 
 
 class _Run:
-    """One run's state, buffers, budget clock and log, allocated once per run.
+    """One run's state, gain caches, buffers, budget clock and log, allocated
+    once per run.
 
     The kernel's int64 `state` is the only copy of the current `value`, the
     evaluations charged (`consumed`), the `best` value and the log marks
-    stamped; `best_x` is the best solution. A run's caches, which `build`
-    makes, all have gains of one `dtype`, int32 or int64, which picks the
-    kernel's entry points and the type of its `lanes` scratch. Under an
+    stamped; `best_x` is the best solution. The run holds two gain caches in
+    fixed slots, f's in slot 0 and the toy's in slot 1: row i of `gains`,
+    `sigma` and `x` is slot i's, and `rows` holds their kernel lsils_cache
+    rows, whose form fields `build` binds, with the arrays they read kept in
+    `read`. `iterate` runs on the first `caches` slots, 1 or 2. Gains have
+    one `dtype`, int32 or int64, which picks the kernel's entry points and
+    the type of its `lanes` scratch. Under an
     evals budget the kernel stamps every mark it passes (`marks`, the
     evaluation count reaching each) into `stamps` as `charge` would, one
     scan, flip or perturbed bit at a time, and they are logged when it
@@ -285,20 +291,26 @@ class _Run:
         self.weights = np.zeros(2, dtype=np.int64)
         self.buffers = tuple(a.ctypes.data for a in (self.scratch, self.lanes, self.state,
                                                      self.best_x, self.marks, self.stamps))
+        self.gains = np.zeros((2, n), dtype=dtype)
+        self.sigma = np.zeros((2, n), dtype=dtype)
+        self.x = np.zeros((2, n), dtype=np.int8)
+        self.rows = np.zeros((2, _kernel.CACHE_FIELDS), dtype=np.int64)
+        for row, arrays in zip(self.rows, zip(self.gains, self.sigma, self.x)):
+            row[_kernel.ROW_GAINS:] = [array.ctypes.data for array in arrays]
+        self.read = [(), ()]
+        self.caches = 1
 
-    def build(self, form, x) -> tuple[GainCache, int]:
-        """The gain cache of `form` at x with the run's gain width, built in
-        the kernel, and the exact objective f(x). Not charged."""
+    def build(self, slot: int, form, x) -> int:
+        """Bind cache `slot` to `form` and build its gains at x in the kernel;
+        returns the exact objective f(x). Not charged."""
         x = as_solution(x)
         n = self.n
-        if x.size != n or form.n != n:
-            raise ValueError(f"solution length {x.size} does not match n={form.n}")
-        dtype = self.lanes.dtype
-        cache = GainCache(form=form, solution=x.copy(), gains=np.empty(n, dtype=dtype),
-                          sigma=np.empty(n, dtype=dtype))
-        view = _kernel.layout([cache])  # kept alive with what it reads until the call returns
+        if x.size != n:
+            raise ValueError(f"solution length {x.size} does not match n={n}")
+        self.read[slot] = _kernel.bind(self.rows[slot], form, n, self.gains.dtype)
+        self.x[slot] = x
         scratch, lanes = self.buffers[:2]  # the positions' n slots follow the permutation's
-        return cache, self.builder(view.rows.ctypes.data, n, scratch + 8 * n, lanes)
+        return self.builder(self.rows[slot].ctypes.data, n, scratch + 8 * n, lanes)
 
     def progress(self) -> float:
         return self.consumed if self.budget.kind == "evals" else time.monotonic() - self.started
@@ -329,19 +341,16 @@ class _Run:
             self._emit_mark(self.consumed, self.best)
         self.state[_kernel.ST_MARKED] = len(self.log)
 
-    def iterate(self, view: _kernel.Layout, weights=None, targets: _SwapTargets | None = None,
+    def iterate(self, weights=None, targets: _SwapTargets | None = None,
                 stop: int = INT64_MAX, halt: bool = False) -> None:
-        """Descend on the caches of `view`, or with `targets` perturb and descend.
+        """Descend on the first `caches` slots, or with `targets` perturb and descend.
 
         With targets, one kernel call runs iterations until a decision point:
         the count `stop` (the budget's end or the next lambda step), the end
         of the drawn targets, or, with `halt`, an iteration that improved the
         best; under a seconds budget, one iteration. `weights` are
-        `blend_weights` or None; at b = 0 the kernel scans g_0 itself. The
-        caches' gains must have the run's dtype.
+        `blend_weights` or None; at b = 0 the kernel scans g_0 itself.
         """
-        if view.dtype != self.lanes.dtype:
-            raise ValueError(f"caches with {view.dtype} gains in a run of {self.lanes.dtype}")
         blend = None
         if weights is not None and weights[1]:
             self.weights[:] = weights
@@ -353,7 +362,7 @@ class _Run:
             if self.budget.kind == "seconds":
                 rounds = 1  # the kernel does not read the clock
         self.state[[_kernel.ST_STOP, _kernel.ST_ROUNDS, _kernel.ST_HALT]] = stop, rounds, halt
-        self.kernel(view.rows.ctypes.data, len(view.caches), self.n, self.pivot_rule == "first",
+        self.kernel(self.rows.ctypes.data, self.caches, self.n, self.pivot_rule == "first",
                     blend, at, bits, *self.buffers)
         stamps = self.stamps[2 * len(self.log):2 * int(self.state[_kernel.ST_MARKED])].tolist()
         for i in range(0, len(stamps), 2):
@@ -404,9 +413,11 @@ def local_search(x, objective, pivot_rule: str = "best") -> np.ndarray:
     dtype = gain_dtype(objective.n, max(form.max_abs() for form in forms))
     # Unbudgeted: the value and best the run keeps are unused.
     run = _Run(objective.n, pivot_rule, dtype=dtype)
-    caches = [run.build(form, x)[0] for form in forms]
-    run.iterate(_kernel.layout(caches), weights)
-    return caches[0].solution.copy()
+    for slot, form in enumerate(forms):
+        run.build(slot, form, x)
+    run.caches = len(forms)
+    run.iterate(weights)
+    return run.x[0].copy()
 
 
 def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult:
@@ -442,18 +453,15 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
 
     x = random_solution(n, rng_init)
     run = _Run(n, config.pivot_rule, config.budget, config.log_interval, dtype)
-    primary, run.value = run.build(inst, x)
-    run.best = run.value
+    run.value = run.best = run.build(0, inst, x)
     run.best_x[:] = x
     run.charge(n)
 
     # Initialization: one plain descent on the original objective.
-    plain = _kernel.layout([primary])
-    run.iterate(plain)
+    run.iterate()
 
     anchor: np.ndarray | None = None
     toy: ToyMatrix | None = None
-    blended: _kernel.Layout | None = None
     targets = _SwapTargets(rng_perturb, n, bits)
     steps = schedule if smoothing else None
 
@@ -467,29 +475,32 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
                 toy_seed = (int(rng_toy.integers(0, 2**63 - 1))
                             if config.toy_kind is ToyKind.RANDOM else 0)
                 anchor = run.best_x.copy()
-                toy = blended = None
-            if not lam:
+                toy = None
+            if toy is None or not lam:
                 # At lam = 0, g is f: descend on its exact integer gains alone.
-                # The toy cache would go stale, so it is dropped and rebuilt.
-                blended = None
-            else:
+                # The toy cache would go stale, so it is dropped and rebuilt,
+                # as it is at a new anchor.
+                run.caches = 1
+            if lam:
                 if toy is None:
                     toy = construct_toy(config.toy_kind, anchor, seed=toy_seed)
-                if blended is None:
-                    blended = _kernel.layout([primary, run.build(toy, primary.solution)[0]])
+                if run.caches == 1:
+                    run.build(1, toy, run.x[0])
+                    run.caches = 2
                 weights = weights_of(lam, toy.max_abs())
         # Every iteration up to the next decision: a lambda step, or a new
         # best, which moves the anchor.
-        run.iterate(blended or plain, weights, targets, run.decision(steps), halt=smoothing)
+        run.iterate(weights, targets, run.decision(steps), halt=smoothing)
 
     if smoothing:
         # A blended descent can pass its best on a slope of f. Checking the
         # best's gains is free; the descent that climbs from it is charged.
-        at_best = (primary if np.array_equal(primary.solution, run.best_x)
-                   else run.build(inst, run.best_x)[0])
-        if at_best.gains.max() > 0:
+        run.caches = 1
+        if not np.array_equal(run.x[0], run.best_x):
+            run.build(0, inst, run.best_x)
+        if run.gains[0].max() > 0:
             run.value = run.best
-            run.iterate(_kernel.layout([at_best]))
+            run.iterate()
     run.finish()
     return RunResult(
         algo=algo_label(config.toy_kind if smoothing else None),

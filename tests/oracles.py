@@ -210,10 +210,10 @@ EXAMPLE_INDEX_VALUE_AT_ANCHOR = 39
 
 # -- The search's numpy reference -------------------------------------------
 # The compiled kernel of the search must match these flip for flip. They
-# take the package's run state, gain caches, kernel view of a cache list and
-# swap-target source as arguments, by their attributes and methods alone: a
-# run's `value` and `best` are slots of its state vector, `best_x` is its
-# best solution, and `charge` charges its budget.
+# take the package's run state, gain caches and swap-target source as
+# arguments, by their attributes and methods alone: a run's `value` and
+# `best` are slots of its state vector, `best_x` is its best solution, and
+# `charge` charges its budget.
 
 
 def take_targets(targets) -> np.ndarray:
@@ -288,13 +288,12 @@ def perturb(run, caches, positions) -> None:
         run.charge(n)
 
 
-def descent_call(run, view, weights=None, targets=None, stop=None, halt=False) -> None:
-    """A stand-in for `search._Run.iterate` that runs one iteration.
-
-    It perturbs the caches of the kernel view `view` with the next
-    iteration's targets, if given, and descends; `stop` and `halt` are not
-    needed, since the run decides again after every iteration.
+def descent_call(run, caches, weights=None, targets=None) -> None:
+    """One iteration of `search._Run.iterate` on `caches`, the run's caches:
+    it perturbs them with the next iteration's targets, if given, and
+    descends. The run decides again after every iteration, so it needs no
+    stop count.
     """
     if targets is not None:
-        perturb(run, view.caches, swap_positions(take_targets(targets)))
-    descend(run, view.caches, weights, run.pivot_rule)
+        perturb(run, caches, swap_positions(take_targets(targets)))
+    descend(run, caches, weights, run.pivot_rule)

@@ -68,20 +68,51 @@ def make_form(name: str, n: int, seed: int):
     return construct_toy(ToyKind(name), anchor, seed=seed)
 
 
-def read_at(view, i: int, slot: int) -> np.ndarray:
-    """The array the kernel reads through `slot` of the layout's row i."""
-    (array,) = [array for array in view.read if array.ctypes.data == view.rows[i, slot]]
+def read_at(run, slot: int, field: int) -> np.ndarray:
+    """The array the kernel reads through `field` of the run's cache row `slot`."""
+    (array,) = [array for array in run.read[slot] if array.ctypes.data == run.rows[slot, field]]
     return array
 
 
-def reference_build(run, form, x):
+def load(run, slot: int, form, x) -> None:
+    """Load the numpy reference's cache of `form` at x into the run's `slot`:
+    bind the slot to the form and copy in the cache's gains, sigma and
+    solution. The cache, now on the slot's arrays, is kept in
+    `run.references` for the reference to flip."""
+    cache = GainCache.build(form, x)
+    run.read[slot] = _kernel.bind(run.rows[slot], form, run.n, run.gains.dtype)
+    run.gains[slot], run.sigma[slot], run.x[slot] = cache.gains, cache.sigma, cache.solution
+    cache.gains, cache.sigma, cache.solution = run.gains[slot], run.sigma[slot], run.x[slot]
+    vars(run).setdefault("references", [None, None])[slot] = cache
+
+
+def loaded(run, forms, x):
+    """`run` with the reference caches of `forms` at x in its first slots."""
+    for slot, form in enumerate(forms):
+        load(run, slot, form, x)
+    run.caches = len(forms)
+    return run
+
+
+def references(run) -> list:
+    """The reference caches of the slots the run iterates on."""
+    return run.references[:run.caches]
+
+
+def reference_build(run, slot, form, x) -> int:
     """`_Run.build` by `GainCache.build`, the numpy reference."""
-    return GainCache.build(form, x, run.lanes.dtype), evaluate(form, x)
+    load(run, slot, form, x)
+    return evaluate(form, x)
+
+
+def reference_iterate(run, weights=None, targets=None, stop=INT64_MAX, halt=False) -> None:
+    """`_Run.iterate` by the numpy reference, one iteration per call."""
+    oracles.descent_call(run, references(run), weights, targets)
 
 
 def run_the_reference(monkeypatch) -> None:
     """Runs build their caches and run their iterations in the numpy reference."""
-    monkeypatch.setattr(search._Run, "iterate", oracles.descent_call)
+    monkeypatch.setattr(search._Run, "iterate", reference_iterate)
     monkeypatch.setattr(search._Run, "build", reference_build)
 
 
@@ -128,7 +159,8 @@ def c_enums(source: str) -> dict[str, int]:
 
 
 def test_layout_matches_the_source():
-    # _kernel.py mirrors _kernel.c's form codes, state layout and cache row.
+    # _kernel.py mirrors _kernel.c's form codes, state layout and cache row,
+    # whose fields it names, in order, as the struct's members.
     source = _kernel.SOURCE.read_text()
     ours = {name: value for name, value in vars(_kernel).items()
             if name.startswith(("ST_", "FORM_")) and isinstance(value, int)}
@@ -136,8 +168,13 @@ def test_layout_matches_the_source():
               if name.startswith(("ST_", "FORM_"))}
     assert ours == theirs
     struct = re.search(r"typedef struct \{(.*?)\} lsils_cache;", source, flags=re.DOTALL)
-    members = re.sub(r"/\*.*?\*/", "", struct.group(1), flags=re.DOTALL).count(";")
-    assert members == _kernel.CACHE_FIELDS
+    members = re.findall(r"(\w+)\s*;", re.sub(r"/\*.*?\*/", "", struct.group(1),
+                                                flags=re.DOTALL))
+    fields = sorted((value, name) for name, value in vars(_kernel).items()
+                    if name.startswith("ROW_"))
+    assert [name.removeprefix("ROW_").lower() for _, name in fields] == members
+    assert [value for value, _ in fields] == list(range(len(members)))
+    assert len(members) == _kernel.CACHE_FIELDS
 
 
 @pytest.fixture(scope="session")
@@ -182,60 +219,55 @@ def test_unwritable_cache_builds_privately(tmp_path, monkeypatch, copied_compile
     assert _kernel._build().lsils_iterate_i32
 
 
+def assert_caches_agree(run, ref):
+    """The caches the run iterates on hold what the reference's do."""
+    k = ref.caches
+    assert run.caches == k
+    for name in ("gains", "sigma", "x"):
+        assert np.array_equal(getattr(run, name)[:k], getattr(ref, name)[:k]), name
+
+
 def assert_descents_agree(forms, x, weights, pivot, dtype=np.int64):
-    """One compiled and one reference descent from x give identical results; returns the caches."""
-    runs = []
-    for compiled in (False, True):
-        caches = [GainCache.build(form, x, dtype) for form in forms]
-        run = _Run(x.size, pivot, dtype=dtype)
-        if compiled:
-            run.iterate(_kernel.layout(caches), weights)
-        else:
-            oracles.descend(run, caches, weights, pivot)
-        runs.append((run.value, run.consumed, caches))
-    (ref_value, ref_consumed, ref_caches), (value, consumed, caches) = runs
-    assert (value, consumed) == (ref_value, ref_consumed)
-    for ours, ref in zip(caches, ref_caches):
-        assert np.array_equal(ours.gains, ref.gains)
-        assert np.array_equal(ours.sigma, ref.sigma)
-        assert np.array_equal(ours.solution, ref.solution)
-    return caches
+    """One compiled and one reference descent from x give identical results;
+    returns the compiled run."""
+    ref, run = (loaded(_Run(x.size, pivot, dtype=dtype), forms, x) for _ in range(2))
+    oracles.descend(ref, references(ref), weights, pivot)
+    run.iterate(weights)
+    assert (run.value, run.consumed) == (ref.value, ref.consumed)
+    assert_caches_agree(run, ref)
+    return run
 
 
 def started_run(forms, x, pivot, budget, interval, lam, start, dtype=np.int64):
-    """Caches at x and a run at value f(x), best f(x) - 1 and `start` evaluations."""
-    caches = [GainCache.build(form, x, dtype) for form in forms]
-    run = _Run(x.size, pivot, Budget("evals", budget), interval, dtype)
+    """A run with reference caches at x, at value f(x), best f(x) - 1 and
+    `start` evaluations."""
+    run = loaded(_Run(x.size, pivot, Budget("evals", budget), interval, dtype), forms, x)
     run.value = evaluate(forms[0], x)
     run.best = run.value - 1
     run.best_x[:] = x
     run.current_lam = lam
     if start:
         run.charge(start)
-    return caches, run
+    return run
 
 
-def assert_runs_agree(run, caches, ref, ref_caches):
+def assert_runs_agree(run, ref):
     """The kernel's run and caches end as the reference's do."""
-    for ours, theirs in zip(caches, ref_caches):
-        assert np.array_equal(ours.gains, theirs.gains)
-        assert np.array_equal(ours.sigma, theirs.sigma)
-        assert np.array_equal(ours.solution, theirs.solution)
+    assert_caches_agree(run, ref)
     assert (run.value, run.best) == (ref.value, ref.best)
     assert np.array_equal(run.best_x, ref.best_x)
     assert run.log.records == ref.log.records
     assert (run.consumed, run.next_mark) == (ref.consumed, ref.next_mark)
 
 
-def assert_iterations_agree(run, caches, ref, ref_caches, weights, pivot, bits, key, stop,
-                            halt):
+def assert_iterations_agree(run, ref, weights, pivot, bits, key, stop, halt):
     """One compiled call and as many reference iterations, one at a time,
     from the same started runs and swap targets drawn with `seeded_rng(*key)`,
     end in the same state."""
     n = run.n
     ref_targets, targets = (search._SwapTargets(seeded_rng(*key), n, bits) for _ in range(2))
     rounds, at = targets.ready(), targets.at
-    run.iterate(_kernel.layout(caches), weights, targets, stop, halt)
+    run.iterate(weights, targets, stop, halt)
     ran = (targets.at - at) // bits
     assert 1 <= ran <= rounds
     improved = False
@@ -243,13 +275,13 @@ def assert_iterations_agree(run, caches, ref, ref_caches, weights, pivot, bits, 
         assert ref.consumed < stop and not (halt and improved)
         best = ref.best
         positions = oracles.swap_positions(oracles.take_targets(ref_targets))
-        oracles.perturb(ref, ref_caches, positions)
-        oracles.descend(ref, ref_caches, weights, pivot)
+        oracles.perturb(ref, references(ref), positions)
+        oracles.descend(ref, references(ref), weights, pivot)
         improved = ref.best > best
     # It stopped for a reason: targets used up, the stop count, or a new
     # best under `halt`.
     assert ran == rounds or ref.consumed >= stop or (halt and improved)
-    assert_runs_agree(run, caches, ref, ref_caches)
+    assert_runs_agree(run, ref)
     assert np.array_equal(oracles.take_targets(ref_targets), oracles.take_targets(targets))
     assert np.array_equal(run.scratch[:n], np.arange(n))
     assert not run.lanes[:n].any()
@@ -269,25 +301,24 @@ class TestDescentEquivalence:
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
         weights = blend_weights(lam, alpha, 0, 0) if blend and len(forms) == 2 else None
-        ref_caches, ref = started_run(forms, x, pivot, budget, interval, lam, start, dtype)
-        caches, run = started_run(forms, x, pivot, budget, interval, lam, start, dtype)
-        oracles.descend(ref, ref_caches, weights, pivot)
-        run.iterate(_kernel.layout(caches), weights)
-        assert_runs_agree(run, caches, ref, ref_caches)
+        ref, run = (started_run(forms, x, pivot, budget, interval, lam, start, dtype)
+                    for _ in range(2))
+        oracles.descend(ref, references(ref), weights, pivot)
+        run.iterate(weights)
+        assert_runs_agree(run, ref)
 
     @pytest.mark.parametrize("weights", [None, (1, 0), (1, 1)])
     def test_ties_go_to_the_lowest_index(self, weights):
         # From 00 both flips gain 1, and each one makes the other lose.
         inst = UbqpInstance.from_matrix(np.array([[1, -1], [-1, 1]]))
         for compiled in (False, True):
-            caches = [GainCache.build(inst, [0, 0]) for _ in range(2)]
-            run = _Run(2, "best")
+            run = loaded(_Run(2, "best"), (inst, inst), [0, 0])
             if compiled:
-                run.iterate(_kernel.layout(caches), weights)
+                run.iterate(weights)
             else:
-                oracles.descend(run, caches, weights, "best")
+                oracles.descend(run, references(run), weights, "best")
             assert run.value == 1
-            assert caches[0].solution.tolist() == [1, 0]
+            assert run.x[0].tolist() == [1, 0]
 
     @pytest.mark.parametrize("weights", [None, (1, 0), (1, 1)])
     @pytest.mark.parametrize("tie", [(3, 70), (63, 64), (0, 129), (70, 100), (128, 129)])
@@ -299,8 +330,8 @@ class TestDescentEquivalence:
         q[i, i] = q[j, j] = 1
         q[i, j] = q[j, i] = -1
         inst = UbqpInstance.from_matrix(q)
-        caches = assert_descents_agree((inst, inst), np.zeros(n, dtype=np.int8), weights, "best")
-        assert caches[0].solution.nonzero()[0].tolist() == [i]
+        run = assert_descents_agree((inst, inst), np.zeros(n, dtype=np.int8), weights, "best")
+        assert run.x[0].nonzero()[0].tolist() == [i]
 
     @pytest.mark.parametrize("pivot", PIVOT_RULES)
     @pytest.mark.parametrize("weights", [(0, 1), (1, 1)])
@@ -312,8 +343,8 @@ class TestDescentEquivalence:
         diagonal[::3] = 0
         forms = (UbqpInstance.from_matrix(np.diag(diagonal)),
                  UbqpInstance.from_matrix(np.zeros((n, n), dtype=int)))
-        caches = assert_descents_agree(forms, np.zeros(n, dtype=np.int8), weights, pivot)
-        assert not caches[0].solution.any()
+        run = assert_descents_agree(forms, np.zeros(n, dtype=np.int8), weights, pivot)
+        assert not run.x[0].any()
 
     @pytest.mark.parametrize("weights", [None, (1, 0)])
     def test_gains_past_2_53_are_scanned_exactly(self, weights):
@@ -325,8 +356,8 @@ class TestDescentEquivalence:
         inst = gains_past_2_53()
         n = inst.n
         forms = (inst, UbqpInstance.from_matrix(np.zeros((n, n), dtype=int)))
-        caches = assert_descents_agree(forms, np.zeros(n, dtype=np.int8), weights, "best")
-        assert caches[0].solution.nonzero()[0].tolist() == [17]
+        run = assert_descents_agree(forms, np.zeros(n, dtype=np.int8), weights, "best")
+        assert run.x[0].nonzero()[0].tolist() == [17]
 
     @pytest.mark.parametrize("pivot", PIVOT_RULES)
     def test_local_search_matches_the_reference_descent(self, pivot):
@@ -351,61 +382,72 @@ class TestDescentEquivalence:
         cache = GainCache.build(form, x)
         assert np.array_equal(cache.gains, GainCache.build(inner, x).gains)
         with pytest.raises(TypeError, match="not SimpleNamespace"):
-            _kernel.layout([cache])
+            _Run(12, "best").build(0, form, x)
         with pytest.raises(TypeError, match="not SimpleNamespace"):
             local_search(x, form)
 
-    def test_a_form_of_another_length_is_rejected(self):
-        inst = make_instance(12, seed=4)
-        cache = GainCache.build(inst, np.zeros(12, dtype=np.int8))
-        cache.form = make_instance(11, seed=4)
+    @pytest.mark.parametrize("name", FORMS)
+    def test_a_form_of_another_length_is_rejected(self, name):
+        # Before any field of the row is written.
+        row = np.zeros(_kernel.CACHE_FIELDS, dtype=np.int64)
         with pytest.raises(ValueError, match="a form on 11 bits in a cache of 12"):
-            _kernel.layout([cache])
+            _kernel.bind(row, make_form(name, 11, 4), 12, np.int64)
+        assert not row.any()
 
-    def test_random_toys_enter_by_their_magnitudes(self):
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_random_toys_enter_by_their_magnitudes(self, slot):
         toy = make_form("random", 12, 4)
-        view = _kernel.layout([GainCache.build(toy, np.zeros(12, dtype=np.int8))])
-        assert view.rows[0, 0] == _kernel.FORM_RANDOM
-        assert read_at(view, 0, 1) is toy._m
-        anchor = read_at(view, 0, 2)
+        run = _Run(12, "best")
+        run.build(slot, toy, np.zeros(12, dtype=np.int8))
+        assert run.rows[slot, _kernel.ROW_KIND] == _kernel.FORM_RANDOM
+        assert read_at(run, slot, _kernel.ROW_Q) is toy._m
+        anchor = read_at(run, slot, _kernel.ROW_ANCHOR)
         assert anchor.dtype == np.int8 and np.array_equal(anchor, toy.anchor)
 
+    @pytest.mark.parametrize("slot", [0, 1])
     @pytest.mark.parametrize("dtype", WIDTHS)
     @pytest.mark.parametrize("kind", [ToyKind.PLUS_MINUS_ONE, ToyKind.PLUS_MINUS_I])
-    def test_anchored_toys_enter_by_their_weights(self, kind, dtype):
-        # One form for both anchored toys: their weights in the layout's
-        # width, an int32 copy or the toy's own int64 vector.
+    def test_anchored_toys_enter_by_their_weights(self, kind, dtype, slot):
+        # One form for both anchored toys: their weights in the run's width,
+        # an int32 copy or the toy's own int64 vector.
         toy = make_form(kind.value, 12, 4)
-        view = _kernel.layout([GainCache.build(toy, np.zeros(12, dtype=np.int8), dtype)])
-        assert view.rows[0, 0] == _kernel.FORM_ANCHORED
-        weights = read_at(view, 0, 1)
+        run = _Run(12, "best", dtype=dtype)
+        run.build(slot, toy, np.zeros(12, dtype=np.int8))
+        assert run.rows[slot, _kernel.ROW_KIND] == _kernel.FORM_ANCHORED
+        weights = read_at(run, slot, _kernel.ROW_Q)
         assert weights.dtype == dtype and weights.flags.c_contiguous
         assert np.array_equal(weights, toy._w)
         assert (weights is toy._w) == (dtype == np.int64)
-        anchor = read_at(view, 0, 2)
+        anchor = read_at(run, slot, _kernel.ROW_ANCHOR)
         assert anchor.dtype == np.int8 and np.array_equal(anchor, toy.anchor)
 
     def test_instances_enter_without_a_copy(self):
-        # Also one built from a Fortran-ordered matrix.
+        # Also one built from a Fortran-ordered matrix, and into a slot that
+        # held a toy, whose anchor the row then no longer points at.
         q = make_instance(12, seed=4).q
+        run = _Run(12, "best")
         for inst in (UbqpInstance.from_matrix(q), UbqpInstance.from_matrix(np.asfortranarray(q))):
-            view = _kernel.layout([GainCache.build(inst, np.zeros(12, dtype=np.int8))])
-            assert view.read[0] is inst.q
+            run.build(0, make_form("random", 12, 4), np.zeros(12, dtype=np.int8))
+            run.build(0, inst, np.zeros(12, dtype=np.int8))
+            assert run.rows[0, _kernel.ROW_KIND] == _kernel.FORM_DENSE
+            assert len(run.read[0]) == 1 and run.read[0][0] is inst.q
+            assert run.rows[0, _kernel.ROW_Q] == inst.q.ctypes.data
+            assert run.rows[0, _kernel.ROW_ANCHOR] == 0
 
-    def test_int32_layouts_of_an_instance_read_one_copy(self, monkeypatch):
-        # Every int32 layout of one instance, in every run, reads one
-        # read-only int32 copy of q, made once; int64 layouts read q itself.
+    def test_int32_runs_of_an_instance_read_one_copy(self, monkeypatch):
+        # Every int32 binding of one instance, in every run, reads one
+        # read-only int32 copy of q, made once; int64 bindings read q itself.
         inst = make_instance(45, seed=21)
         assert gain_dtype(inst.n, inst.max_abs()) == np.int32
-        read, layout = [], _kernel.layout
+        read, bind = [], _kernel.bind
 
-        def recorded(caches):
-            view = layout(caches)
-            read.extend(read_at(view, i, 1) for i, row in enumerate(view.rows)
-                        if row[0] == _kernel.FORM_DENSE)
-            return view
+        def recorded(row, form, n, dtype):
+            arrays = bind(row, form, n, dtype)
+            if row[_kernel.ROW_KIND] == _kernel.FORM_DENSE:
+                read.append(arrays[0])
+            return arrays
 
-        monkeypatch.setattr(_kernel, "layout", recorded)
+        monkeypatch.setattr(_kernel, "bind", recorded)
         _run_logs(inst, "best")
         assert len(read) > 6
         assert len({id(array) for array in read}) == 1
@@ -418,7 +460,7 @@ class TestDescentEquivalence:
 
     def test_entries_past_the_width_are_rejected(self, monkeypatch):
         # Forced onto int32 lanes, a form with an entry past int32 fails
-        # before the kernel reads it; -2^31 still fits the layout.
+        # before the kernel reads it; -2^31 still fits the run.
         n = 6
         q = np.zeros((n, n), dtype=np.int64)
         q[1, 2] = q[2, 1] = INT32_MAX + 1
@@ -427,39 +469,13 @@ class TestDescentEquivalence:
         config = SearchConfig(budget=Budget("evals", 1000))
         with pytest.raises(ValueError, match="do not fit int32"):
             ils(inst, config)
-        cache = GainCache.build(inst, np.zeros(n, dtype=np.int8))
-        narrow = GainCache(form=inst, solution=cache.solution,
-                           gains=cache.gains.astype(np.int32),
-                           sigma=cache.sigma.astype(np.int32))
+        narrow = _Run(n, "best", dtype=np.int32)
         with pytest.raises(ValueError, match="do not fit int32"):
-            _kernel.layout([narrow])
+            narrow.build(0, inst, np.zeros(n, dtype=np.int8))
         q[1, 2] = q[2, 1] = -INT32_MAX - 1
-        lowest = UbqpInstance.from_matrix(q)
-        view = _kernel.layout([GainCache(form=lowest, solution=narrow.solution,
-                                         gains=narrow.gains, sigma=narrow.sigma)])
-        assert view.read[0].dtype == np.int32 and np.array_equal(view.read[0], q)
-
-    def test_caches_the_kernel_cannot_write_are_rejected(self):
-        inst = make_instance(6, seed=4)
-        ok = GainCache.build(inst, np.zeros(6, dtype=np.int8))
-        frozen = ok.solution.copy()
-        frozen.setflags(write=False)
-        for bad in (dict(solution=frozen), dict(gains=ok.gains.astype(np.int32)),
-                    dict(sigma=np.repeat(ok.sigma, 2)[::2])):
-            fields = dict(form=inst, solution=ok.solution, gains=ok.gains, sigma=ok.sigma)
-            with pytest.raises(ValueError, match="writable contiguous"):
-                _kernel.layout([GainCache(**{**fields, **bad})])
-        narrow = GainCache.build(inst, np.zeros(6, dtype=np.int8), np.int32)
-        with pytest.raises(ValueError, match="of one width"):
-            _kernel.layout([ok, narrow])
-        with pytest.raises(ValueError, match="int16 have no kernel"):
-            _kernel.layout([GainCache.build(inst, np.zeros(6, dtype=np.int8), np.int16)])
-
-    def test_a_run_takes_caches_of_its_width_only(self):
-        inst = make_instance(6, seed=4)
-        view = _kernel.layout([GainCache.build(inst, np.zeros(6, dtype=np.int8), np.int32)])
-        with pytest.raises(ValueError, match="int32 gains in a run of int64"):
-            _Run(6, "best").iterate(view)
+        narrow.build(0, UbqpInstance.from_matrix(q), np.zeros(n, dtype=np.int8))
+        (rows,) = narrow.read[0]
+        assert rows.dtype == np.int32 and np.array_equal(rows, q)
 
 
 class TestIterationEquivalence:
@@ -484,10 +500,9 @@ class TestIterationEquivalence:
         weights = blend_weights(lam, alpha, 0, 0) if blend and len(forms) == 2 else None
 
         with mock.patch.object(search, "TARGET_CHUNK", chunk):
-            ref_caches, ref = started_run(forms, x, pivot, budget, interval, lam, start, dtype)
-            caches, run = started_run(forms, x, pivot, budget, interval, lam, start, dtype)
-            assert_iterations_agree(run, caches, ref, ref_caches, weights, pivot, bits,
-                                    (seed, 2), stop, halt)
+            ref, run = (started_run(forms, x, pivot, budget, interval, lam, start, dtype)
+                        for _ in range(2))
+            assert_iterations_agree(run, ref, weights, pivot, bits, (seed, 2), stop, halt)
 
     def test_repeated_blocks_stay_exact(self):
         # Each form kind as the only cache: 50 compiled perturbations of up
@@ -496,18 +511,18 @@ class TestIterationEquivalence:
         rng = seeded_rng(21)
         for name in FORMS:
             form = make_form(name, n, int(rng.integers(0, 2**32)))
-            cache = GainCache.build(form, random_solution(n, rng))
-            run, view = _Run(n, "best"), _kernel.layout([cache])
-            run.value = evaluate(form, cache.solution)
+            x = random_solution(n, rng)
+            run = loaded(_Run(n, "best"), [form], x)
+            run.value = evaluate(form, x)
             for _ in range(50):
                 targets = search._SwapTargets(rng, n, int(rng.integers(1, n + 1)))
                 # Stopping one evaluation on runs a single iteration.
-                run.iterate(view, None, targets, run.consumed + 1)
+                run.iterate(None, targets, run.consumed + 1)
                 assert targets.at == targets.bits
-                assert run.value == evaluate(form, cache.solution)
-                fresh = GainCache.build(form, cache.solution)
-                assert np.array_equal(cache.gains, fresh.gains)
-                assert np.array_equal(cache.sigma, fresh.sigma)
+                assert run.value == evaluate(form, run.x[0])
+                fresh = GainCache.build(form, run.x[0])
+                assert np.array_equal(run.gains[0], fresh.gains)
+                assert np.array_equal(run.sigma[0], fresh.sigma)
 
 
 @pytest.mark.parametrize("dtype", WIDTHS)
@@ -522,30 +537,24 @@ def test_random_toys_in_both_slots_match_the_reference(pivot, dtype):
     assert_descents_agree(forms, x, weights, pivot, dtype)
     for bits in (1, n // 4, n):
         start = (forms, x, pivot, 10**6, 97, 0.3, 0, dtype)
-        (ref_caches, ref), (caches, run) = started_run(*start), started_run(*start)
-        assert_iterations_agree(run, caches, ref, ref_caches, weights, pivot, bits, (n, bits),
-                                10**6, False)
+        ref, run = started_run(*start), started_run(*start)
+        assert_iterations_agree(run, ref, weights, pivot, bits, (n, bits), 10**6, False)
 
 
 def assert_build_matches_the_reference(form, x, dtype) -> None:
-    """A cache the kernel builds at x equals `GainCache.build`'s, and its value
-    is f(x); the run's scratch is left as found, and the cache holds no
-    dense rows of its form until Python's `apply_flip` reads them."""
+    """A cache the kernel builds at x, in either slot of a run, holds
+    `GainCache.build`'s gains, sigma and solution, and its value is f(x);
+    the run's scratch is left as found."""
     n = form.n
     run = _Run(n, "best", dtype=dtype)
-    cache, value = run.build(form, x)
-    ref = GainCache.build(form, x, dtype)
-    assert cache.form is form
-    assert cache._rows is None
-    assert cache.gains.dtype == cache.sigma.dtype == dtype
-    assert np.array_equal(cache.gains, ref.gains)
-    assert np.array_equal(cache.sigma, ref.sigma)
-    assert np.array_equal(cache.solution, ref.solution)
-    assert value == evaluate(form, x)
-    assert np.array_equal(run.scratch[:n], np.arange(n))
-    assert not run.lanes[:n].any()
-    cache.apply_flip(n - 1)
-    assert np.array_equal(cache.gains, ref.apply_flip(n - 1).gains)
+    ref = GainCache.build(form, x)
+    for slot in (0, 1):
+        assert run.build(slot, form, x) == evaluate(form, x)
+        assert np.array_equal(run.scratch[:n], np.arange(n))
+        assert not run.lanes[:n].any()
+    assert run.gains.dtype == run.sigma.dtype == dtype
+    for ours, theirs in ((run.gains, ref.gains), (run.sigma, ref.sigma), (run.x, ref.solution)):
+        assert (ours == theirs).all()
 
 
 def build_points(n: int, seed: int):
@@ -567,17 +576,22 @@ class TestCacheBuilds:
     def test_builds_reject_a_solution_of_another_length(self):
         inst = make_instance(6, seed=4)
         with pytest.raises(ValueError, match="solution length 5 does not match n=6"):
-            _Run(6, "best").build(inst, np.zeros(5, dtype=np.int8))
+            _Run(6, "best").build(0, inst, np.zeros(5, dtype=np.int8))
+        # A solution that fits the run, and a form that does not.
+        with pytest.raises(ValueError, match="a form on 5 bits in a cache of 6"):
+            _Run(6, "best").build(0, make_instance(5, seed=4), np.zeros(6, dtype=np.int8))
         with pytest.raises(ValueError, match="0 or 1"):
-            _Run(6, "best").build(inst, [0, 1, 2, 0, 1, 0])
+            _Run(6, "best").build(0, inst, [0, 1, 2, 0, 1, 0])
 
     def test_builds_leave_their_input_alone(self):
         inst = make_instance(9, seed=4)
         x = random_solution(9, seeded_rng(4))
         kept = x.copy()
-        cache, _ = _Run(9, "best").build(inst, x)
-        assert np.array_equal(x, kept)
-        assert cache.solution is not x
+        run = _Run(9, "best")
+        for slot in (0, 1):
+            run.build(slot, inst, x)
+            assert np.array_equal(x, kept)
+        assert not np.shares_memory(run.x, x)
 
 
 def test_seconds_budget_marks_are_checked_between_descents():
@@ -674,9 +688,9 @@ def check_bound_cases(inst: UbqpInstance, dtype) -> None:
                 assert_descents_agree(forms, x, weights, pivot, dtype)
                 for bits in sorted({1, max(n // 4, 1), n}):
                     start = (forms, x, pivot, 10**6, 97, 0.5, 0, dtype)
-                    (ref_caches, ref), (caches, run) = started_run(*start), started_run(*start)
-                    assert_iterations_agree(run, caches, ref, ref_caches, weights, pivot, bits,
-                                            (n, bits), 10**6, False)
+                    ref, run = started_run(*start), started_run(*start)
+                    assert_iterations_agree(run, ref, weights, pivot, bits, (n, bits), 10**6,
+                                            False)
 
 
 @pytest.mark.parametrize("dtype", WIDTHS)
@@ -751,14 +765,14 @@ def test_int32_lanes_do_not_overflow_at_the_bound(tmp_path):
 class KernelCalls:
     """The loaded kernel, with the state vector of every `lsils_iterate_*` call
     kept as it was passed in and as it returned, the entry point's name, and
-    the number of caches, and the scratch, lanes, state vector and best
-    solution addresses, it was given."""
+    the number of caches, and the cache rows, scratch, lanes, state vector
+    and best solution addresses, it was given."""
 
     def __init__(self, lib):
         self.lib = lib
         self.calls = []  # (state in, state out)
         self.entries = []
-        self.addresses = []  # (caches, scratch, lanes, state, best_x)
+        self.addresses = []  # (caches, rows, scratch, lanes, state, best_x)
 
     def __getattr__(self, name):
         entry = getattr(self.lib, name)
@@ -771,7 +785,7 @@ class KernelCalls:
             entry(*args)
             self.calls.append((entered, dict(zip(ST_NAMES, state))))
             self.entries.append(name)
-            self.addresses.append((args[1], *args[7:11]))
+            self.addresses.append((args[1], args[0], *args[7:11]))
         return iterate
 
 
@@ -844,8 +858,8 @@ def test_log_marks_take_no_kernel_calls(kind, monkeypatch):
 
 def test_a_run_keeps_one_state(monkeypatch):
     # Every call of a random-toy LS-ILS run, over the plain cache and over
-    # every rebuilt toy's, gets the run's one scratch, state vector and best
-    # solution.
+    # every rebuilt toy's, gets the run's one array of cache rows, scratch,
+    # lanes, state vector and best solution.
     built = []
 
     def counted(kind, anchor, seed=0):
