@@ -102,7 +102,7 @@
 
 enum { FORM_DENSE = 0, FORM_ANCHORED = 1, FORM_RANDOM = 2 };
 
-/* Layout of the int64 state vector shared with the caller. */
+/* The slots of the int64 state vector shared with the caller. */
 enum {
     ST_VALUE,       /* in/out: exact objective of the first cache's form */
     ST_CONSUMED,    /* in/out: evaluations charged so far */
@@ -189,7 +189,7 @@ enum { BLOCK = 64 };
  * [0, 255]; each draw lands at (i, j) and (j, i). The lower triangle is
  * written row by row, then mirrored tile by tile, so that no pass writes
  * with a stride of n. */
-int64_t lsils_random_toy(const int64_t *draws, int64_t n, uint8_t *m)
+int64_t lsils_random_toy(const int32_t *draws, int64_t n, uint8_t *m)
 {
     enum { TILE = 32 };
     int64_t i, j, i0, j0, peak = 0;
@@ -197,7 +197,7 @@ int64_t lsils_random_toy(const int64_t *draws, int64_t n, uint8_t *m)
     for (i = 0; i < n; i++) {
         uint8_t *restrict row = m + i * n;
         for (j = 0; j <= i; j++) {
-            int64_t w = draws[j];
+            int32_t w = draws[j];
             peak = w > peak ? w : peak;
             row[j] = (uint8_t)w;
         }

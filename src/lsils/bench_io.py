@@ -194,10 +194,37 @@ class RunLogRecord:
     excess: float | None = None
 
 
+# The slot setters of RunLogRecord. A frozen dataclass's __init__ sets each
+# field through object.__setattr__, to get past its own guard; `_record`
+# calls the slots' setters directly, in about half the time.
+_SET_SLOTS = tuple(getattr(RunLogRecord, name).__set__
+                   for name in ("elapsed", "evaluations", "best_f", "lam", "excess"))
+
+
+def _record(elapsed, evaluations, best_f, lam, excess=None) -> RunLogRecord:
+    """RunLogRecord(elapsed, evaluations, best_f, lam, excess), with its slots set directly."""
+    record = object.__new__(RunLogRecord)
+    set_elapsed, set_evaluations, set_best, set_lam, set_excess = _SET_SLOTS
+    set_elapsed(record, elapsed)
+    set_evaluations(record, evaluations)
+    set_best(record, best_f)
+    set_lam(record, lam)
+    set_excess(record, excess)
+    return record
+
+
 def attach_excess(records, opt_f: int) -> list[RunLogRecord]:
-    """Copy of records with excess columns recomputed against opt_f."""
-    return [RunLogRecord(r.elapsed, r.evaluations, r.best_f, r.lam, excess(r.best_f, opt_f))
-            for r in records]
+    """Copy of records with excess columns recomputed against opt_f.
+
+    A record that holds the same `best_f` object as the one before it, as
+    the records of one step of `RunResult.records` do, shares its excess.
+    """
+    scored, best, score = [], object(), None
+    for r in records:
+        if r.best_f is not best:
+            best, score = r.best_f, excess(r.best_f, opt_f)
+        scored.append(_record(r.elapsed, r.evaluations, best, r.lam, score))
+    return scored
 
 
 def _format_elapsed(elapsed) -> str:
@@ -206,21 +233,35 @@ def _format_elapsed(elapsed) -> str:
     return f"{elapsed:.3f}"
 
 
+def _row_tail(best_f, lam, excess_value) -> str:
+    """The `,best_f,lambda,excess` columns of a run-log row."""
+    excess_text = "" if excess_value is None else f"{excess_value:.8f}"
+    return f",{best_f},{lam:.6f},{excess_text}"
+
+
 def write_runlog_csv(records, destination, reference: str | None = None) -> None:
     """Deterministic CSV: fixed header, lambda to 6 and excess to 8 decimals.
 
     `reference` adds a leading `# reference=...` comment naming what the
     excess column is measured against when it is not a known optimum.
+    A row reuses the previous row's `,best_f,lambda,excess` text while its
+    three fields are the same objects, as within one step of
+    `RunResult.records` and of `attach_excess`; so the same text, a zero's
+    sign included. Integer elapsed prints as itself.
     """
     lines = []
     if reference is not None:
         lines.append(f"# reference={reference}")
     lines.append(RUNLOG_HEADER)
+    previous = None
     for r in records:
-        excess_text = "" if r.excess is None else f"{r.excess:.8f}"
-        lines.append(
-            f"{_format_elapsed(r.elapsed)},{r.evaluations},{r.best_f},"
-            f"{r.lam:.6f},{excess_text}")
+        if (previous is None or r.best_f is not previous.best_f or r.lam is not previous.lam
+                or r.excess is not previous.excess):
+            tail = _row_tail(r.best_f, r.lam, r.excess)
+        previous = r
+        elapsed = r.elapsed
+        elapsed_text = str(elapsed) if type(elapsed) is int else _format_elapsed(elapsed)
+        lines.append(f"{elapsed_text},{r.evaluations}{tail}")
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)

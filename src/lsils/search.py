@@ -31,7 +31,8 @@ iteration after iteration, and returns to Python only at a decision point:
 the end of an evals budget, the schedule's next lambda step, an iteration
 that improved the best (the smoothed search then rebuilds its toy there),
 or the end of the swap targets drawn so far. It stamps the run's log marks
-as it passes them, so marks never stop it. Under a seconds budget a call
+as it passes them, so marks never stop it, and the run appends a call's
+stamps to its log in bulk when it returns. Under a seconds budget a call
 runs one iteration, because the kernel does not read the clock. One `_Run`
 holds a run's state, caches, kernel buffers, clock and log, and one
 `_SwapTargets` its swap targets, drawn `TARGET_CHUNK` iterations' worth at
@@ -42,14 +43,17 @@ iteration per call, is in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate, chain, repeat, takewhile
 
 import numpy as np
 
 from . import _kernel
-from .bench_io import RunLogRecord
+from .bench_io import RunLogRecord, _record
 from .qubo import (
     INIT_STREAM,
     INT64_MAX,
@@ -146,8 +150,10 @@ class RunLog:
     array as `evaluations` and is copied out at the first point whose two
     differ. The best value and lambda change only at a new best or a
     schedule step, so they are stored once per step: from point `starts[i]`
-    on, the point has `best_f[i]` and `lam[i]`. A point becomes a
-    `RunLogRecord` only when `records` is read.
+    on, the point has `best_f[i]` and `lam[i]`. `extend` appends a batch of
+    points, as many `append` calls would, in column slices. A point becomes
+    a `RunLogRecord` only when `records` is read; the records of one step
+    share its `best_f` and `lam` objects.
     """
 
     __slots__ = ("elapsed", "evaluations", "starts", "best_f", "lam")
@@ -175,14 +181,29 @@ class RunLog:
         self.elapsed.append(elapsed)
         self.evaluations.append(evaluations)
 
+    def extend(self, elapsed: list, evaluations: list, best_f: list, lam: float) -> None:
+        """Append the points (elapsed[i], evaluations[i], best_f[i], lam), as
+        one `append` per point would."""
+        base = len(self.evaluations)
+        before = self.best_f[-1] if self.starts and lam == self.lam[-1] else None
+        starts = [i for i, (previous, best) in enumerate(zip([before, *best_f], best_f))
+                  if best != previous]
+        self.starts.extend(base + i for i in starts)
+        self.best_f.extend(best_f[i] for i in starts)
+        self.lam.extend(repeat(lam, len(starts)))
+        if self.elapsed is self.evaluations and elapsed != evaluations:
+            self.elapsed = array("q", self.evaluations)
+        if self.elapsed is not self.evaluations:
+            self.elapsed.extend(elapsed)
+        self.evaluations.extend(evaluations)
+
     @property
     def records(self) -> list[RunLogRecord]:
         """A fresh list of the logged points, in order."""
-        ends = [*self.starts[1:], len(self)]
-        return [RunLogRecord(elapsed=self.elapsed[i], evaluations=self.evaluations[i],
-                             best_f=best, lam=lam)
-                for start, end, best, lam in zip(self.starts, ends, self.best_f, self.lam)
-                for i in range(start, end)]
+        counts = list(map(operator.sub, [*self.starts[1:], len(self)], self.starts))
+        best_f = chain.from_iterable(map(repeat, self.best_f, counts))
+        lam = chain.from_iterable(map(repeat, self.lam, counts))
+        return list(map(_record, self.elapsed, self.evaluations, best_f, lam))
 
 
 @dataclass(slots=True)
@@ -252,11 +273,13 @@ class _Run:
     `read`. `iterate` runs on the first `caches` slots, 1 or 2. Gains have
     one `dtype`, int32 or int64, which picks the kernel's entry points and
     the type of its `lanes` scratch. Under an
-    evals budget the kernel stamps every mark it passes (`marks`, the
-    evaluation count reaching each) into `stamps` as `charge` would, one
-    scan, flip or perturbed bit at a time, and they are logged when it
-    returns. Under a seconds budget the clock is read then, so a record may
-    land up to one iteration late.
+    evals budget the marks are the interval's running sums `mark_sums`,
+    logged with elapsed `mark_elapsed` (their int) and stamped by the kernel
+    at `marks` (their ceiling, at most INT64_MAX). It stamps every mark it
+    passes into `stamps` as `charge` would, one scan, flip or perturbed bit
+    at a time, and `iterate` appends those of a call to the log in one
+    `RunLog.extend` when it returns. Under a seconds budget the clock is
+    read then, so a record may land up to one iteration late.
     """
 
     value = _slot(_kernel.ST_VALUE)
@@ -272,11 +295,18 @@ class _Run:
         self.log = RunLog(budget.kind)
         self.current_lam = 0.0
         self.interval = self.next_mark = log_interval
-        counts = []
-        mark = log_interval if budget.kind == "evals" else None
-        while mark is not None:
-            counts.append(min(math.ceil(mark), INT64_MAX))
-            mark = self._following(mark)
+        sums = []
+        if budget.kind == "evals" and log_interval is not None:
+            # As repeated `mark += interval` gives them, so that float
+            # intervals round alike: the first, then those within budget.
+            running = accumulate(repeat(log_interval))
+            sums = [next(running), *takewhile(partial(operator.ge, budget.amount), running)]
+        self.mark_sums = self.mark_elapsed = counts = sums
+        if not isinstance(log_interval, int):
+            self.mark_elapsed = list(map(int, sums))
+            counts = list(map(math.ceil, sums))
+        if counts and counts[-1] > INT64_MAX:
+            counts = [min(count, INT64_MAX) for count in counts]
         self.marks = np.array(counts, dtype=np.int64)
         self.stamps = np.zeros(2 * len(counts), dtype=np.int64)
         self.state = np.zeros(_kernel.ST_SIZE, dtype=np.int64)
@@ -289,14 +319,18 @@ class _Run:
         self.scratch[:n] = np.arange(n)
         self.lanes = np.zeros(2 * n, dtype=dtype)
         self.weights = np.zeros(2, dtype=np.int64)
-        self.buffers = tuple(a.ctypes.data for a in (self.scratch, self.lanes, self.state,
-                                                     self.best_x, self.marks, self.stamps))
         self.gains = np.zeros((2, n), dtype=dtype)
         self.sigma = np.zeros((2, n), dtype=dtype)
         self.x = np.zeros((2, n), dtype=np.int8)
         self.rows = np.zeros((2, _kernel.CACHE_FIELDS), dtype=np.int64)
-        for row, arrays in zip(self.rows, zip(self.gains, self.sigma, self.x)):
-            row[_kernel.ROW_GAINS:] = [array.ctypes.data for array in arrays]
+        for column, array in enumerate((self.gains, self.sigma, self.x), _kernel.ROW_GAINS):
+            address = array.ctypes.data
+            self.rows[:, column] = address, address + array.strides[0]
+        # Addresses, taken once: the rows' and the weights', then the
+        # buffers every kernel call ends with.
+        self.rows_at, self.weights_at, *self.buffers = (
+            a.ctypes.data for a in (self.rows, self.weights, self.scratch, self.lanes,
+                                    self.state, self.best_x, self.marks, self.stamps))
         self.read = [(), ()]
         self.caches = 1
 
@@ -310,7 +344,7 @@ class _Run:
         self.read[slot] = _kernel.bind(self.rows[slot], form, n, self.gains.dtype)
         self.x[slot] = x
         scratch, lanes = self.buffers[:2]  # the positions' n slots follow the permutation's
-        return self.builder(self.rows[slot].ctypes.data, n, scratch + 8 * n, lanes)
+        return self.builder(self.rows_at + slot * self.rows.strides[0], n, scratch + 8 * n, lanes)
 
     def progress(self) -> float:
         return self.consumed if self.budget.kind == "evals" else time.monotonic() - self.started
@@ -354,19 +388,25 @@ class _Run:
         blend = None
         if weights is not None and weights[1]:
             self.weights[:] = weights
-            blend = self.weights.ctypes.data
+            blend = self.weights_at
         rounds = bits = at = 0
         if targets is not None:
             rounds, bits = targets.ready(), targets.bits
             at = targets.address + 8 * targets.at
             if self.budget.kind == "seconds":
                 rounds = 1  # the kernel does not read the clock
-        self.state[[_kernel.ST_STOP, _kernel.ST_ROUNDS, _kernel.ST_HALT]] = stop, rounds, halt
-        self.kernel(self.rows.ctypes.data, self.caches, self.n, self.pivot_rule == "first",
-                    blend, at, bits, *self.buffers)
-        stamps = self.stamps[2 * len(self.log):2 * int(self.state[_kernel.ST_MARKED])].tolist()
-        for i in range(0, len(stamps), 2):
-            self._emit_mark(stamps[i], stamps[i + 1])
+        state = self.state  # set slot by slot: a fancy-index write costs seven times as much
+        state[_kernel.ST_STOP] = stop
+        state[_kernel.ST_ROUNDS] = rounds
+        state[_kernel.ST_HALT] = halt
+        self.kernel(self.rows_at, self.caches, self.n, self.pivot_rule == "first", blend, at, bits,
+                    *self.buffers)
+        done, marked = len(self.log), int(state[_kernel.ST_MARKED])
+        if marked > done:
+            stamps = self.stamps[2 * done:2 * marked].tolist()
+            self.log.extend(self.mark_elapsed[done:marked], stamps[0::2], stamps[1::2],
+                            self.current_lam)
+            self.next_mark = self.mark_sums[marked] if marked < len(self.mark_sums) else None
         if targets is not None:
             targets.at += int(self.state[_kernel.ST_STARTED]) * bits
         if self.budget.kind == "seconds":
@@ -426,7 +466,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
     schedule = config.lambda_schedule or LambdaSchedule.zero(config.budget.kind)
     rng_init = seeded_rng(config.seed, INIT_STREAM)
     rng_perturb = seeded_rng(config.seed, PERTURB_STREAM)
-    rng_toy = seeded_rng(config.seed, TOY_STREAM)
+    rng_toy = seeded_rng(config.seed, TOY_STREAM) if smoothing else None
 
     def weights_of(lam: float, peak: int) -> tuple[int, int]:
         alpha = (peak_alpha(inst, peak, config.target_bound) if config.alpha == "auto"
@@ -434,10 +474,11 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
         return blend_weights(lam, alpha, 2 * n * inst.max_abs(), 2 * n * peak)
 
     # Before the run, reject a reachable lambda step that fails at every toy peak.
+    peaks = toy_peaks(config.toy_kind, n) if smoothing else ()
     lams = [lam for threshold, lam in schedule.steps
             if smoothing and lam and threshold < config.budget.amount]
     for lam in lams:
-        for peak in toy_peaks(config.toy_kind, n):
+        for peak in peaks:
             try:
                 weights_of(lam, peak)
                 break
@@ -446,10 +487,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
         else:
             raise error
     # One gain width for every cache of the run, a toy's at any anchor too.
-    peak = inst.max_abs()
-    if smoothing:
-        peak = max(peak, max(toy_peaks(config.toy_kind, n)))
-    dtype = gain_dtype(n, peak)
+    dtype = gain_dtype(n, max((inst.max_abs(), *peaks)))
 
     x = random_solution(n, rng_init)
     run = _Run(n, config.pivot_rule, config.budget, config.log_interval, dtype)

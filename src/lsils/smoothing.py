@@ -113,11 +113,12 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     """Build a toy UBQP anchored at `anchor`; `seed` matters only for kind random.
 
     Deterministic given (kind, anchor, seed). Random magnitudes are drawn
-    as int64 for the lower triangle (diagonal included), row by row, and
-    mirrored, so the realized matrix is symmetric with |entries| in
-    [1, 100]. The kernel of `_kernel.c` stores them in a uint8 matrix and
-    returns the largest draw, which is `max_abs()`; ValueError when
-    `RANDOM_MAGNITUDES` leaves uint8.
+    for the lower triangle (diagonal included), row by row, and mirrored, so
+    the realized matrix is symmetric with |entries| in [1, 100]. They are
+    drawn as int32, which for a range under 2^32 gives numpy's int64 draws
+    value for value. The kernel of `_kernel.c` stores them in a uint8
+    matrix and returns the largest draw, which is `max_abs()`; ValueError
+    when `RANDOM_MAGNITUDES` leaves uint8.
     """
     kind = ToyKind(kind)
     anchor = as_solution(anchor)
@@ -128,7 +129,8 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     from . import _kernel  # here, not at the top: _kernel imports this module
     n = anchor.size
     rng = seeded_rng(seed, TOY_MAGNITUDE_STREAM)
-    draws = rng.integers(RANDOM_MAGNITUDES.start, RANDOM_MAGNITUDES.stop, size=n * (n + 1) // 2)
+    draws = rng.integers(RANDOM_MAGNITUDES.start, RANDOM_MAGNITUDES.stop, size=n * (n + 1) // 2,
+                         dtype=np.int32)
     m = np.empty((n, n), dtype=np.uint8)
     peak = _kernel.library().lsils_random_toy(draws.ctypes.data, n, m.ctypes.data)
     return ToyMatrix(kind=kind, anchor=anchor, _m=m, _peak=peak)

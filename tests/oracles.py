@@ -8,7 +8,7 @@ computed with these oracles before the package existed.
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 
@@ -206,6 +206,39 @@ EXAMPLE_TOY_RANDOM_SIGNS = np.sign(
 # counts each off-diagonal pair once, would give 6 and 25.
 EXAMPLE_UNIT_VALUE_AT_ANCHOR = 9
 EXAMPLE_INDEX_VALUE_AT_ANCHOR = 39
+
+
+# -- Run logs, one point at a time --------------------------------------------
+
+
+def log_marks(interval, amount) -> list[tuple[int, int]]:
+    """(elapsed, count) of each log mark of an evals budget of `amount`.
+
+    The marks are interval, interval + interval, ... by repeated addition,
+    the first always and the rest while they stay within `amount`; a mark
+    is logged at its int and reached at the count ceil(mark), clamped to
+    the int64 maximum.
+    """
+    marks = []
+    mark = interval
+    while True:
+        marks.append((int(mark), min(ceil(mark), 2**63 - 1)))
+        mark += interval
+        if mark > amount:
+            return marks
+
+
+def runlog_rows(records) -> list[str]:
+    """The run-log CSV rows of `records`, every field of every record
+    formatted on its own: elapsed as an integer when it is one, else to 3
+    decimals, lambda to 6 and excess to 8, or empty when None."""
+    rows = []
+    for r in records:
+        integral = isinstance(r.elapsed, (int, np.integer))
+        elapsed = str(int(r.elapsed)) if integral else f"{r.elapsed:.3f}"
+        excess = "" if r.excess is None else f"{r.excess:.8f}"
+        rows.append(f"{elapsed},{r.evaluations},{r.best_f},{r.lam:.6f},{excess}")
+    return rows
 
 
 # -- The search's numpy reference -------------------------------------------

@@ -10,12 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lsils import (
+    Budget,
     ParseError,
     RunLogRecord,
+    SearchConfig,
     UbqpInstance,
     attach_excess,
     excess,
     gen_random_instance,
+    ils,
     load_optima,
     mean_abs,
     parse_orlib,
@@ -26,6 +29,7 @@ from lsils import (
 )
 from lsils.bench_io import RUNLOG_HEADER, split_runlog_filename, summarize
 
+import oracles
 from test_qubo import make_instance
 
 
@@ -256,6 +260,39 @@ class TestRunLogs:
         scored = attach_excess([record], opt_f=40)[0]
         assert scored.excess == excess(record.best_f, 40)
         assert pickle.loads(pickle.dumps(scored)) == scored
+
+    @given(st.lists(st.tuples(st.sampled_from([7, np.int64(7), 7.25, 0.0005, 12345.6789]),
+                              st.integers(0, 2**62), st.integers(0, 4), st.integers(0, 3),
+                              st.integers(0, 4)), max_size=30),
+           st.sampled_from([-5, 5, 40, -40, 3]))
+    def test_rows_are_the_per_record_rows(self, points, opt_f):
+        # Records that share field objects, as a run's steps do, with values
+        # that print alike but for a zero's sign: a shared best_f with lambdas
+        # -0.0 and 0.0, and excess -0.0 (excess(-5, -5)), 0.0, None or signed.
+        best_values = [-5, 5, 40, -5, 0]
+        lams = [0.0, -0.0, 0.001, 0.0]
+        excesses = [None, -0.0, 0.0, -0.375, 2.5]
+        records = [RunLogRecord(elapsed, evaluations, best_values[b], lams[lam], excesses[e])
+                   for elapsed, evaluations, b, lam, e in points]
+        for rows in (records, attach_excess(records, opt_f)):
+            text = io.StringIO()
+            write_runlog_csv(rows, text)
+            assert text.getvalue().splitlines() == [RUNLOG_HEADER, *oracles.runlog_rows(rows)]
+
+    def test_built_records_are_dataclass_records(self):
+        result = ils(make_instance(30, seed=5), SearchConfig(
+            budget=Budget("evals", 20000), log_interval=700, pivot_rule="first"))
+        for built in (result.records, attach_excess(result.records, result.best_value)):
+            for record in built:
+                fields = dataclasses.astuple(record)
+                reference = RunLogRecord(*fields)
+                assert type(record) is RunLogRecord
+                assert record == reference and hash(record) == hash(reference)
+                assert repr(record) == repr(reference)
+                assert pickle.loads(pickle.dumps(record)) == reference
+                assert dataclasses.astuple(pickle.loads(pickle.dumps(record))) == fields
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    record.lam = 1.0
 
 
 class TestNaming:

@@ -4,7 +4,9 @@ import gc
 import hashlib
 import io
 import pickle
+import sys
 import tracemalloc
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from lsils import (
     SmoothedObjective,
     ToyKind,
     UbqpInstance,
+    attach_excess,
     auto_alpha,
     construct_toy,
     enumerate_local_optima,
@@ -33,7 +36,7 @@ from lsils import (
     seeded_rng,
     write_runlog_csv,
 )
-from lsils import search
+from lsils import bench_io, search
 from lsils.qubo import INIT_STREAM
 from lsils.search import BUDGET_KINDS, RunLog
 
@@ -268,6 +271,117 @@ class TestRunLog:
         assert records[-1].elapsed == records[-1].evaluations == result.evaluations
         back = pickle.loads(pickle.dumps(result))
         assert back.records == records
+
+    @given(st.sampled_from(BUDGET_KINDS),
+           st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.001, 0.5]),
+                              st.lists(st.tuples(st.integers(0, 2**40),
+                                                 st.sampled_from([0, 0, 0, 1]),
+                                                 st.integers(-3, 3)), max_size=12)),
+                    max_size=6))
+    def test_extend_is_repeated_append(self, kind, batches):
+        # Batches as a kernel call returns them: one lambda each, best values
+        # that repeat, and elapsed that leaves the evaluation count anywhere.
+        bulk, single = RunLog(kind), RunLog(kind)
+        for lam, points in batches:
+            elapsed = [evaluations + offset for evaluations, offset, _ in points]
+            if kind == "seconds":
+                elapsed = [e / 1000 for e in elapsed]
+            evaluations = [evaluations for evaluations, _, _ in points]
+            best_f = [best for _, _, best in points]
+            bulk.extend(elapsed, evaluations, best_f, lam)
+            for point in zip(elapsed, evaluations, best_f):
+                single.append(*point, lam)
+            assert (bulk.elapsed is bulk.evaluations) == (single.elapsed is single.evaluations)
+        for column in RunLog.__slots__:
+            a, b = getattr(bulk, column), getattr(single, column)
+            assert (a.typecode, a.tobytes()) == (b.typecode, b.tobytes()), column
+        assert bulk.records == single.records
+
+    @pytest.mark.parametrize("interval, amount", [
+        (1000, 20000), (333.3, 20000), (0.1, 50), (12.25, 40000), (0.7, 3000),
+        (500, 100),  # the first mark is past the budget, and kept
+        (2**62, 2**63 + 5), (2.0**62, 2.0**63)])  # the last mark clamps at INT64_MAX
+    def test_marks_are_the_running_sums_of_the_interval(self, interval, amount):
+        run = search._Run(5, "best", Budget("evals", amount), interval)
+        marks = oracles.log_marks(interval, amount)
+        assert run.mark_elapsed == [elapsed for elapsed, _ in marks]
+        assert {type(elapsed) for elapsed in run.mark_elapsed} == {int}
+        assert run.marks.tolist() == [count for _, count in marks]
+        assert run.stamps.size == 2 * len(marks) == 2 * run.state[search._kernel.ST_MARKS]
+        assert run.next_mark == interval
+
+    def test_a_mark_next_to_the_int64_clamp_is_logged(self):
+        # A mark of 2^62 evaluations, reached in the kernel's first scan, then
+        # one clamped to INT64_MAX, which no count reaches.
+        n = 12
+        run = search._Run(n, "best", Budget("evals", 2.0**63), 2.0**62)
+        assert run.marks.tolist() == [2**62, 2**63 - 1]
+        run.value = run.best = run.build(0, make_instance(n, seed=1), np.zeros(n, dtype=np.int8))
+        run.consumed = 2**62 - 10
+        run.iterate()
+        assert run.log.records[0] == RunLogRecord(2**62, 2**62 - 10 + n, 0, 0.0)
+        assert len(run.log) == int(run.state[search._kernel.ST_MARKED]) == 1
+        assert run.next_mark == 2.0**63
+
+    # Digests as in golden_digest, of logs scored and written as the benchmark
+    # writes them, taken when every mark was logged by its own append.
+    @pytest.mark.parametrize("seed, algo, n, amount, interval, pivot, kind, digest", [
+        (1, ils, 40, 30000, 333.3, "best", None, "163e9b3e421b807e"),  # int and ceil differ
+        (2, ils, 40, 30000, 700, "first", None, "96334e3f36f7a596"),  # two columns
+        (3, lsils, 40, 30000, 450.5, "first", ToyKind.RANDOM, "31aca5867be665dc"),
+        (4, lsils, 40, 200000, 50, "best", ToyKind.PLUS_MINUS_I, "598b665eb4cec72a"),
+        (5, ils, 100, 40000, 37, "best", None, "95b4a7ac52b6fef8"),  # marks closer than n
+        (6, ils, 100, 40000, 12.25, "first", None, "ea58d12d3e3b3244"),
+    ])
+    def test_bulk_marks_log_what_single_marks_did(self, seed, algo, n, amount, interval, pivot,
+                                                  kind, digest):
+        schedule = LambdaSchedule.staged_ramp(amount) if kind else None
+        result = algo(make_instance(n, seed=seed + 10), SearchConfig(
+            budget=Budget("evals", amount), pivot_rule=pivot, log_interval=interval, seed=seed,
+            toy_kind=kind, lambda_schedule=schedule))
+        text = io.StringIO()
+        write_runlog_csv(attach_excess(result.records, result.best_value + 7), text)
+        text.write("".join(map(str, result.best_solution.tolist())))
+        assert hashlib.sha256(text.getvalue().encode()).hexdigest()[:16] == digest
+
+    def test_seconds_marks_are_the_running_sums_of_the_interval(self):
+        interval = 0.013
+        result = ils(make_instance(50, seed=77), SearchConfig(
+            budget=Budget("seconds", 0.1), log_interval=interval))
+        marks = [r.elapsed for r in result.records[:-1]]
+        assert marks == list(accumulate(repeat(interval, len(marks))))
+        assert len(marks) >= 2
+
+    def test_a_run_logs_in_bulk_and_writes_a_tail_per_step(self, monkeypatch):
+        # A 1e6-evaluation run with 100 marks: no point is appended one at a
+        # time but the final one, no integer elapsed goes through the general
+        # formatter, and a step's `,best_f,lambda,excess` is formatted once.
+        calls = {"append": [], "format": 0, "tail": 0}
+        append, tail = RunLog.append, bench_io._row_tail
+
+        def counted_append(log, *point):
+            calls["append"].append(sys._getframe(2).f_code.co_name)  # _emit's caller
+            append(log, *point)
+
+        def counted_tail(*fields):
+            calls["tail"] += 1
+            return tail(*fields)
+
+        def no_format(elapsed):
+            calls["format"] += 1
+            return f"{elapsed:.3f}"
+
+        monkeypatch.setattr(RunLog, "append", counted_append)
+        monkeypatch.setattr(bench_io, "_row_tail", counted_tail)
+        monkeypatch.setattr(bench_io, "_format_elapsed", no_format)
+        result = ils(make_instance(100, seed=8), SearchConfig(
+            budget=Budget("evals", 10**6), log_interval=10**4))
+        records = attach_excess(result.records, result.best_value)
+        text = io.StringIO()
+        write_runlog_csv(records, text)
+        assert len(records) == 101
+        assert calls == {"append": ["finish"], "format": 0, "tail": len(result.log.starts)}
+        assert text.getvalue().splitlines()[1:] == oracles.runlog_rows(records)
 
 
 class TestLocalSearch:
@@ -595,6 +709,23 @@ class TestLsils:
         lsils(inst, SearchConfig(budget=Budget("evals", 50000), seed=1, toy_kind=ToyKind.RANDOM,
                                  lambda_schedule=LambdaSchedule.constant(0.5)))
         assert calls
+
+    @pytest.mark.parametrize("kind", list(ToyKind))
+    def test_a_run_asks_for_the_toy_peaks_once(self, kind, monkeypatch):
+        # The ramp's four lambda steps and the gain width share one answer.
+        calls, peaks = [], search.toy_peaks
+
+        def counted(*args):
+            calls.append(args)
+            return peaks(*args)
+
+        monkeypatch.setattr(search, "toy_peaks", counted)
+        inst = make_instance(30, seed=15)
+        lsils(inst, SearchConfig(budget=Budget("evals", 20000), seed=1, toy_kind=kind,
+                                 lambda_schedule=LambdaSchedule.staged_ramp(20000)))
+        assert calls == [(kind, 30)]
+        ils(inst, SearchConfig(budget=Budget("evals", 20000), seed=1, toy_kind=kind))
+        assert len(calls) == 1
 
     # Recorded when every anchor change still built its toy and its gain
     # cache whatever lam was: building them only while lam > 0 must leave

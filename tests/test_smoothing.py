@@ -189,6 +189,16 @@ class TestConstruction:
             assert np.array_equal(toy.materialize(), reference)
             assert toy.max_abs() == np.abs(reference).max()
 
+    def test_int32_magnitude_draws_are_the_int64_draws(self):
+        # construct_toy draws int32 magnitudes, and the reference int64; numpy
+        # gives them value for value for a range under 2^32, one 32-bit draw each.
+        low, high = smoothing.RANDOM_MAGNITUDES.start, smoothing.RANDOM_MAGNITUDES.stop
+        for seed in (*range(40), 2**40 + 3, 2**63 - 1):
+            for size in (1, 2, 3, 28, 1000, 125250):
+                draws = [seeded_rng(seed, smoothing.TOY_MAGNITUDE_STREAM).integers(
+                    low, high, size=size, dtype=dtype) for dtype in (np.int32, np.int64)]
+                assert np.array_equal(*draws), (seed, size)
+
     def test_deterministic_kinds_idempotent(self):
         anchor = random_anchor(10, 7)
         for kind in (ToyKind.PLUS_MINUS_ONE, ToyKind.PLUS_MINUS_I):
