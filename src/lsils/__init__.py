@@ -21,7 +21,6 @@ from .smoothing import (
     ToyMatrix,
     auto_alpha,
     construct_toy,
-    smoothed_evaluate,
 )
 from .bench_io import (
     ParseError,
@@ -70,7 +69,6 @@ __all__ = [
     "ToyMatrix",
     "auto_alpha",
     "construct_toy",
-    "smoothed_evaluate",
     "ParseError",
     "RunLogRecord",
     "attach_excess",

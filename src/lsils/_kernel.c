@@ -1,5 +1,5 @@
 /* The search's perturb-and-descend iterations and gain-cache builds on exact
- * integer gain caches, and the random toy's magnitude fill.
+ * integer gain caches, and the random toy's magnitudes.
  *
  * A cache's form is one of three codes (FORM_*). A dense form (FORM_DENSE)
  * is its n x n matrix, in the gain type of the entry point called. The toys
@@ -28,20 +28,22 @@
  * value change, the exact objective f(x).
  *
  * The iterations must match the numpy reference in tests/oracles.py
- * (swap_positions + perturb + descend) flip for flip. Their int64 state
- * vector is the run's only copy of its value, count, best and marks; best_x
- * holds the best solution. A call given no iterations descends once; one
- * given some runs them until the caller's next decision point, so control
- * returns to Python only when
+ * (swap_targets + swap_positions + perturb + descend) flip for flip. Their
+ * int64 state vector is the run's only copy of its value, count, best,
+ * marks and swap-target stream; best_x holds the best solution. A call
+ * given no iterations descends once; one given some runs them until the
+ * caller's next decision point, so control returns to Python only when
  *   - an iteration would start at or past the count `stop` (the end of an
  *     evals budget, or the next lambda step of the schedule),
- *   - the swap targets of the `rounds` iterations given are used up, or
+ *   - it has run the `rounds` iterations it may (one under a seconds
+ *     budget, as the kernel does not read the clock), or
  *   - an iteration improved the best and `halt` is set (the smoothed search
  *     rebuilds its toy at the new best).
  *
- * An iteration first perturbs: `bits` swap targets pick distinct positions
- * P through an n-slot scratch permutation (restored before the call
- * returns), and every cache takes one block update for flipping P. With
+ * An iteration first perturbs: it draws `bits` swap targets j_i in [i, n),
+ * which pick distinct positions P through an n-slot scratch permutation
+ * (restored before the call returns), and every cache takes one block
+ * update for flipping P. With
  * v = sigma on P and 0 elsewhere (sigma = 1 - 2x before the flip) and
  * t = Q v, each gain shifts by 2 sigma_j t_j, each p in P becomes
  * -(g_p + 2 sigma_p t_p - 2 Q_pp), and the value changes by
@@ -52,6 +54,18 @@
  * the rank-1 update g_j += 2 sigma_k sigma_j Q_jk, g_k = -g_k, and charges
  * the budget exactly as the reference does: the candidates examined, then
  * n per applied flip.
+ *
+ * Both random streams are numpy's, value for value. The swap targets are
+ * rng.integers(np.arange(bits), n) of the run's perturbation generator,
+ * drawn as each iteration starts, and the random toy's magnitudes
+ * rng.integers(low, low + r + 1, n (n + 1) / 2, dtype=np.int32) of its own;
+ * the caller passes each generator's `bit_generator.state` as PCG_WORDS
+ * words. One helper, draw, does what numpy does for a bounded draw in
+ * [0, r], r < 2^32 - 1: it takes a 32-bit word, the low half of the next
+ * PCG64 (XSL-RR 128/64) output or the high half that output left buffered
+ * (next_uint32), and maps it to a value by Lemire's multiply with its
+ * rejection loop (buffered_bounded_lemire_uint32). For r = 0 it takes no
+ * word, as numpy takes none. The streams need unsigned __int128.
  *
  * The caller keeps the log marks' arithmetic and passes the evaluation
  * count of every mark of the run, and the index of the first one not yet
@@ -85,6 +99,10 @@
 #include <stdint.h>
 #include <string.h>
 
+#ifndef __SIZEOF_INT128__
+#error "the lsils kernel draws numpy's PCG64 streams with unsigned __int128, which this compiler lacks"
+#endif
+
 #ifdef __has_attribute
 #if __has_attribute(always_inline)
 #define HOT static inline __attribute__((always_inline))
@@ -102,19 +120,25 @@
 
 enum { FORM_DENSE = 0, FORM_ANCHORED = 1, FORM_RANDOM = 2 };
 
+/* The words of a PCG64 stream, as numpy's `bit_generator.state` gives it:
+ * the 128-bit state and increment, low word first, then has_uint32 and
+ * uinteger, the high half of the last output while it is buffered. */
+enum { PCG_STATE_LO, PCG_STATE_HI, PCG_INC_LO, PCG_INC_HI, PCG_HAS_UINT32, PCG_UINTEGER,
+       PCG_WORDS };
+
 /* The slots of the int64 state vector shared with the caller. */
 enum {
     ST_VALUE,       /* in/out: exact objective of the first cache's form */
     ST_CONSUMED,    /* in/out: evaluations charged so far */
     ST_STOP,        /* in: no iteration starts once ST_CONSUMED reaches this */
-    ST_ROUNDS,      /* in: iterations whose swap targets are given; 0 to descend once */
-    ST_STARTED,     /* out: iterations started, whose targets are used */
+    ST_ROUNDS,      /* in: the most iterations to run; 0 to descend once */
     ST_HALT,        /* in: 1 to start no iteration after one that improved the best */
     ST_BEST,        /* in/out: best value seen, and best_x its solution */
     ST_IMPROVED,    /* out: 1 when best_x holds a new best solution */
     ST_MARKS,       /* in: log marks of the run */
     ST_MARKED,      /* in/out: marks passed, each stamped (evaluations, best) */
-    ST_SIZE
+    ST_STREAM,      /* in/out: the swap targets' PCG64 stream, PCG_WORDS slots */
+    ST_SIZE = ST_STREAM + PCG_WORDS
 };
 
 typedef struct {
@@ -127,15 +151,83 @@ typedef struct {
     int8_t *x;
 } lsils_cache;
 
-/* The Fisher-Yates picks of `targets` (targets[i] in [i, n)) into pos,
- * through `perm`, an identity permutation of n slots that is left as one. */
-HOT void fisher_yates(const int64_t *targets, int64_t bits, int64_t *perm, int64_t *pos)
+/* numpy's PCG64 generator, as its PCG_WORDS stream words hold it. */
+typedef struct {
+    unsigned __int128 state, inc;
+    uint64_t has_uint32, uinteger;
+} pcg64;
+
+static pcg64 pcg64_load(const int64_t *stream)
+{
+    const uint64_t *w = (const uint64_t *)stream;
+    pcg64 g;
+
+    g.state = (unsigned __int128)w[PCG_STATE_HI] << 64 | w[PCG_STATE_LO];
+    g.inc = (unsigned __int128)w[PCG_INC_HI] << 64 | w[PCG_INC_LO];
+    g.has_uint32 = w[PCG_HAS_UINT32];
+    g.uinteger = w[PCG_UINTEGER];
+    return g;
+}
+
+static void pcg64_store(const pcg64 *g, int64_t *stream)
+{
+    uint64_t *w = (uint64_t *)stream;
+
+    w[PCG_STATE_LO] = (uint64_t)g->state;
+    w[PCG_STATE_HI] = (uint64_t)(g->state >> 64);
+    w[PCG_HAS_UINT32] = g->has_uint32;
+    w[PCG_UINTEGER] = g->uinteger;
+}
+
+/* numpy's next bounded draw in [0, r], r < 2^32 - 1, from g (see the top
+ * of this file): the word is the buffered high half of the last output
+ * when there is one, else the low half of the next, whose high half is
+ * buffered; the draw is the high 32 bits of word * (r + 1), unless its low
+ * 32 bits fall below (2^32 - 1 - r) mod (r + 1), which takes another word. */
+HOT uint32_t draw(pcg64 *g, uint32_t r)
+{
+    const unsigned __int128 multiplier =
+        (unsigned __int128)2549297995355413924u << 64 | 4865540595714422341u;
+    uint32_t range = r + 1;
+
+    if (!r)
+        return 0;
+    for (;;) {
+        uint64_t word, scaled;
+        if (g->has_uint32) {
+            word = g->uinteger;
+            g->has_uint32 = 0;
+        } else {
+            uint64_t out;
+            unsigned rot;
+            g->state = g->state * multiplier + g->inc;
+            out = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+            rot = (unsigned)(g->state >> 122);
+            out = out >> rot | out << (-rot & 63);
+            g->uinteger = out >> 32;
+            g->has_uint32 = 1;
+            word = (uint32_t)out;
+        }
+        scaled = word * range;
+        if ((uint32_t)scaled >= range || (uint32_t)scaled >= (UINT32_MAX - r) % range)
+            return (uint32_t)(scaled >> 32);
+    }
+}
+
+/* One iteration's `bits` swap targets j_i = i + draw(g, n - 1 - i) into
+ * `targets`, and the positions their partial Fisher-Yates pass picks into
+ * pos, through `perm`, an identity permutation of n slots that is left as
+ * one. n < 2^32. */
+HOT void fisher_yates(pcg64 *g, int64_t n, int64_t bits, int64_t *perm, int64_t *targets,
+                      int64_t *pos)
 {
     int64_t i;
 
     for (i = 0; i < bits; i++) {
-        pos[i] = perm[targets[i]];
-        perm[targets[i]] = perm[i];
+        int64_t j = i + draw(g, (uint32_t)(n - 1 - i));
+        targets[i] = j;
+        pos[i] = perm[j];
+        perm[j] = perm[i];
     }
     for (i = 0; i < bits; i++)
         perm[targets[i]] = targets[i];  /* the only slots the pass wrote */
@@ -185,23 +277,24 @@ enum { BLOCK = 64 };
 #undef GAIN_BITS
 
 /* The random toy's n x n magnitude matrix; returns the largest draw.
- * `draws` lists its lower triangle, diagonal included, row by row, each in
- * [0, 255]; each draw lands at (i, j) and (j, i). The lower triangle is
+ * Its lower triangle, diagonal included, row by row, takes the values
+ * low + draw(r), each in [0, 255], of the PCG64 `stream` (PCG_WORDS words,
+ * left as they are); each lands at (i, j) and (j, i). The lower triangle is
  * written row by row, then mirrored tile by tile, so that no pass writes
  * with a stride of n. */
-int64_t lsils_random_toy(const int32_t *draws, int64_t n, uint8_t *m)
+int64_t lsils_random_toy(const int64_t *stream, int64_t n, int64_t low, int64_t r, uint8_t *m)
 {
     enum { TILE = 32 };
+    pcg64 g = pcg64_load(stream);
     int64_t i, j, i0, j0, peak = 0;
 
     for (i = 0; i < n; i++) {
         uint8_t *restrict row = m + i * n;
         for (j = 0; j <= i; j++) {
-            int32_t w = draws[j];
+            int64_t w = low + draw(&g, (uint32_t)r);
             peak = w > peak ? w : peak;
             row[j] = (uint8_t)w;
         }
-        draws += i + 1;
     }
     for (i0 = 0; i0 < n; i0 += TILE)
         for (j0 = i0; j0 < n; j0 += TILE)
@@ -509,34 +602,35 @@ HOT void descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int fir
 
 /* Run iterations: perturb the `bits` positions the next swap targets pick,
  * then descend, until a stop named at the top of this file. The caches'
- * gains and sigma are GAIN vectors. `targets` holds ST_ROUNDS * bits swap
- * targets; `marks` holds ST_MARKS mark counts, in increasing order, and
- * `stamps` room for two slots per mark. `scratch` holds 3n int64 slots: an
- * identity permutation, left as found, then the positions and the blend.
- * `lanes` holds 2n GAIN slots: v, all zero and left so, then t. With
- * integer `weights` (a, b) the pivot is picked on the blend a * g_0 + b * g_1
- * of caches[0] and caches[1], and without (NULL) on the gains of caches[0]. */
+ * gains and sigma are GAIN vectors. The swap targets are drawn from the
+ * stream in the ST_STREAM slots, which are left where the draws end;
+ * `marks` holds ST_MARKS mark counts, in increasing order, and `stamps`
+ * room for two slots per mark. `scratch` holds 4n int64 slots: an identity
+ * permutation, left as found, then the positions, the blend and the last
+ * iteration's swap targets. `lanes` holds 2n GAIN slots: v, all zero and
+ * left so, then t. With integer `weights` (a, b) the pivot is picked on the
+ * blend a * g_0 + b * g_1 of caches[0] and caches[1], and without (NULL) on
+ * the gains of caches[0]. */
 CLONES void lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n,
-                          int64_t first, const int64_t *weights,
-                          const int64_t *targets, int64_t bits, int64_t *scratch,
-                          GAIN *lanes, int64_t *st, int8_t *best_x, const int64_t *marks,
-                          int64_t *stamps)
+                          int64_t first, const int64_t *weights, int64_t bits,
+                          int64_t *scratch, GAIN *lanes, int64_t *st, int8_t *best_x,
+                          const int64_t *marks, int64_t *stamps)
 {
-    int64_t *pos = scratch + n, *blended = scratch + 2 * n;
+    int64_t *pos = scratch + n, *blended = scratch + 2 * n, *targets = scratch + 3 * n;
     GAIN *v = lanes, *t = lanes + n;
-    int64_t i;
+    pcg64 g = pcg64_load(st + ST_STREAM);
+    int64_t started = 0, i;
 
-    st[ST_STARTED] = 0;
     st[ST_IMPROVED] = 0;
     /* One loop with one call of the descent and of the block update, which
      * are inlined, so each clone holds one copy of their code. */
     for (;;) {
         if (st[ST_ROUNDS]) {
-            if (!(st[ST_STARTED] < st[ST_ROUNDS] && st[ST_CONSUMED] < st[ST_STOP]
+            if (!(started < st[ST_ROUNDS] && st[ST_CONSUMED] < st[ST_STOP]
                   && !(st[ST_HALT] && st[ST_IMPROVED])))
-                return;
-            fisher_yates(targets + st[ST_STARTED] * bits, bits, scratch, pos);
-            st[ST_STARTED] += 1;
+                break;
+            fisher_yates(&g, n, bits, scratch, targets, pos);
+            started++;
             for (i = 0; i < n_caches; i++) {
                 int64_t delta = apply_flips(&caches[i], n, pos, bits, v, t);
                 if (i == 0)
@@ -546,8 +640,9 @@ CLONES void lsils_iterate(const lsils_cache *caches, int64_t n_caches, int64_t n
         }
         descend(caches, n_caches, n, (int)first, weights, blended, st, best_x, marks, stamps);
         if (!st[ST_ROUNDS])
-            return;
+            break;
     }
+    pcg64_store(&g, st + ST_STREAM);
 }
 
 /* Build one cache at its solution x: the cache at x = 0, gains Q_jj and

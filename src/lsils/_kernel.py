@@ -1,5 +1,5 @@
 """Loader for the compiled search iterations, gain-cache builds and random-toy
-fill in `_kernel.c`.
+magnitudes in `_kernel.c`.
 
 The library is built on first use, never at import, with the system C
 compiler, and cached under this package's `__pycache__` in a file named by
@@ -27,9 +27,12 @@ n, dtype)` writes for toys and instances only, in the run's gain width,
 int32 or int64: a toy by its anchor, with its weights in that width
 (FORM_ANCHORED, +-1 and +-i) or its uint8 magnitudes (FORM_RANDOM), and an
 instance as its dense matrix in that width (FORM_DENSE), `q` in place or
-the int32 copy it makes once and keeps (`UbqpInstance.rows`). The numpy
-reference the kernel is tested against lives in `tests/oracles.py`, and
-`GainCache.build` is the reference for its cache builds.
+the int32 copy it makes once and keeps (`UbqpInstance.rows`). The kernel
+draws the swap targets and the random toy's magnitudes itself, value for
+value as numpy's `Generator.integers` does, from a generator's PCG64 state
+passed as `stream(rng)` gives it. The numpy reference the kernel is tested
+against lives in `tests/oracles.py`, and `GainCache.build` is the reference
+for its cache builds.
 
 ctypes, subprocess and hashlib are imported on first use, so that
 `import lsils` costs no more than it did without the kernel.
@@ -52,10 +55,14 @@ FLAGS = ("-O3", "-shared", "-fPIC")
 COMPILERS = ("cc", "gcc", "clang")
 COMPILE_TIMEOUT_S = 120
 
-# The form codes and the state vector layout of _kernel.c.
+# The form codes, the words of a PCG64 stream and the state vector layout
+# of _kernel.c.
 FORM_DENSE, FORM_ANCHORED, FORM_RANDOM = 0, 1, 2
-(ST_VALUE, ST_CONSUMED, ST_STOP, ST_ROUNDS, ST_STARTED, ST_HALT, ST_BEST, ST_IMPROVED,
- ST_MARKS, ST_MARKED, ST_SIZE) = range(11)
+PCG_STATE_LO, PCG_STATE_HI, PCG_INC_LO, PCG_INC_HI, PCG_HAS_UINT32, PCG_UINTEGER, PCG_WORDS = (
+    range(7))
+(ST_VALUE, ST_CONSUMED, ST_STOP, ST_ROUNDS, ST_HALT, ST_BEST, ST_IMPROVED, ST_MARKS, ST_MARKED,
+ ST_STREAM) = range(10)
+ST_SIZE = ST_STREAM + PCG_WORDS
 # The members of one lsils_cache row, in order: the form's kind, then the
 # addresses of q, anchor, gains, sigma and x. Eight-byte fields, so 64-bit
 # platforms only.
@@ -146,12 +153,12 @@ def _load():
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     for dtype in GAIN_DTYPES:
         iterate = getattr(lib, entry_name("iterate", dtype))
-        iterate.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+        iterate.argtypes = [ptr, i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr]
         iterate.restype = None
         build = getattr(lib, entry_name("build", dtype))
         build.argtypes = [ptr, i64, ptr, ptr]
         build.restype = i64
-    lib.lsils_random_toy.argtypes = [ptr, i64, ptr]
+    lib.lsils_random_toy.argtypes = [ptr, i64, i64, i64, ptr]
     lib.lsils_random_toy.restype = i64
     return lib
 
@@ -178,6 +185,18 @@ def entry_name(name: str, dtype) -> str:
 def entry(name: str, dtype):
     """The kernel's entry point `name` (iterate, build) for caches with gains of `dtype`."""
     return getattr(library(), entry_name(name, dtype))
+
+
+def stream(rng: np.random.Generator) -> np.ndarray:
+    """The PCG64 state of `rng` as the kernel's PCG_WORDS stream words, int64;
+    the kernel draws on from there as `rng` would, and `rng` stays where it is."""
+    state = rng.bit_generator.state
+    pcg = state["state"]
+    words = np.empty(PCG_WORDS, dtype=np.uint64)
+    words[PCG_STATE_LO], words[PCG_STATE_HI] = pcg["state"] % 2**64, pcg["state"] >> 64
+    words[PCG_INC_LO], words[PCG_INC_HI] = pcg["inc"] % 2**64, pcg["inc"] >> 64
+    words[PCG_HAS_UINT32], words[PCG_UINTEGER] = state["has_uint32"], state["uinteger"]
+    return words.view(np.int64)
 
 
 def bind(row: np.ndarray, form, n: int, dtype) -> tuple:

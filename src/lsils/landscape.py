@@ -18,6 +18,7 @@ the census's memory) grows as 2^n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,12 +274,14 @@ def collision_probability(histogram: dict) -> float:
     """Probability two independent uniform solutions share an objective value.
 
     Sum over values of (count / 2^n)^2; larger means a flatter landscape.
+    The squares are summed as exact integers and divided by (2^n)^2 once,
+    so the result is their ratio correctly rounded.
     """
-    counts = np.fromiter(histogram.values(), dtype=np.float64)
-    if counts.size == 0:
+    counts = list(map(int, histogram.values()))
+    if not counts:
         raise ValueError("empty histogram")
-    p = counts / counts.sum()
-    return float(p @ p)
+    total = sum(counts)
+    return sum(map(operator.mul, counts, counts)) / (total * total)
 
 
 @dataclass

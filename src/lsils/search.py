@@ -28,16 +28,17 @@ and the current toy's in slot 1, allocated once; building a slot binds it
 to a form and flips x's set bits into the cache at x = 0 in one block
 update, which also gives f(x). One kernel call perturbs and descends,
 iteration after iteration, and returns to Python only at a decision point:
-the end of an evals budget, the schedule's next lambda step, an iteration
-that improved the best (the smoothed search then rebuilds its toy there),
-or the end of the swap targets drawn so far. It stamps the run's log marks
-as it passes them, so marks never stop it, and the run appends a call's
+the end of an evals budget, the schedule's next lambda step, or an
+iteration that improved the best (the smoothed search then rebuilds its
+toy there). It draws each iteration's swap targets as the iteration
+starts, from the run's perturbation stream, value for value as numpy's
+`rng.integers(np.arange(bits), n)` would. It stamps the run's log marks as
+it passes them, so marks never stop it, and the run appends a call's
 stamps to its log in bulk when it returns. Under a seconds budget a call
 runs one iteration, because the kernel does not read the clock. One `_Run`
-holds a run's state, caches, kernel buffers, clock and log, and one
-`_SwapTargets` its swap targets, drawn `TARGET_CHUNK` iterations' worth at
-a time. The numpy reference the kernel matches flip for flip, one
-iteration per call, is in `tests/oracles.py`.
+holds a run's state, swap-target stream, caches, kernel buffers, clock and
+log. The numpy reference the kernel matches flip for flip, one iteration
+per call, is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -224,36 +225,6 @@ class RunResult:
         return self.log.records
 
 
-# Iterations' worth of swap targets drawn at once.
-TARGET_CHUNK = 64
-
-
-class _SwapTargets:
-    """One run's perturbation swap targets, drawn TARGET_CHUNK iterations at a time.
-
-    `rng.integers(np.tile(np.arange(bits), TARGET_CHUNK), n)` gives the
-    values, in order, of TARGET_CHUNK separate draws
-    `rng.integers(np.arange(bits), n)` of swap targets j_i in [i, n) for a
-    partial Fisher-Yates pass. The kernel reads them where `at` points.
-    Draws left at the end of a run are never used.
-    """
-
-    def __init__(self, rng: np.random.Generator, n: int, bits: int):
-        self.rng, self.n, self.bits = rng, n, bits
-        self.lows = np.tile(np.arange(bits), TARGET_CHUNK)
-        self.chunk = self.lows[:0]
-        self.at = 0
-        self.address = 0
-
-    def ready(self) -> int:
-        """Iterations' worth left in the chunk, after drawing the next one if none is."""
-        if self.at == self.chunk.size:
-            self.chunk = self.rng.integers(self.lows, self.n)
-            self.at = 0
-            self.address = self.chunk.ctypes.data
-        return (self.chunk.size - self.at) // self.bits
-
-
 def _slot(index: int) -> property:
     """One slot of a run's state vector, read and written as a Python int."""
     return property(lambda run: int(run.state[index]),
@@ -265,12 +236,14 @@ class _Run:
     once per run.
 
     The kernel's int64 `state` is the only copy of the current `value`, the
-    evaluations charged (`consumed`), the `best` value and the log marks
-    stamped; `best_x` is the best solution. The run holds two gain caches in
-    fixed slots, f's in slot 0 and the toy's in slot 1: row i of `gains`,
-    `sigma` and `x` is slot i's, and `rows` holds their kernel lsils_cache
-    rows, whose form fields `build` binds, with the arrays they read kept in
-    `read`. `iterate` runs on the first `caches` slots, 1 or 2. Gains have
+    evaluations charged (`consumed`), the `best` value, the log marks
+    stamped and the stream the swap targets of its `bits`-bit perturbations
+    are drawn from (`perturb_from`); `best_x` is the best solution. The run
+    holds two gain caches in fixed slots, f's in slot 0 and the toy's in
+    slot 1: row i of `gains`, `sigma` and `x` is slot i's, and `rows` holds
+    their kernel lsils_cache rows, whose form fields `build` binds, with the
+    arrays they read kept in `read`. `iterate` runs on the first `caches`
+    slots, 1 or 2. Gains have
     one `dtype`, int32 or int64, which picks the kernel's entry points and
     the type of its `lanes` scratch. Under an
     evals budget the marks are the interval's running sums `mark_sums`,
@@ -312,10 +285,11 @@ class _Run:
         self.state = np.zeros(_kernel.ST_SIZE, dtype=np.int64)
         self.state[_kernel.ST_MARKS] = len(counts)
         self.best_x = np.zeros(n, dtype=np.int8)
+        self.bits = 0
         # An identity permutation, which the kernel leaves as found, then
-        # the positions and the blend; and two gain-typed vectors, of which
-        # the kernel leaves the first (zeros) as found.
-        self.scratch = np.zeros(3 * n, dtype=np.int64)
+        # the positions, the blend and the swap targets; and two gain-typed
+        # vectors, of which the kernel leaves the first (zeros) as found.
+        self.scratch = np.zeros(4 * n, dtype=np.int64)
         self.scratch[:n] = np.arange(n)
         self.lanes = np.zeros(2 * n, dtype=dtype)
         self.weights = np.zeros(2, dtype=np.int64)
@@ -346,6 +320,12 @@ class _Run:
         scratch, lanes = self.buffers[:2]  # the positions' n slots follow the permutation's
         return self.builder(self.rows_at + slot * self.rows.strides[0], n, scratch + 8 * n, lanes)
 
+    def perturb_from(self, rng: np.random.Generator, bits: int) -> None:
+        """Perturb `bits` positions per iteration, by swap targets the kernel
+        draws from the PCG64 stream of `rng` as it stands; `rng` is not advanced."""
+        self.bits = bits
+        self.state[_kernel.ST_STREAM:] = _kernel.stream(rng)
+
     def progress(self) -> float:
         return self.consumed if self.budget.kind == "evals" else time.monotonic() - self.started
 
@@ -375,40 +355,35 @@ class _Run:
             self._emit_mark(self.consumed, self.best)
         self.state[_kernel.ST_MARKED] = len(self.log)
 
-    def iterate(self, weights=None, targets: _SwapTargets | None = None,
-                stop: int = INT64_MAX, halt: bool = False) -> None:
-        """Descend on the first `caches` slots, or with `targets` perturb and descend.
+    def iterate(self, weights=None, perturb: bool = False, stop: int = INT64_MAX,
+                halt: bool = False) -> None:
+        """Descend on the first `caches` slots, or with `perturb` perturb and descend.
 
-        With targets, one kernel call runs iterations until a decision point:
-        the count `stop` (the budget's end or the next lambda step), the end
-        of the drawn targets, or, with `halt`, an iteration that improved the
-        best; under a seconds budget, one iteration. `weights` are
-        `blend_weights` or None; at b = 0 the kernel scans g_0 itself.
+        Perturbing, one kernel call runs iterations until a decision point:
+        the count `stop` (the budget's end or the next lambda step) or, with
+        `halt`, an iteration that improved the best; under a seconds budget,
+        one iteration. `weights` are `blend_weights` or None; at b = 0 the
+        kernel scans g_0 itself.
         """
         blend = None
         if weights is not None and weights[1]:
             self.weights[:] = weights
             blend = self.weights_at
-        rounds = bits = at = 0
-        if targets is not None:
-            rounds, bits = targets.ready(), targets.bits
-            at = targets.address + 8 * targets.at
-            if self.budget.kind == "seconds":
-                rounds = 1  # the kernel does not read the clock
+        rounds = 0
+        if perturb:  # the kernel does not read the clock
+            rounds = 1 if self.budget.kind == "seconds" else INT64_MAX
         state = self.state  # set slot by slot: a fancy-index write costs seven times as much
         state[_kernel.ST_STOP] = stop
         state[_kernel.ST_ROUNDS] = rounds
         state[_kernel.ST_HALT] = halt
-        self.kernel(self.rows_at, self.caches, self.n, self.pivot_rule == "first", blend, at, bits,
-                    *self.buffers)
+        self.kernel(self.rows_at, self.caches, self.n, self.pivot_rule == "first", blend,
+                    self.bits, *self.buffers)
         done, marked = len(self.log), int(state[_kernel.ST_MARKED])
         if marked > done:
             stamps = self.stamps[2 * done:2 * marked].tolist()
             self.log.extend(self.mark_elapsed[done:marked], stamps[0::2], stamps[1::2],
                             self.current_lam)
             self.next_mark = self.mark_sums[marked] if marked < len(self.mark_sums) else None
-        if targets is not None:
-            targets.at += int(self.state[_kernel.ST_STARTED]) * bits
         if self.budget.kind == "seconds":
             self.poll()
 
@@ -465,7 +440,6 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
     bits = config.bits_for(n)
     schedule = config.lambda_schedule or LambdaSchedule.zero(config.budget.kind)
     rng_init = seeded_rng(config.seed, INIT_STREAM)
-    rng_perturb = seeded_rng(config.seed, PERTURB_STREAM)
     rng_toy = seeded_rng(config.seed, TOY_STREAM) if smoothing else None
 
     def weights_of(lam: float, peak: int) -> tuple[int, int]:
@@ -491,6 +465,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
 
     x = random_solution(n, rng_init)
     run = _Run(n, config.pivot_rule, config.budget, config.log_interval, dtype)
+    run.perturb_from(seeded_rng(config.seed, PERTURB_STREAM), bits)
     run.value = run.best = run.build(0, inst, x)
     run.best_x[:] = x
     run.charge(n)
@@ -500,7 +475,6 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
 
     anchor: np.ndarray | None = None
     toy: ToyMatrix | None = None
-    targets = _SwapTargets(rng_perturb, n, bits)
     steps = schedule if smoothing else None
 
     while not run.exhausted():
@@ -528,7 +502,7 @@ def _run(inst: UbqpInstance, config: SearchConfig, smoothing: bool) -> RunResult
                 weights = weights_of(lam, toy.max_abs())
         # Every iteration up to the next decision: a lambda step, or a new
         # best, which moves the anchor.
-        run.iterate(weights, targets, run.decision(steps), halt=smoothing)
+        run.iterate(weights, perturb=True, stop=run.decision(steps), halt=smoothing)
 
     if smoothing:
         # A blended descent can pass its best on a slope of f. Checking the

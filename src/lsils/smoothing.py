@@ -29,7 +29,6 @@ import numpy as np
 from .qubo import (
     UbqpInstance,
     as_solution,
-    evaluate,
     mean_abs,
     seeded_rng,
 )
@@ -114,11 +113,12 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
 
     Deterministic given (kind, anchor, seed). Random magnitudes are drawn
     for the lower triangle (diagonal included), row by row, and mirrored, so
-    the realized matrix is symmetric with |entries| in [1, 100]. They are
-    drawn as int32, which for a range under 2^32 gives numpy's int64 draws
-    value for value. The kernel of `_kernel.c` stores them in a uint8
-    matrix and returns the largest draw, which is `max_abs()`; ValueError
-    when `RANDOM_MAGNITUDES` leaves uint8.
+    the realized matrix is symmetric with |entries| in [1, 100]. The kernel
+    of `_kernel.c` draws them straight into a uint8 matrix from the PCG64
+    state of `seeded_rng(seed, TOY_MAGNITUDE_STREAM)`, value for value as
+    that generator's `integers(1, 101, n * (n + 1) // 2)` would, and returns
+    the largest draw, which is `max_abs()`; ValueError when
+    `RANDOM_MAGNITUDES` leaves uint8.
     """
     kind = ToyKind(kind)
     anchor = as_solution(anchor)
@@ -127,12 +127,11 @@ def construct_toy(kind: ToyKind, anchor, seed: int = 0) -> ToyMatrix:
     if not 0 <= RANDOM_MAGNITUDES.start <= RANDOM_MAGNITUDES[-1] <= np.iinfo(np.uint8).max:
         raise ValueError(f"random toy magnitudes {RANDOM_MAGNITUDES} do not fit in uint8")
     from . import _kernel  # here, not at the top: _kernel imports this module
-    n = anchor.size
-    rng = seeded_rng(seed, TOY_MAGNITUDE_STREAM)
-    draws = rng.integers(RANDOM_MAGNITUDES.start, RANDOM_MAGNITUDES.stop, size=n * (n + 1) // 2,
-                         dtype=np.int32)
+    n, low = anchor.size, RANDOM_MAGNITUDES.start
+    stream = _kernel.stream(seeded_rng(seed, TOY_MAGNITUDE_STREAM))
     m = np.empty((n, n), dtype=np.uint8)
-    peak = _kernel.library().lsils_random_toy(draws.ctypes.data, n, m.ctypes.data)
+    peak = _kernel.library().lsils_random_toy(stream.ctypes.data, n, low,
+                                              RANDOM_MAGNITUDES[-1] - low, m.ctypes.data)
     return ToyMatrix(kind=kind, anchor=anchor, _m=m, _peak=peak)
 
 
@@ -208,11 +207,6 @@ class SmoothedObjective:
         |entry|: 2n for one-flip gains, n^2 for values."""
         return blend_weights(self.lam, self.alpha, scale * self.instance.max_abs(),
                              scale * self.toy.max_abs())
-
-
-def smoothed_evaluate(g: SmoothedObjective, x) -> float:
-    """Blend of the two exact integer objectives in double precision."""
-    return (1.0 - g.lam) * evaluate(g.instance, x) + g.lam * g.alpha * evaluate(g.toy, x)
 
 
 @dataclass(frozen=True)

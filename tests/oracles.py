@@ -243,17 +243,22 @@ def runlog_rows(records) -> list[str]:
 
 # -- The search's numpy reference -------------------------------------------
 # The compiled kernel of the search must match these flip for flip. They
-# take the package's run state, gain caches and swap-target source as
-# arguments, by their attributes and methods alone: a run's `value` and
-# `best` are slots of its state vector, `best_x` is its best solution, and
-# `charge` charges its budget.
+# take the package's run state and gain caches as arguments, by their
+# attributes and methods alone: a run's `value` and `best` are slots of its
+# state vector, `best_x` is its best solution, and `charge` charges its
+# budget. Swap targets come from a numpy generator.
 
 
-def take_targets(targets) -> np.ndarray:
-    """The next iteration's swap targets from a run's swap-target source."""
-    targets.ready()
-    targets.at += targets.bits
-    return targets.chunk[targets.at - targets.bits:targets.at]
+def swap_targets(rng, n: int, bits: int) -> np.ndarray:
+    """One iteration's swap targets j_i in [i, n), i < bits, drawn by numpy."""
+    return rng.integers(np.arange(bits), n)
+
+
+def generator_at(state: dict):
+    """A numpy PCG64 generator set to `state`, as `bit_generator.state` gives it."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
 
 
 def swap_positions(targets) -> np.ndarray:
@@ -321,12 +326,26 @@ def perturb(run, caches, positions) -> None:
         run.charge(n)
 
 
-def descent_call(run, caches, weights=None, targets=None) -> None:
+def descent_call(run, caches, weights=None, rng=None, bits: int = 0) -> None:
     """One iteration of `search._Run.iterate` on `caches`, the run's caches:
-    it perturbs them with the next iteration's targets, if given, and
-    descends. The run decides again after every iteration, so it needs no
-    stop count.
+    given a generator `rng`, it perturbs them at the positions of `bits`
+    swap targets drawn from it, and descends. The run decides again after
+    every iteration, so it needs no stop count.
     """
-    if targets is not None:
-        perturb(run, caches, swap_positions(take_targets(targets)))
+    if rng is not None:
+        n = caches[0].solution.size
+        perturb(run, caches, swap_positions(swap_targets(rng, n, bits)))
     descend(run, caches, weights, run.pivot_rule)
+
+
+# -- The smoothed objective in floats ------------------------------------------
+
+
+def smoothed_evaluate(g, x) -> float:
+    """g(x) = (1 - lam) f_o(x) + lam alpha f_toy(x) of a smoothed objective
+    `g`, blended in double precision from the exact values x^T Q x of its
+    instance's and toy's dense matrices (int64 products)."""
+    x = np.asarray(x, dtype=np.int64)
+    f, t = (int(x @ np.asarray(form.materialize(), dtype=np.int64) @ x)
+            for form in (g.instance, g.toy))
+    return (1.0 - g.lam) * f + g.lam * g.alpha * t

@@ -28,7 +28,6 @@ from lsils import (
     mean_abs,
     random_solution,
     seeded_rng,
-    smoothed_evaluate,
     value_histogram,
 )
 from lsils.cli import main
@@ -166,7 +165,7 @@ def test_criterion_4_incremental_deltas_match_full_recomputation():
                                 alpha=auto_alpha(inst, toy))
         co = GainCache.build(inst, x.copy())
         ct = GainCache.build(toy, x.copy())
-        smoothed = smoothed_evaluate(obj, x)
+        smoothed = oracles.smoothed_evaluate(obj, x)
         scale = max(1.0, abs(smoothed))
         for j, k in enumerate(rng.integers(0, n, size=flips)):
             k = int(k)
@@ -174,7 +173,7 @@ def test_criterion_4_incremental_deltas_match_full_recomputation():
             co.apply_flip(k)
             ct.apply_flip(k)
             if j % 5000 == 0 or j == flips - 1:
-                full = smoothed_evaluate(obj, co.solution)
+                full = oracles.smoothed_evaluate(obj, co.solution)
                 scale = max(1.0, abs(full))
                 worst_rel = max(worst_rel, abs(smoothed - full) / scale)
         assert worst_rel <= 1e-9

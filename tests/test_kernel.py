@@ -17,7 +17,6 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,15 +104,23 @@ def reference_build(run, slot, form, x) -> int:
     return evaluate(form, x)
 
 
-def reference_iterate(run, weights=None, targets=None, stop=INT64_MAX, halt=False) -> None:
+def reference_perturb_from(run, rng, bits) -> None:
+    """`_Run.perturb_from` for the numpy reference, which draws from `rng` itself."""
+    run.bits, run.generator = bits, rng
+
+
+def reference_iterate(run, weights=None, perturb=False, stop=INT64_MAX, halt=False) -> None:
     """`_Run.iterate` by the numpy reference, one iteration per call."""
-    oracles.descent_call(run, references(run), weights, targets)
+    oracles.descent_call(run, references(run), weights, run.generator if perturb else None,
+                         run.bits)
 
 
 def run_the_reference(monkeypatch) -> None:
-    """Runs build their caches and run their iterations in the numpy reference."""
+    """Runs build their caches, draw their swap targets and run their
+    iterations in the numpy reference."""
     monkeypatch.setattr(search._Run, "iterate", reference_iterate)
     monkeypatch.setattr(search._Run, "build", reference_build)
+    monkeypatch.setattr(search._Run, "perturb_from", reference_perturb_from)
 
 
 def test_kernel_loads():
@@ -145,27 +152,44 @@ def test_source_compiles_without_warnings(tmp_path):
                    check=True, capture_output=True)
 
 
+def test_a_compiler_without_int128_fails_with_a_message(tmp_path, monkeypatch):
+    # The streams need unsigned __int128; a compiler without it stops at an
+    # #error, which the loader's OSError carries.
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(_kernel, "FLAGS", ("-U__SIZEOF_INT128__", *_kernel.FLAGS))
+    _kernel._load.cache_clear()
+    try:
+        with pytest.raises(OSError, match="failed to build:\n(.|\n)*unsigned __int128"):
+            _kernel.library()
+    finally:
+        _kernel._load.cache_clear()
+
+
 def c_enums(source: str) -> dict[str, int]:
-    """Every enumerator of the source's enum blocks with its value."""
+    """Every enumerator of the source's enum blocks with its value; an
+    explicit value is an integer or a sum of enumerators and integers."""
     source = re.sub(r"/\*.*?\*/", "", source, flags=re.DOTALL)
     values = {}
     for block in re.findall(r"\benum\s*\{(.*?)\}", source, flags=re.DOTALL):
         value = -1
         for item in filter(None, (part.strip() for part in block.split(","))):
             name, _, expr = (part.strip() for part in item.partition("="))
-            value = int(expr) if expr else value + 1
+            terms = [term.strip() for term in expr.split("+")] if expr else []
+            value = (sum(values[t] if t in values else int(t) for t in terms) if terms
+                     else value + 1)
             values[name] = value
     return values
 
 
 def test_layout_matches_the_source():
-    # _kernel.py mirrors _kernel.c's form codes, state layout and cache row,
-    # whose fields it names, in order, as the struct's members.
+    # _kernel.py mirrors _kernel.c's form codes, stream words, state layout
+    # and cache row, whose fields it names, in order, as the struct's members.
     source = _kernel.SOURCE.read_text()
+    prefixes = ("ST_", "FORM_", "PCG_")
     ours = {name: value for name, value in vars(_kernel).items()
-            if name.startswith(("ST_", "FORM_")) and isinstance(value, int)}
+            if name.startswith(prefixes) and isinstance(value, int)}
     theirs = {name: value for name, value in c_enums(source).items()
-              if name.startswith(("ST_", "FORM_"))}
+              if name.startswith(prefixes)}
     assert ours == theirs
     struct = re.search(r"typedef struct \{(.*?)\} lsils_cache;", source, flags=re.DOTALL)
     members = re.findall(r"(\w+)\s*;", re.sub(r"/\*.*?\*/", "", struct.group(1),
@@ -260,31 +284,31 @@ def assert_runs_agree(run, ref):
     assert (run.consumed, run.next_mark) == (ref.consumed, ref.next_mark)
 
 
-def assert_iterations_agree(run, ref, weights, pivot, bits, key, stop, halt):
-    """One compiled call and as many reference iterations, one at a time,
-    from the same started runs and swap targets drawn with `seeded_rng(*key)`,
-    end in the same state."""
+def assert_iterations_agree(run, ref, weights, bits, rng, stop, halt):
+    """One compiled call, and the reference's iterations one at a time until
+    it would stop, from the same started runs, end in the same state; the
+    kernel's stream, seeded from the generator `rng`, ends where the
+    reference's draws from `rng` leave it."""
     n = run.n
-    ref_targets, targets = (search._SwapTargets(seeded_rng(*key), n, bits) for _ in range(2))
-    rounds, at = targets.ready(), targets.at
-    run.iterate(weights, targets, stop, halt)
-    ran = (targets.at - at) // bits
-    assert 1 <= ran <= rounds
+    run.perturb_from(rng, bits)
+    run.iterate(weights, True, stop, halt)
+    # The kernel starts no iteration at `stop`, nor, under `halt`, after
+    # one that improved the best.
     improved = False
-    for _ in range(ran):
-        assert ref.consumed < stop and not (halt and improved)
+    while ref.consumed < stop and not (halt and improved):
         best = ref.best
-        positions = oracles.swap_positions(oracles.take_targets(ref_targets))
-        oracles.perturb(ref, references(ref), positions)
-        oracles.descend(ref, references(ref), weights, pivot)
+        oracles.descent_call(ref, references(ref), weights, rng, bits)
         improved = ref.best > best
-    # It stopped for a reason: targets used up, the stop count, or a new
-    # best under `halt`.
-    assert ran == rounds or ref.consumed >= stop or (halt and improved)
     assert_runs_agree(run, ref)
-    assert np.array_equal(oracles.take_targets(ref_targets), oracles.take_targets(targets))
+    assert np.array_equal(run.state[_kernel.ST_STREAM:], _kernel.stream(rng))
     assert np.array_equal(run.scratch[:n], np.arange(n))
     assert not run.lanes[:n].any()
+
+
+def iteration_stop(n: int, bits: int, start: int = 0) -> int:
+    """A stop count at most 64 iterations of `bits`-bit perturbations past
+    `start`: each costs at least n (bits + 1), the perturbation and a scan."""
+    return start + 64 * n * (bits + 1)
 
 
 class TestDescentEquivalence:
@@ -492,17 +516,20 @@ class TestIterationEquivalence:
         # Intervals below n * bits put several marks inside one perturbation.
         interval = data.draw(st.one_of(st.none(), st.integers(1, n * bits),
                                        st.floats(0.5, n * bits)), label="interval")
-        stop = start + data.draw(st.integers(1, 20000), label="stop - start")
-        chunk = data.draw(st.sampled_from((1, 2, 3, search.TARGET_CHUNK)), label="chunk")
+        stop = data.draw(st.integers(start + 1, min(start + 20000, iteration_stop(n, bits, start))),
+                         label="stop")
+        # A generator with half of its last output buffered, or a fresh one.
+        rng = seeded_rng(seed, 2)
+        if data.draw(st.booleans(), label="buffered"):
+            rng.integers(0, 10, dtype=np.int32)
         slots = (first,) if second is None else (first, second)
         forms = [make_form(name, n, seed + i) for i, name in enumerate(slots)]
         x = random_solution(n, seeded_rng(seed, 1))
         weights = blend_weights(lam, alpha, 0, 0) if blend and len(forms) == 2 else None
 
-        with mock.patch.object(search, "TARGET_CHUNK", chunk):
-            ref, run = (started_run(forms, x, pivot, budget, interval, lam, start, dtype)
-                        for _ in range(2))
-            assert_iterations_agree(run, ref, weights, pivot, bits, (seed, 2), stop, halt)
+        ref, run = (started_run(forms, x, pivot, budget, interval, lam, start, dtype)
+                    for _ in range(2))
+        assert_iterations_agree(run, ref, weights, bits, rng, stop, halt)
 
     def test_repeated_blocks_stay_exact(self):
         # Each form kind as the only cache: 50 compiled perturbations of up
@@ -515,10 +542,9 @@ class TestIterationEquivalence:
             run = loaded(_Run(n, "best"), [form], x)
             run.value = evaluate(form, x)
             for _ in range(50):
-                targets = search._SwapTargets(rng, n, int(rng.integers(1, n + 1)))
+                run.perturb_from(rng, int(rng.integers(1, n + 1)))
                 # Stopping one evaluation on runs a single iteration.
-                run.iterate(None, targets, run.consumed + 1)
-                assert targets.at == targets.bits
+                run.iterate(None, True, run.consumed + 1)
                 assert run.value == evaluate(form, run.x[0])
                 fresh = GainCache.build(form, run.x[0])
                 assert np.array_equal(run.gains[0], fresh.gains)
@@ -538,7 +564,8 @@ def test_random_toys_in_both_slots_match_the_reference(pivot, dtype):
     for bits in (1, n // 4, n):
         start = (forms, x, pivot, 10**6, 97, 0.3, 0, dtype)
         ref, run = started_run(*start), started_run(*start)
-        assert_iterations_agree(run, ref, weights, pivot, bits, (n, bits), 10**6, False)
+        assert_iterations_agree(run, ref, weights, bits, seeded_rng(n, bits),
+                                iteration_stop(n, bits), False)
 
 
 def assert_build_matches_the_reference(form, x, dtype) -> None:
@@ -689,8 +716,8 @@ def check_bound_cases(inst: UbqpInstance, dtype) -> None:
                 for bits in sorted({1, max(n // 4, 1), n}):
                     start = (forms, x, pivot, 10**6, 97, 0.5, 0, dtype)
                     ref, run = started_run(*start), started_run(*start)
-                    assert_iterations_agree(run, ref, weights, pivot, bits, (n, bits), 10**6,
-                                            False)
+                    assert_iterations_agree(run, ref, weights, bits, seeded_rng(n, bits),
+                                            iteration_stop(n, bits), False)
 
 
 @pytest.mark.parametrize("dtype", WIDTHS)
@@ -732,15 +759,25 @@ sys.path[:0] = {paths!r}
 import numpy as np
 from lsils import _kernel
 _kernel._build = lambda: ctypes.CDLL({library!r})
-from test_kernel import BOUND_N, bound_instance, check_bound_cases, largest_instance
-check_bound_cases({instance}, np.{dtype})
+from test_kernel import BOUND_N, bound_instance, check_bound_cases, largest_instance, whole_runs
+{call}
 """
+
+
+def whole_runs() -> None:
+    """A random-toy LS-ILS run, which draws toys and swap targets from the
+    kernel's streams, and an ILS run on one bit, which draws none."""
+    config = SearchConfig(budget=Budget("evals", 30000), toy_kind=ToyKind.RANDOM,
+                          lambda_schedule=LambdaSchedule.constant(0.5), log_interval=1700)
+    lsils(make_instance(45, seed=21), config)
+    ils(make_instance(1, seed=2), SearchConfig(budget=Budget("evals", 1000), log_interval=7))
 
 
 def test_int32_lanes_do_not_overflow_at_the_bound(tmp_path):
     # A build that traps on signed overflow runs the int32 cases at the
-    # bound, and the largest 1-bit and 2-bit instances on int64 lanes;
-    # forced onto int32 lanes just above the int32 bound, the same build traps.
+    # bound, the largest 1-bit and 2-bit instances on int64 lanes, and
+    # whole runs; forced onto int32 lanes just above the int32 bound, the
+    # same build traps.
     library = tmp_path / "trapping.so"
     try:
         subprocess.run([_kernel._compiler(), *_kernel.FLAGS, "-fsanitize=signed-integer-overflow",
@@ -749,12 +786,12 @@ def test_int32_lanes_do_not_overflow_at_the_bound(tmp_path):
     except subprocess.CalledProcessError as exc:
         pytest.skip(f"the compiler rejects the sanitizer: {exc.stderr.decode()[-300:]}")
     paths = [str(Path(__file__).parent), str(_kernel.SOURCE.parents[1])]
-    cases = [(f"bound_instance(BOUND_N, {above}, {negative})", "int32", above)
+    cases = [(f"check_bound_cases(bound_instance(BOUND_N, {above}, {negative}), np.int32)", above)
              for above, negative in ((False, 0.0), (False, 0.3), (True, 0.0))]
-    cases += [(f"largest_instance({n})", "int64", False) for n in (1, 2)]
-    for instance, dtype, above in cases:
-        script = SANITIZED_RUN.format(paths=paths, library=str(library), instance=instance,
-                                      dtype=dtype)
+    cases += [(f"check_bound_cases(largest_instance({n}), np.int64)", False) for n in (1, 2)]
+    cases += [("whole_runs()", False)]
+    for call, above in cases:
+        script = SANITIZED_RUN.format(paths=paths, library=str(library), call=call)
         done = subprocess.run([sys.executable, "-c", script], capture_output=True)
         if above:
             assert done.returncode < 0, "no trap on int32 lanes past the bound"
@@ -780,12 +817,12 @@ class KernelCalls:
             return entry
 
         def iterate(*args):
-            state = (ctypes.c_int64 * _kernel.ST_SIZE).from_address(args[9])
-            entered = dict(zip(ST_NAMES, state))
+            state = (ctypes.c_int64 * _kernel.ST_SIZE).from_address(args[8])
+            entered = state_slots(state)
             entry(*args)
-            self.calls.append((entered, dict(zip(ST_NAMES, state))))
+            self.calls.append((entered, state_slots(state)))
             self.entries.append(name)
-            self.addresses.append((args[1], args[0], *args[7:11]))
+            self.addresses.append((args[1], args[0], *args[6:10]))
         return iterate
 
 
@@ -793,40 +830,45 @@ ST_NAMES = sorted((name for name in vars(_kernel) if name.startswith("ST_") and 
                   key=lambda name: getattr(_kernel, name))
 
 
-def _stopped_with_targets_left(st, at_budget: bool) -> bool:
-    """A call that ended at its stop count, with targets left."""
-    return (st["ST_STARTED"] < st["ST_ROUNDS"] and st["ST_CONSUMED"] >= st["ST_STOP"]
+def state_slots(state) -> dict:
+    """A state vector's slots by name, and its stream's buffered-word flag
+    as PCG_HAS_UINT32."""
+    slots = dict(zip(ST_NAMES, state))
+    slots["PCG_HAS_UINT32"] = state[_kernel.ST_STREAM + _kernel.PCG_HAS_UINT32]
+    return slots
+
+
+def _stopped_at(st, at_budget: bool) -> bool:
+    """A perturbing call that ended at its stop count: the budget's end, or a lambda step."""
+    return (st["ST_ROUNDS"] > 0 and st["ST_CONSUMED"] >= st["ST_STOP"]
             and (st["ST_STOP"] == 30000) == at_budget)
 
 
 # Settings under which the compiled loop must stop at an awkward point of
 # the n = 45 runs, or stamp an awkward set of marks, each with a check, on
 # the kernel calls (state in, state out) and the runs' evaluation columns,
-# that the runs reached it: log interval, target chunk, check.
+# that the runs reached it: log interval, check.
 LOOP_EDGES = {
     # A scan charge of up to 45 passes two marks, a perturbation many.
-    "interval-below-n": (20, None, lambda calls, logs: any(len(set(e)) < len(e) for e in logs)),
-    "fractional-interval": (333.7, None, lambda calls, logs: True),
+    "interval-below-n": (20, lambda calls, logs: any(len(set(e)) < len(e) for e in logs)),
+    "fractional-interval": (333.7, lambda calls, logs: True),
     # About 5000 marks per run, over 1000 of them stamped in one call.
-    "many-marks": (6, None, lambda calls, logs: any(
+    "many-marks": (6, lambda calls, logs: any(
         out["ST_MARKED"] - into["ST_MARKED"] > 1000 for into, out in calls)),
-    # A lambda step, or the budget's end, with targets left in the chunk.
-    "step-inside-chunk": (1700, None, lambda calls, logs: any(
-        _stopped_with_targets_left(out, False) for _, out in calls)),
-    "budget-inside-chunk": (1700, None, lambda calls, logs: any(
-        _stopped_with_targets_left(out, True) for _, out in calls)),
-    # Targets running out at every second iteration.
-    "small-chunks": (1700, 2, lambda calls, logs: any(
-        out["ST_STARTED"] == out["ST_ROUNDS"] == 2 for _, out in calls)),
+    # A call that ends at a lambda step, and one at the budget's end.
+    "stop-at-a-step": (1700, lambda calls, logs: any(_stopped_at(out, False) for _, out in calls)),
+    "stop-at-the-budget": (1700, lambda calls, logs: any(
+        _stopped_at(out, True) for _, out in calls)),
+    # A call that perturbs first from the half-word an earlier call left buffered.
+    "half-word-across-calls": (1700, lambda calls, logs: any(
+        into["ST_ROUNDS"] and into["PCG_HAS_UINT32"] for into, _ in calls)),
 }
 
 
 @pytest.mark.parametrize("pivot", PIVOT_RULES)
 @pytest.mark.parametrize("edge", sorted(LOOP_EDGES))
 def test_loop_edges_are_byte_identical_on_both_paths(edge, pivot, monkeypatch):
-    interval, chunk, reached = LOOP_EDGES[edge]
-    if chunk:
-        monkeypatch.setattr(search, "TARGET_CHUNK", chunk)
+    interval, reached = LOOP_EDGES[edge]
     inst = make_instance(45, seed=21)
     kernel = KernelCalls(_kernel.library())
     monkeypatch.setattr(_kernel, "library", lambda: kernel)

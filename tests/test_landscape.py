@@ -4,6 +4,7 @@ import functools
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from lsils import (
     lambda_sweep,
     random_solution,
     seeded_rng,
-    smoothed_evaluate,
     solution_from_index,
     value_histogram,
 )
@@ -207,7 +207,7 @@ class TestHistogramAndFlatness:
         obj = SmoothedObjective(instance=inst, toy=toy, lam=0.4, alpha=2.8)
         hist = value_histogram(obj)
         brute = oracles.brute_histogram(
-            lambda x: float(np.round(smoothed_evaluate(obj, x), 9)), n)
+            lambda x: float(np.round(oracles.smoothed_evaluate(obj, x), 9)), n)
         assert hist == brute
 
     def test_zero_matrix_single_bin(self):
@@ -224,6 +224,18 @@ class TestHistogramAndFlatness:
         p = collision_probability(hist)
         assert p == pytest.approx(oracles.brute_collision(hist))
         assert 2.0**-n <= p <= 1.0
+
+    def test_collision_is_the_exact_ratio_rounded(self):
+        # Counts 1, 1, 4 of 6: summed as floats, (1/6)^2 + (1/6)^2 + (4/6)^2
+        # is the double below 1/2; the exact ratio 18/36 is 1/2. And on a
+        # full cube, whose squares the enumeration guard keeps exact.
+        hist = {-1: 1, 0: 1, 5: 4}
+        p = np.array(list(hist.values())) / 6
+        assert float(p @ p) != 0.5
+        assert collision_probability(hist) == float(Fraction(18, 36)) == 0.5
+        hist = value_histogram(make_instance(12, seed=3))
+        assert collision_probability(hist) == float(
+            Fraction(sum(c * c for c in hist.values()), 4**12))
 
     def test_collision_invariant_under_monotone_relabeling(self):
         inst = make_instance(9, seed=18)
@@ -344,7 +356,7 @@ class TestStreamedHistogram:
         inst = UbqpInstance.from_matrix(np.ones((n, n), dtype=np.int64))
         toy = construct_toy(ToyKind.PLUS_MINUS_ONE, np.zeros(n, dtype=np.int8))
         obj = SmoothedObjective(instance=inst, toy=toy, lam=0.5, alpha=1 + 2e-12)
-        assert smoothed_evaluate(obj, np.ones(n, dtype=np.int8)) < 0
+        assert oracles.smoothed_evaluate(obj, np.ones(n, dtype=np.int8)) < 0
         hist = value_histogram(obj)
         assert hist == {0.0: 2**n}
         assert math.copysign(1.0, next(iter(hist))) == 1.0

@@ -137,21 +137,48 @@ class TestSampling:
             assert np.array_equal(pos, oracles.fisher_yates_positions(reference, n, count))
             assert ours.random() == reference.random()
 
-    @pytest.mark.parametrize("bits, n, chunk", [(1, 1, 1), (1, 9, 5), (3, 3, 2), (11, 45, 64),
-                                                 (125, 500, 64), (300, 100000, 3)])
-    def test_chunked_targets_are_the_per_iteration_draws(self, bits, n, chunk, monkeypatch):
-        # The run's swap targets, drawn `chunk` iterations at a time, are the
-        # draws made one iteration at a time, and pick the same positions,
-        # across chunk ends.
-        monkeypatch.setattr(search, "TARGET_CHUNK", chunk)
-        targets = search._SwapTargets(seeded_rng(bits, 2), n, bits)
-        one_at_a_time, positions = seeded_rng(bits, 2), seeded_rng(bits, 2)
-        for _ in range(2 * chunk + 1):
-            taken = oracles.take_targets(targets)
-            assert np.array_equal(taken, one_at_a_time.integers(np.arange(bits), n))
-            assert np.array_equal(oracles.swap_positions(taken),
-                                  sample_positions(positions, n, bits))
-        assert targets.at == bits  # one iteration into the third chunk
+    @staticmethod
+    def assert_kernel_draws(rng, n: int, bits: int, iterations: int = 5) -> None:
+        """A run perturbing from `rng` draws, iteration by iteration, what
+        `rng.integers(np.arange(bits), n)` draws, picks their positions, and
+        leaves its stream where `rng` is left."""
+        run = search._Run(n, "best")
+        run.build(0, UbqpInstance.from_matrix(np.zeros((n, n), dtype=np.int64)),
+                  np.zeros(n, dtype=np.int8))
+        run.perturb_from(rng, bits)
+        for _ in range(iterations):
+            # Stopping one evaluation on runs one iteration; the zero form
+            # takes no flip in its descent.
+            run.iterate(None, True, run.consumed + 1)
+            targets = oracles.swap_targets(rng, n, bits)
+            assert np.array_equal(run.scratch[3 * n:3 * n + bits], targets)
+            assert np.array_equal(run.scratch[n:n + bits], oracles.swap_positions(targets))
+            assert np.array_equal(run.state[search._kernel.ST_STREAM:],
+                                  search._kernel.stream(rng))
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "half-word-buffered"])
+    @pytest.mark.parametrize("n", [1, 9, 45, 500])
+    def test_kernel_targets_are_the_generators_draws(self, n, buffered):
+        # The kernel draws each iteration's swap targets from the run's
+        # PCG64 stream as numpy does, from a fresh generator and from one
+        # with half of its last output buffered; at n = 1 neither draws. A
+        # numpy whose draws moved fails here by name.
+        for bits in sorted({1, max(1, n // 4), n}):
+            rng = seeded_rng(bits, 2)
+            if buffered:
+                rng.integers(0, 10, dtype=np.int32)
+            assert rng.bit_generator.state["has_uint32"] == buffered
+            self.assert_kernel_draws(rng, n, bits)
+
+    def test_a_rejected_target_word_is_redrawn_as_numpy_does(self):
+        # A generator whose next 32-bit word is 0: the first target's range
+        # of 45 rejects it, since 0 is below 2^32 mod 45 = 31.
+        state = seeded_rng(3, 2).bit_generator.state
+        state.update(has_uint32=1, uinteger=0)
+        probe = oracles.generator_at(state)
+        probe.integers(np.arange(1), 45)
+        assert probe.bit_generator.state["has_uint32"] == 1  # a second word was taken
+        self.assert_kernel_draws(oracles.generator_at(state), 45, 11)
 
 
 def assert_no_improving_flip(objective, x):

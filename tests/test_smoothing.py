@@ -24,7 +24,6 @@ from lsils import (
     mean_abs,
     random_solution,
     seeded_rng,
-    smoothed_evaluate,
 )
 from lsils import smoothing
 from lsils.smoothing import blend_weights, toy_peaks
@@ -189,15 +188,40 @@ class TestConstruction:
             assert np.array_equal(toy.materialize(), reference)
             assert toy.max_abs() == np.abs(reference).max()
 
-    def test_int32_magnitude_draws_are_the_int64_draws(self):
-        # construct_toy draws int32 magnitudes, and the reference int64; numpy
-        # gives them value for value for a range under 2^32, one 32-bit draw each.
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 500])
+    def test_kernel_draws_are_the_generators_draws(self, n):
+        # The kernel draws the magnitudes from the PCG64 state of the toy's
+        # generator; the lower triangle, row by row, holds that generator's
+        # own draws. A numpy whose draws moved fails here by name.
         low, high = smoothing.RANDOM_MAGNITUDES.start, smoothing.RANDOM_MAGNITUDES.stop
-        for seed in (*range(40), 2**40 + 3, 2**63 - 1):
-            for size in (1, 2, 3, 28, 1000, 125250):
-                draws = [seeded_rng(seed, smoothing.TOY_MAGNITUDE_STREAM).integers(
-                    low, high, size=size, dtype=dtype) for dtype in (np.int32, np.int64)]
-                assert np.array_equal(*draws), (seed, size)
+        lower = np.tril_indices(n)
+        for seed in (*range(12), 2**40 + 3, 2**63 - 1):
+            toy = construct_toy(ToyKind.RANDOM, random_anchor(n, 3), seed=seed)
+            draws = seeded_rng(seed, smoothing.TOY_MAGNITUDE_STREAM).integers(
+                low, high, size=lower[0].size, dtype=np.int32)
+            assert np.array_equal(toy._m[lower], draws), (seed, n)
+            assert toy.max_abs() == draws.max()
+
+    def test_a_rejected_word_is_redrawn_as_numpy_does(self, monkeypatch):
+        # A generator whose next 32-bit word is 0, the buffered half of its
+        # last output: Lemire's method rejects it, since 0 is below
+        # (2^32 - 100) mod 100 = 96, and takes the next word. Random seeds
+        # reach that branch in about one toy in 300.
+        state = seeded_rng(7, smoothing.TOY_MAGNITUDE_STREAM).bit_generator.state
+        state.update(has_uint32=1, uinteger=0)
+
+        def crafted(*keys):
+            return oracles.generator_at(state)
+
+        probe = crafted()
+        probe.integers(1, 101, dtype=np.int32)
+        assert probe.bit_generator.state["has_uint32"] == 1  # a second word was taken
+        monkeypatch.setattr(smoothing, "seeded_rng", crafted)
+        n = 40
+        lower = np.tril_indices(n)
+        toy = construct_toy(ToyKind.RANDOM, random_anchor(n, 3), seed=0)
+        draws = crafted().integers(1, 101, size=lower[0].size, dtype=np.int32)
+        assert np.array_equal(toy._m[lower], draws)
 
     def test_deterministic_kinds_idempotent(self):
         anchor = random_anchor(10, 7)
@@ -326,9 +350,10 @@ class TestAutoAlpha:
             toy = construct_toy(kind, random_anchor(3, seed), seed=seed)
             assert toy.max_abs() in toy_peaks(kind, 3)
 
-    def test_random_rebuild_holds_one_matrix_and_its_draws(self):
+    def test_random_rebuild_holds_one_matrix(self):
         # What a search does per rebuild: the default bound reads the mean |Q|
-        # summed when the instance was built.
+        # summed when the instance was built. The kernel draws the magnitudes
+        # into the uint8 matrix itself, so no array of draws is allocated.
         n = 500
         anchor, inst = random_anchor(n, 5), make_instance(n, 2)
         construct_toy(ToyKind.RANDOM, anchor, seed=0)  # builds the kernel outside the trace
@@ -340,8 +365,7 @@ class TestAutoAlpha:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        matrix, draws = n * n * 8, n * (n + 1) // 2 * 8
-        assert peak <= 1.1 * (matrix + draws)
+        assert peak <= 1.1 * n * n
 
     def test_default_bound_rounds_mean_abs(self):
         inst = UbqpInstance.from_matrix(np.array([[1, -2], [-2, 3]]))
@@ -375,36 +399,49 @@ class TestSmoothedObjective:
         with pytest.raises(ValueError, match="dimensions"):
             SmoothedObjective(instance=inst, toy=other, lam=0.5, alpha=1.0)
 
+    def blend(self, g, x) -> int:
+        """g's exact integer blend a f_o(x) + b f_toy(x), by `integer_weights`."""
+        a, b = g.integer_weights(2 * g.n)
+        return a * evaluate(g.instance, x) + b * evaluate(g.toy, x)
+
     def test_lambda_zero_equals_original(self):
         inst, _, _ = self.make()
         _, _, g = self.make(lam=0.0)
         x = random_solution(12, seeded_rng(3))
-        assert smoothed_evaluate(g, x) == evaluate(inst, x)
+        assert g.integer_weights(24) == (1, 0)
+        assert self.blend(g, x) == evaluate(inst, x)
 
     def test_lambda_one_equals_scaled_toy(self):
         _, toy, g0 = self.make(lam=1.0, alpha=0.25)
         x = random_solution(12, seeded_rng(4))
-        assert smoothed_evaluate(g0, x) == 0.25 * evaluate(toy, x)
+        assert g0.integer_weights(24) == (0, 1)
+        assert self.blend(g0, x) == evaluate(toy, x)
 
     def test_midpoint_arithmetic(self):
         inst = UbqpInstance.from_matrix(np.array([[10, 0], [0, 4]]))
         toy = construct_toy(ToyKind.PLUS_MINUS_ONE, (1, 0))
         g = SmoothedObjective(instance=inst, toy=toy, lam=0.5, alpha=1.0)
-        # f_o((1,0)) = 10, toy value at (1,0) is 1: g = 0.5*10 + 0.5*1.
-        assert smoothed_evaluate(g, (1, 0)) == pytest.approx(5.5)
+        # f_o((1,0)) = 10, toy value at (1,0) is 1: g = 0.5*10 + 0.5*1, half the blend.
+        assert self.blend(g, (1, 0)) == 11
 
     @given(st.integers(0, 10**6))
     def test_blend_matches_component_evaluations(self, seed):
+        # The blend is b / (lam alpha) times g, with lam and alpha read as
+        # blend_weights reads them (b > 0).
         rng = seeded_rng(seed)
         n = int(rng.integers(2, 14))
         inst = UbqpInstance.from_matrix(random_symmetric(n, rng))
         toy = construct_toy(ToyKind.RANDOM, random_solution(n, rng), seed=seed)
-        lam = float(rng.uniform(0, 1))
-        alpha = float(rng.uniform(0.01, 10))
+        # Decimals, so that the weights stay within integer_weights' bound.
+        lam = round(float(rng.uniform(0.001, 1)), 3)
+        alpha = round(float(rng.uniform(0.01, 10)), 2)
         g = SmoothedObjective(instance=inst, toy=toy, lam=lam, alpha=alpha)
         x = random_solution(n, rng)
-        expected = (1 - lam) * evaluate(inst, x) + lam * alpha * evaluate(toy, x)
-        assert smoothed_evaluate(g, x) == pytest.approx(expected, rel=1e-12)
+        exact_lam, exact_alpha = (Fraction(v).limit_denominator(smoothing.DENOMINATOR_LIMIT)
+                                  for v in (lam, alpha))
+        expected = (1 - exact_lam) * evaluate(inst, x) + exact_lam * exact_alpha * evaluate(toy, x)
+        b = g.integer_weights(2 * n)[1]
+        assert self.blend(g, x) * exact_lam * exact_alpha == b * expected
 
 
 def blended_gains(g: SmoothedObjective, x) -> np.ndarray:
