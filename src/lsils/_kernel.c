@@ -53,7 +53,10 @@
  * blend a * g_0 + b * g_1), flips the chosen bit k through every cache with
  * the rank-1 update g_j += 2 sigma_k sigma_j Q_jk, g_k = -g_k, and charges
  * the budget exactly as the reference does: the candidates examined, then
- * n per applied flip.
+ * n per applied flip. A best-improvement descent on a dense first cache's
+ * own gains scans only for its first pivot: each flip of that cache returns
+ * the largest gain it writes, and the next pivot is the lowest index that
+ * holds it (first_of), the bit the scan would pick, charged n as a scan.
  *
  * Both random streams are numpy's, value for value. The swap targets are
  * rng.integers(np.arange(bits), n) of the run's perturbation generator,
@@ -251,7 +254,7 @@ HOT void charge(int64_t *st, int64_t units, int64_t steps, const int64_t *marks,
     st[ST_MARKED] = at;
 }
 
-/* The block length of the scans' max pass (first_max). */
+/* The block length of the scans' max pass (first_max) and of first_of. */
 enum { BLOCK = 64 };
 
 /* The body's names carry its width: apply_flip is apply_flip_i32 in the
@@ -315,6 +318,7 @@ int64_t lsils_random_toy(const int64_t *stream, int64_t n, int64_t low, int64_t 
 #define apply_flips WIDTH(apply_flips, GAIN_BITS)
 #define block_max WIDTH(block_max, GAIN_BITS)
 #define first_max WIDTH(first_max, GAIN_BITS)
+#define first_of WIDTH(first_of, GAIN_BITS)
 #define pick_int WIDTH(pick_int, GAIN_BITS)
 #define blend WIDTH(blend, GAIN_BITS)
 #define descend WIDTH(descend, GAIN_BITS)
@@ -369,19 +373,29 @@ HOT void random_update(GAIN *restrict g, const GAIN *restrict s, const int8_t *r
     }
 }
 
-/* Flip bit k of one cache: gains, sigma and solution in O(n). */
-HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
+/* Flip bit k of one cache: gains, sigma and solution in O(n). With `track`,
+ * a constant at each call, the cache is dense and the flip returns the
+ * largest gain it writes: g_k is first set to -g_k - 2 Q_kk, so that the
+ * pass's own term 2 Q_kk lands it on -g_k and every gain the pass writes is
+ * final; |-g_k - 2 Q_kk| <= (2n + 1) max|Q_jk|, the bound at the top of
+ * this file. Without it, the result is unused. */
+HOT GAIN apply_flip(const lsils_cache *c, int64_t n, int64_t k, int track)
 {
     GAIN *restrict g = c->gains;
     GAIN *restrict s = c->sigma;
     const int8_t *a = c->anchor;
-    GAIN old = g[k], sk = s[k];
+    GAIN old = g[k], sk = s[k], top = -old;
     int64_t j;
 
-    if (c->kind == FORM_DENSE) {
+    if (track || c->kind == FORM_DENSE) {
         const GAIN *restrict row = (const GAIN *)c->q + k * n;
-        for (j = 0; j < n; j++)
+        if (track)
+            g[k] = top - 2 * row[k];
+        for (j = 0; j < n; j++) {
             g[j] += negate_if(2 * row[j], differ(s[j], sk));
+            if (track)
+                top = g[j] > top ? g[j] : top;
+        }
     } else if (c->kind == FORM_RANDOM) {
         random_update(g, s, a, (const uint8_t *)c->q + k * n, sk, a[k], n);
     } else {
@@ -390,6 +404,7 @@ HOT void apply_flip(const lsils_cache *c, int64_t n, int64_t k)
     g[k] = -old;
     s[k] = -sk;
     c->x[k] ^= 1;
+    return top;
 }
 
 /* Q_pp of one cache's form: a toy's is +m_pp on the anchor, else -m_pp. */
@@ -533,6 +548,26 @@ HOT int64_t first_max(const GAIN *v, int64_t n, GAIN *top)
     return j;
 }
 
+/* The lowest index j with v[j] == top, which some entry of v[0..n) holds.
+ * Each BLOCK-entry block is tested by one OR of its comparisons, which
+ * vectorises, and the search stops in the first block with a hit (or, with
+ * none in the whole blocks, in the tail). */
+HOT int64_t first_of(const GAIN *v, int64_t n, GAIN top)
+{
+    int64_t j0, j;
+
+    for (j0 = 0; j0 + BLOCK <= n; j0 += BLOCK) {
+        int hit = 0;
+        for (j = 0; j < BLOCK; j++)
+            hit |= v[j0 + j] == top;
+        if (hit)
+            break;
+    }
+    for (j = j0; v[j] != top; j++)
+        ;
+    return j;
+}
+
 /* The bit to flip, or -1 at a local optimum; *examined gets the scan's charge. */
 HOT int64_t pick_int(const GAIN *g, int64_t n, int first, int64_t *examined)
 {
@@ -570,16 +605,24 @@ HOT void blend(const GAIN *go, const GAIN *gt, const int64_t *w, int64_t n,
     }
 }
 
-/* Descend until a local optimum, tracking the best value and solution. */
+/* Descend until a local optimum, tracking the best value and solution. A
+ * best-improvement descent on a dense first cache's own gains takes each
+ * pivot after its first from the largest gain the last flip wrote: its
+ * lowest index, as the scan would pick it, at the scan's charge of n. */
 HOT void descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int first,
                  const int64_t *weights, int64_t *blended, int64_t *st, int8_t *best_x,
                  const int64_t *marks, int64_t *stamps)
 {
     const GAIN *g0 = caches[0].gains;
+    int track = !weights && !first && caches[0].kind == FORM_DENSE, tracked = 0;
     int64_t i, k, examined;
+    GAIN top = 0;
 
     for (;;) {
-        if (weights) {
+        if (tracked) {  /* top is the largest gain of the last flip */
+            k = top > 0 ? first_of(g0, n, top) : -1;
+            examined = n;
+        } else if (weights) {
             blend(g0, caches[1].gains, weights, n, blended);
             k = pick_int_i64(blended, n, first, &examined);
         } else {
@@ -589,8 +632,11 @@ HOT void descend(const lsils_cache *caches, int64_t n_caches, int64_t n, int fir
         if (k < 0)
             return;
         st[ST_VALUE] += g0[k];
-        for (i = 0; i < n_caches; i++)
-            apply_flip(&caches[i], n, k);
+        if (track)
+            top = apply_flip(&caches[0], n, k, 1);
+        for (i = track; i < n_caches; i++)
+            apply_flip(&caches[i], n, k, 0);
+        tracked = track;
         charge(st, n, 1, marks, stamps);
         if (st[ST_VALUE] > st[ST_BEST]) {
             st[ST_BEST] = st[ST_VALUE];
@@ -675,6 +721,7 @@ int64_t lsils_build(const lsils_cache *c, int64_t n, int64_t *pos, GAIN *lanes)
 #undef apply_flips
 #undef block_max
 #undef first_max
+#undef first_of
 #undef pick_int
 #undef blend
 #undef descend

@@ -34,6 +34,9 @@ _BLOCK_BITS = 6
 # Values a histogram holds besides its blocks (8 MiB): `_tally`'s sort
 # batch, or the widest span an integer histogram counts in one array.
 _COUNT_SLOTS = 1 << 20
+# The histogram total below which `collision_probability` sums the squared
+# counts in one int64 dot.
+_EXACT_DOT_TOTAL = 1 << 31
 
 
 def _check_guard(n: int) -> None:
@@ -275,11 +278,22 @@ def collision_probability(histogram: dict) -> float:
 
     Sum over values of (count / 2^n)^2; larger means a flatter landscape.
     The squares are summed as exact integers and divided by (2^n)^2 once,
-    so the result is their ratio correctly rounded.
+    so the result is their ratio correctly rounded: by one int64 dot while
+    the counts total below 2^31 (so sum c^2 <= (sum c)^2 < 2^62), else as
+    Python ints.
     """
-    counts = list(map(int, histogram.values()))
-    if not counts:
+    if not histogram:
         raise ValueError("empty histogram")
+    try:
+        counts = np.fromiter(histogram.values(), dtype=np.int64, count=len(histogram))
+    except OverflowError:  # a count past int64
+        counts = None
+    # Counts in [0, 2^31) sum exactly in int64.
+    if counts is not None and counts.min() >= 0 and counts.max() < _EXACT_DOT_TOTAL:
+        total = int(counts.sum())
+        if total < _EXACT_DOT_TOTAL:
+            return int(counts @ counts) / (total * total)
+    counts = list(map(int, histogram.values()))
     total = sum(counts)
     return sum(map(operator.mul, counts, counts)) / (total * total)
 

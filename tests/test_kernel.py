@@ -357,6 +357,56 @@ class TestDescentEquivalence:
         run = assert_descents_agree((inst, inst), np.zeros(n, dtype=np.int8), weights, "best")
         assert run.x[0].nonzero()[0].tolist() == [i]
 
+    # A best-improvement descent on one dense cache takes each pivot after
+    # its first from the largest gain the last flip wrote, not from a scan.
+    @pytest.mark.parametrize("dtype", WIDTHS)
+    @pytest.mark.parametrize("tie", [(63, 64), (60, 100), (127, 128), (5, 129)])
+    def test_ties_after_a_flip_go_to_the_lowest_index(self, tie, dtype):
+        # From 0 bit p gains most; flipping it lifts the gains of bits i and
+        # j, 1 and 3 before, to 5 both, on each side of a block boundary,
+        # and the flip of i then makes j lose.
+        n, p, (i, j) = MAX_N, 31, tie
+        q = np.diag(-seeded_rng(7).integers(0, 3, size=n))
+        q[p, p], q[i, i], q[j, j] = 10, 1, 3
+        q[i, p] = q[p, i] = 2
+        q[j, p] = q[p, j] = 1
+        q[i, j] = q[j, i] = -3
+        inst = UbqpInstance.from_matrix(q)
+        run = assert_descents_agree((inst,), np.zeros(n, dtype=np.int8), None, "best", dtype)
+        assert run.x[0].nonzero()[0].tolist() == sorted((p, i))
+
+    @pytest.mark.parametrize("dtype", WIDTHS)
+    @pytest.mark.parametrize("n", [65, 100, MAX_N])
+    def test_a_largest_gain_in_the_tail_block_is_found(self, n, dtype):
+        # From 0 bit 0 gains most; its flip leaves the largest gain, 5, at
+        # bit n - 1, past the whole blocks, and a smaller one, 3, at bit 5.
+        q = np.diag(-seeded_rng(8).integers(0, 3, size=n))
+        q[0, 0], q[5, 5], q[n - 1, n - 1] = 10, 1, 1
+        q[5, 0] = q[0, 5] = 1
+        q[n - 1, 0] = q[0, n - 1] = 2
+        inst = UbqpInstance.from_matrix(q)
+        run = assert_descents_agree((inst,), np.zeros(n, dtype=np.int8), None, "best", dtype)
+        assert run.x[0].nonzero()[0].tolist() == [0, 5, n - 1]
+
+    @given(st.integers(1, 3 * 64 + 5), st.integers(0, 2**32), st.sampled_from(WIDTHS))
+    def test_descents_through_many_ties_match_the_reference(self, n, seed, dtype):
+        # Entries in {-1, 0, 1} tie many gains at the largest after a flip.
+        upper = np.triu(seeded_rng(seed, 19).integers(-1, 2, size=(n, n)))
+        inst = UbqpInstance.from_matrix(upper + np.triu(upper, 1).T)
+        x = random_solution(n, seeded_rng(seed, 20))
+        assert_descents_agree((inst,), x, None, "best", dtype)
+
+    @pytest.mark.parametrize("dtype", WIDTHS)
+    @pytest.mark.parametrize("kind", list(ToyKind))
+    def test_local_search_on_a_toy_matches_the_reference(self, kind, dtype, monkeypatch):
+        # A toy's flips keep the plain update, and every pivot the scan.
+        toy = make_form(kind.value, MAX_N, 5)
+        x = random_solution(MAX_N, seeded_rng(5, 2))
+        cache = GainCache.build(toy, x)
+        oracles.descend(_Run(MAX_N, "best"), [cache], None, "best")
+        monkeypatch.setattr(search, "gain_dtype", lambda n, peak: np.dtype(dtype))
+        assert np.array_equal(local_search(x, toy), cache.solution)
+
     @pytest.mark.parametrize("pivot", PIVOT_RULES)
     @pytest.mark.parametrize("weights", [(0, 1), (1, 1)])
     def test_non_positive_blend_is_a_local_optimum(self, pivot, weights):
@@ -720,6 +770,18 @@ def check_bound_cases(inst: UbqpInstance, dtype) -> None:
                                             iteration_stop(n, bits), False)
 
 
+def bound_descent(above: bool, dtype) -> None:
+    """A one-cache best-improvement descent with gain lanes of `dtype` on the
+    instance at the int32 bound, or just above it, with no negative entry,
+    from x = 1 but for its last bit. That bit gains (2n - 1) m, and its flip
+    first sets its gain to -(2n - 1) m - 2 Q_kk = -(2n + 1) m, the bound
+    itself (see `bound_instance`)."""
+    x = np.ones(BOUND_N, dtype=np.int8)
+    x[-1] = 0
+    run = assert_descents_agree((bound_instance(BOUND_N, above, 0.0),), x, None, "best", dtype)
+    assert run.x[0].all()
+
+
 @pytest.mark.parametrize("dtype", WIDTHS)
 @pytest.mark.parametrize("negative", [0.0, 0.3])
 def test_kernel_matches_the_reference_at_the_int32_bound(negative, dtype):
@@ -733,6 +795,14 @@ def test_kernel_matches_the_reference_just_above_the_int32_bound(negative):
     inst = bound_instance(BOUND_N, True, negative)
     assert gain_dtype(inst.n, inst.max_abs()) == np.int64
     check_bound_cases(inst, np.int64)
+
+
+@pytest.mark.parametrize(("above", "dtype"), [(False, np.int32), (False, np.int64),
+                                               (True, np.int64)])
+def test_a_descent_flip_reaches_the_int32_bound(above, dtype):
+    assert gain_dtype(BOUND_N, bound_instance(BOUND_N, above, 0.0).max_abs()) == (
+        np.int64 if above else np.int32)
+    bound_descent(above, dtype)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -759,7 +829,8 @@ sys.path[:0] = {paths!r}
 import numpy as np
 from lsils import _kernel
 _kernel._build = lambda: ctypes.CDLL({library!r})
-from test_kernel import BOUND_N, bound_instance, check_bound_cases, largest_instance, whole_runs
+from test_kernel import (BOUND_N, bound_descent, bound_instance, check_bound_cases,
+                         largest_instance, whole_runs)
 {call}
 """
 
@@ -775,9 +846,10 @@ def whole_runs() -> None:
 
 def test_int32_lanes_do_not_overflow_at_the_bound(tmp_path):
     # A build that traps on signed overflow runs the int32 cases at the
-    # bound, the largest 1-bit and 2-bit instances on int64 lanes, and
-    # whole runs; forced onto int32 lanes just above the int32 bound, the
-    # same build traps.
+    # bound, a descent whose first flip reaches it, the largest 1-bit and
+    # 2-bit instances on int64 lanes, and whole runs; forced onto int32
+    # lanes just above the int32 bound, the same build traps, in the cases
+    # and in the descent.
     library = tmp_path / "trapping.so"
     try:
         subprocess.run([_kernel._compiler(), *_kernel.FLAGS, "-fsanitize=signed-integer-overflow",
@@ -788,6 +860,7 @@ def test_int32_lanes_do_not_overflow_at_the_bound(tmp_path):
     paths = [str(Path(__file__).parent), str(_kernel.SOURCE.parents[1])]
     cases = [(f"check_bound_cases(bound_instance(BOUND_N, {above}, {negative}), np.int32)", above)
              for above, negative in ((False, 0.0), (False, 0.3), (True, 0.0))]
+    cases += [(f"bound_descent({above}, np.int32)", above) for above in (False, True)]
     cases += [(f"check_bound_cases(largest_instance({n}), np.int64)", False) for n in (1, 2)]
     cases += [("whole_runs()", False)]
     for call, above in cases:

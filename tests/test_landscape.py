@@ -237,6 +237,22 @@ class TestHistogramAndFlatness:
         assert collision_probability(hist) == float(
             Fraction(sum(c * c for c in hist.values()), 4**12))
 
+    @pytest.mark.parametrize("counts", [
+        [3, 5, 2**20, 7],      # the int64 dot
+        [2**31 - 2, 1],        # the int64 dot at its largest total, 2^31 - 1
+        [2**31 - 1, 1],        # a total of 2^31: Python ints from here on
+        [2**40 + 7, 3, 2**33],
+        [2**70, 5],            # a count past int64
+    ])
+    def test_collision_is_the_exact_ratio_on_both_paths(self, counts):
+        hist = dict(enumerate(counts))
+        total = sum(counts)
+        exact = Fraction(sum(c * c for c in counts), total * total)
+        assert collision_probability(hist) == float(exact)
+
+    def test_collision_of_numpy_counts_past_int64_in_total(self):
+        assert collision_probability({0: np.int64(2**62), 1: np.int64(2**62)}) == 0.5
+
     def test_collision_invariant_under_monotone_relabeling(self):
         inst = make_instance(9, seed=18)
         scaled = UbqpInstance.from_matrix(inst.q * 3)
